@@ -20,7 +20,7 @@ import numpy as np
 from .luxemburg import poly_norm
 from .reports import VerificationReport
 from .trig import TrigPoly, band_kernel, convolve
-from .young import YoungFunction
+from .young import YoungFunction, make_power
 
 __all__ = [
     "BesovParams",
@@ -82,17 +82,28 @@ class BesovNorm:
 # modulus of continuity
 # ---------------------------------------------------------------------------
 
-def _shift_norm(f: TrigPoly, h, phi: YoungFunction,
-                power2: bool, arrays) -> float:
-    if power2:
-        ks, cs = arrays
-        if f.dim == 1:
-            phase = ks[:, 0] * h
-        else:
-            phase = ks[:, 0] * h[0] + ks[:, 1] * h[1]
-        return float(np.sqrt(np.sum(np.abs(cs) ** 2
-                                    * np.abs(np.exp(1j * phase) - 1.0) ** 2)))
-    return poly_norm(phi, f.translate(h) - f)
+def _shift_norms(f: TrigPoly, hs: np.ndarray,
+                 phi: YoungFunction) -> np.ndarray:
+    """||f(. + h) - f||_{L_Phi} for each row h of the (count, dim) array hs.
+
+    For Phi = t^2 Parseval gives sum |c_k|^2 |e^{ik.h} - 1|^2 for all rows
+    through one phase matrix; otherwise each difference is normed by
+    quadrature.
+    """
+    if phi.kind == "power" and phi.params.get("p") == 2.0:
+        ks, cs = f._arrays
+        jumps = np.abs(np.exp(1j * (hs @ ks.T)) - 1.0) ** 2
+        return np.sqrt(np.sum(np.abs(cs) ** 2 * jumps, axis=1))
+    return np.array([poly_norm(phi, f.translate(h) - f) for h in hs])
+
+
+def _shift_grid(dim: int, rs: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """Shift candidates, radius-major: the radii themselves in 1-D, the polar
+    grid rs x thetas in 2-D."""
+    if dim == 1:
+        return rs[:, None]
+    return np.stack([np.multiply.outer(rs, np.cos(thetas)).ravel(),
+                     np.multiply.outer(rs, np.sin(thetas)).ravel()], axis=1)
 
 
 def modulus(f: TrigPoly, t: float, phi: YoungFunction, *, angles: int = 64,
@@ -101,55 +112,48 @@ def modulus(f: TrigPoly, t: float, phi: YoungFunction, *, angles: int = 64,
 
     Translation is exact in coefficients (phase factors); the supremum is
     approximated on ``angles`` x ``radii`` polar candidates including the
-    circle |h| = t, with one local refinement pass around the argmax.  For
-    low-degree polynomials the objective is smooth and the grid is
+    circle |h| = t (4 * ``radii`` radii in 1-D), with one local refinement
+    pass around the argmax (5 radii x 9 angles in 2-D, 9 radii in 1-D).
+    For low-degree polynomials the objective is smooth and the grid is
     observed-converged (double ``angles``/``radii`` to check).
     """
     if t <= 0:
         raise ValueError("shift radius t must be positive")
     if not f.coeffs:
         return 0.0
-    power2 = phi.kind == "power" and phi.params.get("p") == 2.0
-    arrays = f._arrays if power2 else None
-
-    if f.dim == 1:
-        rs = t * np.arange(1, radii * 4 + 1) / (radii * 4)
-        best_v, best_r = -1.0, t
-        for r in rs:
-            v = _shift_norm(f, float(r), phi, power2, arrays)
-            if v > best_v:
-                best_v, best_r = v, float(r)
-        if refine:
-            dr = t / (radii * 4)
-            for r in np.linspace(max(best_r - dr, 1e-12 * t),
-                                 min(best_r + dr, t), 9):
-                v = _shift_norm(f, float(r), phi, power2, arrays)
-                best_v = max(best_v, v)
-        return best_v
-
-    thetas = 2.0 * np.pi * np.arange(angles) / angles
-    rs = t * np.arange(1, radii + 1) / radii
-    best_v, best = -1.0, (t, 0.0)
-    for r in rs:
-        for th in thetas:
-            h = (r * math.cos(th), r * math.sin(th))
-            v = _shift_norm(f, h, phi, power2, arrays)
-            if v > best_v:
-                best_v, best = v, (float(r), float(th))
+    one_d = f.dim == 1
+    n_r = 4 * radii if one_d else radii
+    n_th = 1 if one_d else angles
+    rs = t * np.arange(1, n_r + 1) / n_r
+    thetas = 2.0 * np.pi * np.arange(n_th) / n_th
+    vals = _shift_norms(f, _shift_grid(f.dim, rs, thetas), phi)
+    best = int(np.argmax(vals))
+    best_v = float(vals[best])
     if refine:
-        r0, th0 = best
-        dr, dth = t / radii, 2.0 * np.pi / angles
-        for r in np.linspace(max(r0 - dr, 1e-12 * t), min(r0 + dr, t), 5):
-            for th in np.linspace(th0 - dth, th0 + dth, 9):
-                h = (r * math.cos(th), r * math.sin(th))
-                v = _shift_norm(f, h, phi, power2, arrays)
-                best_v = max(best_v, v)
+        r0, th0 = rs[best // n_th], thetas[best % n_th]
+        dr, dth = t / n_r, 2.0 * np.pi / n_th
+        rr = np.linspace(max(r0 - dr, 1e-12 * t), min(r0 + dr, t),
+                         9 if one_d else 5)
+        tt = np.linspace(th0 - dth, th0 + dth, 9)
+        best_v = max(best_v, float(np.max(
+            _shift_norms(f, _shift_grid(f.dim, rr, tt), phi))))
     return best_v
 
 
 # ---------------------------------------------------------------------------
 # the two norms
 # ---------------------------------------------------------------------------
+
+def _bands(f: TrigPoly, start: int = 0):
+    """Yield (n, b_n * f) for n = start, start + 1, ... through the first
+    n >= 3 with 2^{n-3} >= degree f; every later band is zero."""
+    n = start
+    while True:
+        yield n, convolve(band_kernel(n), f)
+        if n >= 3 and 2 ** (n - 3) >= f.degree:
+            return
+        n += 1
+
 
 def besov_norm_classical(f: TrigPoly, params: BesovParams) -> BesovNorm:
     """||f||_{L_Phi} + sum_{n=0}^{n_max} psi(2^n) * modulus(f, 2^{-n}).
@@ -178,18 +182,8 @@ def besov_norm_tilde(f: TrigPoly, params: BesovParams) -> BesovNorm:
     if f.dim != 2:
         raise ValueError("the band norm is defined for 2-D polynomials")
     lux = poly_norm(params.phi, f)
-    terms = []
-    n = 0
-    while True:
-        band = convolve(band_kernel(n), f)
-        if band.coeffs:
-            terms.append(float(params.psi(2.0 ** n))
-                         * poly_norm(params.phi, band))
-        else:
-            terms.append(0.0)
-        if n >= 3 and 2 ** (n - 3) >= f.degree:
-            break
-        n += 1
+    terms = [float(params.psi(2.0 ** n)) * poly_norm(params.phi, band)
+             if band.coeffs else 0.0 for n, band in _bands(f)]
     value = lux + float(np.sum(terms))
     return BesovNorm(value, lux, tuple(terms), 0.0)
 
@@ -360,9 +354,7 @@ def check_norm_comparison(f: TrigPoly, params: BesovParams,
 
     levels = []
     worst = math.inf
-    n = 2
-    while True:
-        band = convolve(band_kernel(n), f)
+    for n, band in _bands(f, start=2):
         lhs = poly_norm(params.phi, band) if band.coeffs else 0.0
         m = 2 ** (n - 3) if n >= 3 else 0
         rhs = 36.0 * best_approximation(f, m, params.phi, mult).upper
@@ -370,9 +362,6 @@ def check_norm_comparison(f: TrigPoly, params: BesovParams,
         worst = min(worst, margin)
         levels.append({"n": n, "m": m, "band_norm": lhs, "bound": rhs,
                        "margin": margin})
-        if n >= 3 and 2 ** (n - 3) >= f.degree:
-            break
-        n += 1
 
     scale = max(classical.value, 1e-300)
     passed = worst >= -1e-9 * scale
@@ -396,17 +385,11 @@ def dyadic_band_norm(f: TrigPoly, s: float, p: float, q: float,
     Standard combination with the outer 1/q root; used only in reports for
     the smoothness-zero Hilbert target where it reduces to a weighted l2 sum.
     """
-    from .young import make_power  # local import avoids cycle at module load
     phi = make_power(p)
     total = poly_norm(phi, f) ** q
-    n = 0
-    while True:
-        band = convolve(band_kernel(n), f)
+    for n, band in _bands(f):
         if band.coeffs:
             total += 2.0 ** (q * n * s) * poly_norm(phi, band) ** q
-        if n >= 3 and 2 ** (n - 3) >= f.degree:
-            break
         if n_max is not None and n >= n_max:
             break
-        n += 1
     return float(total ** (1.0 / q))

@@ -17,6 +17,7 @@ import numpy as np
 from scipy.optimize import brentq
 
 from .reports import VerificationReport
+from .trig import refine_on_grid
 from .young import YoungFunction, check_sqrt_concavity
 
 __all__ = [
@@ -66,19 +67,24 @@ def modular_profile(phi: YoungFunction, x, lams: Sequence[float],
 
 
 def _lux_root(phi: YoungFunction, a: np.ndarray, average: bool) -> float:
-    """Solve modular(a / lambda) = 1 for the positive data a."""
+    """Solve modular(a / lambda) = 1 for the nonnegative data a.
+
+    The root is found for a / max(a), which overwrites a, and scaled back:
+    on subnormal data the bracket m / Phi^{-1}(n) would underflow to 0.
+    """
     n = a.size
     m = float(np.max(a))
     if m == 0.0:
         return 0.0
+    a /= m
     weight = 1.0 / n if average else 1.0
 
     def modular(lam: float) -> float:
         return weight * float(np.sum(phi(a / lam)))
 
-    # At lam = m/Phi^{-1}(n) the modular is >= 1; at m/Phi^{-1}(1/n) it is <= 1.
-    lo = m / float(phi.inverse(float(n)))
-    hi = m / float(phi.inverse(1.0 / n))
+    # At lam = 1/Phi^{-1}(n) the modular is >= 1; at 1/Phi^{-1}(1/n) it is <= 1.
+    lo = 1.0 / float(phi.inverse(float(n)))
+    hi = 1.0 / float(phi.inverse(1.0 / n))
     for _ in range(200):
         if modular(lo) >= 1.0:
             break
@@ -88,9 +94,11 @@ def _lux_root(phi: YoungFunction, a: np.ndarray, average: bool) -> float:
             break
         hi *= 2.0
     if lo == hi:
-        return lo
-    return float(brentq(lambda l: modular(l) - 1.0, lo, hi,
-                        rtol=1e-13, maxiter=300))
+        return m * lo
+    # a tiny xtol leaves the relative tolerance in charge of the stop
+    return m * float(brentq(lambda l: modular(l) - 1.0, lo, hi,
+                            xtol=np.finfo(float).tiny, rtol=1e-13,
+                            maxiter=300))
 
 
 def norm_seq(phi: YoungFunction, x) -> float:
@@ -136,18 +144,9 @@ def poly_norm(phi: YoungFunction, f, *, oversample: int = 8,
     """
     if exact_l2 and phi.kind == "power" and phi.params.get("p") == 2.0:
         return f.l2_norm()
-    m = max(min(max(8, oversample * (f.degree + 1)), max_grid),
-            2 * f.degree + 1)
-    prev = norm_fun(phi, f.sample_uniform(m))
-    for _ in range(max_doublings):
-        if 2 * m > max_grid:
-            break
-        m *= 2
-        cur = norm_fun(phi, f.sample_uniform(m))
-        if abs(cur - prev) <= rel_tol * max(abs(cur), 1e-300):
-            return cur
-        prev = cur
-    return prev
+    return refine_on_grid(f, lambda v: norm_fun(phi, v), oversample=oversample,
+                          rel_tol=rel_tol, max_doublings=max_doublings,
+                          max_grid=max_grid)[0]
 
 
 def embed_l2_check(phi: YoungFunction, x) -> VerificationReport:

@@ -209,8 +209,10 @@ def bisect_increasing(fn: Callable[[np.ndarray], np.ndarray],
                       *, iters: int = 200, rel: float = 1e-14) -> np.ndarray:
     """Vectorised bisection: solve fn(x) = target for increasing fn.
 
-    Brackets are expanded by doubling until they straddle the target, then
-    bisected to relative width ``rel`` (or ``iters`` steps).
+    Brackets are expanded by halving ``lo`` and doubling ``hi`` until they
+    straddle the target, then bisected to relative width ``rel`` (or
+    ``iters`` steps).  Raises ValueError if some target is still outside
+    its bracket at the 200th expansion check on either side.
     """
     target = np.asarray(target, dtype=float)
     lo = np.broadcast_to(np.asarray(lo, dtype=float), target.shape).copy()
@@ -220,11 +222,15 @@ def bisect_increasing(fn: Callable[[np.ndarray], np.ndarray],
         if not bad.any():
             break
         lo[bad] *= 0.5
+    else:
+        raise ValueError("bisection: lower bracket never fell below the target")
     for _ in range(200):
         bad = fn(hi) < target
         if not bad.any():
             break
         hi[bad] *= 2.0
+    else:
+        raise ValueError("bisection: upper bracket never rose above the target")
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
         below = fn(mid) < target

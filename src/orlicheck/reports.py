@@ -7,11 +7,8 @@ matrix.  Pass flags are always recomputable from the stored quantities.
 
 from __future__ import annotations
 
-import csv
-import json
 from dataclasses import asdict, dataclass, field
-from pathlib import Path
-from typing import Any, Iterable
+from typing import Any
 
 import numpy as np
 
@@ -91,54 +88,3 @@ class VerificationReport:
             tolerance=d.get("tolerance", ""),
             wall_time_s=d.get("wall_time_s"),
         )
-
-
-def dump_json(obj: Any, path: str | Path, *, meta: dict | None = None) -> None:
-    """Write deterministic JSON; volatile metadata goes to a sidecar file.
-
-    The main file's bytes depend only on ``obj`` (sorted keys, fixed
-    separators), so identical runs produce identical files.  Timestamps and
-    wall times belong in ``meta`` and land in ``<path>.meta.json``.
-    """
-    path = Path(path)
-    text = json.dumps(_plain(obj), sort_keys=True, indent=2)
-    path.write_text(text + "\n")
-    if meta is not None:
-        side = path.with_suffix(path.suffix + ".meta.json")
-        side.write_text(json.dumps(_plain(meta), sort_keys=True, indent=2) + "\n")
-
-
-def dump_csv(rows: Iterable[dict], path: str | Path) -> None:
-    """Write rows as CSV (comma separated, '.' decimal, header from keys)."""
-    rows = list(rows)
-    path = Path(path)
-    if not rows:
-        path.write_text("")
-        return
-    fields = list(rows[0].keys())
-    with path.open("w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=fields)
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({k: _format_cell(row.get(k)) for k in fields})
-
-
-def _format_cell(v: Any) -> Any:
-    if isinstance(v, (np.floating,)):
-        v = float(v)
-    if isinstance(v, float):
-        return repr(v)
-    if isinstance(v, (np.integer,)):
-        return int(v)
-    if isinstance(v, np.bool_):
-        return bool(v)
-    return v
-
-
-def load_json(path: str | Path) -> Any:
-    return json.loads(Path(path).read_text())
-
-
-def reports_equal(path_a: str | Path, path_b: str | Path) -> bool:
-    """Compare two report files ignoring sidecar metadata."""
-    return Path(path_a).read_bytes() == Path(path_b).read_bytes()

@@ -25,7 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .luxemburg import norm_fun, norm_seq, poly_norm
-from .trig import Frame, TrigPoly, band_kernel, convolve, frame, sample_on_grid
+from .trig import (Frame, TrigPoly, band_kernel, convolve, frame,
+                   refine_on_grid, sample_on_grid)
 from .young import (YoungFunction, check_inverse_product,
                     check_supermultiplicativity, supermultiplicativity_pairs)
 
@@ -97,19 +98,10 @@ def classical_check_1d(g: TrigPoly, phi: YoungFunction, *, n: int | None = None,
         raise ValueError("declared degree below actual degree")
     m = 2 * n + 1
     # grid points 2 pi (k+n)/m, k = -n..n, equal the standard m-grid re-indexed
-    samples = g.sample_uniform(m) if m >= 2 * g.degree + 1 else g.eval_at(
-        2.0 * np.pi * np.arange(m) / m)
-    lhs = float(np.mean(phi(np.abs(samples) / 3.0)))
-
-    mm = max(8, oversample * (n + 1))
-    rhs = float(np.mean(phi(np.abs(g.sample_uniform(mm)))))
-    for _ in range(3):
-        mm *= 2
-        cur = float(np.mean(phi(np.abs(g.sample_uniform(mm)))))
-        converged = abs(cur - rhs) <= 1e-10 * max(cur, 1e-300)
-        rhs = cur
-        if converged:
-            break
+    lhs = float(np.mean(phi(np.abs(g.sample_uniform(m)) / 3.0)))
+    rhs = refine_on_grid(g, lambda v: float(np.mean(phi(np.abs(v)))),
+                         degree=n, oversample=oversample, rel_tol=1e-10,
+                         max_doublings=3)[0]
     return SamplingCheck(
         check_id="classical-1d", level=n, poly_id=f"deg{g.degree}",
         lhs=lhs, rhs=rhs, bound=1.0, passed=lhs <= rhs * (1.0 + 1e-9))

@@ -4,7 +4,16 @@ Coefficient maps are sparse dictionaries keyed by lattice points (int for
 dimension 1, (int, int) for dimension 2).  All torus integrals use the
 normalised measure (2 pi)^{-d} dx, so convolution is the coefficient-wise
 product of coefficient maps and the L2 norm is the plain Euclidean norm of
-the coefficients.
+the coefficients.  Translation, evaluation and uniform sampling are written
+once for any dimension, from the sorted support array.
+
+Grid quadrature
+---------------
+refine_on_grid      the one oversample-and-double loop: applies a functional
+                    of the samples on uniform grids that double until its
+                    value settles to ``rel_tol``, and returns
+                    (value, grid, converged).  poly_l1, luxemburg.poly_norm
+                    and sampling.classical_check_1d are each one call to it.
 
 Kernel constructions
 --------------------
@@ -34,9 +43,11 @@ annulus, so "samples on the frame" is a well-defined finite sequence.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
-from typing import Iterable, Mapping
+from itertools import chain
+from typing import Callable, Iterable, Mapping
 
 import numpy as np
 
@@ -50,6 +61,7 @@ __all__ = [
     "convolve",
     "sample_on_grid",
     "poly_l1",
+    "refine_on_grid",
     "poly_from_coeff_list",
     "poly_to_coeff_list",
 ]
@@ -97,9 +109,12 @@ class TrigPoly:
 
     @cached_property
     def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """Sorted support as an int (count, dim) array and its coefficients."""
         keys = sorted(self.coeffs)
-        ks = np.array(keys, dtype=float).reshape(len(keys), self.dim)
-        cs = np.array([self.coeffs[k] for k in keys], dtype=complex)
+        ks = np.fromiter(chain.from_iterable(keys), dtype=np.int64,
+                         count=len(keys) * self.dim).reshape(len(keys), self.dim)
+        cs = np.fromiter((self.coeffs[k] for k in keys), dtype=complex,
+                         count=len(keys))
         return ks, cs
 
     def support(self) -> set[tuple[int, ...]]:
@@ -132,51 +147,38 @@ class TrigPoly:
 
     def translate(self, h) -> "TrigPoly":
         """f(. + h): multiply each coefficient by exp(i k . h), exact."""
-        if self.dim == 1:
-            hv = (float(h),) if np.isscalar(h) else (float(h[0]),)
-        else:
-            hv = (float(h[0]), float(h[1]))
-        out = {}
-        for key, val in self.coeffs.items():
-            phase = sum(k * hh for k, hh in zip(key, hv))
-            out[key] = val * np.exp(1j * phase)
-        return TrigPoly(self.dim, out)
+        hv = np.atleast_1d(np.asarray(h, dtype=float))
+        if hv.shape != (self.dim,):
+            raise ValueError(f"shift needs {self.dim} components")
+        ks, cs = self._arrays
+        phase = (ks * hv).sum(axis=1)
+        return TrigPoly(self.dim, dict(zip(map(tuple, ks.tolist()),
+                                           cs * np.exp(1j * phase))))
 
     # -- evaluation ----------------------------------------------------------
 
     def eval_at(self, *points):
         """Direct summation sum c_k exp(i k . x), vectorised over points."""
-        if self.dim == 1:
-            (x,) = points
-            x = np.asarray(x, dtype=float)
-            out = np.zeros(x.shape, dtype=complex)
-            for (k,), c in self.coeffs.items():
-                out += c * np.exp(1j * k * x)
-            return out
-        x, y = points
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        out = np.zeros(np.broadcast(x, y).shape, dtype=complex)
-        for (k, l), c in self.coeffs.items():
-            out += c * np.exp(1j * (k * x + l * y))
+        if len(points) != self.dim:
+            raise ValueError(f"evaluation needs {self.dim} coordinates")
+        xs = np.broadcast_arrays(*(np.asarray(p, dtype=float) for p in points))
+        out = np.zeros(xs[0].shape, dtype=complex)
+        for k, c in zip(*self._arrays):
+            out += c * np.exp(1j * sum(ki * x for ki, x in zip(k, xs)))
         return out
 
     def sample_uniform(self, m: int) -> np.ndarray:
         """Values on the uniform grid 2 pi j / m per axis, j = 0..m-1.
 
-        Exact (inverse DFT of folded coefficients) provided m >= 2*degree+1.
+        Exact (inverse DFT of folded coefficients) provided m >= 2*degree+1;
+        the folded indices k mod m are then distinct.
         """
         if m < 2 * self.degree + 1:
             raise ValueError(f"grid size {m} aliases degree {self.degree}")
-        if self.dim == 1:
-            a = np.zeros(m, dtype=complex)
-            for (k,), c in self.coeffs.items():
-                a[k % m] += c
-            return np.fft.ifft(a) * m
-        a = np.zeros((m, m), dtype=complex)
-        for (k, l), c in self.coeffs.items():
-            a[k % m, l % m] += c
-        return np.fft.ifft2(a) * (m * m)
+        ks, cs = self._arrays
+        a = np.zeros((m,) * self.dim, dtype=complex)
+        a[tuple((ks % m).T)] = cs
+        return np.fft.ifftn(a) * m ** self.dim
 
     def l2_norm(self) -> float:
         """L2 norm w.r.t. normalised measure = Euclidean coefficient norm."""
@@ -313,6 +315,35 @@ def sample_on_grid(f: TrigPoly, fr: Frame) -> np.ndarray:
     return values[ks, ls]
 
 
+def refine_on_grid(f: TrigPoly, value: Callable[[np.ndarray], float], *,
+                   degree: int | None = None, oversample: int = 8,
+                   rel_tol: float, max_doublings: int,
+                   max_grid: float = math.inf) -> tuple[float, int, bool]:
+    """Grid quadrature with a doubling check: (value, grid, converged).
+
+    Applies ``value`` to the samples of f on the uniform m-grid per axis,
+    starting from m = max(8, oversample * (degree + 1)) capped at
+    ``max_grid`` but never below the Nyquist size 2 * f.degree + 1, and
+    doubles m while 2m <= max_grid, at most ``max_doublings`` times.  Stops
+    with converged = True at the first grid whose value moved by at most
+    ``rel_tol`` relatively; otherwise returns the last grid's value with
+    converged = False.  ``degree`` defaults to the degree of f.
+    """
+    degree = f.degree if degree is None else degree
+    m = max(min(max(8, oversample * (degree + 1)), max_grid),
+            2 * f.degree + 1)
+    prev = value(f.sample_uniform(m))
+    for _ in range(max_doublings):
+        if 2 * m > max_grid:
+            break
+        m *= 2
+        cur = value(f.sample_uniform(m))
+        if abs(cur - prev) <= rel_tol * max(abs(cur), 1e-300):
+            return cur, m, True
+        prev = cur
+    return prev, m, False
+
+
 def poly_l1(f: TrigPoly, *, oversample: int = 8, rel_tol: float = 1e-6,
             max_doublings: int = 3, max_grid: int = 4096) -> float:
     """L1 norm (normalised measure) by grid averaging with doubling check.
@@ -321,18 +352,9 @@ def poly_l1(f: TrigPoly, *, oversample: int = 8, rel_tol: float = 1e-6,
     memory; the trapezoid error at the cap is far below the bound margins
     these norms feed into.
     """
-    m = max(min(max(8, oversample * (f.degree + 1)), max_grid),
-            2 * f.degree + 1)
-    prev = float(np.mean(np.abs(f.sample_uniform(m))))
-    for _ in range(max_doublings):
-        if 2 * m > max_grid:
-            break
-        m *= 2
-        cur = float(np.mean(np.abs(f.sample_uniform(m))))
-        if abs(cur - prev) <= rel_tol * max(cur, 1e-300):
-            return cur
-        prev = cur
-    return prev
+    return refine_on_grid(f, lambda v: float(np.mean(np.abs(v))),
+                          oversample=oversample, rel_tol=rel_tol,
+                          max_doublings=max_doublings, max_grid=max_grid)[0]
 
 
 # ---------------------------------------------------------------------------

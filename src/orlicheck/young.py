@@ -120,8 +120,8 @@ class YoungFunction:
 
 
 def _check_nonnegative(arr: np.ndarray, what: str) -> None:
-    if np.any(arr < 0):
-        raise YoungFunctionError(f"{what} must be >= 0")
+    if not np.all(arr >= 0):
+        raise YoungFunctionError(f"{what} must be >= 0 and not NaN")
 
 
 # ---------------------------------------------------------------------------

@@ -70,24 +70,24 @@ def test_modulus_bounded_by_twice_norm():
         assert modulus(f, t, phi) <= bound + 1e-10
 
 
-def test_modulus_generic_phi_matches_power2_route():
-    # quadrature route against the Parseval route for the same Young function
-    f = random_poly2(2, seed=2)
+@pytest.mark.parametrize("dim", [1, 2], ids=["1d", "2d"])
+def test_modulus_generic_phi_matches_power2_route(dim):
+    # batched Parseval route against the quadrature route on the same
+    # first-stage candidates (4 * radii radii in 1-D, radii x angles in 2-D)
+    if dim == 1:
+        rng = np.random.default_rng(2)
+        f = TrigPoly(1, {(k,): complex(*rng.standard_normal(2))
+                         for k in range(-2, 3)})
+        hs = [(0.3 * j / 16,) for j in range(1, 17)]
+    else:
+        f = random_poly2(2, seed=2)
+        hs = [(0.3 * j / 4 * math.cos(2 * math.pi * k / 16),
+               0.3 * j / 4 * math.sin(2 * math.pi * k / 16))
+              for j in range(1, 5) for k in range(16)]
     phi = make_power(2.0)
     a = modulus(f, 0.3, phi, angles=16, radii=4, refine=False)
-    from orlicheck.young import make_tabulated  # quadrature route forced below
-    b_vals = []
-    for h_angle in range(16):
-        th = 2.0 * math.pi * h_angle / 16
-        h = (0.3 * math.cos(th), 0.3 * math.sin(th))
-        diff = f.translate(h) - f
-        b_vals.append(poly_norm(phi, diff, exact_l2=False))
-    assert a >= max(
-        0.0, *[poly_norm(phi, f.translate(
-            (0.3 * math.cos(2 * math.pi * k / 16),
-             0.3 * math.sin(2 * math.pi * k / 16))) - f, exact_l2=False)
-            for k in range(16)]) - 1e-8
-    assert max(b_vals) <= a + 1e-8
+    b = [poly_norm(phi, f.translate(h) - f, exact_l2=False) for h in hs]
+    assert max(b) == pytest.approx(a, rel=1e-10)
 
 
 # ---------------------------------------------------------------------------

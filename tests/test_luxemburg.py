@@ -4,13 +4,14 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orlicheck.luxemburg import (embed_l2_check, modular_fun, modular_profile,
                                  modular_seq, norm_fun, norm_seq, poly_norm)
 from orlicheck.trig import TrigPoly
-from orlicheck.young import (make_logpower, make_power, make_section7)
+from orlicheck.young import (YoungFunctionError, make_logpower, make_power,
+                             make_section7)
 
 
 def test_power2_is_euclidean():
@@ -116,11 +117,23 @@ def short_vectors(draw):
 
 @settings(max_examples=30, deadline=None)
 @given(short_vectors(), st.floats(min_value=-50.0, max_value=50.0))
+# subnormal data: the unscaled bracket max|x| / Phi^{-1}(n) underflows to 0
+@example(np.array([5e-324] * 3), 2.0)
+@example(np.array([0.0, 0.0, 5e-324]), 2.0)
 def test_homogeneity(x, c):
     phi = make_section7(0.05)
     lhs = norm_seq(phi, c * x)
     rhs = abs(c) * norm_seq(phi, x)
     assert lhs == pytest.approx(rhs, rel=1e-10, abs=1e-10)
+
+
+def test_subnormal_power_data_has_finite_norm():
+    assert norm_seq(make_power(1.5), [0.0, 0.0, 5e-324]) == 5e-324
+
+
+def test_nan_data_is_rejected():
+    with pytest.raises(YoungFunctionError, match="NaN"):
+        norm_seq(make_section7(0.05), [math.nan, 1.0])
 
 
 @settings(max_examples=30, deadline=None)

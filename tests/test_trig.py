@@ -5,9 +5,13 @@ import math
 import numpy as np
 import pytest
 
+from orlicheck.luxemburg import norm_fun
+from orlicheck.sampling import random_poly_on_frame
 from orlicheck.trig import (TrigPoly, band_kernel, convolve, fejer, frame,
                             plateau_kernel, poly_from_coeff_list, poly_l1,
-                            poly_to_coeff_list, sample_on_grid)
+                            poly_to_coeff_list, refine_on_grid,
+                            sample_on_grid)
+from orlicheck.young import make_section7
 
 
 # ---------------------------------------------------------------------------
@@ -246,6 +250,16 @@ def test_translate_matches_shifted_evaluation():
     assert np.allclose(f.translate(h).eval_at(x), f.eval_at(x + h))
 
 
+def test_translate_matches_shifted_evaluation_2d():
+    rng = np.random.default_rng(6)
+    f = TrigPoly(2, {(k, l): complex(*rng.standard_normal(2))
+                     for k in range(-2, 3) for l in range(-2, 3)})
+    h = (0.7, -0.4)
+    x, y = np.linspace(0.0, 2.0 * np.pi, 17), np.linspace(1.0, 3.0, 17)
+    assert np.allclose(f.translate(h).eval_at(x, y),
+                       f.eval_at(x + h[0], y + h[1]))
+
+
 def test_sample_uniform_rejects_aliasing_grid():
     f = TrigPoly(1, {(4,): 1.0})
     with pytest.raises(ValueError):
@@ -267,3 +281,30 @@ def test_evaluation_matches_definition():
     x, y = 0.3, 1.1
     expect = np.exp(1j * x) + 2.0 * np.exp(1j * y)
     assert f.eval_at(x, y) == pytest.approx(expect)
+
+
+# ---------------------------------------------------------------------------
+# grid refinement
+# ---------------------------------------------------------------------------
+
+def test_refine_on_grid_converges_for_fejer_l1():
+    # poly_l1 defaults: 8 * (6 + 1) = 56 points, one doubling settles it
+    value, grid, converged = refine_on_grid(
+        fejer(6), lambda v: float(np.mean(np.abs(v))), rel_tol=1e-6,
+        max_doublings=3, max_grid=4096)
+    assert converged
+    assert grid == 112
+    assert value == pytest.approx(1.0, rel=1e-8)
+
+
+def test_refine_on_grid_reports_unconverged_section7_norm():
+    # the function norm of the Orlicz sampling check: the 64- and 128-point
+    # grids differ by about 1e-4 relative, above the 1e-5 asked for
+    phi = make_section7(0.05)
+    f = random_poly_on_frame(3, seed=5)
+    value, grid, converged = refine_on_grid(
+        f, lambda v: norm_fun(phi, v), rel_tol=1e-5, max_doublings=1,
+        max_grid=1024)
+    assert not converged
+    assert grid == 128
+    assert value == pytest.approx(14.89687, rel=1e-6)

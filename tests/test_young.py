@@ -172,6 +172,16 @@ def test_zero_maps_to_zero():
         assert phi.inverse(0.0) == 0.0
 
 
+@pytest.mark.parametrize("phi", [make_power(1.5), make_logpower(1.0, 1.0),
+                                 make_section7(0.05),
+                                 make_tabulated([(1.0, 1.0), (2.0, 4.0)])],
+                         ids=lambda p: p.kind)
+def test_nan_argument_is_rejected(phi):
+    for fn in (phi, phi.inverse):
+        with pytest.raises(YoungFunctionError, match="NaN"):
+            fn(np.array([1.0, math.nan]))
+
+
 def test_config_roundtrip():
     for phi in all_kinds():
         clone = young_from_config(young_to_config(phi))
