@@ -4,8 +4,11 @@ The sequence norm is inf{lambda > 0 : sum Phi(|x_i|/lambda) <= 1}; for
 sampled functions the sum is replaced by the grid average, matching the
 normalised measure on the torus.  For finite data and a continuous strictly
 increasing Phi the modular equals 1 exactly at the norm, so the norm is
-computed as the root of a strictly decreasing function of lambda (Brent on a
-guaranteed bracket, expanded by doubling if rounding spoils it).
+computed as the root of a strictly increasing function of s = 1/lambda, by
+Brent on a bracket from two moment bounds: the sup bound opens it, and the
+nearer of Jensen's bound and the largest term alone closes it, so it is one
+factor max/mean wide.  Each end is halved or doubled while its sign is
+wrong, which covers rounding and tabulated Phi that are not convex.
 """
 
 from __future__ import annotations
@@ -69,8 +72,18 @@ def modular_profile(phi: YoungFunction, x, lams: Sequence[float],
 def _lux_root(phi: YoungFunction, a: np.ndarray, average: bool) -> float:
     """Solve modular(a / lambda) = 1 for the nonnegative data a.
 
-    The root is found for a / max(a), which overwrites a, and scaled back:
-    on subnormal data the bracket m / Phi^{-1}(n) would underflow to 0.
+    Works on a / max(a), which overwrites a (on subnormal data any bracket
+    built from max(a) itself would underflow), and solves for s = 1/lambda,
+    in which w * sum Phi(s * a) - 1 increases; w = 1/n for the average,
+    1 for the sum, and N = n * w.  Every term is at most Phi(s), so the
+    modular is at most N * Phi(s) and the bracket opens at
+    s = Phi^{-1}(1/N).  It closes at the smaller of two points where the
+    modular is at least 1: s = Phi^{-1}(1/N) / mean(a), by Jensen's
+    inequality N * Phi(s * mean(a)) <= modular, and s = Phi^{-1}(1/w), by
+    the largest term w * Phi(s) alone.  The bracket is one factor
+    max/mean wide, so Brent needs a handful of modular evaluations.  The
+    Jensen end needs Phi convex, which a tabulated Phi need not be, so each
+    end is halved or doubled until the sign is right.
     """
     n = a.size
     m = float(np.max(a))
@@ -79,26 +92,24 @@ def _lux_root(phi: YoungFunction, a: np.ndarray, average: bool) -> float:
     a /= m
     weight = 1.0 / n if average else 1.0
 
-    def modular(lam: float) -> float:
-        return weight * float(np.sum(phi(a / lam)))
+    def excess(s: float) -> float:
+        return weight * float(np.sum(phi(s * a))) - 1.0
 
-    # At lam = 1/Phi^{-1}(n) the modular is >= 1; at 1/Phi^{-1}(1/n) it is <= 1.
-    lo = 1.0 / float(phi.inverse(float(n)))
-    hi = 1.0 / float(phi.inverse(1.0 / n))
+    lo = float(phi.inverse(1.0 if average else 1.0 / n))   # 1/N
+    hi = min(lo / float(np.mean(a)), float(phi.inverse(1.0 / weight)))
     for _ in range(200):
-        if modular(lo) >= 1.0:
+        if excess(lo) <= 0.0:
             break
         lo *= 0.5
     for _ in range(200):
-        if modular(hi) <= 1.0:
+        if excess(hi) >= 0.0:
             break
         hi *= 2.0
     if lo == hi:
-        return m * lo
+        return m / lo
     # a tiny xtol leaves the relative tolerance in charge of the stop
-    return m * float(brentq(lambda l: modular(l) - 1.0, lo, hi,
-                            xtol=np.finfo(float).tiny, rtol=1e-13,
-                            maxiter=300))
+    return m / float(brentq(excess, lo, hi, xtol=np.finfo(float).tiny,
+                            rtol=1e-13, maxiter=300))
 
 
 def norm_seq(phi: YoungFunction, x) -> float:

@@ -5,7 +5,10 @@ dimension 1, (int, int) for dimension 2).  All torus integrals use the
 normalised measure (2 pi)^{-d} dx, so convolution is the coefficient-wise
 product of coefficient maps and the L2 norm is the plain Euclidean norm of
 the coefficients.  Translation, evaluation and uniform sampling are written
-once for any dimension, from the sorted support array.
+once for any dimension, from the sorted support array.  Uniform sampling is
+a pruned inverse FFT: the coefficients fill their centred
+(2 degree + 1)^dim box, and each axis in turn is zero-padded to the grid and
+transformed in place, so no transform runs over rows that are all zero.
 
 Grid quadrature
 ---------------
@@ -170,15 +173,25 @@ class TrigPoly:
     def sample_uniform(self, m: int) -> np.ndarray:
         """Values on the uniform grid 2 pi j / m per axis, j = 0..m-1.
 
-        Exact (inverse DFT of folded coefficients) provided m >= 2*degree+1;
-        the folded indices k mod m are then distinct.
+        Exact provided m >= 2*degree+1, so that the folded indices k mod m
+        are distinct.  The coefficients fill the centred (2 degree + 1)^dim
+        box; then, last axis first, each axis is zero-padded to m at the
+        indices k mod m and inverse-transformed in place, so each transform
+        runs only over the slab of rows that can be nonzero.
         """
-        if m < 2 * self.degree + 1:
-            raise ValueError(f"grid size {m} aliases degree {self.degree}")
+        d = self.degree
+        if m < 2 * d + 1:
+            raise ValueError(f"grid size {m} aliases degree {d}")
         ks, cs = self._arrays
-        a = np.zeros((m,) * self.dim, dtype=complex)
-        a[tuple((ks % m).T)] = cs
-        return np.fft.ifftn(a) * m ** self.dim
+        b = np.zeros((2 * d + 1,) * self.dim, dtype=complex)
+        b[tuple((ks + d).T)] = cs
+        folded = np.arange(-d, d + 1) % m
+        for ax in reversed(range(self.dim)):
+            slab = np.zeros(b.shape[:ax] + (m,) + b.shape[ax + 1:],
+                            dtype=complex)
+            slab[(slice(None),) * ax + (folded,)] = b
+            b = np.fft.ifft(slab, axis=ax, norm="forward", out=slab)
+        return b
 
     def l2_norm(self) -> float:
         """L2 norm w.r.t. normalised measure = Euclidean coefficient norm."""

@@ -11,6 +11,7 @@ from orlicheck.besov import (BesovParams, MultiplierFamily,
                              check_sum_integral_sandwich, default_multiplier,
                              dyadic_band_norm, modulus)
 from orlicheck.luxemburg import poly_norm
+from orlicheck.sampling import random_poly_1d
 from orlicheck.trig import TrigPoly, band_kernel, convolve
 from orlicheck.young import make_power, make_section7
 
@@ -245,6 +246,17 @@ def test_sandwich_random_batch():
         assert rep.passed, (seed, rep.quantities)
 
 
+def test_sandwich_section7_1d():
+    # the non-Hilbert path: every shift norm is a Luxemburg root
+    params = BesovParams(make_section7(0.05), lambda t: t ** 0.5, n_max=6,
+                         h_angles=8, h_radii=4)
+    rep = check_sum_integral_sandwich(random_poly_1d(4, 3), params,
+                                      np.geomspace(1.0, 64.0, 12))
+    assert rep.passed, rep.quantities
+    assert rep.quantities["margin_lower"] >= 0
+    assert rep.quantities["margin_upper"] >= 0
+
+
 # ---------------------------------------------------------------------------
 # norm comparison
 # ---------------------------------------------------------------------------
@@ -275,6 +287,15 @@ def test_comparison_zero_band_levels_trivially_pass():
                    if lv["band_norm"] == 0.0]
     assert zero_levels
     assert all(lv["margin"] >= 0.0 for lv in zero_levels)
+
+
+def test_comparison_section7_degree2():
+    params = BesovParams(make_section7(0.05), lambda t: t ** 0.5, n_max=4,
+                         h_angles=8, h_radii=2, refine=False)
+    rep = check_norm_comparison(random_poly2(2, seed=13), params)
+    assert rep.passed
+    assert rep.margin >= 0.0
+    assert all(lv["margin"] >= 0.0 for lv in rep.quantities["levels"])
 
 
 def test_dyadic_band_norm_hilbert_case():

@@ -1,7 +1,9 @@
 """Luxemburg norms: closed forms, oracles, and norm axioms."""
 
+import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -9,9 +11,10 @@ from hypothesis import strategies as st
 
 from orlicheck.luxemburg import (embed_l2_check, modular_fun, modular_profile,
                                  modular_seq, norm_fun, norm_seq, poly_norm)
-from orlicheck.trig import TrigPoly
+from orlicheck.sampling import random_poly_on_frame
+from orlicheck.trig import TrigPoly, frame, sample_on_grid
 from orlicheck.young import (YoungFunctionError, make_logpower, make_power,
-                             make_section7)
+                             make_section7, make_tabulated)
 
 
 def test_power2_is_euclidean():
@@ -203,3 +206,147 @@ def test_complex_sequences_use_modulus():
     phi = make_power(2.0)
     z = np.array([3.0 + 4.0j, 0.0])
     assert norm_seq(phi, z) == pytest.approx(5.0, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the root against a 50-digit oracle, and its cost
+# ---------------------------------------------------------------------------
+
+def _mp_power(p):
+    return lambda t: t ** p
+
+
+def _mp_logpower(p0, gamma, switch=0.5):
+    # t^p0 / |ln t|^gamma up to the switch, its tangent line beyond
+    ls = -mpmath.log(switch)
+    value = mpmath.mpf(switch) ** p0 * ls ** (-gamma)
+    slope = mpmath.mpf(switch) ** (p0 - 1) * ls ** (-gamma) * (p0 + gamma / ls)
+    return lambda t: (t ** p0 * (-mpmath.log(t)) ** (-gamma) if t <= switch
+                      else value + slope * (t - switch))
+
+
+def _mp_section7(alpha):
+    # Phi^{-1} from its three-branch definition, with the affine middle
+    # branch fitted for continuity; Phi by a root in the log domain
+    alpha = mpmath.mpf(alpha)
+    r = mpmath.exp(2 * mpmath.e ** 2)
+    h = alpha * mpmath.e ** 2 / 2
+    p = (r * mpmath.exp(-h) - mpmath.exp(h) / r) / (r - 1 / r)
+    q = mpmath.exp(h) / r - p / r
+
+    def log_inverse(y):
+        u = mpmath.exp(y)
+        if u < 1 / r:
+            w = -y / 2
+            return y + alpha * w / mpmath.log(w)
+        if u < r:
+            return mpmath.log(p * u + q)
+        v = y / 2
+        return y - alpha * v / mpmath.log(v)
+
+    def phi(t):
+        z = mpmath.log(t)
+        return mpmath.exp(mpmath.findroot(lambda y: log_inverse(y) - z, z))
+
+    return phi
+
+
+def _mp_tabulated(points):
+    pts = [(mpmath.mpf(0), mpmath.mpf(0))] + [
+        (mpmath.mpf(t), mpmath.mpf(u)) for t, u in points]
+
+    def phi(t):
+        for (t0, u0), (t1, u1) in zip(pts, pts[1:]):
+            if t <= t1:
+                break
+        return u0 + (u1 - u0) * (t - t0) / (t1 - t0)
+
+    return phi
+
+
+ORACLE_PHIS = {
+    "power1.5": (make_power(1.5), _mp_power(mpmath.mpf(1.5))),
+    "power3": (make_power(3.0), _mp_power(3)),
+    "logpower1,1": (make_logpower(1.0, 1.0), _mp_logpower(1, 1)),
+    "section7": (make_section7(0.05), _mp_section7(0.05)),
+    "tabulated": (make_tabulated([(1.0, 1.0), (2.0, 3.0), (3.0, 7.0)]),
+                  _mp_tabulated([(1, 1), (2, 3), (3, 7)])),
+}
+
+
+def _oracle_data(name):
+    rng = np.random.default_rng(17)
+    if name == "sparse":
+        return np.array([0.0] * 999 + [1.0])
+    if name == "spiky":
+        return np.concatenate([1e-3 * rng.random(100), [5.0, 7.0]])
+    return rng.lognormal(0.0, 2.0, 100)
+
+
+def _mp_norm(phi, phi_mp, x, average):
+    """Root of w * sum Phi(|x_i| / lambda) = 1 at 50 digits.
+
+    The bracket is twice as wide as the one given by the largest term
+    alone (lambda <= norm at max|x| / Phi^{-1}(1/w)) and by the sup bound
+    (lambda >= norm at max|x| / Phi^{-1}(1/(n w))).
+    """
+    n = len(x)
+    w = 1.0 / n if average else 1.0
+    top = float(np.max(np.abs(x)))
+    lo = 0.5 * top / float(phi.inverse(1.0 / w))
+    hi = 2.0 * top / float(phi.inverse(1.0 / (n * w)))
+    with mpmath.workdps(50):
+        xs = [mpmath.mpf(float(v)) for v in np.abs(x) if v != 0]
+        w = mpmath.mpf(1) / n if average else mpmath.mpf(1)
+        lam = mpmath.findroot(
+            lambda l: w * mpmath.fsum(phi_mp(v / l) for v in xs) - 1,
+            (mpmath.mpf(lo), mpmath.mpf(hi)), solver="anderson")
+        return float(lam)
+
+
+@pytest.mark.parametrize("data", ["sparse", "spiky", "lognormal"])
+@pytest.mark.parametrize("phi_name", sorted(ORACLE_PHIS))
+def test_norm_matches_50_digit_oracle(phi_name, data):
+    phi, phi_mp = ORACLE_PHIS[phi_name]
+    x = _oracle_data(data)
+    for fn, average in ((norm_seq, False), (norm_fun, True)):
+        expect = _mp_norm(phi, phi_mp, x, average)
+        assert fn(phi, x) == pytest.approx(expect, rel=1e-12), fn.__name__
+
+
+def test_non_convex_table_still_finds_unit_modular():
+    # Phi is not convex, so Jensen's bound fails: at its closing end
+    # Phi^{-1}(1) / mean(a) of the averaged modular, a = x / max x, the
+    # modular is 0.85, not >= 1, and the bracket must be widened
+    phi = make_tabulated([(1.0, 1.0), (2.0, 1.1), (3.0, 10.0)])
+    x = np.array([2.0, 1.0])
+    a = x / x.max()
+    s_jensen = float(phi.inverse(1.0)) / float(a.mean())
+    assert modular_fun(phi, a, 1.0 / s_jensen) == pytest.approx(0.85)
+    lam = norm_fun(phi, x)
+    assert modular_fun(phi, x, lam) == pytest.approx(1.0, abs=1e-12)
+
+
+def _counting(phi):
+    """Copy of phi whose forward map counts its calls."""
+    calls = [0]
+
+    def forward(t):
+        calls[0] += 1
+        return phi._forward(t)
+
+    return dataclasses.replace(phi, _forward=forward), calls
+
+
+def test_section7_roots_need_few_modular_evaluations():
+    # one forward call per modular evaluation; the bracket from the largest
+    # term and Jensen's bound leaves Brent about 4 of them
+    rng = np.random.default_rng(3)
+    f = TrigPoly(2, {(k, l): complex(*rng.standard_normal(2))
+                     for k in range(-3, 4) for l in range(-3, 4)})
+    shift_difference = (f.translate((0.3, -0.2)) - f).sample_uniform(512)
+    frame_samples = sample_on_grid(random_poly_on_frame(6, seed=0), frame(6))
+    for samples in (shift_difference, frame_samples):
+        phi, calls = _counting(make_section7(0.05))
+        assert norm_fun(phi, samples) > 0.0
+        assert calls[0] <= 8

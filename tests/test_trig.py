@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from orlicheck.luxemburg import norm_fun
 from orlicheck.sampling import random_poly_on_frame
@@ -258,6 +260,33 @@ def test_translate_matches_shifted_evaluation_2d():
     x, y = np.linspace(0.0, 2.0 * np.pi, 17), np.linspace(1.0, 3.0, 17)
     assert np.allclose(f.translate(h).eval_at(x, y),
                        f.eval_at(x + h[0], y + h[1]))
+
+
+@st.composite
+def polys_and_grids(draw):
+    dim = draw(st.sampled_from([1, 2]))
+    degree = draw(st.integers(min_value=0, max_value=6))
+    m = draw(st.integers(min_value=2 * degree + 1, max_value=40))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    box = np.arange(-degree, degree + 1)
+    keys = np.stack(np.meshgrid(*(box,) * dim, indexing="ij"),
+                    axis=-1).reshape(-1, dim)
+    coeffs = rng.standard_normal(len(keys)) + 1j * rng.standard_normal(len(keys))
+    return TrigPoly(dim, dict(zip(map(tuple, keys.tolist()), coeffs))), m
+
+
+@settings(max_examples=60, deadline=None)
+@given(polys_and_grids())
+def test_sample_uniform_matches_direct_summation(case):
+    f, m = case
+    axis = 2.0 * np.pi * np.arange(m) / m
+    points = np.meshgrid(*(axis,) * f.dim, indexing="ij")
+    values = f.sample_uniform(m)
+    assert values.shape == (m,) * f.dim
+    assert np.max(np.abs(values - f.eval_at(*points))) < 1e-12
+    zero = TrigPoly(f.dim, {}).sample_uniform(m)
+    assert zero.shape == (m,) * f.dim
+    assert not np.any(zero)
 
 
 def test_sample_uniform_rejects_aliasing_grid():
