@@ -95,7 +95,7 @@ def embedding_weight(phi: YoungFunction) -> Weight:
 class ConditionEvaluation:
     """Both terms of the embedding expression at one scale s.
 
-    ``tail_bound`` upper-estimates the dropped tail of the improper second
+    ``tail_bound`` estimates the dropped tail of the improper second
     integral (geometric extrapolation of the last decade); ``truncated``
     means the decade budget ran out before the tail fell below 1e-6 of the
     total, ``divergent`` that the integrand failed the decade decay test.

@@ -3,12 +3,17 @@ integrals in the log domain with decade-by-decade truncation control, dyadic
 endpoint refinement with convergence classification, and safeguarded monotone
 root finding (vectorised bisection and Newton).
 
+The log-domain integrals evaluate blocks of decades, one vectorised integrand
+call per block; the decade stopping rule consumes a block in order and the
+decades past the stop are discarded.
+
 Everything here is deterministic and pure; all tolerances are explicit
 arguments so callers can expose them for refinement tests.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Sequence
@@ -28,30 +33,39 @@ def _gl_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
-def gauss_panel(fn: Callable[[np.ndarray], np.ndarray], a: float, b: float,
-                nodes: int = 64) -> float:
-    """Single Gauss-Legendre panel of ``fn`` over [a, b]; fn is vectorised."""
-    if b <= a:
-        return 0.0
+def gauss_panel(fn: Callable[[np.ndarray], np.ndarray], a: float | np.ndarray,
+                b: float | np.ndarray, nodes: int = 64) -> float | np.ndarray:
+    """Gauss-Legendre panel of ``fn`` over [a, b]; fn is vectorised.
+
+    Scalar ends give a float; equal-shape 1-D arrays give one value per panel
+    from one ``fn`` call on the (panels, nodes) node matrix, 0 where b <= a.
+    """
     x, w = _gl_nodes(nodes)
+    if np.ndim(a) == 0:
+        if b <= a:
+            return 0.0
+        mid, half = 0.5 * (a + b), 0.5 * (b - a)
+        return float(half * np.dot(w, fn(mid + half * x)))
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    return float(half * np.dot(w, fn(mid + half * x)))
+    vals = half * (fn(mid[:, None] + half[:, None] * x) @ w)
+    return np.where(b > a, vals, 0.0)
 
 
-def integrate_panels(fn: Callable[[np.ndarray], np.ndarray],
-                     edges: Sequence[float], nodes: int = 64) -> float:
-    """Composite Gauss-Legendre over consecutive [edges[i], edges[i+1]]."""
-    total = 0.0
-    for a, b in zip(edges[:-1], edges[1:]):
-        total += gauss_panel(fn, float(a), float(b), nodes)
-    return total
+def _decade_ends(x0: float, n: int) -> np.ndarray:
+    """x0 and the next n decade ends, added one LN10 at a time in order."""
+    return np.add.accumulate(np.concatenate(([x0], np.full(n, LN10))))
 
 
-def split_at_breakpoints(a: float, b: float,
-                         breakpoints: Sequence[float]) -> list[float]:
-    """Edges for [a, b] with any interior breakpoints inserted."""
-    inner = sorted(p for p in breakpoints if a < p < b)
-    return [a, *inner, b]
+def _decade_sums(fn: Callable[[np.ndarray], np.ndarray], ends: np.ndarray,
+                 breakpoints: Sequence[float], nodes: int) -> np.ndarray:
+    """Integral of fn over each [ends[i], ends[i+1]], split into panels at the
+    breakpoints inside it; one ``gauss_panel`` call, panels summed in order."""
+    breakpoints = np.asarray(breakpoints, dtype=float)
+    inner = breakpoints[(breakpoints > ends[0]) & (breakpoints < ends[-1])]
+    edges = np.unique(np.concatenate((ends, inner)))
+    vals = gauss_panel(fn, edges[:-1], edges[1:], nodes)
+    owner = np.searchsorted(ends, edges[:-1], side="right") - 1
+    return np.bincount(owner, weights=vals, minlength=ends.size - 1)
 
 
 def integrate_finite_log(logF: Callable[[np.ndarray], np.ndarray],
@@ -61,19 +75,20 @@ def integrate_finite_log(logF: Callable[[np.ndarray], np.ndarray],
 
     ``logF`` must return the logarithm of the (positive) integrand, which is
     how integrands built from Young-function inverses stay representable for
-    arguments far outside float range.
+    arguments far outside float range.  All decades are evaluated as one
+    block; a NaN decade raises ValueError.
     """
     if x1 <= x0:
         return 0.0
-    fn = lambda x: np.exp(logF(x))
-    total = 0.0
-    lo = x0
-    while lo < x1:
-        hi = min(lo + LN10, x1)
-        edges = split_at_breakpoints(lo, hi, breakpoints)
-        total += integrate_panels(fn, edges, nodes)
-        lo = hi
-    return total
+    ends = _decade_ends(x0, int((x1 - x0) / LN10) + 2)
+    ends = np.append(ends[ends < x1], x1)
+    contribs = _decade_sums(lambda x: np.exp(logF(x)), ends, breakpoints,
+                            nodes)
+    nan = np.flatnonzero(np.isnan(contribs))
+    if nan.size:
+        lo, hi = ends[nan[0]:nan[0] + 2].tolist()
+        raise ValueError(f"integrand is NaN on [{lo!r}, {hi!r}]")
+    return sum(contribs.tolist())
 
 
 @dataclass
@@ -90,6 +105,10 @@ class ImproperIntegral:
     last_ratio: float
 
 
+# Each block adds 8 decades to all before it (8, 16, 32, 64), up to 128.
+_FIRST_BLOCK, _LAST_BLOCK = 8, 128
+
+
 def integrate_log_improper(logF: Callable[[np.ndarray], np.ndarray],
                            x0: float, *, nodes: int = 64,
                            rel_decade_tol: float = 1e-8,
@@ -104,6 +123,11 @@ def integrate_log_improper(logF: Callable[[np.ndarray], np.ndarray],
     below ``tail_rel`` of it.  Flags divergence when the decade contributions
     fail the decay test (ratio >= ``divergence_ratio`` over several decades),
     and truncation when the decade budget runs out first.
+
+    Blocks of 8, 16, 32, 64, then 128 decades take one ``logF`` call each,
+    with overflow silenced; the rule consumes a block's decades in order and
+    discards those past the stop.  A consumed NaN decade raises ValueError;
+    ``inf`` feeds the divergence test.
     """
     fn = lambda x: np.exp(logF(x))
     total = 0.0
@@ -112,28 +136,34 @@ def integrate_log_improper(logF: Callable[[np.ndarray], np.ndarray],
     small_streak = 0
     slow_streak = 0
     lo = x0
-    for j in range(max_decades):
-        hi = lo + LN10
-        edges = split_at_breakpoints(lo, hi, breakpoints)
-        c = integrate_panels(fn, edges, nodes)
-        total += c
-        if prev is not None and prev > 0.0:
-            ratio = c / prev
-            slow_streak = slow_streak + 1 if ratio >= divergence_ratio else 0
-            if slow_streak >= 3 and j >= 5:
-                return ImproperIntegral(total, np.inf, hi, j + 1,
-                                        False, True, False, ratio)
-        prev = c
-        lo = hi
-        if total > 0.0 and c < rel_decade_tol * total:
-            small_streak += 1
-            if small_streak >= 2:
-                tail = c * ratio / (1.0 - ratio) if 0.0 < ratio < 1.0 else c
-                if tail < tail_rel * total:
-                    return ImproperIntegral(total, tail, hi, j + 1,
-                                            True, False, False, ratio)
-        else:
-            small_streak = 0
+    j = 0
+    while j < max_decades:
+        ends = _decade_ends(lo, min(j + _FIRST_BLOCK, _LAST_BLOCK,
+                                    max_decades - j))
+        with np.errstate(over="ignore"):
+            contribs = _decade_sums(fn, ends, breakpoints, nodes).tolist()
+        for c, hi in zip(contribs, ends[1:].tolist()):
+            if math.isnan(c):
+                raise ValueError(f"integrand is NaN on [{lo!r}, {hi!r}]")
+            total += c
+            if prev is not None and prev > 0.0:
+                ratio = c / prev
+                slow_streak = slow_streak + 1 if ratio >= divergence_ratio else 0
+                if slow_streak >= 3 and j >= 5:
+                    return ImproperIntegral(total, np.inf, hi, j + 1,
+                                            False, True, False, ratio)
+            prev = c
+            lo = hi
+            j += 1
+            if total > 0.0 and c < rel_decade_tol * total:
+                small_streak += 1
+                if small_streak >= 2:
+                    tail = c * ratio / (1.0 - ratio) if 0.0 < ratio < 1.0 else c
+                    if tail < tail_rel * total:
+                        return ImproperIntegral(total, tail, hi, j,
+                                                True, False, False, ratio)
+            else:
+                small_streak = 0
     tail = prev * ratio / (1.0 - ratio) if 0.0 < ratio < 1.0 else np.inf
     return ImproperIntegral(total, tail, lo, max_decades,
                             False, False, True, ratio)

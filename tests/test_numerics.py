@@ -1,8 +1,14 @@
 """Safeguards of the shared numerical kernels."""
 
+import math
+
+import numpy as np
 import pytest
 
-from orlicheck.numerics import bisect_increasing
+from orlicheck.conditions import embedding_weight, power_weight
+from orlicheck.numerics import (LN10, bisect_increasing, gauss_panel,
+                                integrate_finite_log, integrate_log_improper)
+from orlicheck.young import make_power, make_section7
 
 
 def test_bisect_solves_bracketed_target():
@@ -14,3 +20,155 @@ def test_bisect_rejects_unbracketable_target():
     # x^2 + 1 >= 1 never reaches 0.5: halving lo cannot bracket it
     with pytest.raises(ValueError, match="lower bracket"):
         bisect_increasing(lambda x: x ** 2 + 1, [0.5], [1.0], [2.0])
+
+
+# ---------------------------------------------------------------------------
+# log-domain quadrature
+# ---------------------------------------------------------------------------
+
+
+def _scalar_march(logF, x0, breakpoints, *, nodes=64, rel_decade_tol=1e-8,
+                  tail_rel=1e-6, max_decades=2600, divergence_ratio=0.999):
+    """Reference: the improper-integral march one decade at a time, each
+    decade split at its interior breakpoints into scalar Gauss panels."""
+    fn = lambda x: np.exp(logF(x))
+    total, prev, ratio = 0.0, None, 0.0
+    small_streak = slow_streak = 0
+    lo = x0
+    for j in range(max_decades):
+        hi = lo + LN10
+        edges = [lo, *sorted(p for p in breakpoints if lo < p < hi), hi]
+        c = 0.0
+        for a, b in zip(edges[:-1], edges[1:]):
+            c += gauss_panel(fn, a, b, nodes)
+        total += c
+        if prev is not None and prev > 0.0:
+            ratio = c / prev
+            slow_streak = slow_streak + 1 if ratio >= divergence_ratio else 0
+            if slow_streak >= 3 and j >= 5:
+                return total, hi, j + 1, (False, True, False)
+        prev = c
+        lo = hi
+        if total > 0.0 and c < rel_decade_tol * total:
+            small_streak += 1
+            if small_streak >= 2:
+                tail = c * ratio / (1.0 - ratio) if 0.0 < ratio < 1.0 else c
+                if tail < tail_rel * total:
+                    return total, hi, j + 1, (True, False, False)
+        else:
+            small_streak = 0
+    return total, lo, max_decades, (False, False, True)
+
+
+def _second_term(phi, psi, s, d=2):
+    """Log integrand, start and breakpoints of the embedding second term."""
+    sigma = math.log(s)
+    shift = (d - 1) * sigma
+
+    def logF(x):
+        return psi.log_value(x) + shift - phi.log_inverse(x + shift)
+
+    breaks = tuple(psi.log_breaks) + tuple(
+        b - shift for b in phi.log_inverse_breaks)
+    return logF, sigma, breaks
+
+
+@pytest.mark.parametrize("a", [0.05, 0.5, 2.0])
+def test_improper_exponential_closed_form(a):
+    # one breakpoint inside the first decade, one inside a later one
+    x0 = 0.7
+    res = integrate_log_improper(lambda x: -a * x, x0,
+                                 breakpoints=(1.5, 30.0))
+    exact = math.exp(-a * x0) / a
+    assert res.converged and not (res.divergent or res.truncated)
+    assert abs(res.value + res.tail_bound - exact) <= 1e-12 * exact
+
+
+def test_improper_slow_decay_is_truncated():
+    res = integrate_log_improper(lambda x: -1e-3 * x, 0.0, max_decades=50)
+    assert res.truncated and not (res.converged or res.divergent)
+    assert res.n_decades == 50
+
+
+def test_improper_constant_integrand_is_divergent():
+    res = integrate_log_improper(lambda x: np.zeros_like(x), 0.0)
+    assert res.divergent and not (res.converged or res.truncated)
+    assert res.tail_bound == math.inf
+
+
+def test_finite_log_closed_form_with_breakpoints():
+    # ln 10 falls exactly on a decade end and must not split a panel twice
+    val = integrate_finite_log(lambda x: -x, 0.0, 7.0,
+                               breakpoints=(1.0, math.log(10.0), 5.5))
+    assert val == pytest.approx(1.0 - math.exp(-7.0), rel=1e-13)
+
+
+def test_vector_gauss_panel_matches_scalar_panels():
+    fn = lambda x: np.exp(-x) * np.cos(3.0 * x)
+    a = np.array([0.0, 0.5, 2.0, 3.0, 4.0])
+    b = np.array([0.5, 2.0, 2.0, 7.5, 3.5])       # two panels with b <= a
+    vec = gauss_panel(fn, a, b)
+    assert vec.shape == a.shape
+    for i in range(a.size):
+        ref = gauss_panel(fn, float(a[i]), float(b[i]))
+        assert abs(vec[i] - ref) <= 1e-15 * max(abs(ref), 1.0)
+    assert vec[2] == 0.0 and vec[4] == 0.0
+
+
+def test_improper_nan_in_consumed_decade_raises():
+    logF = lambda x: np.where(x > 5.0, np.nan, -0.01 * x)
+    # decades [0, ln 10], [ln 10, 2 ln 10], [2 ln 10, 3 ln 10]: the third
+    # holds x = 5
+    with pytest.raises(ValueError, match=r"NaN on \[4\.60517"):
+        integrate_log_improper(logF, 0.0)
+
+
+def test_improper_nan_past_the_stop_is_discarded():
+    # stops after 6 decades (x = 13.8); the first block of 8 reaches 18.4
+    logF = lambda x: np.where(x > 16.0, np.nan, -2.0 * x)
+    res = integrate_log_improper(logF, 0.0)
+    assert res.converged and res.x_end < 16.0
+    assert res.value + res.tail_bound == pytest.approx(0.5, rel=1e-12)
+
+
+def test_finite_log_nan_raises():
+    with pytest.raises(ValueError, match=r"NaN on \[4\.60517"):
+        integrate_finite_log(lambda x: np.where(x > 5.0, np.nan, -x),
+                             0.0, 7.0)
+
+
+def test_improper_overflow_is_not_converged():
+    # exp(300 x) overflows from the second decade on: no warning, no value
+    # reported as converged
+    res = integrate_log_improper(lambda x: 300.0 * x, 0.0, max_decades=40)
+    assert not res.converged and (res.divergent or res.truncated)
+
+
+@pytest.mark.parametrize("phi,psi", [
+    (make_section7(0.05), None),
+    (make_section7(0.13), None),
+    (make_power(3.0), power_weight(0.3)),
+], ids=["section7-0.05", "section7-0.13", "power3-pw0.3"])
+@pytest.mark.parametrize("s", [1.0, 10.0, 1e6])
+def test_block_march_matches_scalar_march(phi, psi, s):
+    psi = psi or embedding_weight(phi)
+    logF, x0, breaks = _second_term(phi, psi, s)
+    res = integrate_log_improper(logF, x0, breakpoints=breaks)
+    total, x_end, n, flags = _scalar_march(logF, x0, breaks)
+    assert (res.n_decades, res.x_end) == (n, x_end)
+    assert (res.converged, res.divergent, res.truncated) == flags
+    assert res.value == pytest.approx(total, rel=1e-13)
+
+
+def test_block_march_calls_integrand_once_per_block():
+    phi = make_section7(0.05)
+    logF, x0, breaks = _second_term(phi, embedding_weight(phi), 10.0)
+    calls = []
+
+    def counted(x):
+        calls.append(np.size(x))
+        return logF(x)
+
+    res = integrate_log_improper(counted, x0, breakpoints=breaks)
+    assert res.converged and res.n_decades == 2327
+    assert len(calls) <= 32      # one call per decade would be 2327
