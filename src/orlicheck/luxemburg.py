@@ -8,7 +8,7 @@ computed as the root of a strictly increasing function of s = 1/lambda, by
 Brent on a bracket from two moment bounds: the sup bound opens it, and the
 nearer of Jensen's bound and the largest term alone closes it, so it is one
 factor max/mean wide.  Each end is halved or doubled while its sign is
-wrong, which covers rounding and tabulated Phi that are not convex.
+wrong, because the bounds hold exactly but their evaluation rounds.
 """
 
 from __future__ import annotations
@@ -81,9 +81,10 @@ def _lux_root(phi: YoungFunction, a: np.ndarray, average: bool) -> float:
     modular is at least 1: s = Phi^{-1}(1/N) / mean(a), by Jensen's
     inequality N * Phi(s * mean(a)) <= modular, and s = Phi^{-1}(1/w), by
     the largest term w * Phi(s) alone.  The bracket is one factor
-    max/mean wide, so Brent needs a handful of modular evaluations.  The
-    Jensen end needs Phi convex, which a tabulated Phi need not be, so each
-    end is halved or doubled until the sign is right.
+    max/mean wide, so Brent needs a handful of modular evaluations.  Where
+    a bound is tight, as Jensen's is on an affine piece of Phi, the rounded
+    modular can land on the wrong side of 1, so each end is halved or
+    doubled until the sign is right.
     """
     n = a.size
     m = float(np.max(a))
@@ -155,9 +156,9 @@ def poly_norm(phi: YoungFunction, f, *, oversample: int = 8,
     """
     if exact_l2 and phi.kind == "power" and phi.params.get("p") == 2.0:
         return f.l2_norm()
-    return refine_on_grid(f, lambda v: norm_fun(phi, v), oversample=oversample,
-                          rel_tol=rel_tol, max_doublings=max_doublings,
-                          max_grid=max_grid)[0]
+    return refine_on_grid(f, lambda m: norm_fun(phi, f.sample_uniform(m)),
+                          oversample=oversample, rel_tol=rel_tol,
+                          max_doublings=max_doublings, max_grid=max_grid)[0]
 
 
 def embed_l2_check(phi: YoungFunction, x) -> VerificationReport:

@@ -127,7 +127,7 @@ def integrate_log_improper(logF: Callable[[np.ndarray], np.ndarray],
     Blocks of 8, 16, 32, 64, then 128 decades take one ``logF`` call each,
     with overflow silenced; the rule consumes a block's decades in order and
     discards those past the stop.  A consumed NaN decade raises ValueError;
-    ``inf`` feeds the divergence test.
+    a consumed decade that overflows to ``inf`` returns divergent at once.
     """
     fn = lambda x: np.exp(logF(x))
     total = 0.0
@@ -145,6 +145,9 @@ def integrate_log_improper(logF: Callable[[np.ndarray], np.ndarray],
         for c, hi in zip(contribs, ends[1:].tolist()):
             if math.isnan(c):
                 raise ValueError(f"integrand is NaN on [{lo!r}, {hi!r}]")
+            if math.isinf(c):
+                return ImproperIntegral(math.inf, math.inf, hi, j + 1,
+                                        False, True, False, math.inf)
             total += c
             if prev is not None and prev > 0.0:
                 ratio = c / prev

@@ -99,9 +99,9 @@ def classical_check_1d(g: TrigPoly, phi: YoungFunction, *, n: int | None = None,
     m = 2 * n + 1
     # grid points 2 pi (k+n)/m, k = -n..n, equal the standard m-grid re-indexed
     lhs = float(np.mean(phi(np.abs(g.sample_uniform(m)) / 3.0)))
-    rhs = refine_on_grid(g, lambda v: float(np.mean(phi(np.abs(v)))),
-                         degree=n, oversample=oversample, rel_tol=1e-10,
-                         max_doublings=3)[0]
+    rhs = refine_on_grid(
+        g, lambda grid: float(np.mean(phi(np.abs(g.sample_uniform(grid))))),
+        degree=n, oversample=oversample, rel_tol=1e-10, max_doublings=3)[0]
     return SamplingCheck(
         check_id="classical-1d", level=n, poly_id=f"deg{g.degree}",
         lhs=lhs, rhs=rhs, bound=1.0, passed=lhs <= rhs * (1.0 + 1e-9))

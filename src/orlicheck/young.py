@@ -22,7 +22,7 @@ section7     piecewise inverse
              with r = exp(2 e^2) and p, q chosen so Phi^{-1} is continuous.
              Near zero this dominates every t^p with p > 1 while keeping
              Phi^{-1}(x) * Phi^{-1}(1/x) = 1 for large x.
-tabulated    monotone piecewise-linear interpolation of breakpoints.
+tabulated    convex piecewise-linear interpolation of breakpoints.
 
 Checkers report worst-case margins (ConditionReport) rather than raising, so
 negative controls can be exercised on the same code path.
@@ -331,10 +331,12 @@ def make_section7(alpha: float) -> YoungFunction:
 # ---------------------------------------------------------------------------
 
 def make_tabulated(points: Iterable[Sequence[float]]) -> YoungFunction:
-    """Monotone piecewise-linear Phi through (t_i, u_i) breakpoints.
+    """Convex piecewise-linear Phi through (t_i, u_i) breakpoints.
 
     A (0, 0) anchor is prepended if absent; beyond the last breakpoint both
-    directions extrapolate with the final segment slope.
+    directions extrapolate with the final segment slope.  Raises
+    YoungFunctionError unless the segment slopes, the anchor segment
+    included, are nondecreasing up to the rounding of their differences.
     """
     pts = sorted((float(t), float(u)) for t, u in points)
     if not pts:
@@ -343,9 +345,22 @@ def make_tabulated(points: Iterable[Sequence[float]]) -> YoungFunction:
         pts.insert(0, (0.0, 0.0))
     ts = np.array([t for t, _ in pts])
     us = np.array([u for _, u in pts])
-    if np.any(np.diff(ts) <= 0) or np.any(np.diff(us) <= 0):
+    du, dt = np.diff(us), np.diff(ts)
+    if np.any(dt <= 0) or np.any(du <= 0):
         raise YoungFunctionError("tabulated breakpoints must be strictly increasing")
-    end_slope = (us[-1] - us[-2]) / (ts[-1] - ts[-2])
+    slopes = du / dt
+    # a difference of two doubles is off by up to eps times their sum, so
+    # breakpoints on one line can give slopes that fall by this much
+    eps = np.finfo(float).eps
+    err = 4.0 * eps * slopes * ((us[1:] + us[:-1]) / du
+                                + (ts[1:] + ts[:-1]) / dt)
+    falls = np.flatnonzero(np.diff(slopes) < -(err[1:] + err[:-1]))
+    if falls.size:
+        i = int(falls[0])
+        raise YoungFunctionError(
+            f"tabulated Phi is not convex: slope falls from {slopes[i]:g} to "
+            f"{slopes[i + 1]:g} at breakpoint {pts[i + 1]}")
+    end_slope = slopes[-1]
 
     def interp(x, xs, ys, slope):
         out = np.interp(x, xs, ys)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from orlicheck.luxemburg import (embed_l2_check, modular_fun, modular_profile,
+from orlicheck.luxemburg import (embed_l2_check, modular_profile,
                                  modular_seq, norm_fun, norm_seq, poly_norm)
 from orlicheck.sampling import random_poly_on_frame
 from orlicheck.trig import TrigPoly, frame, sample_on_grid
@@ -312,19 +312,6 @@ def test_norm_matches_50_digit_oracle(phi_name, data):
     for fn, average in ((norm_seq, False), (norm_fun, True)):
         expect = _mp_norm(phi, phi_mp, x, average)
         assert fn(phi, x) == pytest.approx(expect, rel=1e-12), fn.__name__
-
-
-def test_non_convex_table_still_finds_unit_modular():
-    # Phi is not convex, so Jensen's bound fails: at its closing end
-    # Phi^{-1}(1) / mean(a) of the averaged modular, a = x / max x, the
-    # modular is 0.85, not >= 1, and the bracket must be widened
-    phi = make_tabulated([(1.0, 1.0), (2.0, 1.1), (3.0, 10.0)])
-    x = np.array([2.0, 1.0])
-    a = x / x.max()
-    s_jensen = float(phi.inverse(1.0)) / float(a.mean())
-    assert modular_fun(phi, a, 1.0 / s_jensen) == pytest.approx(0.85)
-    lam = norm_fun(phi, x)
-    assert modular_fun(phi, x, lam) == pytest.approx(1.0, abs=1e-12)
 
 
 def _counting(phi):

@@ -138,10 +138,12 @@ def test_finite_log_nan_raises():
 
 
 def test_improper_overflow_is_not_converged():
-    # exp(300 x) overflows from the second decade on: no warning, no value
-    # reported as converged
+    # exp(300 x) overflows from the second decade on: no warning, and the
+    # first infinite decade reads as divergence, not as a spent budget
     res = integrate_log_improper(lambda x: 300.0 * x, 0.0, max_decades=40)
-    assert not res.converged and (res.divergent or res.truncated)
+    assert res.divergent and not res.converged and not res.truncated
+    assert res.n_decades < 40
+    assert res.value == math.inf
 
 
 @pytest.mark.parametrize("phi,psi", [

@@ -1,12 +1,15 @@
 """Kernels, band decomposition, frames, and grid sampling."""
 
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from orlicheck import trig
 from orlicheck.luxemburg import norm_fun
 from orlicheck.sampling import random_poly_on_frame
 from orlicheck.trig import (TrigPoly, band_kernel, convolve, fejer, frame,
@@ -276,17 +279,52 @@ def polys_and_grids(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(polys_and_grids())
-def test_sample_uniform_matches_direct_summation(case):
+@given(polys_and_grids(), st.integers(min_value=1, max_value=100))
+def test_sample_uniform_matches_direct_summation(case, block):
     f, m = case
     axis = 2.0 * np.pi * np.arange(m) / m
     points = np.meshgrid(*(axis,) * f.dim, indexing="ij")
+    direct = f.eval_at(*points)
     values = f.sample_uniform(m)
     assert values.shape == (m,) * f.dim
-    assert np.max(np.abs(values - f.eval_at(*points))) < 1e-12
+    assert np.max(np.abs(values - direct)) < 1e-12
     zero = TrigPoly(f.dim, {}).sample_uniform(m)
     assert zero.shape == (m,) * f.dim
     assert not np.any(zero)
+    # reduced: blocks of whole rows, about ``block`` points each, in order
+    with mock.patch.object(trig, "SAMPLE_BLOCK", block):
+        parts = f.sample_uniform(m, lambda v: v.copy())
+    rows = max(1, block // m)
+    assert [len(p) for p in parts[:-1]] == [rows] * (len(parts) - 1)
+    assert 1 <= len(parts[-1]) <= rows
+    blocks = np.concatenate(parts).reshape((m,) * f.dim)
+    assert np.max(np.abs(blocks - direct)) < 1e-12
+
+
+def _mean_abs(f, m):
+    return sum(f.sample_uniform(m, lambda v: float(np.abs(v).sum()))) / m ** 2
+
+
+@pytest.mark.parametrize("k", [3, 4, 5, 6])
+def test_band_kernel_grid_l1_is_level_free(k):
+    # Observed, not proven: the mean of |b_k| on the m-grid equals that of
+    # |b_{k+1}| on the 2m-grid (differences seen up to 2.8e-16).  The two
+    # sides use different grids and block counts, up to 8192^2 points.
+    for ratio in (8, 16, 32, 64):
+        m = ratio * 2 ** k
+        assert _mean_abs(band_kernel(k + 1), 2 * m) == pytest.approx(
+            _mean_abs(band_kernel(k), m), rel=1e-13)
+
+
+def test_poly_l1_streams_its_grids():
+    f = band_kernel(6)          # the 4096^2 grid alone is 268 MB complex
+    tracemalloc.start()
+    try:
+        poly_l1(f)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 32e6
 
 
 def test_sample_uniform_rejects_aliasing_grid():
@@ -318,9 +356,10 @@ def test_evaluation_matches_definition():
 
 def test_refine_on_grid_converges_for_fejer_l1():
     # poly_l1 defaults: 8 * (6 + 1) = 56 points, one doubling settles it
+    f = fejer(6)
     value, grid, converged = refine_on_grid(
-        fejer(6), lambda v: float(np.mean(np.abs(v))), rel_tol=1e-6,
-        max_doublings=3, max_grid=4096)
+        f, lambda m: float(np.mean(np.abs(f.sample_uniform(m)))),
+        rel_tol=1e-6, max_doublings=3, max_grid=4096)
     assert converged
     assert grid == 112
     assert value == pytest.approx(1.0, rel=1e-8)
@@ -332,8 +371,8 @@ def test_refine_on_grid_reports_unconverged_section7_norm():
     phi = make_section7(0.05)
     f = random_poly_on_frame(3, seed=5)
     value, grid, converged = refine_on_grid(
-        f, lambda v: norm_fun(phi, v), rel_tol=1e-5, max_doublings=1,
-        max_grid=1024)
+        f, lambda m: norm_fun(phi, f.sample_uniform(m)), rel_tol=1e-5,
+        max_doublings=1, max_grid=1024)
     assert not converged
     assert grid == 128
     assert value == pytest.approx(14.89687, rel=1e-6)

@@ -134,6 +134,24 @@ def test_section7_rejects_alpha_out_of_range(alpha):
         make_section7(alpha)
 
 
+@pytest.mark.parametrize("points,where", [
+    # the slope falls from the anchor segment's 1 to 0.1: Jensen's
+    # inequality fails on it (averaged modular 0.85 where convexity gives 1)
+    ([(1.0, 1.0), (2.0, 1.1), (3.0, 10.0)], r"\(1\.0, 1\.0\)"),
+    ([(1.0, 1.0), (2.0, 3.0), (3.0, 4.0)], r"\(2\.0, 3\.0\)"),
+], ids=["anchor", "inner"])
+def test_tabulated_rejects_non_convex_table(points, where):
+    with pytest.raises(YoungFunctionError, match="not convex.*" + where):
+        make_tabulated(points)
+
+
+def test_tabulated_accepts_collinear_breakpoints():
+    # equal slopes that differ only by the rounding of their differences
+    t = np.linspace(0.1, 100.0, 1000)
+    phi = make_tabulated(list(zip(t, 7.0 * t)))
+    assert float(phi(50.0)) == pytest.approx(350.0, rel=1e-12)
+
+
 def test_section7_alpha_ln_r_constraint():
     # the admissibility rule behind the alpha < e^{-2} precondition
     alpha = math.exp(-2.0) * 0.999
