@@ -17,7 +17,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .luxemburg import poly_norm
+from .luxemburg import poly_norm, poly_norms
 from .reports import VerificationReport
 from .trig import TrigPoly, band_kernel, convolve
 from .young import YoungFunction, make_power
@@ -87,14 +87,16 @@ def _shift_norms(f: TrigPoly, hs: np.ndarray,
     """||f(. + h) - f||_{L_Phi} for each row h of the (count, dim) array hs.
 
     For Phi = t^2 Parseval gives sum |c_k|^2 |e^{ik.h} - 1|^2 for all rows
-    through one phase matrix; otherwise each difference is normed by
-    quadrature.
+    through one phase matrix.  Otherwise the differences are normed by
+    quadrature in one batch (luxemburg.poly_norms): stacked by degree,
+    sampled by one pruned FFT and solved by one row-wise Luxemburg root per
+    grid, with the values poly_norm gives each of them.
     """
     if phi.kind == "power" and phi.params.get("p") == 2.0:
         ks, cs = f._arrays
         jumps = np.abs(np.exp(1j * (hs @ ks.T)) - 1.0) ** 2
         return np.sqrt(np.sum(np.abs(cs) ** 2 * jumps, axis=1))
-    return np.array([poly_norm(phi, f.translate(h) - f) for h in hs])
+    return poly_norms(phi, [f.translate(h) - f for h in hs])
 
 
 def _shift_grid(dim: int, rs: np.ndarray, thetas: np.ndarray) -> np.ndarray:
@@ -114,8 +116,9 @@ def modulus(f: TrigPoly, t: float, phi: YoungFunction, *, angles: int = 64,
     approximated on ``angles`` x ``radii`` polar candidates including the
     circle |h| = t (4 * ``radii`` radii in 1-D), with one local refinement
     pass around the argmax (5 radii x 9 angles in 2-D, 9 radii in 1-D).
-    For low-degree polynomials the objective is smooth and the grid is
-    observed-converged (double ``angles``/``radii`` to check).
+    Each stage, the grid and the refinement, is one batched _shift_norms
+    call.  For low-degree polynomials the objective is smooth and the grid
+    is observed-converged (double ``angles``/``radii`` to check).
     """
     if t <= 0:
         raise ValueError("shift radius t must be positive")

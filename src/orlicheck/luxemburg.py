@@ -4,11 +4,18 @@ The sequence norm is inf{lambda > 0 : sum Phi(|x_i|/lambda) <= 1}; for
 sampled functions the sum is replaced by the grid average, matching the
 normalised measure on the torus.  For finite data and a continuous strictly
 increasing Phi the modular equals 1 exactly at the norm, so the norm is
-computed as the root of a strictly increasing function of s = 1/lambda, by
-Brent on a bracket from two moment bounds: the sup bound opens it, and the
-nearer of Jensen's bound and the largest term alone closes it, so it is one
-factor max/mean wide.  Each end is halved or doubled while its sign is
-wrong, because the bounds hold exactly but their evaluation rounds.
+computed as the root of a strictly increasing function of s = 1/lambda, on
+a bracket from two moment bounds: the sup bound opens it, and the nearer of
+Jensen's bound and the largest term alone closes it, so it is one factor
+max/mean wide.  Each end is halved or doubled while its sign is wrong,
+because the bounds hold exactly but their evaluation rounds.
+
+There is one root solver, and it is row-wise: the data are the rows of a
+(rows, n) array, every row gets its own bracket, and one vectorised
+Chandrupatla solve (numerics.chandrupatla) finishes them all, with one Phi
+call per step over the rows still running.  norm_seq and norm_fun are its
+one-row case; poly_norms stacks the samples of many polynomials of one
+degree, so a whole batch of shift norms costs a few Phi calls per grid.
 """
 
 from __future__ import annotations
@@ -17,10 +24,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
-from scipy.optimize import brentq
 
+from .numerics import chandrupatla
 from .reports import VerificationReport
-from .trig import refine_on_grid
+from . import trig
+from .trig import coefficient_boxes, refine_on_grid, sample_boxes
 from .young import YoungFunction, check_sqrt_concavity
 
 __all__ = [
@@ -31,6 +39,7 @@ __all__ = [
     "norm_seq",
     "norm_fun",
     "poly_norm",
+    "poly_norms",
     "embed_l2_check",
 ]
 
@@ -69,48 +78,64 @@ def modular_profile(phi: YoungFunction, x, lams: Sequence[float],
     return [ModularValue(float(l), fn(phi, x, float(l))) for l in lams]
 
 
-def _lux_root(phi: YoungFunction, a: np.ndarray, average: bool) -> float:
-    """Solve modular(a / lambda) = 1 for the nonnegative data a.
+def _lux_root(phi: YoungFunction, a: np.ndarray, average: bool) -> np.ndarray:
+    """Solve modular(a_r / lambda_r) = 1 for each row a_r of the nonnegative
+    (rows, n) array a; a row of zeros has norm 0.
 
-    Works on a / max(a), which overwrites a (on subnormal data any bracket
-    built from max(a) itself would underflow), and solves for s = 1/lambda,
-    in which w * sum Phi(s * a) - 1 increases; w = 1/n for the average,
-    1 for the sum, and N = n * w.  Every term is at most Phi(s), so the
-    modular is at most N * Phi(s) and the bracket opens at
+    Works on a_r / max(a_r), in place in a (on subnormal data any bracket
+    built from max(a_r) itself would underflow), and solves for
+    s = 1/lambda, in which w * sum Phi(s * a_r) - 1 increases; w = 1/n for
+    the average, 1 for the sum, and N = n * w.  Every term is at most
+    Phi(s), so the modular is at most N * Phi(s) and the bracket opens at
     s = Phi^{-1}(1/N).  It closes at the smaller of two points where the
-    modular is at least 1: s = Phi^{-1}(1/N) / mean(a), by Jensen's
-    inequality N * Phi(s * mean(a)) <= modular, and s = Phi^{-1}(1/w), by
-    the largest term w * Phi(s) alone.  The bracket is one factor
-    max/mean wide, so Brent needs a handful of modular evaluations.  Where
-    a bound is tight, as Jensen's is on an affine piece of Phi, the rounded
-    modular can land on the wrong side of 1, so each end is halved or
-    doubled until the sign is right.
+    modular is at least 1: s = Phi^{-1}(1/N) / mean(a_r), by Jensen's
+    inequality N * Phi(s * mean(a_r)) <= modular, and s = Phi^{-1}(1/w), by
+    the largest term w * Phi(s) alone.  Both inverses are shared by all
+    rows.  The bracket is one factor max/mean wide, so the row-wise
+    Chandrupatla solve needs a handful of modular evaluations, each one
+    Phi call over the rows still running.  The bounds hold exactly, but
+    where one is tight, as Jensen's is on an affine piece of Phi, the
+    rounded modular can land on the wrong side of 1.  A point where it is
+    within one rounding unit of 1 is taken as the root: s * d/ds modular
+    >= modular for convex Phi, so that point is off by at most about one
+    unit relatively.  Otherwise each end is halved or doubled until its
+    sign is right, and the modular values of the final ends start the
+    solve.
     """
-    n = a.size
-    m = float(np.max(a))
-    if m == 0.0:
-        return 0.0
-    a /= m
+    n = a.shape[1]
+    top = np.max(a, axis=1)
+    norms = np.zeros(len(a))
+    rows = np.flatnonzero(top != 0.0)   # NaN rows go on, for Phi to reject
+    if rows.size == 0:
+        return norms
+    if rows.size < len(a):
+        a = a[rows]
+    top = top[rows]
+    a /= top[:, None]
     weight = 1.0 / n if average else 1.0
 
-    def excess(s: float) -> float:
-        return weight * float(np.sum(phi(s * a))) - 1.0
+    def excess(s: np.ndarray, idx: np.ndarray) -> np.ndarray:
+        x = a if idx.size == len(a) else a[idx]
+        return weight * np.sum(phi(s[:, None] * x), axis=1) - 1.0
 
-    lo = float(phi.inverse(1.0 if average else 1.0 / n))   # 1/N
-    hi = min(lo / float(np.mean(a)), float(phi.inverse(1.0 / weight)))
-    for _ in range(200):
-        if excess(lo) <= 0.0:
-            break
-        lo *= 0.5
-    for _ in range(200):
-        if excess(hi) >= 0.0:
-            break
-        hi *= 2.0
-    if lo == hi:
-        return m / lo
-    # a tiny xtol leaves the relative tolerance in charge of the stop
-    return m / float(brentq(excess, lo, hi, xtol=np.finfo(float).tiny,
-                            rtol=1e-13, maxiter=300))
+    def guard(s: np.ndarray, wrong_side, factor: float) -> np.ndarray:
+        vals = excess(s, np.arange(s.size))
+        for _ in range(200):
+            bad = np.flatnonzero(wrong_side(vals))
+            if bad.size == 0:
+                break
+            s[bad] *= factor
+            vals[bad] = excess(s[bad], bad)
+        return vals
+
+    unit = np.finfo(float).eps
+    lo = np.full(rows.size, float(phi.inverse(1.0 if average else 1.0 / n)))
+    hi = np.minimum(lo / np.mean(a, axis=1), float(phi.inverse(1.0 / weight)))
+    f_lo = guard(lo, lambda v: v > unit, 0.5)
+    f_hi = guard(hi, lambda v: v < -unit, 2.0)
+    norms[rows] = top / chandrupatla(excess, lo, hi, f_lo, f_hi, rel=1e-13,
+                                     ftol=unit)
+    return norms
 
 
 def norm_seq(phi: YoungFunction, x) -> float:
@@ -120,9 +145,9 @@ def norm_seq(phi: YoungFunction, x) -> float:
     to relative tolerance 1e-12.
     """
     a = np.abs(np.asarray(x, dtype=complex).ravel()).astype(float)
-    if a.size == 0 or not np.any(a > 0):
+    if a.size == 0:
         return 0.0
-    return _lux_root(phi, a, average=False)
+    return float(_lux_root(phi, a[None], average=False)[0])
 
 
 def norm_fun(phi: YoungFunction, samples) -> float:
@@ -136,9 +161,7 @@ def norm_fun(phi: YoungFunction, samples) -> float:
     a = np.abs(np.asarray(samples, dtype=complex).ravel()).astype(float)
     if a.size == 0:
         raise ValueError("empty sample grid")
-    if not np.any(a > 0):
-        return 0.0
-    return _lux_root(phi, a, average=True)
+    return float(_lux_root(phi, a[None], average=True)[0])
 
 
 def poly_norm(phi: YoungFunction, f, *, oversample: int = 8,
@@ -159,6 +182,37 @@ def poly_norm(phi: YoungFunction, f, *, oversample: int = 8,
     return refine_on_grid(f, lambda m: norm_fun(phi, f.sample_uniform(m)),
                           oversample=oversample, rel_tol=rel_tol,
                           max_doublings=max_doublings, max_grid=max_grid)[0]
+
+
+def poly_norms(phi: YoungFunction, fs: Sequence) -> np.ndarray:
+    """[poly_norm(phi, f, exact_l2=False) for f in fs], batched.
+
+    The polynomials are grouped by degree, so each one visits exactly the
+    grids poly_norm would give it, and a zero polynomial has norm 0.  Each
+    group is stacked once (trig.coefficient_boxes).  On every grid its rows
+    are sampled by one pruned FFT and normed by one row-wise root, in chunks
+    of at most SAMPLE_BLOCK grid points (at least one row), and each row
+    freezes at its own first settled grid.
+    """
+    grids = dict(poly_norm.__kwdefaults__)   # poly_norm's grid options
+    del grids["exact_l2"]
+    groups: dict[int, list[int]] = {}
+    for i, f in enumerate(fs):
+        if f.coeffs:
+            groups.setdefault(f.degree, []).append(i)
+    out = np.zeros(len(fs))
+    for degree, idx in groups.items():
+        boxes = coefficient_boxes([fs[i] for i in idx], degree)
+
+        def rows_norm(m: int, boxes=boxes) -> np.ndarray:
+            step = max(1, trig.SAMPLE_BLOCK // m ** (boxes.ndim - 1))
+            chunks = (np.abs(sample_boxes(boxes[r:r + step], m))
+                      for r in range(0, len(boxes), step))
+            return np.concatenate([_lux_root(phi, v.reshape(len(v), -1), True)
+                                   for v in chunks])
+
+        out[idx] = refine_on_grid(fs[idx[0]], rows_norm, **grids)[0]
+    return out
 
 
 def embed_l2_check(phi: YoungFunction, x) -> VerificationReport:

@@ -1,7 +1,8 @@
 """Shared numerical primitives: composite Gauss-Legendre panels, improper
 integrals in the log domain with decade-by-decade truncation control, dyadic
-endpoint refinement with convergence classification, and safeguarded monotone
-root finding (vectorised bisection and Newton).
+endpoint refinement with convergence classification, and safeguarded root
+finding, all vectorised: bisection and Newton for monotone maps, and
+Chandrupatla's bracketed solve, which stops each entry on its own.
 
 The log-domain integrals evaluate blocks of decades, one vectorised integrand
 call per block; the decade stopping rule consumes a block in order and the
@@ -272,6 +273,60 @@ def bisect_increasing(fn: Callable[[np.ndarray], np.ndarray],
         if np.all(hi - lo <= rel * np.maximum(np.abs(hi), 1e-300)):
             break
     return 0.5 * (lo + hi)
+
+
+def chandrupatla(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
+                 x1: np.ndarray, x2: np.ndarray, f1: np.ndarray,
+                 f2: np.ndarray, *, rel: float = 1e-13, ftol: float = 0.0,
+                 iters: int = 100) -> np.ndarray:
+    """Vectorised bracketed root finding (Chandrupatla, Adv. Eng. Softw. 28
+    (1997) 145-149): inverse quadratic interpolation where the last three
+    points allow it, bisection otherwise.
+
+    ``fn(x, idx)`` evaluates the entries ``idx`` (an index array) at the
+    points x; f1 and f2 are its values at the bracket ends x1 and x2, of
+    opposite signs or zero, so a caller that has them already pays nothing
+    for the ends.  Each entry stops once its bracket is at most ``rel``
+    times its best point wide, or |fn| <= ``ftol`` there, and only the
+    entries still running are evaluated.  Returns the best point of each
+    bracket, the end with the smaller |fn|.  The first step is the secant
+    through the two ends, so an end that is nearly a root costs one step.
+    """
+    x1, x2, f1, f2 = (np.array(v, dtype=float) for v in (x1, x2, f1, f2))
+    x3, f3 = x2, f2
+    out = np.empty(x1.shape)
+    live = np.arange(x1.size)
+    for step in range(iters):
+        near = np.abs(f1) < np.abs(f2)
+        best = np.where(near, x1, x2)
+        tol, dx = rel * np.abs(best), np.abs(x2 - x1)
+        stop = (dx <= tol) | (np.abs(np.where(near, f1, f2)) <= ftol)
+        out[live[stop]] = best[stop]
+        if stop.all():
+            return out
+        go = ~stop
+        live, x1, x2, x3, f1, f2, f3, tol, dx = (
+            v[go] for v in (live, x1, x2, x3, f1, f2, f3, tol, dx))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if step:
+                xi = (x1 - x2) / (x3 - x2)
+                ph = (f1 - f2) / (f3 - f2)
+                quad = (1.0 - np.sqrt(1.0 - xi) < ph) & (ph < np.sqrt(xi))
+                alpha = (x3 - x1) / (x2 - x1)
+                t = np.where(quad, f1 / (f1 - f2) * f3 / (f3 - f2)
+                             - alpha * f1 / (f3 - f1) * f2 / (f2 - f3), 0.5)
+            else:   # no third point yet: the secant through the two ends
+                t = f1 / (f1 - f2)
+        t = np.clip(t, 0.5 * tol / dx, 1.0 - 0.5 * tol / dx)
+        x = x1 + t * (x2 - x1)
+        fx = fn(x, live)
+        same = np.sign(fx) == np.sign(f1)
+        x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
+        x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
+        x1, f1 = x, fx
+    near = np.abs(f1) < np.abs(f2)
+    out[live] = np.where(near, x1, x2)
+    return out
 
 
 def newton_monotone(h: Callable[[np.ndarray], np.ndarray],

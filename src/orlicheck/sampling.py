@@ -127,6 +127,13 @@ def orlicz_sampling_check(f: TrigPoly, n: int, phi: YoungFunction, C: float,
     but random frame polynomials land on either side of it, because the
     frame keeps only omega_n of the M^2 grid points and grid Parseval does
     not hold on it.
+
+    The function norm is grid quadrature with ``rel_tol=1e-5`` but only one
+    doubling, so it can come back unconverged with no sign of it.  On
+    random_poly_on_frame(3, seed=5) under section7 its 64- and 128-point
+    grids differ by 9.8e-5 relatively, and the 128-point value it returns
+    is 1.5e-5 below the 1024-point one.  The 24 C^2 margin dwarfs such an
+    error, but the value is not the 1e-5 quadrature the tolerance suggests.
     """
     fr = fr or frame(n)
     if not set(f.support()) <= set(fr.indices):
@@ -140,7 +147,8 @@ def orlicz_sampling_check(f: TrigPoly, n: int, phi: YoungFunction, C: float,
     samples = sample_on_grid(f, fr)
     lhs = norm_seq(phi, samples)
     bound = 24.0 * C * C
-    # 1e-5 quadrature for the function norm; the 24 C^2 margin dwarfs it
+    # asks 1e-5 of the function-norm quadrature but need not get it: one
+    # doubling, and the result carries no status (see the docstring)
     fun_norm = poly_norm(phi, f, rel_tol=1e-5, max_doublings=1, max_grid=1024)
     inv_omega = float(phi.inverse(float(fr.omega)))
     rhs = bound * inv_omega * fun_norm

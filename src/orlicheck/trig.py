@@ -6,24 +6,29 @@ normalised measure (2 pi)^{-d} dx, so convolution is the coefficient-wise
 product of coefficient maps and the L2 norm is the plain Euclidean norm of
 the coefficients.  Translation, evaluation and uniform sampling are written
 once for any dimension, from the sorted support array.  Uniform sampling is
-a pruned inverse FFT: the coefficients fill their centred
-(2 degree + 1)^dim box, and each axis in turn is zero-padded to the grid and
-transformed in place, so no transform runs over rows that are all zero.  The
-last axis is transformed in blocks of whole rows, which a caller may reduce
-one by one instead of holding the whole grid.
+one pruned inverse FFT over a stack of polynomials (sample_boxes): their
+coefficients fill rows of centred (2 degree + 1)^dim boxes
+(coefficient_boxes), and each axis in turn is zero-padded to the grid and
+transformed in place over all rows, so no transform runs over lines that are
+all zero.  The last axis is transformed in blocks of whole lines, which a
+caller may reduce one by one instead of holding the whole grid.
+TrigPoly.sample_uniform is the one-row case.
 
 Grid quadrature
 ---------------
 refine_on_grid      the one oversample-and-double loop: calls a functional
                     of the grid size on uniform grids that double until its
                     value settles to ``rel_tol``, and returns
-                    (value, grid, converged).  luxemburg.poly_norm and
-                    sampling.classical_check_1d sample each grid whole;
-                    poly_l1 sums |f| block by block, so its memory does not
-                    grow with the grid and ``max_grid`` only bounds its time.
-                    On the band kernels poly_l1 stops at that cap
-                    unconverged: band_kernel(6) still moves by 8.2e-5
-                    relatively on its last doubling, against rel_tol 1e-6.
+                    (value, grid, converged).  The functional may return a
+                    vector, whose entries settle one by one.
+                    luxemburg.poly_norm and sampling.classical_check_1d
+                    sample each grid whole; luxemburg.poly_norms samples a
+                    stack of polynomials in chunks of rows; poly_l1 sums |f|
+                    block by block, so its memory does not grow with the grid
+                    and ``max_grid`` only bounds its time.  On the band
+                    kernels poly_l1 stops at that cap unconverged:
+                    band_kernel(6) still moves by 8.2e-5 relatively on its
+                    last doubling, against rel_tol 1e-6.
 
 Kernel constructions
 --------------------
@@ -57,12 +62,13 @@ import math
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from itertools import chain
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-# Points per block when sample_uniform reduces its grid block by block: the
-# working set stays a few MB at any grid size.
+# Points per block when sample_boxes reduces its grids block by block, and
+# per chunk of rows when luxemburg.poly_norms samples a stack: the working set
+# stays a few MB at any grid size.
 SAMPLE_BLOCK = 2 ** 18
 
 __all__ = [
@@ -74,6 +80,8 @@ __all__ = [
     "frame",
     "convolve",
     "sample_on_grid",
+    "coefficient_boxes",
+    "sample_boxes",
     "poly_l1",
     "refine_on_grid",
     "poly_from_coeff_list",
@@ -186,49 +194,72 @@ class TrigPoly:
                        ) -> np.ndarray | list:
         """Values on the uniform grid 2 pi j / m per axis, j = 0..m-1.
 
-        Exact provided m >= 2*degree+1, so that the folded indices k mod m
-        are distinct.  The coefficients fill the centred (2 degree + 1)^dim
-        box; each axis but the last is zero-padded to m at the indices
-        k mod m and inverse-transformed in place, so each transform runs only
-        over the slab of rows that can be nonzero.  The last axis is then
-        padded and transformed in blocks of whole rows.
-
-        Without ``reduce`` there is one block and the result is the full
-        (m,)*dim grid.  With ``reduce``, blocks hold about SAMPLE_BLOCK
-        points (at least one row), the grid is never held whole, and the
-        result is the list of ``reduce(block)`` in order; a block is a
-        complex (rows, m) array of consecutive rows of the grid viewed as
-        (m^(dim-1), m).
+        The one-row case of sample_boxes: without ``reduce`` the full
+        (m,)*dim grid, with it the list of ``reduce(block)`` over blocks of
+        about SAMPLE_BLOCK points.  Exact provided m >= 2*degree+1.
         """
-        d = self.degree
-        if m < 2 * d + 1:
-            raise ValueError(f"grid size {m} aliases degree {d}")
-        ks, cs = self._arrays
-        b = np.zeros((2 * d + 1,) * self.dim, dtype=complex)
-        b[tuple((ks + d).T)] = cs
-        folded = np.arange(-d, d + 1) % m
-        for ax in range(self.dim - 1):
-            slab = np.zeros(b.shape[:ax] + (m,) + b.shape[ax + 1:],
-                            dtype=complex)
-            slab[(slice(None),) * ax + (folded,)] = b
-            b = np.fft.ifft(slab, axis=ax, norm="forward", out=slab)
-        rows = b.reshape(-1, 2 * d + 1)
-        step = len(rows) if reduce is None else max(1, SAMPLE_BLOCK // m)
-        parts = []
-        for r in range(0, len(rows), step):
-            block = np.zeros((min(step, len(rows) - r), m), dtype=complex)
-            block[:, folded] = rows[r:r + step]
-            block = np.fft.ifft(block, norm="forward", out=block)
-            parts.append(block if reduce is None else reduce(block))
-        if reduce is None:
-            return parts[0].reshape((m,) * self.dim)
-        return parts
+        out = sample_boxes(coefficient_boxes([self], self.degree), m, reduce)
+        return out if reduce is not None else out[0]
 
     def l2_norm(self) -> float:
         """L2 norm w.r.t. normalised measure = Euclidean coefficient norm."""
         if not self.coeffs:
             return 0.0
         return float(np.sqrt(sum(abs(v) ** 2 for v in self.coeffs.values())))
+
+
+def coefficient_boxes(fs: Sequence[TrigPoly], degree: int) -> np.ndarray:
+    """Stack the coefficients of fs, all of one dimension and of degree at
+    most ``degree``, as rows of centred (2 degree + 1)^dim boxes: entry
+    [r, k + degree] is the coefficient of e^{ik.x} in fs[r]."""
+    boxes = np.zeros((len(fs),) + (2 * degree + 1,) * fs[0].dim,
+                     dtype=complex)
+    for r, f in enumerate(fs):
+        ks, cs = f._arrays
+        boxes[(r,) + tuple((ks + degree).T)] = cs
+    return boxes
+
+
+def sample_boxes(boxes: np.ndarray, m: int,
+                 reduce: Callable[[np.ndarray], object] | None = None
+                 ) -> np.ndarray | list:
+    """Values on the uniform m-grid of the polynomials stacked in ``boxes``
+    (see coefficient_boxes), by one pruned inverse FFT over the row axis.
+
+    Exact provided m >= 2*degree+1, so that the folded indices k mod m are
+    distinct.  Each axis but the last is zero-padded to m at the indices
+    k mod m and inverse-transformed in place, so each transform runs only
+    over the slab of lines that can be nonzero.  The last axis is then
+    padded and transformed in blocks of whole lines.
+
+    Without ``reduce`` there is one block and the result is the full
+    (rows,) + (m,)*dim array.  With ``reduce``, blocks hold about
+    SAMPLE_BLOCK points (at least one line), the grids are never held whole,
+    and the result is the list of ``reduce(block)`` in order; a block is a
+    complex (lines, m) array of consecutive lines of the output viewed as
+    (rows * m^(dim-1), m).
+    """
+    rows, dim, width = boxes.shape[0], boxes.ndim - 1, boxes.shape[-1]
+    d = (width - 1) // 2
+    if m < width:
+        raise ValueError(f"grid size {m} aliases degree {d}")
+    folded = np.arange(-d, d + 1) % m
+    b = boxes
+    for ax in range(1, dim):
+        slab = np.zeros(b.shape[:ax] + (m,) + b.shape[ax + 1:], dtype=complex)
+        slab[(slice(None),) * ax + (folded,)] = b
+        b = np.fft.ifft(slab, axis=ax, norm="forward", out=slab)
+    lines = b.reshape(-1, width)
+    step = len(lines) if reduce is None else max(1, SAMPLE_BLOCK // m)
+    parts = []
+    for r in range(0, len(lines), step):
+        block = np.zeros((min(step, len(lines) - r), m), dtype=complex)
+        block[:, folded] = lines[r:r + step]
+        block = np.fft.ifft(block, norm="forward", out=block)
+        parts.append(block if reduce is None else reduce(block))
+    if reduce is None:
+        return parts[0].reshape((rows,) + (m,) * dim)
+    return parts
 
 
 # ---------------------------------------------------------------------------
@@ -359,34 +390,43 @@ def sample_on_grid(f: TrigPoly, fr: Frame) -> np.ndarray:
     return values[ks, ls]
 
 
-def refine_on_grid(f: TrigPoly, value: Callable[[int], float], *,
+def refine_on_grid(f: TrigPoly, value: Callable[[int], object], *,
                    degree: int | None = None, oversample: int = 8,
                    rel_tol: float, max_doublings: int,
-                   max_grid: float = math.inf) -> tuple[float, int, bool]:
+                   max_grid: float = math.inf) -> tuple:
     """Grid quadrature with a doubling check: (value, grid, converged).
 
     Calls ``value(m)`` for uniform m-grids per axis, starting from
     m = max(8, oversample * (degree + 1)) capped at ``max_grid`` but never
     below the Nyquist size 2 * f.degree + 1, and doubles m while
-    2m <= max_grid, at most ``max_doublings`` times.  ``value`` samples f on
-    the m-grid itself, whole or block by block (see TrigPoly.sample_uniform).
-    Stops with converged = True at the first grid whose value moved by at
-    most ``rel_tol`` relatively; otherwise returns the last grid's value
-    with converged = False.  ``degree`` defaults to the degree of f.
+    2m <= max_grid, at most ``max_doublings`` times.  ``value`` samples f,
+    or a stack of polynomials of its degree, on the m-grid itself, whole or
+    block by block (see sample_boxes).  It returns a float or a vector of
+    floats.  Each entry freezes, converged, at the first grid where it moved
+    by at most ``rel_tol`` relatively; the loop stops once all have, and an
+    entry that never did keeps the last grid's value, not converged.  The
+    grid returned is the last one visited; value and converged have the
+    shape of value(m).  ``degree`` defaults to the degree of f.
     """
     degree = f.degree if degree is None else degree
     m = max(min(max(8, oversample * (degree + 1)), max_grid),
             2 * f.degree + 1)
-    prev = value(m)
+    val = np.array(value(m), dtype=float)
+    done = np.zeros(val.shape, dtype=bool)
     for _ in range(max_doublings):
         if 2 * m > max_grid:
             break
         m *= 2
-        cur = value(m)
-        if abs(cur - prev) <= rel_tol * max(abs(cur), 1e-300):
-            return cur, m, True
-        prev = cur
-    return prev, m, False
+        cur = np.asarray(value(m), dtype=float)
+        live = ~done
+        done = done | (np.abs(cur - val)
+                       <= rel_tol * np.maximum(np.abs(cur), 1e-300))
+        val = np.where(live, cur, val)
+        if done.all():
+            break
+    if val.ndim == 0:
+        return float(val), m, bool(done)
+    return val, m, done
 
 
 def poly_l1(f: TrigPoly, *, oversample: int = 8, rel_tol: float = 1e-6,

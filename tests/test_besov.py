@@ -1,11 +1,13 @@
 """Moduli of continuity, the two Besov-Orlicz norms, and best approximation."""
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from orlicheck.besov import (BesovParams, MultiplierFamily,
+from orlicheck import trig
+from orlicheck.besov import (BesovParams, MultiplierFamily, _shift_norms,
                              best_approximation, besov_norm_classical,
                              besov_norm_tilde, check_norm_comparison,
                              check_sum_integral_sandwich, default_multiplier,
@@ -13,7 +15,8 @@ from orlicheck.besov import (BesovParams, MultiplierFamily,
 from orlicheck.luxemburg import poly_norm
 from orlicheck.sampling import random_poly_1d
 from orlicheck.trig import TrigPoly, band_kernel, convolve
-from orlicheck.young import make_power, make_section7
+from orlicheck.young import (make_logpower, make_power, make_section7,
+                             make_tabulated)
 
 
 def params_power2(psi=lambda t: 1.0, n_max=16, **kw):
@@ -89,6 +92,47 @@ def test_modulus_generic_phi_matches_power2_route(dim):
     a = modulus(f, 0.3, phi, angles=16, radii=4, refine=False)
     b = [poly_norm(phi, f.translate(h) - f, exact_l2=False) for h in hs]
     assert max(b) == pytest.approx(a, rel=1e-10)
+
+
+SHIFT_PHIS = {
+    "section7": make_section7(0.05),
+    "power1.5": make_power(1.5),
+    "logpower": make_logpower(1.0, 1.0),
+    "tabulated": make_tabulated([(1.0, 1.0), (2.0, 3.0), (3.0, 7.0)]),
+}
+
+
+def _shift_cases():
+    """(f, shifts) pairs in 1-D and 2-D.  Along x, e^{3iy} + e^{ix} has a
+    difference of degree 1, not 3, and a polynomial in y alone has a zero
+    difference."""
+    rng = np.random.default_rng(4)
+    f1 = TrigPoly(1, {(k,): complex(*rng.standard_normal(2))
+                      for k in range(-3, 4)})
+    f2 = random_poly2(1, seed=4)
+    drop = TrigPoly(2, {(0, 3): 1.0, (1, 0): 1.0})
+    in_y = TrigPoly(2, {(0, 1): 1.0, (0, -1): 0.5j})
+    return [(f1, np.linspace(0.05, 1.5, 7)[:, None]),
+            (f2, np.array([[0.3, 0.0], [0.1, -0.4], [-1.0, 0.7]])),
+            (drop, np.array([[0.4, 0.0], [0.9, 0.0], [0.3, 0.2]])),
+            (in_y, np.array([[0.5, 0.0], [0.0, 0.5], [1.5, 0.0]]))]
+
+
+@pytest.mark.parametrize("phi_name", sorted(SHIFT_PHIS))
+def test_batched_shift_norms_match_per_shift_route(phi_name):
+    phi = SHIFT_PHIS[phi_name]
+    degrees = []
+    for f, hs in _shift_cases():
+        diffs = [f.translate(h) - f for h in hs]
+        degrees.append([d.degree if d.coeffs else None for d in diffs])
+        expect = [poly_norm(phi, d) for d in diffs]
+        # 80 points hold 2 rows of the first 1-D grid, and under one row of
+        # any 2-D grid, so chunks end inside each group
+        for block in (trig.SAMPLE_BLOCK, 80):
+            with mock.patch.object(trig, "SAMPLE_BLOCK", block):
+                got = _shift_norms(f, hs, phi)
+            assert got == pytest.approx(expect, rel=1e-12, abs=0.0), block
+    assert degrees[2:] == [[1, 1, 3], [None, 1, None]]
 
 
 # ---------------------------------------------------------------------------
@@ -247,14 +291,22 @@ def test_sandwich_random_batch():
 
 
 def test_sandwich_section7_1d():
-    # the non-Hilbert path: every shift norm is a Luxemburg root
-    params = BesovParams(make_section7(0.05), lambda t: t ** 0.5, n_max=6,
-                         h_angles=8, h_radii=4)
-    rep = check_sum_integral_sandwich(random_poly_1d(4, 3), params,
-                                      np.geomspace(1.0, 64.0, 12))
-    assert rep.passed, rep.quantities
-    assert rep.quantities["margin_lower"] >= 0
-    assert rep.quantities["margin_upper"] >= 0
+    # the non-Hilbert path: every shift norm is a Luxemburg root; the second
+    # case runs at the size of the Phi = t^2 sandwich benchmark
+    psi = lambda t: t ** 0.5
+    cases = [
+        (random_poly_1d(4, 3), BesovParams(make_section7(0.05), psi, n_max=6,
+                                           h_angles=8, h_radii=4),
+         np.geomspace(1.0, 64.0, 12)),
+        (random_poly_1d(3, 0), BesovParams(make_section7(0.05), psi,
+                                           n_max=13, h_angles=32, h_radii=6),
+         np.geomspace(1.0, 2.0 ** 15, 90)),
+    ]
+    for f, params, grid in cases:
+        rep = check_sum_integral_sandwich(f, params, grid)
+        assert rep.passed, rep.quantities
+        assert rep.quantities["margin_lower"] >= 0
+        assert rep.quantities["margin_upper"] >= 0
 
 
 # ---------------------------------------------------------------------------

@@ -9,9 +9,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from orlicheck.luxemburg import (embed_l2_check, modular_profile,
+from orlicheck.besov import BesovParams, besov_norm_classical
+from orlicheck.luxemburg import (_lux_root, embed_l2_check, modular_profile,
                                  modular_seq, norm_fun, norm_seq, poly_norm)
-from orlicheck.sampling import random_poly_on_frame
+from orlicheck.sampling import random_poly_1d, random_poly_on_frame
 from orlicheck.trig import TrigPoly, frame, sample_on_grid
 from orlicheck.young import (YoungFunctionError, make_logpower, make_power,
                              make_section7, make_tabulated)
@@ -274,6 +275,9 @@ ORACLE_PHIS = {
 }
 
 
+ORACLE_DATA = ["sparse", "spiky", "lognormal"]
+
+
 def _oracle_data(name):
     rng = np.random.default_rng(17)
     if name == "sparse":
@@ -281,6 +285,15 @@ def _oracle_data(name):
     if name == "spiky":
         return np.concatenate([1e-3 * rng.random(100), [5.0, 7.0]])
     return rng.lognormal(0.0, 2.0, 100)
+
+
+def _oracle_rows():
+    """The oracle data sets as rows padded with zeros to a common length,
+    then a row of zeros."""
+    rows = [_oracle_data(name) for name in ORACLE_DATA]
+    n = max(map(len, rows))
+    return np.array([np.pad(r, (0, n - len(r))) for r in rows]
+                    + [np.zeros(n)])
 
 
 def _mp_norm(phi, phi_mp, x, average):
@@ -304,7 +317,7 @@ def _mp_norm(phi, phi_mp, x, average):
         return float(lam)
 
 
-@pytest.mark.parametrize("data", ["sparse", "spiky", "lognormal"])
+@pytest.mark.parametrize("data", ORACLE_DATA)
 @pytest.mark.parametrize("phi_name", sorted(ORACLE_PHIS))
 def test_norm_matches_50_digit_oracle(phi_name, data):
     phi, phi_mp = ORACLE_PHIS[phi_name]
@@ -312,22 +325,44 @@ def test_norm_matches_50_digit_oracle(phi_name, data):
     for fn, average in ((norm_seq, False), (norm_fun, True)):
         expect = _mp_norm(phi, phi_mp, x, average)
         assert fn(phi, x) == pytest.approx(expect, rel=1e-12), fn.__name__
+    # the same data as one row of a stack solved at once; padding changes
+    # the average, so the oracle sees the padded row
+    rows = _oracle_rows()
+    r = ORACLE_DATA.index(data)
+    others = np.arange(len(ORACLE_DATA)) != r
+    for average in (False, True):
+        norms = _lux_root(phi, rows.copy(), average)
+        assert norms[-1] == 0.0
+        expect = _mp_norm(phi, phi_mp, rows[r], average)
+        assert norms[r] == pytest.approx(expect, rel=1e-12), average
+        # a row does not change when its neighbours do, or are gone
+        moved = rows.copy()
+        moved[:-1][others] *= 3.0
+        assert _lux_root(phi, moved, average)[r] == norms[r]
+        assert _lux_root(phi, rows[[r]].copy(), average)[0] == norms[r]
 
 
 def _counting(phi):
-    """Copy of phi whose forward map counts its calls."""
-    calls = [0]
+    """Copy of phi whose forward and inverse maps count their calls."""
+    calls = {"forward": 0, "inverse": 0}
 
-    def forward(t):
-        calls[0] += 1
-        return phi._forward(t)
+    def counted(name, fn):
+        def call(t):
+            calls[name] += 1
+            return fn(t)
+        return call
 
-    return dataclasses.replace(phi, _forward=forward), calls
+    return dataclasses.replace(
+        phi, _forward=counted("forward", phi._forward),
+        _inverse=counted("inverse", phi._inverse)), calls
 
 
 def test_section7_roots_need_few_modular_evaluations():
-    # one forward call per modular evaluation; the bracket from the largest
-    # term and Jensen's bound leaves Brent about 4 of them
+    # one forward call per modular evaluation: the guards evaluate both
+    # bracket ends and hand those values to the Chandrupatla solve, which
+    # then needs a few more.  On these data Phi is affine on the range of
+    # |f| / lambda, so Jensen's end is the root and the two guard
+    # evaluations are all it takes
     rng = np.random.default_rng(3)
     f = TrigPoly(2, {(k, l): complex(*rng.standard_normal(2))
                      for k in range(-3, 4) for l in range(-3, 4)})
@@ -336,4 +371,28 @@ def test_section7_roots_need_few_modular_evaluations():
     for samples in (shift_difference, frame_samples):
         phi, calls = _counting(make_section7(0.05))
         assert norm_fun(phi, samples) > 0.0
-        assert calls[0] <= 8
+        assert calls["forward"] <= 8
+
+
+def test_section7_root_cost_does_not_depend_on_rounding():
+    # Jensen's end is the root on these grids too, but its rounded modular
+    # lands exactly on 1, or one or two units below it, depending on the
+    # polynomial; every one must cost the two guard evaluations, not a
+    # doubled end and a solve (4 or 6 forward calls on half of them)
+    for seed in range(8):
+        f = random_poly_on_frame(4, seed)
+        for m in (64, 128):
+            phi, calls = _counting(make_section7(0.05))
+            assert norm_fun(phi, f.sample_uniform(m)) > 0.0
+            assert calls["forward"] == 2
+
+
+def test_classical_section7_norm_cost():
+    # the shift norms of each modulus stage share their Phi calls: one
+    # stacked root per grid, and two inverse calls per grid for the bracket
+    # (10114 forward and 4486 inverse calls with one root per shift norm)
+    phi, calls = _counting(make_section7(0.05))
+    besov_norm_classical(random_poly_1d(3, 0),
+                         BesovParams(phi, math.sqrt, n_max=10))
+    assert calls["forward"] <= 1011
+    assert calls["inverse"] <= 449

@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from orlicheck.conditions import embedding_weight, power_weight
-from orlicheck.numerics import (LN10, bisect_increasing, gauss_panel,
-                                integrate_finite_log, integrate_log_improper)
+from orlicheck.numerics import (LN10, bisect_increasing, chandrupatla,
+                                gauss_panel, integrate_finite_log,
+                                integrate_log_improper)
 from orlicheck.young import make_power, make_section7
 
 
@@ -20,6 +21,28 @@ def test_bisect_rejects_unbracketable_target():
     # x^2 + 1 >= 1 never reaches 0.5: halving lo cannot bracket it
     with pytest.raises(ValueError, match="lower bracket"):
         bisect_increasing(lambda x: x ** 2 + 1, [0.5], [1.0], [2.0])
+
+
+def test_chandrupatla_solves_each_entry_and_stops_at_ftol():
+    c = np.array([2.0, 5.0, 27.0, 1.0 + 1e-9])
+    seen = []
+
+    def fn(x, idx):
+        seen.append(idx.copy())
+        return x ** 3 - c[idx]
+
+    lo, hi = np.ones(4), np.full(4, 4.0)
+    x = chandrupatla(fn, lo, hi, lo ** 3 - c, hi ** 3 - c, rel=1e-13)
+    np.testing.assert_allclose(x, np.cbrt(c), rtol=1e-13)
+    # an end within ftol of a root is returned as it is, unevaluated
+    seen.clear()
+    x = chandrupatla(fn, lo, hi, lo ** 3 - c, hi ** 3 - c, rel=1e-13,
+                     ftol=1e-8)
+    assert x[3] == 1.0 and all(3 not in idx for idx in seen)
+    # the first step is the secant: a linear map is solved by it
+    x = chandrupatla(lambda x, idx: 3.0 * x - 1.0, [0.0], [1e3], [-1.0],
+                     [2999.0], rel=1e-13, ftol=1e-15)
+    assert x[0] == pytest.approx(1.0 / 3.0, rel=1e-15)
 
 
 # ---------------------------------------------------------------------------

@@ -363,6 +363,14 @@ def test_refine_on_grid_converges_for_fejer_l1():
     assert converged
     assert grid == 112
     assert value == pytest.approx(1.0, rel=1e-8)
+    # entries of a vector freeze one by one: 1 + m^-4 settles on the same
+    # grid, while 1/m keeps moving and takes the loop on to its last grid
+    values, grid, converged = refine_on_grid(
+        f, lambda m: [1.0 + m ** -4.0, 1.0 / m],
+        rel_tol=1e-6, max_doublings=3, max_grid=4096)
+    assert converged.tolist() == [True, False]
+    assert grid == 448
+    assert values.tolist() == [1.0 + 112 ** -4.0, 1.0 / 448]
 
 
 def test_refine_on_grid_reports_unconverged_section7_norm():
