@@ -17,21 +17,24 @@ For the Sobolev embedding of smoothness k and integrability p on the
 d-torus, the summing-norm profile is pi_{v,1} <= K (v - p0)^{1-2/p} on
 (p0, 2) with p0 = max(2d/(2k+d), p) and K normalised to 1; the admissible
 logarithm exponent of the target Orlicz class is gamma > p0(2/p - 1), and
-the profile integral converges exactly for alpha above gamma_min - 1, which
-the dyadic refinement classifier reproduces numerically.
+the profile integral converges exactly for alpha above gamma_min - 1.
+
+Both endpoint integrals are taken in the offset variable x = -ln(v - q), in
+which the weighted integrand is exp(k log f(q + e^{-x}) - (alpha+1) x) on
+[-ln eps, oo); ``numerics.integrate_log_improper`` marches it by decades and
+classifies it.  A power-law bound is exponential in x, so its geometric tail
+is exact, and no offset v - q is ever formed, so none rounds away.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
-from scipy.special import gammainc, gamma as gamma_fn
 
-from .numerics import (CONVERGENT, DIVERGENT, RefinedIntegral,
-                       integrate_dyadic_refine)
+from .numerics import integrate_log_improper
 from .reports import VerificationReport
 from .young import YoungFunction, make_logpower
 
@@ -50,24 +53,23 @@ __all__ = [
     "summing_criterion",
 ]
 
+CONVERGENT = "convergent"
+DIVERGENT = "divergent"
+INDETERMINATE = "indeterminate"
+
 
 @dataclass(frozen=True)
 class BoundProfile:
-    """Map v -> upper bound, finite on the open interval (q, q+eps).
+    """Upper bound f, finite on the open interval (q, q+eps), in log form.
 
-    ``endpoint_exponent`` beta, when known, states that fn blows up like
-    (v-q)^{-beta} at the left endpoint, i.e. fn(v) * (v-q)^beta stays within
-    a bounded window on a geometric approach to q.
+    ``log_fn(x) = ln f(q + e^{-x})`` for x > -ln eps, vectorised over arrays
+    of x; x is the offset variable -ln(v - q), so the endpoint q is x -> oo.
     """
 
     q: float
     eps: float
-    fn: Callable[[float], float]
-    endpoint_exponent: float | None = None
+    log_fn: Callable[[np.ndarray], np.ndarray]
     label: str = ""
-
-    def __call__(self, v):
-        return self.fn(v)
 
 
 @dataclass
@@ -106,11 +108,8 @@ def bucket(x, normalize_to: float = 0.5) -> BucketDecomposition:
     limit = normalize_to - 1e-12
     scale = 1.0 if m <= limit else limit / m
     e = a * scale
-    ns = np.ceil(1.0 / e).astype(int)
-    counts: dict[int, int] = {}
-    for n in ns:
-        counts[int(n)] = counts.get(int(n), 0) + 1
-    return BucketDecomposition(counts, scale, e)
+    ns, cs = np.unique(np.ceil(1.0 / e).astype(int), return_counts=True)
+    return BucketDecomposition(dict(zip(ns.tolist(), cs.tolist())), scale, e)
 
 
 @dataclass
@@ -126,32 +125,35 @@ class IntegralResult:
         return self.status == DIVERGENT
 
 
-def _refine_to_result(r: RefinedIntegral) -> IntegralResult:
-    value = math.inf if r.status == DIVERGENT else r.value
-    return IntegralResult(value, r.status, r.last_ratio)
-
-
-def weighted_integral(profile: BoundProfile, alpha: float, *,
-                      levels: int = 60, nodes: int = 32) -> IntegralResult:
-    """int_q^{q+eps} f(p) (p-q)^alpha dp for alpha > -1.
-
-    The substitution u = (p-q)^{alpha+1} removes the weight singularity;
-    dyadic refinement towards u = 0 then classifies any remaining blow-up of
-    f itself (geometric decay of shell contributions means convergent).
-    """
+def _endpoint_integral(profile: BoundProfile, alpha: float,
+                       power: Callable[[np.ndarray], np.ndarray | float]
+                       ) -> IntegralResult:
+    """int_{x0}^oo exp(power(x) log_fn(x) - (alpha+1) x) dx, x0 = -ln eps,
+    classified as in ``weighted_integral``."""
     if alpha <= -1.0:
         raise ValueError("weight exponent alpha must be > -1")
-    q, eps, f = profile.q, profile.eps, profile.fn
     a1 = alpha + 1.0
+    r = integrate_log_improper(
+        lambda x: power(x) * profile.log_fn(x) - a1 * x, -math.log(profile.eps))
+    if r.converged:
+        return IntegralResult(r.value + r.tail_bound, CONVERGENT, r.last_ratio)
+    if r.divergent:
+        return IntegralResult(math.inf, DIVERGENT, r.last_ratio)
+    return IntegralResult(r.value, INDETERMINATE, r.last_ratio)
 
-    def integrand(u):
-        u = np.asarray(u, dtype=float)
-        p = q + u ** (1.0 / a1)
-        return np.array([float(f(pp)) for pp in np.atleast_1d(p)]) / a1
 
-    r = integrate_dyadic_refine(integrand, 0.0, eps ** a1,
-                                levels=levels, nodes=nodes)
-    return _refine_to_result(r)
+def weighted_integral(profile: BoundProfile, alpha: float) -> IntegralResult:
+    """int_q^{q+eps} f(p) (p-q)^alpha dp for alpha > -1.
+
+    In x = -ln(p-q) this is int exp(ln f - (alpha+1) x) dx over
+    [-ln eps, oo), marched by ``integrate_log_improper``.  Its flags map to
+    statuses: converged is convergent, valued with the geometric tail added;
+    divergent (decades stop decaying) is divergent, valued inf; a spent
+    decade budget is indeterminate, valued with the partial sum, a lower
+    bound.  A NaN integrand raises ValueError.  A bound f ~ (p-q)^{-beta}
+    has its borderline at alpha = beta - 1, where the march says divergent.
+    """
+    return _endpoint_integral(profile, alpha, lambda x: 1.0)
 
 
 class HypothesisError(ValueError):
@@ -169,7 +171,7 @@ def verify_extrapolation_chain(x, q: float, eps: float, alpha: float,
     """Quantitative extrapolation chain for ||x||_p^p <= f(p) on (q, q+eps).
 
     First asserts the hypothesis on a p grid (raising HypothesisError with a
-    witness otherwise), then checks
+    witness otherwise, and ValueError where f is NaN), then checks
 
         gamma(alpha+1, eps ln 2) * sum_n #K_n n^{-q} (ln n)^{-(alpha+1)}
             <= int_q^{q+eps} f(p)(p-q)^alpha dp
@@ -177,23 +179,36 @@ def verify_extrapolation_chain(x, q: float, eps: float, alpha: float,
     on the bucket decomposition of the normalised sequence, and reports the
     resulting Orlicz modular sum Phi(x_k) for Phi(x) = x^q/|ln x|^{alpha+1}.
     A divergent right-hand side is reported as such (margin infinite).
+
+    f is called on numpy arrays of p = q + e^{-x}, which rounds to q once
+    e^{-x} is below half an ulp of q, so f should be finite at q itself;
+    the gamma factor is the same march on f(t) = e^{-t} over (0, eps ln 2),
+    and ValueError is raised if it does not converge (alpha + 1 too small
+    for the decade budget).
     """
     a = np.abs(np.asarray(x, dtype=float).ravel())
     ps = np.linspace(q + eps * 1e-6, q + eps, p_grid_size)
     for p in ps:
         lhs = float(np.sum(a[a > 0] ** p))
         rhs = float(f(p))
+        if math.isnan(rhs):
+            raise ValueError(f"bound f(p) is NaN at p = {p:.6g}")
         if lhs > rhs * (1.0 + 1e-12):
             raise HypothesisError(float(p), lhs, rhs)
 
     dec = bucket(a)
     a1 = alpha + 1.0
-    gamma_factor = float(gammainc(a1, eps * math.log(2.0)) * gamma_fn(a1))
+    gamma = weighted_integral(
+        BoundProfile(0.0, eps * math.log(2.0), lambda x: -np.exp(-x)), alpha)
+    if gamma.status != CONVERGENT:
+        raise ValueError(f"gamma({a1:g}, eps ln 2) is {gamma.status}")
+    gamma_factor = gamma.value
     bucket_sum = dec.sum_power(
         lambda n: n ** (-q) * np.log(n) ** (-a1))
     lhs_chain = gamma_factor * bucket_sum
 
-    profile = BoundProfile(q, eps, f, label="hypothesis bound")
+    profile = BoundProfile(q, eps, lambda x: np.log(f(q + np.exp(-x))),
+                           label="hypothesis bound")
     rhs_chain = weighted_integral(profile, alpha)
 
     phi = make_logpower(max(q, 1.0), a1) if q >= 1.0 else None
@@ -223,8 +238,9 @@ def verify_extrapolation_chain(x, q: float, eps: float, alpha: float,
 def sobolev_profile(d: int, k: int, p: float) -> BoundProfile:
     """Summing-norm profile of the Sobolev embedding on the d-torus.
 
-    Returns v -> (v - p0)^{1-2/p} on (p0, 2), p0 = max(2d/(2k+d), p), with
-    the constant normalised to 1 and the endpoint exponent 2/p - 1 recorded.
+    The bound is v -> (v - p0)^{1-2/p} on (p0, 2), p0 = max(2d/(2k+d), p),
+    with the constant normalised to 1; its log in x = -ln(v - p0) is the
+    closed form -(1 - 2/p) x.
     Parameter constraints: d >= 2, 1 <= k <= d-1, 1 <= p < 2 and p < d/k.
     """
     if not (isinstance(d, int) and d >= 2):
@@ -237,12 +253,7 @@ def sobolev_profile(d: int, k: int, p: float) -> BoundProfile:
         raise ValueError("requires p < d/k")
     p0 = max(2.0 * d / (2.0 * k + d), float(p))
     expo = 1.0 - 2.0 / p
-
-    def fn(v):
-        return (v - p0) ** expo
-
-    return BoundProfile(q=p0, eps=2.0 - p0, fn=fn,
-                        endpoint_exponent=2.0 / p - 1.0,
+    return BoundProfile(q=p0, eps=2.0 - p0, log_fn=lambda x: -expo * x,
                         label=f"sobolev(d={d},k={k},p={p:g})")
 
 
@@ -276,28 +287,20 @@ class SummingResult:
         return self.status == DIVERGENT
 
 
-def summing_criterion(profile: BoundProfile, alpha: float, *,
-                      levels: int = 60, nodes: int = 32) -> SummingResult:
+def summing_criterion(profile: BoundProfile, alpha: float) -> SummingResult:
     """int_{q}^{q+eps} f(v)^v (v-q)^alpha dv with its induced Orlicz target.
 
     A finite value certifies membership in the (Phi, 1)-summing class for
     Phi(x) = x^q / |ln x|^{alpha+1}; the returned handle is the matching
-    logpower Young function (constructible when q >= 1).  alpha = -1 is
-    rejected; at the logarithmic borderline the classifier reports
-    indeterminate rather than convergent.
+    logpower Young function (constructible when q >= 1).  alpha <= -1 is
+    rejected.  The integral is taken in x = -ln(v-q) as in
+    ``weighted_integral``, with f^v = exp((q + e^{-x}) ln f): convergent
+    gives the value, divergent and indeterminate (decade budget spent) give
+    None.  For ``sobolev_profile`` the borderline is alpha = gamma_min - 1,
+    where the integrand tends to 1 and the march reports divergent.
     """
-    if alpha <= -1.0:
-        raise ValueError("weight exponent alpha must be > -1")
-    q, eps, f = profile.q, profile.eps, profile.fn
-
-    def integrand(v):
-        v = np.asarray(v, dtype=float)
-        vals = np.array([float(f(vv)) for vv in np.atleast_1d(v)])
-        return np.exp(v * np.log(vals)) * (v - q) ** alpha
-
-    r = integrate_dyadic_refine(integrand, q, q + eps,
-                                levels=levels, nodes=nodes)
-    res = _refine_to_result(r)
+    q = profile.q
+    res = _endpoint_integral(profile, alpha, lambda x: q + np.exp(-x))
     gamma = alpha + 1.0
     config = {"kind": "logpower", "params": {"p0": q, "gamma": gamma}}
     target = make_logpower(q, gamma) if q >= 1.0 else None

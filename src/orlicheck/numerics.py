@@ -1,8 +1,7 @@
 """Shared numerical primitives: composite Gauss-Legendre panels, improper
-integrals in the log domain with decade-by-decade truncation control, dyadic
-endpoint refinement with convergence classification, and safeguarded root
-finding, all vectorised: bisection and Newton for monotone maps, and
-Chandrupatla's bracketed solve, which stops each entry on its own.
+integrals in the log domain with decade-by-decade truncation control, and
+safeguarded root finding, all vectorised: bisection and Newton for monotone
+maps, and Chandrupatla's bracketed solve, which stops each entry on its own.
 
 The log-domain integrals evaluate blocks of decades, one vectorised integrand
 call per block; the decade stopping rule consumes a block in order and the
@@ -22,10 +21,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 LN10 = float(np.log(10.0))
-
-CONVERGENT = "convergent"
-DIVERGENT = "divergent"
-INDETERMINATE = "indeterminate"
 
 
 @lru_cache(maxsize=32)
@@ -171,71 +166,6 @@ def integrate_log_improper(logF: Callable[[np.ndarray], np.ndarray],
     tail = prev * ratio / (1.0 - ratio) if 0.0 < ratio < 1.0 else np.inf
     return ImproperIntegral(total, tail, lo, max_decades,
                             False, False, True, ratio)
-
-
-@dataclass
-class RefinedIntegral:
-    """Integral with a left-endpoint singularity, resolved by dyadic shells."""
-
-    value: float
-    status: str
-    last_ratio: float
-    n_levels: int
-    contributions: tuple[float, ...]
-
-
-def integrate_dyadic_refine(fn: Callable[[np.ndarray], np.ndarray],
-                            a: float, b: float, *, levels: int = 60,
-                            nodes: int = 32,
-                            convergent_ratio: float = 0.98,
-                            divergent_ratio: float = 1.02,
-                            rel_tol: float = 1e-10) -> RefinedIntegral:
-    """Integrate fn over (a, b] with dyadic refinement towards ``a``.
-
-    Shells [a + L/2^(j+1), a + L/2^j] are integrated outward-in; the observed
-    geometric ratio of shell contributions classifies the singularity:
-    sustained ratio below ``convergent_ratio`` means convergent (a geometric
-    tail estimate is added), above ``divergent_ratio`` divergent, otherwise
-    indeterminate (the logarithmic borderline).
-    """
-    length = b - a
-    contributions: list[float] = []
-    total = 0.0
-    for j in range(levels):
-        lo = a + length * 0.5 ** (j + 1)
-        hi = a + length * 0.5 ** j
-        c = gauss_panel(fn, lo, hi, nodes)
-        contributions.append(c)
-        total += c
-        if j >= 8:
-            window = contributions[-5:]
-            if any(w <= 0.0 for w in window[:-1]):
-                continue
-            ratios = [w2 / w1 for w1, w2 in zip(window[:-1], window[1:])]
-            rho = float(np.exp(np.mean(np.log(ratios)))) if all(
-                r > 0 for r in ratios) else 0.0
-            if rho >= divergent_ratio:
-                return RefinedIntegral(total, DIVERGENT, rho, j + 1,
-                                       tuple(contributions))
-            if rho < convergent_ratio and c < rel_tol * max(total, 1e-300):
-                tail = c * rho / (1.0 - rho) if rho > 0 else 0.0
-                return RefinedIntegral(total + tail, CONVERGENT, rho, j + 1,
-                                       tuple(contributions))
-    window = contributions[-5:]
-    if all(w > 0.0 for w in window):
-        ratios = [w2 / w1 for w1, w2 in zip(window[:-1], window[1:])]
-        rho = float(np.exp(np.mean(np.log(ratios))))
-    else:
-        rho = 0.0
-    if rho >= divergent_ratio:
-        status = DIVERGENT
-    elif rho < convergent_ratio:
-        tail = contributions[-1] * rho / (1.0 - rho) if rho > 0 else 0.0
-        return RefinedIntegral(total + tail, CONVERGENT, rho, levels,
-                               tuple(contributions))
-    else:
-        status = INDETERMINATE
-    return RefinedIntegral(total, status, rho, levels, tuple(contributions))
 
 
 def bisect_increasing(fn: Callable[[np.ndarray], np.ndarray],

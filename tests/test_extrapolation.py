@@ -1,0 +1,158 @@
+"""Summing-norm extrapolation: endpoint integrals against closed forms and
+30-digit mpmath quadrature, the chain's gamma factor, and bucketing."""
+
+import math
+import subprocess
+import sys
+from pathlib import Path
+
+import mpmath
+import numpy as np
+import pytest
+
+from orlicheck.extrapolation import (HypothesisError, admissible_gamma,
+                                     bucket, sobolev_profile,
+                                     summing_criterion,
+                                     verify_extrapolation_chain,
+                                     weighted_integral)
+
+TRIPLES = [(2, 1, 1.0), (3, 1, 1.5), (3, 2, 1.2), (4, 1, 1.0)]
+
+
+def _summing_oracle(d, k, p, alpha):
+    """int exp(-(q + e^{-x})(1 - 2/p) x - (alpha+1) x) over [-ln eps, oo),
+    the profile integral in the offset variable x = -ln(v - q)."""
+    with mpmath.workdps(30):
+        q, _ = admissible_gamma(d, k, p)
+        q = mpmath.mpf(q)
+        expo = 1 - mpmath.mpf(2) / p
+        a1 = mpmath.mpf(alpha) + 1
+        x0 = -mpmath.log(2 - q)
+        value = mpmath.quad(
+            lambda x: mpmath.exp(-(q + mpmath.exp(-x)) * expo * x - a1 * x),
+            [x0, x0 + 1, x0 + 10, x0 + 100, x0 + 1000, mpmath.inf])
+        return float(value)
+
+
+@pytest.mark.parametrize("d,k,p", TRIPLES)
+@pytest.mark.parametrize("delta", [-0.2, -0.05, 0.05, 0.2])
+def test_summing_criterion_classifies_and_matches_oracle(d, k, p, delta):
+    _, gamma_min = admissible_gamma(d, k, p)
+    alpha = gamma_min - 1.0 + delta
+    res = summing_criterion(sobolev_profile(d, k, p), alpha)
+    if delta < 0:
+        assert res.status == "divergent" and res.divergent
+        assert res.value is None
+    else:
+        assert res.status == "convergent"
+        assert res.value == pytest.approx(_summing_oracle(d, k, p, alpha),
+                                          rel=1e-12)
+    assert res.target_config["params"]["gamma"] == pytest.approx(alpha + 1.0)
+
+
+@pytest.mark.parametrize("d,k,p", TRIPLES)
+def test_summing_borderline_is_never_convergent(d, k, p):
+    _, gamma_min = admissible_gamma(d, k, p)
+    res = summing_criterion(sobolev_profile(d, k, p), gamma_min - 1.0)
+    assert res.status != "convergent"
+    assert res.value is None
+
+
+@pytest.mark.parametrize("d,k,p", TRIPLES)
+def test_summing_slow_decay_spends_budget_as_indeterminate(d, k, p):
+    # decades shrink by 10^-0.001: not divergent, but 2600 decades are
+    # far from the stopping rule
+    _, gamma_min = admissible_gamma(d, k, p)
+    res = summing_criterion(sobolev_profile(d, k, p), gamma_min - 1.0 + 0.001)
+    assert res.status == "indeterminate"
+    assert res.value is None
+
+
+def test_summing_deep_march_value():
+    # about 640 decades, x near 1470, where e^{-x} is 0 in double precision
+    res = summing_criterion(sobolev_profile(2, 1, 1.0), 0.01)
+    assert res.status == "convergent"
+    assert res.value == pytest.approx(101.1166534708, rel=1e-12)
+
+
+@pytest.mark.parametrize("d,k,p,alpha", [
+    (3, 1, 1.5, -0.5), (3, 2, 1.2, -0.2), (3, 2, 1.2, 0.0), (4, 1, 1.0, 0.133),
+    (2, 1, 1.0, 0.0), (2, 1, 1.0, 2.5), (3, 1, 1.5, 0.3), (4, 1, 1.0, -0.9)])
+def test_weighted_integral_closed_form(d, k, p, alpha):
+    profile = sobolev_profile(d, k, p)
+    e = 2.0 - 2.0 / p + alpha
+    res = weighted_integral(profile, alpha)
+    if e > 0:
+        assert res.status == "convergent"
+        assert res.value == pytest.approx(profile.eps ** e / e, rel=1e-12)
+    else:
+        assert res.status == "divergent" and res.divergent
+        assert res.value == math.inf
+
+
+@pytest.mark.parametrize("fn", [weighted_integral, summing_criterion])
+@pytest.mark.parametrize("alpha", [-1.0, -1.5])
+def test_alpha_at_or_below_minus_one_raises(fn, alpha):
+    with pytest.raises(ValueError, match="alpha"):
+        fn(sobolev_profile(2, 1, 1.0), alpha)
+
+
+@pytest.mark.parametrize("a", [0.02, 0.3, 1.0, 2.5, 5.0])
+@pytest.mark.parametrize("z", [1e-3, 0.2, 1.0, 3.0])
+def test_chain_gamma_factor_matches_mpmath(a, z):
+    rep = verify_extrapolation_chain([0.3, 0.1], 1.0, z / math.log(2.0),
+                                     a - 1.0, lambda p: 1e6 + 0.0 * p)
+    with mpmath.workdps(30):
+        ref = float(mpmath.gammainc(a, 0, z))
+    assert rep.quantities["gamma_factor"] == pytest.approx(ref, rel=1e-13)
+
+
+def test_chain_passes_on_a_valid_bound():
+    x = np.array([0.3, 0.2, 0.1, 0.05, 0.01])
+    rep = verify_extrapolation_chain(x, 1.0, 1.0, 0.0, lambda p: 5 * 0.3 ** p)
+    assert rep.passed and rep.margin > 0
+    assert rep.quantities["integral_status"] == "convergent"
+    # int_1^2 5 (0.3)^p dp
+    expect = 5 * (0.3 - 0.09) / math.log(1 / 0.3)
+    assert rep.quantities["weighted_integral"] == pytest.approx(expect,
+                                                                rel=1e-12)
+
+
+def test_chain_rejects_a_violated_bound_with_witness():
+    with pytest.raises(HypothesisError) as err:
+        verify_extrapolation_chain([0.9, 0.9], 1.0, 0.5, 0.0,
+                                   lambda p: 0.5 + 0.0 * p)
+    assert err.value.witness == pytest.approx(1.0, abs=1e-5)
+
+
+def test_chain_rejects_a_nan_bound():
+    # lhs > nan is False, so a NaN bound would slip past the hypothesis test
+    with pytest.raises(ValueError, match=r"NaN at p = 1\.5"):
+        verify_extrapolation_chain([0.3], 1.0, 1.0, 0.0,
+                                   lambda p: np.where(p > 1.49, np.nan, 1.0))
+
+
+def test_chain_gamma_factor_out_of_budget_raises():
+    with pytest.raises(ValueError, match="gamma"):
+        verify_extrapolation_chain([0.3], 1.0, 1.0, -0.999,
+                                   lambda p: 1e6 + 0.0 * p)
+
+
+def test_bucket_counts_reciprocal_intervals():
+    dec = bucket([0.4, 0.3, 0.2, 0.25, 0.1, 0.0, 0.101, 1 / 3])
+    # max 0.4 is below 1/2, so no scaling; 1/3 and 0.25 are left edges
+    assert dec.scale == 1.0
+    assert dec.counts == {3: 2, 4: 2, 5: 1, 10: 2}
+    assert all(type(n) is int and type(c) is int
+               for n, c in dec.counts.items())
+    assert dec.entries.size == 7
+
+
+def test_import_leaves_scipy_out():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys; sys.path.insert(0, sys.argv[1]); import orlicheck; "
+         "print('scipy' in sys.modules)", src],
+        capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "False"
