@@ -13,7 +13,7 @@ from .young import (YoungFunction, YoungFunctionError, make_power,
 from .luxemburg import norm_seq, norm_fun, poly_norm, embed_l2_check
 from .trig import (TrigPoly, fejer, plateau_kernel, band_kernel, Frame,
                    frame, convolve, sample_on_grid, poly_l1)
-from .besov import (BesovParams, MultiplierFamily, modulus,
+from .besov import (BesovParams, multiplier, modulus,
                     besov_norm_classical, besov_norm_tilde,
                     best_approximation, check_sum_integral_sandwich,
                     check_norm_comparison)

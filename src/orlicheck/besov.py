@@ -25,8 +25,7 @@ from .young import YoungFunction, make_power
 __all__ = [
     "BesovParams",
     "BesovNorm",
-    "MultiplierFamily",
-    "default_multiplier",
+    "multiplier",
     "modulus",
     "besov_norm_classical",
     "besov_norm_tilde",
@@ -205,36 +204,28 @@ def _bump1(u: np.ndarray) -> np.ndarray:
     return out
 
 
-@dataclass(frozen=True)
-class MultiplierFamily:
-    """Gaussian-damped smooth multipliers phi_m with box spectrum.
+def multiplier(m: int) -> TrigPoly:
+    """Gaussian-damped smooth multiplier phi_m with box spectrum.
 
-    Coefficients are eta(k/m, l/m) * exp(-(k^2 + l^2)/m^2) with eta a smooth
-    product bump supported in the unit square and eta(0, 0) = 1, so
-    supp(phi_m) lies in [-m, m]^2 and the mean is preserved exactly.
+    Coefficients are eta(k/m, l/m) * exp(-(k^2 + l^2)/m^2) with eta the
+    product of two _bump1 factors, supported in the unit square and with
+    eta(0, 0) = 1, so supp(phi_m) lies in [-m, m]^2 and the mean is
+    preserved exactly.
     """
-
-    bump: Callable[[np.ndarray], np.ndarray] = _bump1
-
-    def coefficients(self, m: int) -> TrigPoly:
-        if m < 1:
-            raise ValueError("multiplier order must be >= 1")
-        ks = np.arange(-m, m + 1)
-        wk = self.bump(ks / m)
-        gauss = np.exp(-(ks ** 2) / m ** 2)
-        coeffs = {}
-        for i, k in enumerate(ks):
-            if wk[i] == 0.0:
-                continue
-            for j, l in enumerate(ks):
-                v = wk[i] * wk[j] * gauss[i] * gauss[j]
-                if v != 0.0:
-                    coeffs[(int(k), int(l))] = v
-        return TrigPoly(2, coeffs)
-
-
-def default_multiplier() -> MultiplierFamily:
-    return MultiplierFamily()
+    if m < 1:
+        raise ValueError("multiplier order must be >= 1")
+    ks = np.arange(-m, m + 1)
+    wk = _bump1(ks / m)
+    gauss = np.exp(-(ks ** 2) / m ** 2)
+    coeffs = {}
+    for i, k in enumerate(ks):
+        if wk[i] == 0.0:
+            continue
+        for j, l in enumerate(ks):
+            v = wk[i] * wk[j] * gauss[i] * gauss[j]
+            if v != 0.0:
+                coeffs[(int(k), int(l))] = v
+    return TrigPoly(2, coeffs)
 
 
 @dataclass(frozen=True)
@@ -249,8 +240,8 @@ class BestApprox:
     exact_l2: float | None
 
 
-def best_approximation(f: TrigPoly, m: int, phi: YoungFunction,
-                       mult: MultiplierFamily | None = None) -> BestApprox:
+def best_approximation(f: TrigPoly, m: int,
+                       phi: YoungFunction) -> BestApprox:
     """Distance from f to polynomials with spectrum in [-m, m]^2.
 
     m = 0 uses the mean-value competitor (the only box polynomial is a
@@ -263,8 +254,7 @@ def best_approximation(f: TrigPoly, m: int, phi: YoungFunction,
     if m == 0:
         approx = TrigPoly(2, {(0, 0): f.coeff((0, 0))})
     else:
-        mult = mult or default_multiplier()
-        approx = convolve(mult.coefficients(m), f)
+        approx = convolve(multiplier(m), f)
     upper = poly_norm(phi, f - approx)
     exact = None
     if phi.kind == "power" and phi.params.get("p") == 2.0:
@@ -339,9 +329,8 @@ def check_sum_integral_sandwich(f: TrigPoly, params: BesovParams,
     )
 
 
-def check_norm_comparison(f: TrigPoly, params: BesovParams,
-                          mult: MultiplierFamily | None = None
-                          ) -> VerificationReport:
+def check_norm_comparison(f: TrigPoly,
+                          params: BesovParams) -> VerificationReport:
     """Band norm against the classical norm, with the per-level certificate.
 
     Reports the ratio of the two norms and checks for every level n >= 2 that
@@ -350,7 +339,6 @@ def check_norm_comparison(f: TrigPoly, params: BesovParams,
     band kernels via the convolution inequality).  Also echoes the constant
     prefactor 1 + psi(1) + psi(2) of the intermediate norm.
     """
-    mult = mult or default_multiplier()
     tilde = besov_norm_tilde(f, params)
     classical = besov_norm_classical(f, params)
     ratio = tilde.value / classical.value if classical.value > 0 else 1.0
@@ -360,7 +348,7 @@ def check_norm_comparison(f: TrigPoly, params: BesovParams,
     for n, band in _bands(f, start=2):
         lhs = poly_norm(params.phi, band) if band.coeffs else 0.0
         m = 2 ** (n - 3) if n >= 3 else 0
-        rhs = 36.0 * best_approximation(f, m, params.phi, mult).upper
+        rhs = 36.0 * best_approximation(f, m, params.phi).upper
         margin = rhs - lhs
         worst = min(worst, margin)
         levels.append({"n": n, "m": m, "band_norm": lhs, "bound": rhs,

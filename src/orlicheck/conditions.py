@@ -122,7 +122,7 @@ def _first_term_log(phi: YoungFunction, psi: Weight, d: int,
 
 
 def _second_term_log(phi: YoungFunction, psi: Weight, d: int, sigma: float,
-                     nodes: int, max_decades: int) -> ImproperIntegral:
+                     nodes: int) -> ImproperIntegral:
     shift = (d - 1) * sigma
 
     def logF(x):
@@ -131,21 +131,24 @@ def _second_term_log(phi: YoungFunction, psi: Weight, d: int, sigma: float,
     breaks = list(psi.log_breaks)
     breaks += [b - shift for b in phi.log_inverse_breaks]
     return integrate_log_improper(logF, sigma, nodes=nodes,
-                                  max_decades=max_decades,
                                   breakpoints=tuple(breaks))
 
 
 def embedding_condition_eval(phi: YoungFunction, psi: Weight, d: int,
-                             s: float, *, nodes: int = 64,
-                             max_decades: int = 2600) -> ConditionEvaluation:
-    """Evaluate both terms of the embedding expression at scale s >= 1."""
+                             s: float, *, nodes: int = 64
+                             ) -> ConditionEvaluation:
+    """Evaluate both terms of the embedding expression at scale s >= 1.
+
+    ``nodes`` is the Gauss-Legendre order of every panel; the second term
+    marches at most 2600 decades.
+    """
     if d < 1:
         raise ValueError("dimension must be >= 1")
     if s < 1.0:
         raise ValueError("scale s must be >= 1")
     sigma = math.log(s)
     first = _first_term_log(phi, psi, d, sigma, nodes)
-    second = _second_term_log(phi, psi, d, sigma, nodes, max_decades)
+    second = _second_term_log(phi, psi, d, sigma, nodes)
     return ConditionEvaluation(
         s=s,
         first_term=first,
@@ -199,22 +202,17 @@ def _classify(evals: list[ConditionEvaluation]) -> SupScan:
 
 
 def embedding_condition_sup(phi: YoungFunction, psi: Weight, d: int,
-                            s_grid: Sequence[float], *, nodes: int = 64,
-                            max_decades: int = 2600) -> SupScan:
+                            s_grid: Sequence[float]) -> SupScan:
     """Max of the embedding expression over an s grid, with classification."""
     s_grid = sorted(float(s) for s in s_grid)
     if not s_grid:
         raise ValueError("s grid must be nonempty")
-    evals = [embedding_condition_eval(phi, psi, d, s, nodes=nodes,
-                                      max_decades=max_decades)
-             for s in s_grid]
+    evals = [embedding_condition_eval(phi, psi, d, s) for s in s_grid]
     return _classify(evals)
 
 
 def factorization_integral_condition(phi: YoungFunction,
-                                     s_grid: Sequence[float], *,
-                                     nodes: int = 64,
-                                     max_decades: int = 2600) -> SupScan:
+                                     s_grid: Sequence[float]) -> SupScan:
     """The integral condition of the Hilbert-factorization result:
 
         s/Phi^{-1}(s^2) * int_1^s Phi^{-1}(t^2)/t^2 dt
@@ -239,7 +237,7 @@ def factorization_integral_condition(phi: YoungFunction,
         pref = math.exp(sigma - float(phi.log_inverse(2.0 * sigma)))
         breaks1 = tuple(b / 2.0 for b in inv_breaks)
         first = pref * integrate_finite_log(log_first, 0.0, sigma,
-                                            nodes=nodes, breakpoints=breaks1)
+                                            breakpoints=breaks1)
 
         def log_second(x):
             return (phi.log_inverse(2.0 * x) + sigma - x
@@ -247,8 +245,7 @@ def factorization_integral_condition(phi: YoungFunction,
 
         breaks2 = tuple(b / 2.0 for b in inv_breaks) + tuple(
             b - sigma for b in inv_breaks)
-        second = integrate_log_improper(log_second, sigma, nodes=nodes,
-                                        max_decades=max_decades,
+        second = integrate_log_improper(log_second, sigma,
                                         breakpoints=breaks2)
         evals.append(ConditionEvaluation(
             s=s, first_term=first, second_term=second.value,

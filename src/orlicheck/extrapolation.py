@@ -92,11 +92,11 @@ class BucketDecomposition:
         return float(np.sum(cs * exponent_fn(ns.astype(float))))
 
 
-def bucket(x, normalize_to: float = 0.5) -> BucketDecomposition:
-    """Normalise a nonnegative sequence below ``normalize_to`` and bucket it.
+def bucket(x) -> BucketDecomposition:
+    """Normalise a nonnegative sequence below 1/2 and bucket it.
 
-    The scale is min(1, (normalize_to - 1e-12)/max(x)); sequences already
-    below the threshold are left untouched.
+    The scale is min(1, (1/2 - 1e-12)/max(x)); sequences already below the
+    threshold are left untouched.
     """
     a = np.asarray(x, dtype=float).ravel()
     if np.any(a < 0):
@@ -105,7 +105,7 @@ def bucket(x, normalize_to: float = 0.5) -> BucketDecomposition:
     if a.size == 0:
         return BucketDecomposition({}, 1.0, a)
     m = float(np.max(a))
-    limit = normalize_to - 1e-12
+    limit = 0.5 - 1e-12
     scale = 1.0 if m <= limit else limit / m
     e = a * scale
     ns, cs = np.unique(np.ceil(1.0 / e).astype(int), return_counts=True)
@@ -165,13 +165,15 @@ class HypothesisError(ValueError):
             f"||x||_p^p = {lhs:.6g} exceeds f(p) = {rhs:.6g} at p = {p:.6g}")
 
 
-def verify_extrapolation_chain(x, q: float, eps: float, alpha: float,
-                               f: Callable[[float], float], *,
-                               p_grid_size: int = 33) -> VerificationReport:
-    """Quantitative extrapolation chain for ||x||_p^p <= f(p) on (q, q+eps).
+def verify_extrapolation_chain(x, profile: BoundProfile,
+                               alpha: float) -> VerificationReport:
+    """Quantitative extrapolation chain for ||x||_p^p <= f(p) on (q, q+eps),
+    with q, eps and f given by ``profile``.
 
-    First asserts the hypothesis on a p grid (raising HypothesisError with a
-    witness otherwise, and ValueError where f is NaN), then checks
+    First asserts the hypothesis on 33 points p = q + eps*(1e-6 .. 1),
+    evaluating f(p) as exp(profile.log_fn(-ln(p - q))) from the offsets
+    themselves (raising HypothesisError with a witness where it fails, and
+    ValueError where f is NaN), then checks
 
         gamma(alpha+1, eps ln 2) * sum_n #K_n n^{-q} (ln n)^{-(alpha+1)}
             <= int_q^{q+eps} f(p)(p-q)^alpha dp
@@ -180,21 +182,23 @@ def verify_extrapolation_chain(x, q: float, eps: float, alpha: float,
     resulting Orlicz modular sum Phi(x_k) for Phi(x) = x^q/|ln x|^{alpha+1}.
     A divergent right-hand side is reported as such (margin infinite).
 
-    f is called on numpy arrays of p = q + e^{-x}, which rounds to q once
-    e^{-x} is below half an ulp of q, so f should be finite at q itself;
-    the gamma factor is the same march on f(t) = e^{-t} over (0, eps ln 2),
-    and ValueError is raised if it does not converge (alpha + 1 too small
-    for the decade budget).
+    The bound enters only in log form, so one that blows up at q is
+    integrated as it is, and no offset p - q rounds away.  The gamma factor
+    is the same march on f(t) = e^{-t} over (0, eps ln 2), and ValueError is
+    raised if it does not converge (alpha + 1 too small for the decade
+    budget).
     """
+    q, eps = profile.q, profile.eps
     a = np.abs(np.asarray(x, dtype=float).ravel())
-    ps = np.linspace(q + eps * 1e-6, q + eps, p_grid_size)
-    for p in ps:
+    offsets = np.linspace(eps * 1e-6, eps, 33)
+    bounds = np.broadcast_to(np.exp(profile.log_fn(-np.log(offsets))),
+                             offsets.shape)
+    for p, rhs in zip((q + offsets).tolist(), bounds.tolist()):
         lhs = float(np.sum(a[a > 0] ** p))
-        rhs = float(f(p))
         if math.isnan(rhs):
             raise ValueError(f"bound f(p) is NaN at p = {p:.6g}")
         if lhs > rhs * (1.0 + 1e-12):
-            raise HypothesisError(float(p), lhs, rhs)
+            raise HypothesisError(p, lhs, rhs)
 
     dec = bucket(a)
     a1 = alpha + 1.0
@@ -207,8 +211,6 @@ def verify_extrapolation_chain(x, q: float, eps: float, alpha: float,
         lambda n: n ** (-q) * np.log(n) ** (-a1))
     lhs_chain = gamma_factor * bucket_sum
 
-    profile = BoundProfile(q, eps, lambda x: np.log(f(q + np.exp(-x))),
-                           label="hypothesis bound")
     rhs_chain = weighted_integral(profile, alpha)
 
     phi = make_logpower(max(q, 1.0), a1) if q >= 1.0 else None

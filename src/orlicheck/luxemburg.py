@@ -34,7 +34,6 @@ from .young import YoungFunction, check_sqrt_concavity
 __all__ = [
     "ModularValue",
     "modular_seq",
-    "modular_fun",
     "modular_profile",
     "norm_seq",
     "norm_fun",
@@ -64,18 +63,11 @@ def modular_seq(phi: YoungFunction, x, lam: float) -> float:
     return float(np.sum(phi(a / lam)))
 
 
-def modular_fun(phi: YoungFunction, samples, lam: float) -> float:
-    """Average of Phi(|f| / lam) over uniform grid samples."""
-    a = np.abs(np.asarray(samples).ravel())
-    if a.size == 0:
-        raise ValueError("empty sample grid")
-    return float(np.mean(phi(a / lam)))
-
-
-def modular_profile(phi: YoungFunction, x, lams: Sequence[float],
-                    kind: str = "seq") -> list[ModularValue]:
-    fn = modular_seq if kind == "seq" else modular_fun
-    return [ModularValue(float(l), fn(phi, x, float(l))) for l in lams]
+def modular_profile(phi: YoungFunction, x,
+                    lams: Sequence[float]) -> list[ModularValue]:
+    """The sequence modular of x at each lambda in ``lams``."""
+    return [ModularValue(float(l), modular_seq(phi, x, float(l)))
+            for l in lams]
 
 
 def _lux_root(phi: YoungFunction, a: np.ndarray, average: bool) -> np.ndarray:

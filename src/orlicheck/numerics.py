@@ -1,14 +1,16 @@
 """Shared numerical primitives: composite Gauss-Legendre panels, improper
 integrals in the log domain with decade-by-decade truncation control, and
-safeguarded root finding, all vectorised: bisection and Newton for monotone
-maps, and Chandrupatla's bracketed solve, which stops each entry on its own.
+safeguarded root finding, all vectorised: Newton for monotone maps, and
+Chandrupatla's bracketed solve, which stops each entry on its own.
 
 The log-domain integrals evaluate blocks of decades, one vectorised integrand
 call per block; the decade stopping rule consumes a block in order and the
 decades past the stop are discarded.
 
-Everything here is deterministic and pure; all tolerances are explicit
-arguments so callers can expose them for refinement tests.
+Everything here is deterministic and pure.  The arguments that callers or
+refinement tests set are the Gauss nodes per panel, the breakpoints, the
+decade budget ``max_decades``, and Chandrupatla's ``rel`` and ``ftol``; the
+other tolerances are constants stated in each docstring.
 """
 
 from __future__ import annotations
@@ -107,18 +109,15 @@ _FIRST_BLOCK, _LAST_BLOCK = 8, 128
 
 def integrate_log_improper(logF: Callable[[np.ndarray], np.ndarray],
                            x0: float, *, nodes: int = 64,
-                           rel_decade_tol: float = 1e-8,
-                           tail_rel: float = 1e-6,
                            max_decades: int = 2600,
-                           divergence_ratio: float = 0.999,
                            breakpoints: Sequence[float] = ()) -> ImproperIntegral:
     """Integrate exp(logF(x)) over [x0, oo) decade by decade.
 
-    Stops once two consecutive decades each contribute less than
-    ``rel_decade_tol`` of the running total and the geometric tail estimate is
-    below ``tail_rel`` of it.  Flags divergence when the decade contributions
-    fail the decay test (ratio >= ``divergence_ratio`` over several decades),
-    and truncation when the decade budget runs out first.
+    Stops once two consecutive decades each contribute less than 1e-8 of the
+    running total and the geometric tail estimate is below 1e-6 of it.
+    Flags divergence when the decade contributions fail the decay test
+    (ratio >= 0.999 over three decades, from the sixth on), and truncation
+    when the decade budget runs out first.
 
     Blocks of 8, 16, 32, 64, then 128 decades take one ``logF`` call each,
     with overflow silenced; the rule consumes a block's decades in order and
@@ -147,18 +146,18 @@ def integrate_log_improper(logF: Callable[[np.ndarray], np.ndarray],
             total += c
             if prev is not None and prev > 0.0:
                 ratio = c / prev
-                slow_streak = slow_streak + 1 if ratio >= divergence_ratio else 0
+                slow_streak = slow_streak + 1 if ratio >= 0.999 else 0
                 if slow_streak >= 3 and j >= 5:
                     return ImproperIntegral(total, np.inf, hi, j + 1,
                                             False, True, False, ratio)
             prev = c
             lo = hi
             j += 1
-            if total > 0.0 and c < rel_decade_tol * total:
+            if total > 0.0 and c < 1e-8 * total:
                 small_streak += 1
                 if small_streak >= 2:
                     tail = c * ratio / (1.0 - ratio) if 0.0 < ratio < 1.0 else c
-                    if tail < tail_rel * total:
+                    if tail < 1e-6 * total:
                         return ImproperIntegral(total, tail, hi, j,
                                                 True, False, False, ratio)
             else:
@@ -168,47 +167,10 @@ def integrate_log_improper(logF: Callable[[np.ndarray], np.ndarray],
                             False, False, True, ratio)
 
 
-def bisect_increasing(fn: Callable[[np.ndarray], np.ndarray],
-                      target: np.ndarray, lo: np.ndarray, hi: np.ndarray,
-                      *, iters: int = 200, rel: float = 1e-14) -> np.ndarray:
-    """Vectorised bisection: solve fn(x) = target for increasing fn.
-
-    Brackets are expanded by halving ``lo`` and doubling ``hi`` until they
-    straddle the target, then bisected to relative width ``rel`` (or
-    ``iters`` steps).  Raises ValueError if some target is still outside
-    its bracket at the 200th expansion check on either side.
-    """
-    target = np.asarray(target, dtype=float)
-    lo = np.broadcast_to(np.asarray(lo, dtype=float), target.shape).copy()
-    hi = np.broadcast_to(np.asarray(hi, dtype=float), target.shape).copy()
-    for _ in range(200):
-        bad = fn(lo) > target
-        if not bad.any():
-            break
-        lo[bad] *= 0.5
-    else:
-        raise ValueError("bisection: lower bracket never fell below the target")
-    for _ in range(200):
-        bad = fn(hi) < target
-        if not bad.any():
-            break
-        hi[bad] *= 2.0
-    else:
-        raise ValueError("bisection: upper bracket never rose above the target")
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        below = fn(mid) < target
-        lo = np.where(below, mid, lo)
-        hi = np.where(below, hi, mid)
-        if np.all(hi - lo <= rel * np.maximum(np.abs(hi), 1e-300)):
-            break
-    return 0.5 * (lo + hi)
-
-
 def chandrupatla(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
                  x1: np.ndarray, x2: np.ndarray, f1: np.ndarray,
-                 f2: np.ndarray, *, rel: float = 1e-13, ftol: float = 0.0,
-                 iters: int = 100) -> np.ndarray:
+                 f2: np.ndarray, *, rel: float = 1e-13,
+                 ftol: float = 0.0) -> np.ndarray:
     """Vectorised bracketed root finding (Chandrupatla, Adv. Eng. Softw. 28
     (1997) 145-149): inverse quadratic interpolation where the last three
     points allow it, bisection otherwise.
@@ -218,15 +180,15 @@ def chandrupatla(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
     opposite signs or zero, so a caller that has them already pays nothing
     for the ends.  Each entry stops once its bracket is at most ``rel``
     times its best point wide, or |fn| <= ``ftol`` there, and only the
-    entries still running are evaluated.  Returns the best point of each
-    bracket, the end with the smaller |fn|.  The first step is the secant
+    entries still running are evaluated; after 100 steps every entry stops.
+    Returns the best point of each bracket, the end with the smaller |fn|.  The first step is the secant
     through the two ends, so an end that is nearly a root costs one step.
     """
     x1, x2, f1, f2 = (np.array(v, dtype=float) for v in (x1, x2, f1, f2))
     x3, f3 = x2, f2
     out = np.empty(x1.shape)
     live = np.arange(x1.size)
-    for step in range(iters):
+    for step in range(100):
         near = np.abs(f1) < np.abs(f2)
         best = np.where(near, x1, x2)
         tol, dx = rel * np.abs(best), np.abs(x2 - x1)
@@ -261,20 +223,21 @@ def chandrupatla(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
 
 def newton_monotone(h: Callable[[np.ndarray], np.ndarray],
                     hprime: Callable[[np.ndarray], np.ndarray],
-                    x0: np.ndarray, *, iters: int = 40,
-                    lower: float | None = None,
-                    rel: float = 1e-15) -> np.ndarray:
+                    x0: np.ndarray, *,
+                    lower: float | None = None) -> np.ndarray:
     """Newton iteration for a strictly monotone smooth h, vectorised.
 
-    ``lower`` clamps iterates away from a domain boundary (e.g. log arguments).
+    Stops once every step is at most 1e-15 of its iterate, or after 40
+    steps.  ``lower`` clamps iterates away from a domain boundary (e.g. log
+    arguments).
     """
     x = np.asarray(x0, dtype=float).copy()
-    for _ in range(iters):
+    for _ in range(40):
         step = h(x) / hprime(x)
         x_new = x - step
         if lower is not None:
             x_new = np.maximum(x_new, lower)
-        done = np.abs(x_new - x) <= rel * np.maximum(np.abs(x_new), 1e-300)
+        done = np.abs(x_new - x) <= 1e-15 * np.maximum(np.abs(x_new), 1e-300)
         x = x_new
         if done.all():
             break

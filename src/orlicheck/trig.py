@@ -25,10 +25,10 @@ refine_on_grid      the one oversample-and-double loop: calls a functional
                     sample each grid whole; luxemburg.poly_norms samples a
                     stack of polynomials in chunks of rows; poly_l1 sums |f|
                     block by block, so its memory does not grow with the grid
-                    and ``max_grid`` only bounds its time.  On the band
+                    and its 4096-point cap only bounds its time.  On the band
                     kernels poly_l1 stops at that cap unconverged:
                     band_kernel(6) still moves by 8.2e-5 relatively on its
-                    last doubling, against rel_tol 1e-6.
+                    last doubling, against its tolerance 1e-6.
 
 Kernel constructions
 --------------------
@@ -429,24 +429,25 @@ def refine_on_grid(f: TrigPoly, value: Callable[[int], object], *,
     return val, m, done
 
 
-def poly_l1(f: TrigPoly, *, oversample: int = 8, rel_tol: float = 1e-6,
-            max_doublings: int = 3, max_grid: int = 4096) -> float:
+def poly_l1(f: TrigPoly) -> float:
     """L1 norm (normalised measure) by grid averaging with doubling check.
 
-    Each grid is summed block by block through sample_uniform, so memory
-    stays a few MB whatever the grid, and ``max_grid`` bounds the time only.
-    The doubling check may end at the cap rather than at ``rel_tol``, and
-    the value carries no status: on band_kernel(6) the last doubling, to
-    4096 points per axis, still moves it by 8.2e-5 relatively.  That is far
-    below the margins of the bounds these norms feed into.
+    The grid starts at 8 (degree + 1) points per axis (refine_on_grid's
+    default oversampling) and doubles at most 3 times, up to 4096 points per
+    axis, until the mean moves by at most 1e-6 relatively.  Each grid is
+    summed block by block through sample_uniform, so memory stays a few MB
+    whatever the grid, and the 4096 cap bounds the time only.  The doubling
+    check may end at the cap rather than at 1e-6, and the value carries no
+    status: on band_kernel(6) the last doubling, to 4096 points per axis,
+    still moves it by 8.2e-5 relatively.  That is far below the margins of
+    the bounds these norms feed into.
     """
     def mean_abs(m: int) -> float:
         sums = f.sample_uniform(m, lambda v: float(np.abs(v).sum()))
         return sum(sums) / m ** f.dim
 
-    return refine_on_grid(f, mean_abs, oversample=oversample,
-                          rel_tol=rel_tol, max_doublings=max_doublings,
-                          max_grid=max_grid)[0]
+    return refine_on_grid(f, mean_abs, rel_tol=1e-6, max_doublings=3,
+                          max_grid=4096)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -36,7 +36,7 @@ from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
-from .numerics import bisect_increasing, newton_monotone
+from .numerics import newton_monotone
 from .reports import ConditionReport, VerificationReport
 
 __all__ = [
@@ -196,20 +196,14 @@ def make_logpower(p0: float, gamma: float, switch: float = 0.5) -> YoungFunction
             out[big] = switch + (u[big] - phi_switch) / slope
         small = (u > 0) & ~big
         if small.any():
-            # solve p0*y - gamma*ln(-y) = ln u for y = ln t <= ln switch
+            # solve r(y) = p0*y - gamma*ln(-y) = ln u for y = ln t, from
+            # y = ln switch: r is increasing and convex, so Newton started
+            # right of the root falls monotonically onto it
             target = np.log(u[small])
-
-            def r_of_y(y):
-                return p0 * y - gamma * np.log(-y)
-
-            lo = np.minimum(target / p0, log_switch) - 1.0
-            for _ in range(200):
-                bad = r_of_y(lo) > target
-                if not bad.any():
-                    break
-                lo = np.where(bad, 2.0 * lo, lo)
-            hi = np.full_like(target, log_switch)
-            y = bisect_increasing(r_of_y, target, lo, hi)
+            y = newton_monotone(
+                lambda y: p0 * y - gamma * np.log(-y) - target,
+                lambda y: p0 - gamma / y,
+                np.full_like(target, log_switch))
             out[small] = np.exp(y)
         return out
 
@@ -300,24 +294,16 @@ def make_section7(alpha: float) -> YoungFunction:
         mid = (t >= t1) & (t < t2)
         if mid.any():
             out[mid] = (t[mid] - q) / p
-        low = (t > 0) & (t < t1)
-        if low.any():
-            # solve -2w + alpha*w/ln(w) = ln t for w = ln(1/sqrt(u))
-            z = np.log(t[low])
-            h = lambda w: -2.0 * w + alpha * w / np.log(w) - z
-            hp = lambda w: -2.0 + alpha * (np.log(w) - 1.0) / np.log(w) ** 2
-            w0 = np.maximum(-0.5 * z, E2)
-            w = newton_monotone(h, hp, w0, lower=1.05)
-            out[low] = np.exp(-2.0 * w)
-        high = t >= t2
-        if high.any():
-            # solve 2v - alpha*v/ln(v) = ln t for v = ln(sqrt(u))
-            z = np.log(t[high])
-            h = lambda v: 2.0 * v - alpha * v / np.log(v) - z
+        outer = (t > 0) & ~mid
+        if outer.any():
+            # both outer branches solve 2v - alpha*v/ln(v) = |ln t| for
+            # v = |ln sqrt(u)|, and u = exp(+-2v) with the sign of ln t
+            z = np.log(t[outer])
+            a = np.abs(z)
+            h = lambda v: 2.0 * v - alpha * v / np.log(v) - a
             hp = lambda v: 2.0 - alpha * (np.log(v) - 1.0) / np.log(v) ** 2
-            v0 = np.maximum(0.5 * z, E2)
-            v = newton_monotone(h, hp, v0, lower=1.05)
-            out[high] = np.exp(2.0 * v)
+            v = newton_monotone(h, hp, np.maximum(0.5 * a, E2), lower=1.05)
+            out[outer] = np.exp(np.copysign(2.0 * v, z))
         return out
 
     params = {"alpha": alpha, "r": r, "p": p, "q": q}
@@ -431,20 +417,21 @@ class YoungValidation:
     passed: bool
 
 
-def validate(phi: YoungFunction, *, u_lo: float = 1e-6, u_hi: float = 1e6,
-             n: int = 1000) -> YoungValidation:
+def validate(phi: YoungFunction) -> YoungValidation:
     """Grid diagnostics: inverse round-trip, convexity, monotonicity.
 
+    The round trip Phi(Phi^{-1}(u)) runs over 1000 geometric points of
+    [1e-6, 1e6], and the forward checks over 1000 of t in the same interval.
     Convexity is measured scale-free as the minimum relative increment of
     consecutive chord slopes on a geometric grid (>= -1e-12 for convex).
     The small-argument quantity Phi(1e-8)/1e-8 is reported untested: kinds of
     log type approach zero too slowly for a fixed threshold to be meaningful.
     """
-    u = np.geomspace(u_lo, u_hi, n)
+    u = np.geomspace(1e-6, 1e6, 1000)
     back = phi(phi.inverse(u))
     roundtrip = float(np.max(np.abs(back / u - 1.0)))
 
-    t = np.geomspace(1e-6, 1e6, n)
+    t = np.geomspace(1e-6, 1e6, 1000)
     vals = phi(t)
     slopes = np.diff(vals) / np.diff(t)
     increments = np.diff(slopes) / np.maximum(slopes[1:], 1e-300)
@@ -584,25 +571,26 @@ def check_multiplicativity_transfer(phi: YoungFunction, C: float,
 # deterministic sample-pair generators
 # ---------------------------------------------------------------------------
 
-def supermultiplicativity_pairs(seed: int, n: int, *, a_min: float = 1e-4,
-                                ab_max: float = 1e6) -> list[tuple[float, float]]:
-    """Log-uniform pairs satisfying 0 < a < 1 <= ab < b."""
+def supermultiplicativity_pairs(seed: int, n: int) -> list[tuple[float, float]]:
+    """Log-uniform pairs satisfying 0 < a < 1 <= ab < b, with a >= 1e-4 and
+    ab < 1e6."""
     rng = np.random.default_rng(seed)
-    a = np.exp(rng.uniform(math.log(a_min), -1e-9, n))
-    ab = np.exp(rng.uniform(0.0, math.log(ab_max), n))
+    a = np.exp(rng.uniform(math.log(1e-4), -1e-9, n))
+    ab = np.exp(rng.uniform(0.0, math.log(1e6), n))
     b = ab / a
     return list(zip(a.tolist(), b.tolist()))
 
 
-def transfer_pairs(phi: YoungFunction, seed: int, n: int, *,
-                   span: float = 1e6) -> list[tuple[float, float]]:
-    """Pairs (x, y) with 0 < x < Phi(1) < y and Phi^{-1}(x)Phi^{-1}(y) >= 1."""
+def transfer_pairs(phi: YoungFunction, seed: int,
+                   n: int) -> list[tuple[float, float]]:
+    """Pairs (x, y) with 0 < x < Phi(1) < y and Phi^{-1}(x)Phi^{-1}(y) >= 1,
+    log-uniform within a factor 1e6 of Phi(1) on either side."""
     rng = np.random.default_rng(seed)
     phi1 = float(phi(1.0))
     out: list[tuple[float, float]] = []
     while len(out) < n:
         x = phi1 * np.exp(rng.uniform(math.log(1e-6), -1e-9))
-        y = phi1 * np.exp(rng.uniform(1e-9, math.log(span)))
+        y = phi1 * np.exp(rng.uniform(1e-9, math.log(1e6)))
         if float(phi.inverse(x)) * float(phi.inverse(y)) >= 1.0:
             out.append((float(x), float(y)))
     return out

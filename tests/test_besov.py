@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from orlicheck import trig
-from orlicheck.besov import (BesovParams, MultiplierFamily, _shift_norms,
+from orlicheck.besov import (BesovParams, _shift_norms,
                              best_approximation, besov_norm_classical,
                              besov_norm_tilde, check_norm_comparison,
-                             check_sum_integral_sandwich, default_multiplier,
-                             dyadic_band_norm, modulus)
+                             check_sum_integral_sandwich, dyadic_band_norm,
+                             modulus, multiplier)
 from orlicheck.luxemburg import poly_norm
 from orlicheck.sampling import random_poly_1d
 from orlicheck.trig import TrigPoly, band_kernel, convolve
@@ -252,9 +252,8 @@ def test_best_approx_mean_competitor_at_zero():
 
 
 def test_multiplier_family_invariants():
-    fam = default_multiplier()
     for m in (1, 2, 5, 8):
-        pm = fam.coefficients(m)
+        pm = multiplier(m)
         assert pm.coeff((0, 0)) == pytest.approx(1.0)
         assert all(max(abs(k), abs(l)) <= m for k, l in pm.support())
 

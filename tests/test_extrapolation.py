@@ -10,8 +10,9 @@ import mpmath
 import numpy as np
 import pytest
 
-from orlicheck.extrapolation import (HypothesisError, admissible_gamma,
-                                     bucket, sobolev_profile,
+from orlicheck.extrapolation import (BoundProfile, HypothesisError,
+                                     admissible_gamma, bucket,
+                                     sobolev_profile,
                                      summing_criterion,
                                      verify_extrapolation_chain,
                                      weighted_integral)
@@ -100,8 +101,9 @@ def test_alpha_at_or_below_minus_one_raises(fn, alpha):
 @pytest.mark.parametrize("a", [0.02, 0.3, 1.0, 2.5, 5.0])
 @pytest.mark.parametrize("z", [1e-3, 0.2, 1.0, 3.0])
 def test_chain_gamma_factor_matches_mpmath(a, z):
-    rep = verify_extrapolation_chain([0.3, 0.1], 1.0, z / math.log(2.0),
-                                     a - 1.0, lambda p: 1e6 + 0.0 * p)
+    profile = BoundProfile(1.0, z / math.log(2.0),
+                           lambda x: math.log(1e6) + 0.0 * x)
+    rep = verify_extrapolation_chain([0.3, 0.1], profile, a - 1.0)
     with mpmath.workdps(30):
         ref = float(mpmath.gammainc(a, 0, z))
     assert rep.quantities["gamma_factor"] == pytest.approx(ref, rel=1e-13)
@@ -109,7 +111,10 @@ def test_chain_gamma_factor_matches_mpmath(a, z):
 
 def test_chain_passes_on_a_valid_bound():
     x = np.array([0.3, 0.2, 0.1, 0.05, 0.01])
-    rep = verify_extrapolation_chain(x, 1.0, 1.0, 0.0, lambda p: 5 * 0.3 ** p)
+    # f(p) = 5 (0.3)^p at p = 1 + e^{-x}
+    profile = BoundProfile(
+        1.0, 1.0, lambda x: math.log(5.0) + (1.0 + np.exp(-x)) * math.log(0.3))
+    rep = verify_extrapolation_chain(x, profile, 0.0)
     assert rep.passed and rep.margin > 0
     assert rep.quantities["integral_status"] == "convergent"
     # int_1^2 5 (0.3)^p dp
@@ -120,22 +125,37 @@ def test_chain_passes_on_a_valid_bound():
 
 def test_chain_rejects_a_violated_bound_with_witness():
     with pytest.raises(HypothesisError) as err:
-        verify_extrapolation_chain([0.9, 0.9], 1.0, 0.5, 0.0,
-                                   lambda p: 0.5 + 0.0 * p)
+        verify_extrapolation_chain(
+            [0.9, 0.9],
+            BoundProfile(1.0, 0.5, lambda x: math.log(0.5) + 0.0 * x), 0.0)
     assert err.value.witness == pytest.approx(1.0, abs=1e-5)
 
 
 def test_chain_rejects_a_nan_bound():
     # lhs > nan is False, so a NaN bound would slip past the hypothesis test
     with pytest.raises(ValueError, match=r"NaN at p = 1\.5"):
-        verify_extrapolation_chain([0.3], 1.0, 1.0, 0.0,
-                                   lambda p: np.where(p > 1.49, np.nan, 1.0))
+        verify_extrapolation_chain(
+            [0.3], BoundProfile(
+                1.0, 1.0, lambda x: np.where(np.exp(-x) > 0.49, np.nan, 0.0)),
+            0.0)
 
 
 def test_chain_gamma_factor_out_of_budget_raises():
     with pytest.raises(ValueError, match="gamma"):
-        verify_extrapolation_chain([0.3], 1.0, 1.0, -0.999,
-                                   lambda p: 1e6 + 0.0 * p)
+        verify_extrapolation_chain(
+            [0.3], BoundProfile(1.0, 1.0, lambda x: math.log(1e6) + 0.0 * x),
+            -0.999)
+
+
+def test_chain_integrates_a_bound_that_blows_up_at_q():
+    # f(p) = (p - 1)^{-1/2}: ln f = x/2, and int_1^2 f(p) dp = 2.  In the
+    # absolute variable f(q + e^{-x}) would round to f(1) = inf past about
+    # 16 decades and read as divergent.
+    rep = verify_extrapolation_chain(
+        [0.3, 0.2], BoundProfile(1.0, 1.0, lambda x: 0.5 * x), 0.0)
+    assert rep.quantities["integral_status"] == "convergent"
+    assert rep.quantities["weighted_integral"] == pytest.approx(2.0, rel=1e-12)
+    assert rep.passed and 0.0 < rep.margin < 2.0
 
 
 def test_bucket_counts_reciprocal_intervals():

@@ -6,21 +6,9 @@ import numpy as np
 import pytest
 
 from orlicheck.conditions import embedding_weight, power_weight
-from orlicheck.numerics import (LN10, bisect_increasing, chandrupatla,
-                                gauss_panel, integrate_finite_log,
-                                integrate_log_improper)
+from orlicheck.numerics import (LN10, chandrupatla, gauss_panel,
+                                integrate_finite_log, integrate_log_improper)
 from orlicheck.young import make_power, make_section7
-
-
-def test_bisect_solves_bracketed_target():
-    x = bisect_increasing(lambda x: x ** 2 + 1, [5.0], [1.0], [2.0])
-    assert x[0] == pytest.approx(2.0, rel=1e-13)
-
-
-def test_bisect_rejects_unbracketable_target():
-    # x^2 + 1 >= 1 never reaches 0.5: halving lo cannot bracket it
-    with pytest.raises(ValueError, match="lower bracket"):
-        bisect_increasing(lambda x: x ** 2 + 1, [0.5], [1.0], [2.0])
 
 
 def test_chandrupatla_solves_each_entry_and_stops_at_ftol():

@@ -1,0 +1,41 @@
+"""The names perfbench/tracing.py relies on: the module attributes it swaps
+for traced wrappers, and the keywords its work counters read by name."""
+
+import sys
+from pathlib import Path
+from unittest import mock
+
+import pytest
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+
+import tracing  # noqa: E402
+from orlicheck import besov, luxemburg  # noqa: E402
+from orlicheck.sampling import random_poly_1d  # noqa: E402
+from orlicheck.young import make_section7  # noqa: E402
+
+
+@pytest.mark.parametrize("owner, attr", [(o, a) for o, a, _, _ in
+                                         tracing.SITES],
+                         ids=lambda v: getattr(v, "__name__", v))
+def test_every_site_is_an_attribute_of_its_owner(owner, attr):
+    assert attr in owner.__dict__
+
+
+def test_work_counters_bind_on_poly_norm_and_modulus():
+    f, phi = random_poly_1d(3, 0), make_section7(0.05)
+    grids, _ = tracing._allowed_grids(luxemburg.poly_norm, (phi, f), {}, None)
+    assert grids == 5.0
+    shifts, _ = tracing._shifts(besov.modulus, (f, 0.5, phi), {}, None)
+    assert shifts == 41.0
+    # the count is the one modulus evaluates
+    rows = []
+    real = besov._shift_norms
+
+    def counted(f, hs, phi):
+        rows.append(len(hs))
+        return real(f, hs, phi)
+
+    with mock.patch.object(besov, "_shift_norms", counted):
+        besov.modulus(f, 0.5, phi)
+    assert sum(rows) == shifts

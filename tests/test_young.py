@@ -2,6 +2,7 @@
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -72,6 +73,32 @@ def test_logpower_inverse_vs_grid_scan_oracle():
     x = float(phi.inverse(u))
     assert x == pytest.approx(0.3, abs=1e-9)
     assert x == pytest.approx(t_oracle, abs=1e-7)  # oracle grid resolution
+
+
+@pytest.mark.parametrize("p0, gamma, switch",
+                         [(1.2, 1.5, 0.5), (1.2, 1.3, 0.5), (1.0, 3.0, 0.3)])
+def test_logpower_inverts_its_switch_value(p0, gamma, switch):
+    # the rounded ln Phi(switch) can land one ulp above r(ln switch)
+    phi = make_logpower(p0, gamma, switch)
+    assert float(phi.inverse(phi(switch))) == pytest.approx(switch, rel=1e-14)
+
+
+@pytest.mark.parametrize("p0, gamma, switch",
+                         [(1.2, 1.5, 0.5), (1.0, 1.0, 0.5), (2.0, 1.0, 0.5),
+                          (1.5, 0.5, 0.3)])
+def test_logpower_inverse_matches_mpmath(p0, gamma, switch):
+    # oracle: p0*y - gamma*ln(-y) = ln u solved at 40 digits, t = e^y
+    phi = make_logpower(p0, gamma, switch)
+    us = np.geomspace(1e-300, float(phi(switch)), 40)
+    got = phi.inverse(us)
+    with mpmath.workdps(40):
+        for u, t in zip(us, got):
+            lu = mpmath.log(mpmath.mpf(u))
+            y = mpmath.findroot(
+                lambda y: p0 * y - gamma * mpmath.log(-y) - lu,
+                (lu / p0 - 10 * gamma - 1, mpmath.log(switch) + 1e-30),
+                solver="anderson")
+            assert abs(t / mpmath.exp(y) - 1) <= 2e-13, u
 
 
 def test_logpower_rejects_bad_params():
