@@ -22,13 +22,13 @@ from .conditions import (Weight, constant_weight, power_weight,
                          embedding_condition_sup,
                          factorization_integral_condition,
                          weight_domination_check)
-from .sampling import (SamplingCheck, classical_check_1d,
-                       orlicz_sampling_check, l2_sampling_lower,
-                       random_poly_on_frame, random_poly_1d)
+from .sampling import (classical_check_1d, orlicz_sampling_check,
+                       l2_sampling_lower, random_poly_on_frame, random_poly_1d)
 from .extrapolation import (BoundProfile, bucket, weighted_integral,
                             verify_extrapolation_chain, sobolev_profile,
-                            sobolev_s, admissible_gamma, summing_criterion)
+                            admissible_gamma, summing_criterion)
 from .geometry import BallPair, symmdiff_measure, check_symmdiff_lower_bound
-from .reports import ConditionReport, VerificationReport
+from .numerics import Status
+from .reports import VerificationReport
 
 __version__ = "0.1.0"

@@ -284,10 +284,13 @@ def check_sum_integral_sandwich(f: TrigPoly, params: BesovParams,
 
     if not f.coeffs:
         return VerificationReport(
-            check_id="sum-integral-sandwich",
+            check_id="sum-integral-sandwich", passed=True, margin=0.0,
+            quantities=dict.fromkeys(
+                ("sum", "sum_tail", "lower_integral", "upper_integral",
+                 "upper_integral_tail_estimate", "margin_lower",
+                 "margin_upper"), 0.0),
             inputs={"phi": repr(params.phi), "n_terms": 0},
-            quantities={"sum": 0.0, "lower_integral": 0.0, "upper_integral": 0.0},
-            margin=0.0, passed=True, tolerance="exact zero case")
+            tolerance="exact zero case")
 
     def om(tt: float) -> float:
         return modulus(f, tt, params.phi, angles=params.h_angles,

@@ -28,9 +28,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .numerics import (ImproperIntegral, integrate_finite_log,
+from .numerics import (ImproperIntegral, Status, integrate_finite_log,
                        integrate_log_improper)
-from .reports import ConditionReport
+from .reports import VerificationReport
 from .young import YoungFunction
 
 __all__ = [
@@ -39,7 +39,6 @@ __all__ = [
     "power_weight",
     "embedding_weight",
     "ConditionEvaluation",
-    "SupScan",
     "embedding_condition_eval",
     "embedding_condition_sup",
     "factorization_integral_condition",
@@ -96,9 +95,10 @@ class ConditionEvaluation:
     """Both terms of the embedding expression at one scale s.
 
     ``tail_bound`` estimates the dropped tail of the improper second
-    integral (geometric extrapolation of the last decade); ``truncated``
-    means the decade budget ran out before the tail fell below 1e-6 of the
-    total, ``divergent`` that the integrand failed the decade decay test.
+    integral (geometric extrapolation of the last decade); ``status`` is the
+    second integral's: truncated means the decade budget ran out before the
+    tail fell below 1e-6 of the total, divergent that the integrand failed
+    the decade decay test.
     """
 
     s: float
@@ -106,9 +106,24 @@ class ConditionEvaluation:
     second_term: float
     tail_bound: float
     total: float
-    divergent: bool
-    truncated: bool
+    status: Status
     log10_t_reached: float
+
+    @property
+    def truncated(self) -> bool:
+        return self.status is Status.TRUNCATED
+
+    @property
+    def divergent(self) -> bool:
+        return self.status is Status.DIVERGENT
+
+
+def _evaluation(s: float, first: float,
+                second: ImproperIntegral) -> ConditionEvaluation:
+    return ConditionEvaluation(
+        s=s, first_term=first, second_term=second.value,
+        tail_bound=second.tail_bound, total=first + second.value,
+        status=second.status, log10_t_reached=second.x_end / math.log(10.0))
 
 
 def _first_term_log(phi: YoungFunction, psi: Weight, d: int,
@@ -148,41 +163,12 @@ def embedding_condition_eval(phi: YoungFunction, psi: Weight, d: int,
         raise ValueError("scale s must be >= 1")
     sigma = math.log(s)
     first = _first_term_log(phi, psi, d, sigma, nodes)
-    second = _second_term_log(phi, psi, d, sigma, nodes)
-    return ConditionEvaluation(
-        s=s,
-        first_term=first,
-        second_term=second.value,
-        tail_bound=second.tail_bound,
-        total=first + second.value,
-        divergent=second.divergent,
-        truncated=second.truncated,
-        log10_t_reached=second.x_end / math.log(10.0),
-    )
+    return _evaluation(s, first, _second_term_log(phi, psi, d, sigma, nodes))
 
 
-@dataclass
-class SupScan:
-    """Sweep of the embedding expression over an s grid.
-
-    ``bounded`` holds when no evaluation diverged and the level-normalised
-    regression slope of total against ln s over the top decade stays below
-    0.01 in absolute value.
-    """
-
-    sup_value: float
-    witness_s: float
-    bounded: bool
-    slope: float
-    relative_slope: float
-    evaluations: list[ConditionEvaluation]
-
-    @property
-    def classification(self) -> str:
-        return "bounded" if self.bounded else "divergent"
-
-
-def _classify(evals: list[ConditionEvaluation]) -> SupScan:
+def _sweep_report(check_id: str, inputs: dict,
+                  evals: list[ConditionEvaluation]) -> VerificationReport:
+    """Classify a sweep as ``embedding_condition_sup`` states."""
     totals = np.array([e.total for e in evals])
     svals = np.array([e.s for e in evals])
     i = int(np.argmax(totals))
@@ -196,46 +182,70 @@ def _classify(evals: list[ConditionEvaluation]) -> SupScan:
         rel = slope / max(float(np.mean(y)), 1e-300)
     else:
         slope, rel = 0.0, 0.0
-    diverged = any(e.divergent for e in evals)
+    diverged = any(e.status is Status.DIVERGENT for e in evals)
     bounded = (not diverged) and abs(rel) < 0.01
-    return SupScan(sup_value, witness, bounded, slope, rel, evals)
+    return VerificationReport(
+        check_id=check_id, passed=bounded,
+        margin=-math.inf if diverged else 0.01 - abs(rel), witness=witness,
+        quantities={"sup_value": sup_value, "witness_s": witness,
+                    "bounded": bounded, "slope": slope,
+                    "relative_slope": rel,
+                    "status": max((e.status for e in evals),
+                                  key=list(Status).index),
+                    "evaluations": evals},
+        inputs=inputs,
+        tolerance="|relative slope| < 0.01 and no divergent evaluation")
 
 
 def embedding_condition_sup(phi: YoungFunction, psi: Weight, d: int,
-                            s_grid: Sequence[float]) -> SupScan:
-    """Max of the embedding expression over an s grid, with classification."""
+                            s_grid: Sequence[float]) -> VerificationReport:
+    """Max of the embedding expression over an s grid, with classification.
+
+    The sweep is ``bounded`` (and passes) when no evaluation diverged and
+    the level-normalised regression slope of total against ln s over the
+    top decade of the grid stays below 0.01 in absolute value; the margin
+    is 0.01 - |relative_slope|, or -inf after a divergent evaluation, and
+    the witness is the s of the largest total, ``witness_s``.  ``status``
+    is the worst status among the evaluations; a truncated one leaves
+    ``bounded`` as it is, but says that its total, and so the sup, may be
+    short.
+    """
     s_grid = sorted(float(s) for s in s_grid)
     if not s_grid:
         raise ValueError("s grid must be nonempty")
     evals = [embedding_condition_eval(phi, psi, d, s) for s in s_grid]
-    return _classify(evals)
+    return _sweep_report("embedding-condition-sup",
+                         {"phi": repr(phi), "psi": psi.name, "d": d,
+                          "s_grid": s_grid}, evals)
 
 
 def factorization_integral_condition(phi: YoungFunction,
-                                     s_grid: Sequence[float]) -> SupScan:
+                                     s_grid: Sequence[float]
+                                     ) -> VerificationReport:
     """The integral condition of the Hilbert-factorization result:
 
         s/Phi^{-1}(s^2) * int_1^s Phi^{-1}(t^2)/t^2 dt
             + int_s^oo Phi^{-1}(t^2) s / (t^2 Phi^{-1}(t s)) dt < C.
 
     This is spelled with its own integrands; it must agree with the
-    embedding-condition sweep under Psi(t) = Phi^{-1}(t^2)/t at d = 2.
+    embedding-condition sweep under Psi(t) = Phi^{-1}(t^2)/t at d = 2, and
+    it is classified the same way.
     """
     s_grid = sorted(float(s) for s in s_grid)
     if not s_grid:
         raise ValueError("s grid must be nonempty")
     inv_breaks = phi.log_inverse_breaks
+    breaks1 = tuple(b / 2.0 for b in inv_breaks)
+
+    def log_first(x):
+        return phi.log_inverse(2.0 * x) - x
+
     evals = []
     for s in s_grid:
         if s < 1.0:
             raise ValueError("scale s must be >= 1")
         sigma = math.log(s)
-
-        def log_first(x):
-            return phi.log_inverse(2.0 * x) - x
-
         pref = math.exp(sigma - float(phi.log_inverse(2.0 * sigma)))
-        breaks1 = tuple(b / 2.0 for b in inv_breaks)
         first = pref * integrate_finite_log(log_first, 0.0, sigma,
                                             breakpoints=breaks1)
 
@@ -243,24 +253,21 @@ def factorization_integral_condition(phi: YoungFunction,
             return (phi.log_inverse(2.0 * x) + sigma - x
                     - phi.log_inverse(x + sigma))
 
-        breaks2 = tuple(b / 2.0 for b in inv_breaks) + tuple(
-            b - sigma for b in inv_breaks)
+        breaks2 = breaks1 + tuple(b - sigma for b in inv_breaks)
         second = integrate_log_improper(log_second, sigma,
                                         breakpoints=breaks2)
-        evals.append(ConditionEvaluation(
-            s=s, first_term=first, second_term=second.value,
-            tail_bound=second.tail_bound, total=first + second.value,
-            divergent=second.divergent, truncated=second.truncated,
-            log10_t_reached=second.x_end / math.log(10.0)))
-    return _classify(evals)
+        evals.append(_evaluation(s, first, second))
+    return _sweep_report("factorization-integral-condition",
+                         {"phi": repr(phi), "s_grid": s_grid}, evals)
 
 
 def weight_domination_check(phi: YoungFunction, psi: Weight,
-                            t_grid: Sequence[float]) -> ConditionReport:
+                            t_grid: Sequence[float]) -> VerificationReport:
     """1/t <= Psi(t) / Phi^{-1}(t^2) over a positive grid.
 
     The primary margin is dimensionless: min of t * Psi(t)/Phi^{-1}(t^2) - 1;
-    the raw difference Psi(t)/Phi^{-1}(t^2) - 1/t is echoed in the details.
+    the raw difference Psi(t)/Phi^{-1}(t^2) - 1/t is echoed in the
+    quantities.
     """
     t = np.asarray(t_grid, dtype=float)
     if np.any(t <= 0):
@@ -269,19 +276,20 @@ def weight_domination_check(phi: YoungFunction, psi: Weight,
     margins = ratio - 1.0
     i = int(np.argmin(margins))
     raw = psi.value(t) / phi.inverse(t ** 2) - 1.0 / t
-    return ConditionReport(
-        condition_id="weight-domination",
+    return VerificationReport(
+        check_id="weight-domination",
+        passed=bool(margins[i] >= -1e-9),
         margin=float(margins[i]),
         witness=float(t[i]),
-        passed=bool(margins[i] >= -1e-9),
-        grid_size=int(t.size),
-        details={"psi": psi.name, "min_raw_margin": float(np.min(raw))},
+        quantities={"min_raw_margin": float(np.min(raw))},
+        inputs={"phi": repr(phi), "psi": psi.name, "grid_size": int(t.size)},
+        tolerance="t Psi(t)/Phi^{-1}(t^2) - 1 >= -1e-9",
     )
 
 
 def lorentz_embedding_probe(phi: YoungFunction, d: int,
                             t_grid: Sequence[float], *, a: float = 1.0,
-                            b: float = 1.0) -> ConditionReport:
+                            b: float = 1.0) -> VerificationReport:
     """Informative probe of Phi(t) <= a * t^{d/(d-1)} + b on a grid.
 
     This pointwise bound is sufficient (not equivalent) for the background
@@ -292,11 +300,13 @@ def lorentz_embedding_probe(phi: YoungFunction, d: int,
     t = np.asarray(t_grid, dtype=float)
     margins = a * t ** (d / (d - 1.0)) + b - phi(t)
     i = int(np.argmin(margins))
-    return ConditionReport(
-        condition_id="lorentz-embedding-probe",
+    return VerificationReport(
+        check_id="lorentz-embedding-probe",
+        passed=bool(margins[i] >= 0.0),
         margin=float(margins[i]),
         witness=float(t[i]),
-        passed=bool(margins[i] >= 0.0),
-        grid_size=int(t.size),
-        details={"a": a, "b": b, "informative_only": True},
+        quantities={"informative_only": True},
+        inputs={"phi": repr(phi), "d": d, "a": a, "b": b,
+                "grid_size": int(t.size)},
+        tolerance="a t^{d/(d-1)} + b - Phi(t) >= 0",
     )

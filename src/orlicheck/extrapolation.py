@@ -29,12 +29,12 @@ is exact, and no offset v - q is ever formed, so none rounds away.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable
 
 import numpy as np
 
-from .numerics import integrate_log_improper
+from .numerics import ImproperIntegral, Status, integrate_log_improper
 from .reports import VerificationReport
 from .young import YoungFunction, make_logpower
 
@@ -42,20 +42,14 @@ __all__ = [
     "BoundProfile",
     "BucketDecomposition",
     "bucket",
-    "IntegralResult",
     "weighted_integral",
     "HypothesisError",
     "verify_extrapolation_chain",
     "sobolev_profile",
-    "sobolev_s",
     "admissible_gamma",
     "SummingResult",
     "summing_criterion",
 ]
-
-CONVERGENT = "convergent"
-DIVERGENT = "divergent"
-INDETERMINATE = "indeterminate"
 
 
 @dataclass(frozen=True)
@@ -112,46 +106,33 @@ def bucket(x) -> BucketDecomposition:
     return BucketDecomposition(dict(zip(ns.tolist(), cs.tolist())), scale, e)
 
 
-@dataclass
-class IntegralResult:
-    """Weighted endpoint integral with its convergence classification."""
-
-    value: float
-    status: str
-    last_ratio: float
-
-    @property
-    def divergent(self) -> bool:
-        return self.status == DIVERGENT
-
-
 def _endpoint_integral(profile: BoundProfile, alpha: float,
                        power: Callable[[np.ndarray], np.ndarray | float]
-                       ) -> IntegralResult:
+                       ) -> ImproperIntegral:
     """int_{x0}^oo exp(power(x) log_fn(x) - (alpha+1) x) dx, x0 = -ln eps,
-    classified as in ``weighted_integral``."""
+    valued as in ``weighted_integral``."""
     if alpha <= -1.0:
         raise ValueError("weight exponent alpha must be > -1")
     a1 = alpha + 1.0
     r = integrate_log_improper(
         lambda x: power(x) * profile.log_fn(x) - a1 * x, -math.log(profile.eps))
-    if r.converged:
-        return IntegralResult(r.value + r.tail_bound, CONVERGENT, r.last_ratio)
-    if r.divergent:
-        return IntegralResult(math.inf, DIVERGENT, r.last_ratio)
-    return IntegralResult(r.value, INDETERMINATE, r.last_ratio)
+    if r.status is Status.CONVERGED:
+        return replace(r, value=r.value + r.tail_bound)
+    if r.status is Status.DIVERGENT:
+        return replace(r, value=math.inf)
+    return r
 
 
-def weighted_integral(profile: BoundProfile, alpha: float) -> IntegralResult:
+def weighted_integral(profile: BoundProfile, alpha: float) -> ImproperIntegral:
     """int_q^{q+eps} f(p) (p-q)^alpha dp for alpha > -1.
 
     In x = -ln(p-q) this is int exp(ln f - (alpha+1) x) dx over
-    [-ln eps, oo), marched by ``integrate_log_improper``.  Its flags map to
-    statuses: converged is convergent, valued with the geometric tail added;
-    divergent (decades stop decaying) is divergent, valued inf; a spent
-    decade budget is indeterminate, valued with the partial sum, a lower
-    bound.  A NaN integrand raises ValueError.  A bound f ~ (p-q)^{-beta}
-    has its borderline at alpha = beta - 1, where the march says divergent.
+    [-ln eps, oo), marched by ``integrate_log_improper``, whose result is
+    returned with its value set by its status: converged is valued with the
+    geometric tail added; divergent (decades stop decaying) is valued inf;
+    truncated (decade budget spent) keeps the partial sum, a lower bound.
+    A NaN integrand raises ValueError.  A bound f ~ (p-q)^{-beta} has its
+    borderline at alpha = beta - 1, where the march says divergent.
     """
     return _endpoint_integral(profile, alpha, lambda x: 1.0)
 
@@ -204,8 +185,8 @@ def verify_extrapolation_chain(x, profile: BoundProfile,
     a1 = alpha + 1.0
     gamma = weighted_integral(
         BoundProfile(0.0, eps * math.log(2.0), lambda x: -np.exp(-x)), alpha)
-    if gamma.status != CONVERGENT:
-        raise ValueError(f"gamma({a1:g}, eps ln 2) is {gamma.status}")
+    if gamma.status is not Status.CONVERGED:
+        raise ValueError(f"gamma({a1:g}, eps ln 2) is {gamma.status.value}")
     gamma_factor = gamma.value
     bucket_sum = dec.sum_power(
         lambda n: n ** (-q) * np.log(n) ** (-a1))
@@ -216,7 +197,7 @@ def verify_extrapolation_chain(x, profile: BoundProfile,
     phi = make_logpower(max(q, 1.0), a1) if q >= 1.0 else None
     modular = float(np.sum(phi(dec.entries))) if phi is not None else math.nan
 
-    if rhs_chain.divergent:
+    if rhs_chain.status is Status.DIVERGENT:
         margin = math.inf
         passed = True
     else:
@@ -224,15 +205,15 @@ def verify_extrapolation_chain(x, profile: BoundProfile,
         passed = margin >= -1e-9 * max(rhs_chain.value, 1.0)
     return VerificationReport(
         check_id="extrapolation-chain",
-        inputs={"q": q, "eps": eps, "alpha": alpha, "n_entries": int(a.size),
-                "scale": dec.scale},
+        passed=passed,
+        margin=margin,
         quantities={"gamma_factor": gamma_factor, "bucket_sum": bucket_sum,
                     "chain_lhs": lhs_chain,
                     "weighted_integral": rhs_chain.value,
                     "integral_status": rhs_chain.status,
                     "orlicz_modular": modular},
-        margin=margin,
-        passed=passed,
+        inputs={"q": q, "eps": eps, "alpha": alpha, "n_entries": int(a.size),
+                "scale": dec.scale},
         tolerance="chain lhs <= weighted integral, 1e-9 relative",
     )
 
@@ -259,11 +240,6 @@ def sobolev_profile(d: int, k: int, p: float) -> BoundProfile:
                         label=f"sobolev(d={d},k={k},p={p:g})")
 
 
-def sobolev_s(d: int, k: int, p: float) -> float:
-    """Target integrability: 1/s = 1/p - k/d."""
-    return 1.0 / (1.0 / p - k / d)
-
-
 def admissible_gamma(d: int, k: int, p: float) -> tuple[float, float]:
     """Endpoint p0 and the least admissible log exponent gamma_min.
 
@@ -280,13 +256,9 @@ class SummingResult:
     """Profile integral with the induced Orlicz target description."""
 
     value: float | None
-    status: str
+    status: Status
     target: YoungFunction | None
     target_config: dict
-
-    @property
-    def divergent(self) -> bool:
-        return self.status == DIVERGENT
 
 
 def summing_criterion(profile: BoundProfile, alpha: float) -> SummingResult:
@@ -296,8 +268,8 @@ def summing_criterion(profile: BoundProfile, alpha: float) -> SummingResult:
     Phi(x) = x^q / |ln x|^{alpha+1}; the returned handle is the matching
     logpower Young function (constructible when q >= 1).  alpha <= -1 is
     rejected.  The integral is taken in x = -ln(v-q) as in
-    ``weighted_integral``, with f^v = exp((q + e^{-x}) ln f): convergent
-    gives the value, divergent and indeterminate (decade budget spent) give
+    ``weighted_integral``, with f^v = exp((q + e^{-x}) ln f): converged
+    gives the value, divergent and truncated (decade budget spent) give
     None.  For ``sobolev_profile`` the borderline is alpha = gamma_min - 1,
     where the integrand tends to 1 and the march reports divergent.
     """
@@ -306,5 +278,5 @@ def summing_criterion(profile: BoundProfile, alpha: float) -> SummingResult:
     gamma = alpha + 1.0
     config = {"kind": "logpower", "params": {"p0": q, "gamma": gamma}}
     target = make_logpower(q, gamma) if q >= 1.0 else None
-    value = res.value if res.status == CONVERGENT else None
+    value = res.value if res.status is Status.CONVERGED else None
     return SummingResult(value, res.status, target, config)

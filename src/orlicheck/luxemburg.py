@@ -20,7 +20,6 @@ degree, so a whole batch of shift norms costs a few Phi calls per grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -32,9 +31,7 @@ from .trig import coefficient_boxes, refine_on_grid, sample_boxes
 from .young import YoungFunction, check_sqrt_concavity
 
 __all__ = [
-    "ModularValue",
     "modular_seq",
-    "modular_profile",
     "norm_seq",
     "norm_fun",
     "poly_norm",
@@ -43,31 +40,12 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class ModularValue:
-    """One point of the modular curve lambda -> modular(x/lambda).
-
-    The modular is nonincreasing in lambda for fixed data, which makes the
-    Luxemburg infimum a root-finding problem.
-    """
-
-    lam: float
-    modular: float
-
-
 def modular_seq(phi: YoungFunction, x, lam: float) -> float:
     """Sum of Phi(|x_i| / lam) over the finite sequence x."""
     a = np.abs(np.asarray(x).ravel())
     if a.size == 0:
         return 0.0
     return float(np.sum(phi(a / lam)))
-
-
-def modular_profile(phi: YoungFunction, x,
-                    lams: Sequence[float]) -> list[ModularValue]:
-    """The sequence modular of x at each lambda in ``lams``."""
-    return [ModularValue(float(l), modular_seq(phi, x, float(l)))
-            for l in lams]
 
 
 def _lux_root(phi: YoungFunction, a: np.ndarray, average: bool) -> np.ndarray:

@@ -1,7 +1,9 @@
 """Shared numerical primitives: composite Gauss-Legendre panels, improper
 integrals in the log domain with decade-by-decade truncation control, and
 safeguarded root finding, all vectorised: Newton for monotone maps, and
-Chandrupatla's bracketed solve, which stops each entry on its own.
+Chandrupatla's bracketed solve, which stops each entry on its own.  ``Status``
+is the one vocabulary in which every outcome of the package says how far its
+value can be trusted.
 
 The log-domain integrals evaluate blocks of decades, one vectorised integrand
 call per block; the decade stopping rule consumes a block in order and the
@@ -17,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from enum import Enum
 from functools import lru_cache
 from typing import Callable, Sequence
 
@@ -89,6 +92,19 @@ def integrate_finite_log(logF: Callable[[np.ndarray], np.ndarray],
     return sum(contribs.tolist())
 
 
+class Status(str, Enum):
+    """How far a computed value can be trusted, from best to worst.
+
+    ``converged``: the stopping rule was met; ``truncated``: the budget ran
+    out first, so the value is a partial result; ``divergent``: the quantity
+    is infinite, or its evaluation failed the decay test.
+    """
+
+    CONVERGED = "converged"
+    TRUNCATED = "truncated"
+    DIVERGENT = "divergent"
+
+
 @dataclass
 class ImproperIntegral:
     """Decade-truncated value of an improper integral with its tail bookkeeping."""
@@ -97,10 +113,12 @@ class ImproperIntegral:
     tail_bound: float
     x_end: float
     n_decades: int
-    converged: bool
-    divergent: bool
-    truncated: bool
+    status: Status
     last_ratio: float
+
+    @property
+    def truncated(self) -> bool:
+        return self.status is Status.TRUNCATED
 
 
 # Each block adds 8 decades to all before it (8, 16, 32, 64), up to 128.
@@ -115,9 +133,9 @@ def integrate_log_improper(logF: Callable[[np.ndarray], np.ndarray],
 
     Stops once two consecutive decades each contribute less than 1e-8 of the
     running total and the geometric tail estimate is below 1e-6 of it.
-    Flags divergence when the decade contributions fail the decay test
-    (ratio >= 0.999 over three decades, from the sixth on), and truncation
-    when the decade budget runs out first.
+    Its status is divergent when the decade contributions fail the decay
+    test (ratio >= 0.999 over three decades, from the sixth on), and
+    truncated when the decade budget runs out first.
 
     Blocks of 8, 16, 32, 64, then 128 decades take one ``logF`` call each,
     with overflow silenced; the rule consumes a block's decades in order and
@@ -142,14 +160,14 @@ def integrate_log_improper(logF: Callable[[np.ndarray], np.ndarray],
                 raise ValueError(f"integrand is NaN on [{lo!r}, {hi!r}]")
             if math.isinf(c):
                 return ImproperIntegral(math.inf, math.inf, hi, j + 1,
-                                        False, True, False, math.inf)
+                                        Status.DIVERGENT, math.inf)
             total += c
             if prev is not None and prev > 0.0:
                 ratio = c / prev
                 slow_streak = slow_streak + 1 if ratio >= 0.999 else 0
                 if slow_streak >= 3 and j >= 5:
                     return ImproperIntegral(total, np.inf, hi, j + 1,
-                                            False, True, False, ratio)
+                                            Status.DIVERGENT, ratio)
             prev = c
             lo = hi
             j += 1
@@ -159,12 +177,12 @@ def integrate_log_improper(logF: Callable[[np.ndarray], np.ndarray],
                     tail = c * ratio / (1.0 - ratio) if 0.0 < ratio < 1.0 else c
                     if tail < 1e-6 * total:
                         return ImproperIntegral(total, tail, hi, j,
-                                                True, False, False, ratio)
+                                                Status.CONVERGED, ratio)
             else:
                 small_streak = 0
     tail = prev * ratio / (1.0 - ratio) if 0.0 < ratio < 1.0 else np.inf
     return ImproperIntegral(total, tail, lo, max_decades,
-                            False, False, True, ratio)
+                            Status.TRUNCATED, ratio)
 
 
 def chandrupatla(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],

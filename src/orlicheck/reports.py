@@ -1,22 +1,27 @@
-"""Structured outcomes of inequality checks, with lossless JSON round-trips.
+"""The one outcome of every inequality check, and its JSON form.
 
 Checkers report worst-case margins instead of asserting, so deliberately
 failing inputs (negative controls) are first-class citizens of the test
-matrix.  Pass flags are always recomputable from the stored quantities.
+matrix.  ``to_dict`` writes a report as plain JSON values: ``Status`` as its
+string, non-finite floats as their ``repr``, and nested dataclasses as dicts.
 """
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
+from enum import Enum
 from typing import Any
 
 import numpy as np
 
 
 def _plain(obj: Any) -> Any:
-    """Recursively convert numpy scalars/arrays to JSON-safe Python values."""
+    """Recursively convert numpy scalars/arrays and enums to JSON-safe
+    Python values."""
+    if isinstance(obj, Enum):
+        return obj.value
     if isinstance(obj, (np.floating, np.integer)):
-        return obj.item()
+        return _plain(obj.item())
     if isinstance(obj, np.bool_):
         return bool(obj)
     if isinstance(obj, complex):
@@ -32,59 +37,35 @@ def _plain(obj: Any) -> Any:
     return obj
 
 
-@dataclass
-class ConditionReport:
-    """Worst-case margin of a pointwise condition over a tested grid.
+@dataclass(kw_only=True)
+class VerificationReport:
+    """Outcome of one check: verdict, worst-case margin and its witness.
 
-    ``margin`` is min over the grid of (RHS - LHS), or (bound - ratio) for
-    ratio-type conditions; the condition holds iff margin >= -tolerance.
-    The witness is the tested point attaining the worst margin.
+    The check holds iff ``passed``; ``margin`` is the worst slack over what
+    was tested (how each check scales it is in ``tolerance``), and
+    ``witness`` the tested point attaining it, where there is one.
+    ``quantities`` holds the computed sides and diagnostics, ``inputs`` the
+    echo of what was tested.  Every entry of ``quantities`` also reads as an
+    attribute: ``rep.lhs`` is ``rep.quantities["lhs"]``.
     """
 
-    condition_id: str
-    margin: float
-    witness: Any
+    check_id: str
     passed: bool
-    grid_size: int
-    details: dict = field(default_factory=dict)
+    margin: float
+    witness: Any = None
+    quantities: dict
+    inputs: dict
+    tolerance: str
+
+    def __getattr__(self, name: str) -> Any:
+        # only reached when normal lookup fails; private and dunder names are
+        # refused, so copy and pickle, which probe for hooks on an instance
+        # whose fields are not set yet, never look into ``quantities``
+        quantities = self.__dict__.get("quantities", {})
+        if not name.startswith("_") and name in quantities:
+            return quantities[name]
+        raise AttributeError(
+            f"{type(self).__name__!r} object has no attribute {name!r}")
 
     def to_dict(self) -> dict:
         return _plain(asdict(self))
-
-
-@dataclass
-class VerificationReport:
-    """Outcome of one inequality check: inputs echo, computed sides, margin."""
-
-    check_id: str
-    inputs: dict
-    quantities: dict
-    margin: float | None
-    passed: bool
-    tolerance: str
-    wall_time_s: float | None = None
-
-    def to_dict(self, include_timing: bool = False) -> dict:
-        d = {
-            "check_id": self.check_id,
-            "inputs": _plain(self.inputs),
-            "quantities": _plain(self.quantities),
-            "margin": _plain(self.margin),
-            "passed": bool(self.passed),
-            "tolerance": self.tolerance,
-        }
-        if include_timing and self.wall_time_s is not None:
-            d["wall_time_s"] = self.wall_time_s
-        return d
-
-    @classmethod
-    def from_dict(cls, d: dict) -> "VerificationReport":
-        return cls(
-            check_id=d["check_id"],
-            inputs=d.get("inputs", {}),
-            quantities=d.get("quantities", {}),
-            margin=d.get("margin"),
-            passed=d["passed"],
-            tolerance=d.get("tolerance", ""),
-            wall_time_s=d.get("wall_time_s"),
-        )

@@ -20,18 +20,17 @@ Three checks:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
-from .luxemburg import norm_fun, norm_seq, poly_norm
+from .luxemburg import norm_seq, poly_norm
+from .reports import VerificationReport
 from .trig import (Frame, TrigPoly, band_kernel, convolve, frame,
                    refine_on_grid, sample_on_grid)
 from .young import (YoungFunction, check_inverse_product,
                     check_supermultiplicativity, supermultiplicativity_pairs)
 
 __all__ = [
-    "SamplingCheck",
     "classical_check_1d",
     "orlicz_sampling_check",
     "l2_sampling_lower",
@@ -40,50 +39,29 @@ __all__ = [
 ]
 
 
-@dataclass
-class SamplingCheck:
-    """One sampling-inequality trial: lhs <= rhs * (1 + 1e-9) to pass.
+def _trial(check_id: str, level: int, poly_id: str, lhs: float, rhs: float,
+           bound: float, supported: bool, **extra) -> VerificationReport:
+    """One sampling-inequality trial: it passes iff lhs <= rhs (1 + 1e-9),
+    and its margin is rhs - lhs.
 
     ``bound`` echoes the constant through which rhs was built (1 for the
     modular check, 24 C^2 for the Orlicz norm version, K for the Hilbert
-    lower route); ``supported`` records whether the hypothesis checks of the
-    underlying theorem held, so unsupported trials can be filtered rather
-    than mistaken for counterexamples.  For the Orlicz check,
-    ``constant_ratio`` is lhs / (Phi^{-1}(omega_n) ||g||_{L_Phi}), the
-    empirical constant to hold against the 24 C^2 bound directly.  For |g|
-    constant it has the closed form
-    Phi^{-1}(1) / (Phi^{-1}(1/omega_n) Phi^{-1}(omega_n)), which is 1 for
-    every power Phi.
+    lower route), and ``ratio`` is lhs / rhs (inf for rhs = 0).
+    ``supported`` records whether the hypothesis checks of the underlying
+    theorem held, so unsupported trials can be filtered rather than
+    mistaken for counterexamples.
     """
-
-    check_id: str
-    level: int | None
-    poly_id: str
-    lhs: float
-    rhs: float
-    bound: float
-    passed: bool
-    supported: bool = True
-    constant_ratio: float | None = None
-
-    @property
-    def ratio(self) -> float:
-        return self.lhs / self.rhs if self.rhs > 0 else math.inf
-
-    def row(self) -> dict:
-        row = {
-            "check_id": self.check_id, "level": self.level,
-            "poly_id": self.poly_id, "lhs": self.lhs, "rhs": self.rhs,
-            "ratio": self.ratio, "bound": self.bound,
-            "passed": self.passed, "supported": self.supported,
-        }
-        if self.constant_ratio is not None:
-            row["constant_ratio"] = self.constant_ratio
-        return row
+    return VerificationReport(
+        check_id=check_id, passed=lhs <= rhs * (1.0 + 1e-9), margin=rhs - lhs,
+        quantities={"lhs": lhs, "rhs": rhs, "bound": bound,
+                    "ratio": lhs / rhs if rhs > 0 else math.inf,
+                    "supported": supported, **extra},
+        inputs={"level": level, "poly_id": poly_id},
+        tolerance="lhs <= rhs (1 + 1e-9)")
 
 
 def classical_check_1d(g: TrigPoly, phi: YoungFunction, *,
-                       n: int | None = None) -> SamplingCheck:
+                       n: int | None = None) -> VerificationReport:
     """Grid modular vs integral modular for a 1-D polynomial of degree n.
 
     lhs = (2n+1)^{-1} sum_k Phi(|g(2 pi (k+n)/(2n+1))|/3),
@@ -102,14 +80,13 @@ def classical_check_1d(g: TrigPoly, phi: YoungFunction, *,
     rhs = refine_on_grid(
         g, lambda grid: float(np.mean(phi(np.abs(g.sample_uniform(grid))))),
         degree=n, rel_tol=1e-10, max_doublings=3)[0]
-    return SamplingCheck(
-        check_id="classical-1d", level=n, poly_id=f"deg{g.degree}",
-        lhs=lhs, rhs=rhs, bound=1.0, passed=lhs <= rhs * (1.0 + 1e-9))
+    return _trial("classical-1d", n, f"deg{g.degree}", lhs, rhs, 1.0, True)
 
 
 def orlicz_sampling_check(f: TrigPoly, n: int, phi: YoungFunction, C: float,
                           *, poly_id: str = "", fr: Frame | None = None,
-                          check_preconditions: bool = True) -> SamplingCheck:
+                          check_preconditions: bool = True
+                          ) -> VerificationReport:
     """Orlicz sampling inequality on the frame of level n.
 
     lhs is the sequence Luxemburg norm of the frame-grid samples, rhs is
@@ -120,13 +97,15 @@ def orlicz_sampling_check(f: TrigPoly, n: int, phi: YoungFunction, C: float,
     129-point grid) and a failure marks the trial unsupported (it is still
     computed).
 
-    The check promises only constant_ratio <= 24 C^2 (equivalently
+    ``constant_ratio`` is lhs / (Phi^{-1}(omega_n) ||g||_{L_Phi}), the
+    empirical constant to hold against the 24 C^2 bound directly.  The
+    check promises only constant_ratio <= 24 C^2 (equivalently
     lhs <= rhs); it does not claim that any polynomial maximises the ratio.
     A single frame coefficient (|g| = 1) gives the closed form
     constant_ratio = Phi^{-1}(1) / (Phi^{-1}(1/omega_n) Phi^{-1}(omega_n)),
-    but random frame polynomials land on either side of it, because the
-    frame keeps only omega_n of the M^2 grid points and grid Parseval does
-    not hold on it.
+    which is 1 for every power Phi, but random frame polynomials land on
+    either side of it, because the frame keeps only omega_n of the M^2 grid
+    points and grid Parseval does not hold on it.
 
     The function norm is grid quadrature with ``rel_tol=1e-5`` but only one
     doubling, so it can come back unconverged with no sign of it.  On
@@ -152,16 +131,14 @@ def orlicz_sampling_check(f: TrigPoly, n: int, phi: YoungFunction, C: float,
     fun_norm = poly_norm(phi, f, rel_tol=1e-5, max_doublings=1, max_grid=1024)
     inv_omega = float(phi.inverse(float(fr.omega)))
     rhs = bound * inv_omega * fun_norm
-    chk = SamplingCheck(
-        check_id="orlicz-sampling", level=n, poly_id=poly_id or f"deg{f.degree}",
-        lhs=lhs, rhs=rhs, bound=bound,
-        passed=lhs <= rhs * (1.0 + 1e-9), supported=supported)
-    chk.constant_ratio = lhs / (inv_omega * fun_norm) if fun_norm > 0 else 0.0
-    return chk
+    return _trial(
+        "orlicz-sampling", n, poly_id or f"deg{f.degree}", lhs, rhs, bound,
+        supported,
+        constant_ratio=lhs / (inv_omega * fun_norm) if fun_norm > 0 else 0.0)
 
 
 def l2_sampling_lower(f: TrigPoly, n: int, *, K: float = 2.0,
-                      poly_id: str = "") -> SamplingCheck:
+                      poly_id: str = "") -> VerificationReport:
     """Hilbert lower sampling route for the band piece of level n.
 
     Checks ||b_n * f||_{L_2} <= K * omega_n^{-1/2} * ||(b_n * f)||_{l_2}
@@ -171,18 +148,14 @@ def l2_sampling_lower(f: TrigPoly, n: int, *, K: float = 2.0,
     if n < 3:
         raise ValueError("the frame grid needs level >= 3")
     band = convolve(band_kernel(n), f)
-    fr = frame(n)
-    if not band.coeffs:
-        return SamplingCheck(check_id="l2-sampling-lower", level=n,
-                             poly_id=poly_id or f"deg{f.degree}", lhs=0.0,
-                             rhs=0.0, bound=K, passed=True)
-    lhs = band.l2_norm()
-    samples = sample_on_grid(band, fr)
-    rhs = K * float(np.sqrt(np.sum(np.abs(samples) ** 2) / fr.omega))
-    return SamplingCheck(
-        check_id="l2-sampling-lower", level=n,
-        poly_id=poly_id or f"deg{f.degree}", lhs=lhs, rhs=rhs, bound=K,
-        passed=lhs <= rhs * (1.0 + 1e-9))
+    lhs = rhs = 0.0
+    if band.coeffs:
+        fr = frame(n)
+        lhs = band.l2_norm()
+        samples = sample_on_grid(band, fr)
+        rhs = K * float(np.sqrt(np.sum(np.abs(samples) ** 2) / fr.omega))
+    return _trial("l2-sampling-lower", n, poly_id or f"deg{f.degree}", lhs,
+                  rhs, K, True)
 
 
 def _coefficients(rng: np.random.Generator, count: int,

@@ -24,8 +24,8 @@ section7     piecewise inverse
              Phi^{-1}(x) * Phi^{-1}(1/x) = 1 for large x.
 tabulated    convex piecewise-linear interpolation of breakpoints.
 
-Checkers report worst-case margins (ConditionReport) rather than raising, so
-negative controls can be exercised on the same code path.
+Checkers return a VerificationReport with the worst-case margin rather than
+raising, so negative controls can be exercised on the same code path.
 """
 
 from __future__ import annotations
@@ -37,7 +37,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .numerics import newton_monotone
-from .reports import ConditionReport, VerificationReport
+from .reports import VerificationReport
 
 __all__ = [
     "YoungFunction",
@@ -49,7 +49,6 @@ __all__ = [
     "young_from_config",
     "young_to_config",
     "validate",
-    "YoungValidation",
     "check_sqrt_concavity",
     "check_supermultiplicativity",
     "check_inverse_product",
@@ -86,16 +85,12 @@ def _wrap(fn: Callable[[np.ndarray], np.ndarray]) -> Callable:
 class YoungFunction:
     """Paired evaluator (Phi, Phi^{-1}) with construction metadata.
 
-    ``domain_hint`` is the argument interval on which the forward map is a
-    closed form; outside it the forward direction falls back to safeguarded
-    numeric inversion of the closed-form inverse (or vice versa).
     ``log_inverse(y)`` returns ln Phi^{-1}(e^y) and stays finite for |y| far
     beyond float range of e^y, which the integral-condition checks require.
     """
 
     kind: str
     params: dict
-    domain_hint: tuple[float, float]
     _forward: Callable = field(repr=False)
     _inverse: Callable = field(repr=False)
     _log_inverse: Callable = field(repr=False)
@@ -149,8 +144,8 @@ def make_power(p: float) -> YoungFunction:
     def log_inv(y):
         return np.asarray(y, dtype=float) / p
 
-    return YoungFunction("power", {"p": p}, (0.0, math.inf),
-                         _wrap(fwd), _wrap(inv), _wrap(log_inv))
+    return YoungFunction("power", {"p": p}, _wrap(fwd), _wrap(inv),
+                         _wrap(log_inv))
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +171,14 @@ def make_logpower(p0: float, gamma: float, switch: float = 0.5) -> YoungFunction
     slope = switch ** (p0 - 1.0) * ls ** (-gamma) * (p0 + gamma / ls)
     log_switch = math.log(switch)
 
+    def log_small(ly):
+        # solve r(y) = p0*y - gamma*ln(-y) = ly for y = ln t, from
+        # y = ln switch: r is increasing and convex, so Newton started right
+        # of the root falls monotonically onto it
+        return newton_monotone(lambda y: p0 * y - gamma * np.log(-y) - ly,
+                               lambda y: p0 - gamma / y,
+                               np.full_like(ly, log_switch))
+
     def fwd(t):
         _check_nonnegative(t, "argument of Phi")
         out = np.zeros_like(t)
@@ -196,20 +199,14 @@ def make_logpower(p0: float, gamma: float, switch: float = 0.5) -> YoungFunction
             out[big] = switch + (u[big] - phi_switch) / slope
         small = (u > 0) & ~big
         if small.any():
-            # solve r(y) = p0*y - gamma*ln(-y) = ln u for y = ln t, from
-            # y = ln switch: r is increasing and convex, so Newton started
-            # right of the root falls monotonically onto it
-            target = np.log(u[small])
-            y = newton_monotone(
-                lambda y: p0 * y - gamma * np.log(-y) - target,
-                lambda y: p0 - gamma / y,
-                np.full_like(target, log_switch))
-            out[small] = np.exp(y)
+            out[small] = np.exp(log_small(np.log(u[small])))
         return out
 
     def log_inv(y):
         y = np.asarray(y, dtype=float)
-        out = np.empty_like(y)
+        if np.isnan(y).any():
+            raise YoungFunctionError("argument of Phi^{-1} must not be NaN")
+        out = np.full_like(y, -np.inf)      # ln Phi^{-1}(0)
         big = y > math.log(phi_switch)
         if big.any():
             # x = (u - phi_switch + slope*switch)/slope, stable for huge u;
@@ -217,12 +214,13 @@ def make_logpower(p0: float, gamma: float, switch: float = 0.5) -> YoungFunction
             yb = y[big]
             out[big] = yb - math.log(slope) + np.log1p(
                 (slope * switch - phi_switch) * np.exp(-yb))
-        if (~big).any():
-            out[~big] = np.log(inv(np.exp(y[~big])))
+        small = ~big & ~np.isneginf(y)
+        if small.any():
+            out[small] = log_small(y[small])
         return out
 
     return YoungFunction("logpower", {"p0": p0, "gamma": gamma, "switch": switch},
-                         (0.0, switch), _wrap(fwd), _wrap(inv), _wrap(log_inv),
+                         _wrap(fwd), _wrap(inv), _wrap(log_inv),
                          log_inverse_breaks=(math.log(phi_switch),))
 
 
@@ -307,9 +305,8 @@ def make_section7(alpha: float) -> YoungFunction:
         return out
 
     params = {"alpha": alpha, "r": r, "p": p, "q": q}
-    return YoungFunction("section7", params, (t1, t2),
-                         _wrap(fwd), _wrap(inv), _wrap(log_inv),
-                         log_inverse_breaks=(-log_r, log_r))
+    return YoungFunction("section7", params, _wrap(fwd), _wrap(inv),
+                         _wrap(log_inv), log_inverse_breaks=(-log_r, log_r))
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +317,9 @@ def make_tabulated(points: Iterable[Sequence[float]]) -> YoungFunction:
     """Convex piecewise-linear Phi through (t_i, u_i) breakpoints.
 
     A (0, 0) anchor is prepended if absent; beyond the last breakpoint both
-    directions extrapolate with the final segment slope.  Raises
+    directions extrapolate with the final segment slope.  The log inverse is
+    closed form on the first segment and past the last one, so it stays
+    finite for every finite y.  Raises
     YoungFunctionError unless the segment slopes, the anchor segment
     included, are nondecreasing up to the rounding of their differences.
     """
@@ -347,6 +346,9 @@ def make_tabulated(points: Iterable[Sequence[float]]) -> YoungFunction:
             f"tabulated Phi is not convex: slope falls from {slopes[i]:g} to "
             f"{slopes[i + 1]:g} at breakpoint {pts[i + 1]}")
     end_slope = slopes[-1]
+    # the last segment's line is -offset <= 0 at t = 0, by convexity
+    offset = end_slope * ts[-1] - us[-1]
+    log_u1, log_un = math.log(us[1]), math.log(us[-1])
 
     def interp(x, xs, ys, slope):
         out = np.interp(x, xs, ys)
@@ -365,11 +367,18 @@ def make_tabulated(points: Iterable[Sequence[float]]) -> YoungFunction:
 
     def log_inv(y):
         y = np.asarray(y, dtype=float)
-        return np.log(inv(np.exp(np.minimum(y, 690.0))))
+        out = np.empty_like(y)
+        low, high = y < log_u1, y > log_un
+        out[low] = y[low] - math.log(slopes[0])
+        # Phi^{-1}(u) = (u + offset) / end_slope, in the log of u
+        out[high] = y[high] - math.log(end_slope) + np.log1p(
+            offset * np.exp(-y[high]))
+        mid = ~(low | high)
+        out[mid] = np.log(inv(np.exp(y[mid])))
+        return out
 
     return YoungFunction("tabulated", {"points": tuple(map(tuple, pts))},
-                         (0.0, float(ts[-1])), _wrap(fwd), _wrap(inv),
-                         _wrap(log_inv))
+                         _wrap(fwd), _wrap(inv), _wrap(log_inv))
 
 
 # ---------------------------------------------------------------------------
@@ -408,24 +417,15 @@ def young_to_config(phi: YoungFunction) -> dict:
 # structural validation
 # ---------------------------------------------------------------------------
 
-@dataclass
-class YoungValidation:
-    roundtrip_max_rel: float
-    min_slope_increment: float
-    strictly_increasing: bool
-    small_arg_ratio: float
-    passed: bool
-
-
-def validate(phi: YoungFunction) -> YoungValidation:
+def validate(phi: YoungFunction) -> VerificationReport:
     """Grid diagnostics: inverse round-trip, convexity, monotonicity.
 
     The round trip Phi(Phi^{-1}(u)) runs over 1000 geometric points of
-    [1e-6, 1e6], and the forward checks over 1000 of t in the same interval.
-    Convexity is measured scale-free as the minimum relative increment of
-    consecutive chord slopes on a geometric grid (>= -1e-12 for convex).
-    The small-argument quantity Phi(1e-8)/1e-8 is reported untested: kinds of
-    log type approach zero too slowly for a fixed threshold to be meaningful.
+    [1e-6, 1e6] (relative error <= 1e-9), and the forward checks over 1000
+    of t in the same interval.  Convexity is measured scale-free as the
+    minimum relative increment of consecutive chord slopes on a geometric
+    grid (>= -1e-12 for convex).  The margin is the smaller slack of the
+    two thresholds, -inf if Phi is not strictly increasing on the grid.
     """
     u = np.geomspace(1e-6, 1e6, 1000)
     back = phi(phi.inverse(u))
@@ -437,10 +437,17 @@ def validate(phi: YoungFunction) -> YoungValidation:
     increments = np.diff(slopes) / np.maximum(slopes[1:], 1e-300)
     min_inc = float(np.min(increments))
     increasing = bool(np.all(np.diff(vals) > 0))
-    small_ratio = float(phi(1e-8) / 1e-8)
 
     passed = roundtrip <= 1e-9 and min_inc >= -1e-12 and increasing
-    return YoungValidation(roundtrip, min_inc, increasing, small_ratio, passed)
+    margin = min(1e-9 - roundtrip, min_inc + 1e-12) if increasing else -math.inf
+    return VerificationReport(
+        check_id="young-validation", passed=passed, margin=margin,
+        quantities={"roundtrip_max_rel": roundtrip,
+                    "min_slope_increment": min_inc,
+                    "strictly_increasing": increasing},
+        inputs={"phi": repr(phi)},
+        tolerance="round trip <= 1e-9 relative, slope increments >= -1e-12, "
+                  "strictly increasing")
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +455,7 @@ def validate(phi: YoungFunction) -> YoungValidation:
 # ---------------------------------------------------------------------------
 
 def check_sqrt_concavity(phi: YoungFunction,
-                         grid: Sequence[float]) -> ConditionReport:
+                         grid: Sequence[float]) -> VerificationReport:
     """Midpoint concavity of x -> Phi(sqrt(x)) over adjacent grid pairs.
 
     Margin is the worst relative value of Phi(sqrt((a+b)/2)) - mean of the
@@ -461,19 +468,20 @@ def check_sqrt_concavity(phi: YoungFunction,
     rel = (mid - avg) / np.maximum(avg, 1e-300)
     i = int(np.argmin(rel))
     margin = float(rel[i])
-    return ConditionReport(
-        condition_id="sqrt-concavity",
+    return VerificationReport(
+        check_id="sqrt-concavity",
+        passed=margin >= -1e-12,
         margin=margin,
         witness=(float(a[i]), float(b[i])),
-        passed=margin >= -1e-12,
-        grid_size=len(g),
-        details={"tolerance": "relative midpoint defect >= -1e-12"},
+        quantities={},
+        inputs={"phi": repr(phi), "grid_size": len(g)},
+        tolerance="relative midpoint defect >= -1e-12",
     )
 
 
 def check_supermultiplicativity(phi: YoungFunction, C: float,
                                 pairs: Sequence[tuple[float, float]]
-                                ) -> ConditionReport:
+                                ) -> VerificationReport:
     """Phi(a) * Phi(b) <= Phi(C*a*b) over sample pairs with 0 < a < 1 <= ab < b.
 
     Margin is the worst absolute value of Phi(Cab) - Phi(a)Phi(b); the pass
@@ -491,19 +499,20 @@ def check_supermultiplicativity(phi: YoungFunction, C: float,
     i = int(np.argmin(margins))
     margin = float(margins[i])
     scale = float(max(abs(rhs[i]), 1.0))
-    return ConditionReport(
-        condition_id="supermultiplicativity",
+    return VerificationReport(
+        check_id="supermultiplicativity",
+        passed=margin >= -1e-9 * scale,
         margin=margin,
         witness=(float(pa[i]), float(pb[i])),
-        passed=margin >= -1e-9 * scale,
-        grid_size=len(pairs),
-        details={"C": float(C),
-                 "min_relative_margin": float(np.min(margins / np.maximum(rhs, 1e-300)))},
+        quantities={"min_relative_margin":
+                    float(np.min(margins / np.maximum(rhs, 1e-300)))},
+        inputs={"phi": repr(phi), "C": float(C), "grid_size": len(pairs)},
+        tolerance="Phi(Cab) - Phi(a)Phi(b) >= -1e-9 max(Phi(Cab), 1)",
     )
 
 
 def check_inverse_product(phi: YoungFunction, C: float,
-                          x_grid: Sequence[float]) -> ConditionReport:
+                          x_grid: Sequence[float]) -> VerificationReport:
     """1 <= C * Phi^{-1}(x) * Phi^{-1}(1/x) over a positive grid."""
     if C < 1.0:
         raise YoungFunctionError("inverse-product constant C must be >= 1")
@@ -514,13 +523,14 @@ def check_inverse_product(phi: YoungFunction, C: float,
     margins = prod - 1.0
     i = int(np.argmin(margins))
     margin = float(margins[i])
-    return ConditionReport(
-        condition_id="inverse-product",
+    return VerificationReport(
+        check_id="inverse-product",
+        passed=margin >= -1e-12,
         margin=margin,
         witness=float(x[i]),
-        passed=margin >= -1e-12,
-        grid_size=len(x),
-        details={"C": float(C)},
+        quantities={},
+        inputs={"phi": repr(phi), "C": float(C), "grid_size": len(x)},
+        tolerance="C Phi^{-1}(x) Phi^{-1}(1/x) - 1 >= -1e-12",
     )
 
 
@@ -557,12 +567,12 @@ def check_multiplicativity_transfer(phi: YoungFunction, C: float,
     worst = float(np.min((concl_margin / scale)[hyp])) if n_hyp else math.inf
     return VerificationReport(
         check_id="multiplicativity-transfer",
-        inputs={"phi": repr(phi), "C": float(C), "n_pairs": len(pairs)},
+        passed=not violated.any(),
+        margin=worst,
         quantities={"n_hypothesis_true": n_hyp,
                     "n_violations": int(np.count_nonzero(violated)),
                     "worst_conclusion_margin_rel": worst},
-        margin=worst,
-        passed=not violated.any(),
+        inputs={"phi": repr(phi), "C": float(C), "n_pairs": len(pairs)},
         tolerance="relative conclusion margin >= -1e-9 when hypothesis holds",
     )
 

@@ -35,8 +35,8 @@ def test_first_term_grows_like_log():
 def test_power2_constant_weight_classified_divergent():
     scan = embedding_condition_sup(make_power(2.0), constant_weight(1.0), 2,
                                    S_GRID)
-    assert not scan.bounded
-    assert scan.classification == "divergent"
+    assert not scan.bounded and not scan.passed
+    assert scan.margin == pytest.approx(0.01 - abs(scan.relative_slope))
     # the growth is exactly logarithmic: absolute slope 1 against ln s
     assert scan.slope == pytest.approx(1.0, abs=0.02)
 
@@ -49,6 +49,21 @@ def test_section7_embedding_weight_classified_bounded():
     assert math.isfinite(scan.sup_value)
     assert not any(e.divergent for e in scan.evaluations)
     assert not any(e.truncated for e in scan.evaluations)
+
+
+@pytest.mark.parametrize("alpha, status", [(0.01, "truncated"),
+                                           (0.05, "converged"),
+                                           (0.13, "converged")])
+def test_section7_sweep_carries_its_worst_status(alpha, status):
+    # at alpha = 0.01 every second integral spends its decade budget: the
+    # sweep still classifies bounded, and says its sup may be short
+    phi = make_section7(alpha)
+    scan = embedding_condition_sup(phi, embedding_weight(phi), 2, S_GRID)
+    assert scan.status == status
+    assert scan.passed and scan.bounded
+    assert scan.margin == 0.01 - abs(scan.relative_slope) > 0.0
+    assert scan.witness == scan.witness_s == 1e6
+    assert all(e.status == status for e in scan.evaluations)
 
 
 def test_single_point_grid_equals_eval():
@@ -169,7 +184,7 @@ def test_weight_domination_zero_weight_fails():
 def test_lorentz_probe_informative():
     rep = lorentz_embedding_probe(make_power(2.0), 2,
                                   np.geomspace(0.01, 1.0, 50))
-    assert rep.details["informative_only"]
+    assert rep.informative_only
     assert rep.passed  # t^2 <= t^2 + 1 on (0, 1]
 
 

@@ -42,10 +42,10 @@ def test_summing_criterion_classifies_and_matches_oracle(d, k, p, delta):
     alpha = gamma_min - 1.0 + delta
     res = summing_criterion(sobolev_profile(d, k, p), alpha)
     if delta < 0:
-        assert res.status == "divergent" and res.divergent
+        assert res.status == "divergent"
         assert res.value is None
     else:
-        assert res.status == "convergent"
+        assert res.status == "converged"
         assert res.value == pytest.approx(_summing_oracle(d, k, p, alpha),
                                           rel=1e-12)
     assert res.target_config["params"]["gamma"] == pytest.approx(alpha + 1.0)
@@ -55,7 +55,7 @@ def test_summing_criterion_classifies_and_matches_oracle(d, k, p, delta):
 def test_summing_borderline_is_never_convergent(d, k, p):
     _, gamma_min = admissible_gamma(d, k, p)
     res = summing_criterion(sobolev_profile(d, k, p), gamma_min - 1.0)
-    assert res.status != "convergent"
+    assert res.status != "converged"
     assert res.value is None
 
 
@@ -65,14 +65,14 @@ def test_summing_slow_decay_spends_budget_as_indeterminate(d, k, p):
     # far from the stopping rule
     _, gamma_min = admissible_gamma(d, k, p)
     res = summing_criterion(sobolev_profile(d, k, p), gamma_min - 1.0 + 0.001)
-    assert res.status == "indeterminate"
+    assert res.status == "truncated"
     assert res.value is None
 
 
 def test_summing_deep_march_value():
     # about 640 decades, x near 1470, where e^{-x} is 0 in double precision
     res = summing_criterion(sobolev_profile(2, 1, 1.0), 0.01)
-    assert res.status == "convergent"
+    assert res.status == "converged"
     assert res.value == pytest.approx(101.1166534708, rel=1e-12)
 
 
@@ -84,10 +84,10 @@ def test_weighted_integral_closed_form(d, k, p, alpha):
     e = 2.0 - 2.0 / p + alpha
     res = weighted_integral(profile, alpha)
     if e > 0:
-        assert res.status == "convergent"
+        assert res.status == "converged"
         assert res.value == pytest.approx(profile.eps ** e / e, rel=1e-12)
     else:
-        assert res.status == "divergent" and res.divergent
+        assert res.status == "divergent"
         assert res.value == math.inf
 
 
@@ -116,7 +116,7 @@ def test_chain_passes_on_a_valid_bound():
         1.0, 1.0, lambda x: math.log(5.0) + (1.0 + np.exp(-x)) * math.log(0.3))
     rep = verify_extrapolation_chain(x, profile, 0.0)
     assert rep.passed and rep.margin > 0
-    assert rep.quantities["integral_status"] == "convergent"
+    assert rep.quantities["integral_status"] == "converged"
     # int_1^2 5 (0.3)^p dp
     expect = 5 * (0.3 - 0.09) / math.log(1 / 0.3)
     assert rep.quantities["weighted_integral"] == pytest.approx(expect,
@@ -153,7 +153,7 @@ def test_chain_integrates_a_bound_that_blows_up_at_q():
     # 16 decades and read as divergent.
     rep = verify_extrapolation_chain(
         [0.3, 0.2], BoundProfile(1.0, 1.0, lambda x: 0.5 * x), 0.0)
-    assert rep.quantities["integral_status"] == "convergent"
+    assert rep.quantities["integral_status"] == "converged"
     assert rep.quantities["weighted_integral"] == pytest.approx(2.0, rel=1e-12)
     assert rep.passed and 0.0 < rep.margin < 2.0
 

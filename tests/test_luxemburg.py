@@ -10,8 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orlicheck.besov import BesovParams, besov_norm_classical
-from orlicheck.luxemburg import (_lux_root, embed_l2_check, modular_profile,
-                                 modular_seq, norm_fun, norm_seq, poly_norm)
+from orlicheck.luxemburg import (_lux_root, embed_l2_check, modular_seq,
+                                 norm_fun, norm_seq, poly_norm)
 from orlicheck.sampling import random_poly_1d, random_poly_on_frame
 from orlicheck.trig import TrigPoly, frame, sample_on_grid
 from orlicheck.young import (YoungFunctionError, make_logpower, make_power,
@@ -55,14 +55,6 @@ def test_unit_modular_at_norm():
         x = rng.standard_normal(32)
         lam = norm_seq(phi, x)
         assert modular_seq(phi, x, lam) == pytest.approx(1.0, abs=1e-9)
-
-
-def test_modular_profile_monotone_in_lambda():
-    phi = make_section7(0.05)
-    x = np.array([0.3, 1.2, 0.7])
-    profile = modular_profile(phi, x, np.geomspace(0.1, 10.0, 25))
-    mods = [mv.modular for mv in profile]
-    assert all(m2 <= m1 + 1e-12 for m1, m2 in zip(mods, mods[1:]))
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from orlicheck.conditions import embedding_weight, power_weight
-from orlicheck.numerics import (LN10, chandrupatla, gauss_panel,
+from orlicheck.numerics import (LN10, Status, chandrupatla, gauss_panel,
                                 integrate_finite_log, integrate_log_improper)
 from orlicheck.young import make_power, make_section7
 
@@ -57,7 +57,7 @@ def _scalar_march(logF, x0, breakpoints, *, nodes=64, rel_decade_tol=1e-8,
             ratio = c / prev
             slow_streak = slow_streak + 1 if ratio >= divergence_ratio else 0
             if slow_streak >= 3 and j >= 5:
-                return total, hi, j + 1, (False, True, False)
+                return total, hi, j + 1, Status.DIVERGENT
         prev = c
         lo = hi
         if total > 0.0 and c < rel_decade_tol * total:
@@ -65,10 +65,10 @@ def _scalar_march(logF, x0, breakpoints, *, nodes=64, rel_decade_tol=1e-8,
             if small_streak >= 2:
                 tail = c * ratio / (1.0 - ratio) if 0.0 < ratio < 1.0 else c
                 if tail < tail_rel * total:
-                    return total, hi, j + 1, (True, False, False)
+                    return total, hi, j + 1, Status.CONVERGED
         else:
             small_streak = 0
-    return total, lo, max_decades, (False, False, True)
+    return total, lo, max_decades, Status.TRUNCATED
 
 
 def _second_term(phi, psi, s, d=2):
@@ -91,19 +91,19 @@ def test_improper_exponential_closed_form(a):
     res = integrate_log_improper(lambda x: -a * x, x0,
                                  breakpoints=(1.5, 30.0))
     exact = math.exp(-a * x0) / a
-    assert res.converged and not (res.divergent or res.truncated)
+    assert res.status is Status.CONVERGED
     assert abs(res.value + res.tail_bound - exact) <= 1e-12 * exact
 
 
 def test_improper_slow_decay_is_truncated():
     res = integrate_log_improper(lambda x: -1e-3 * x, 0.0, max_decades=50)
-    assert res.truncated and not (res.converged or res.divergent)
+    assert res.status is Status.TRUNCATED and res.truncated
     assert res.n_decades == 50
 
 
 def test_improper_constant_integrand_is_divergent():
     res = integrate_log_improper(lambda x: np.zeros_like(x), 0.0)
-    assert res.divergent and not (res.converged or res.truncated)
+    assert res.status is Status.DIVERGENT
     assert res.tail_bound == math.inf
 
 
@@ -138,7 +138,7 @@ def test_improper_nan_past_the_stop_is_discarded():
     # stops after 6 decades (x = 13.8); the first block of 8 reaches 18.4
     logF = lambda x: np.where(x > 16.0, np.nan, -2.0 * x)
     res = integrate_log_improper(logF, 0.0)
-    assert res.converged and res.x_end < 16.0
+    assert res.status is Status.CONVERGED and res.x_end < 16.0
     assert res.value + res.tail_bound == pytest.approx(0.5, rel=1e-12)
 
 
@@ -152,7 +152,7 @@ def test_improper_overflow_is_not_converged():
     # exp(300 x) overflows from the second decade on: no warning, and the
     # first infinite decade reads as divergence, not as a spent budget
     res = integrate_log_improper(lambda x: 300.0 * x, 0.0, max_decades=40)
-    assert res.divergent and not res.converged and not res.truncated
+    assert res.status is Status.DIVERGENT
     assert res.n_decades < 40
     assert res.value == math.inf
 
@@ -167,9 +167,9 @@ def test_block_march_matches_scalar_march(phi, psi, s):
     psi = psi or embedding_weight(phi)
     logF, x0, breaks = _second_term(phi, psi, s)
     res = integrate_log_improper(logF, x0, breakpoints=breaks)
-    total, x_end, n, flags = _scalar_march(logF, x0, breaks)
+    total, x_end, n, status = _scalar_march(logF, x0, breaks)
     assert (res.n_decades, res.x_end) == (n, x_end)
-    assert (res.converged, res.divergent, res.truncated) == flags
+    assert res.status is status
     assert res.value == pytest.approx(total, rel=1e-13)
 
 
@@ -183,5 +183,5 @@ def test_block_march_calls_integrand_once_per_block():
         return logF(x)
 
     res = integrate_log_improper(counted, x0, breakpoints=breaks)
-    assert res.converged and res.n_decades == 2327
+    assert res.status is Status.CONVERGED and res.n_decades == 2327
     assert len(calls) <= 32      # one call per decade would be 2327

@@ -101,6 +101,44 @@ def test_logpower_inverse_matches_mpmath(p0, gamma, switch):
             assert abs(t / mpmath.exp(y) - 1) <= 2e-13, u
 
 
+def _logpower_log_inverse_oracle(y):
+    # make_logpower(1.2, 1.5): below Phi(1/2) solve 1.2 Y - 1.5 ln(-Y) = y,
+    # above it invert the tangent line at 1/2
+    p0, gamma, s = mpmath.mpf("1.2"), mpmath.mpf("1.5"), mpmath.mpf("0.5")
+    ls = -mpmath.log(s)
+    phi_s = s ** p0 * ls ** -gamma
+    if y > mpmath.log(phi_s):
+        slope = s ** (p0 - 1) * ls ** -gamma * (p0 + gamma / ls)
+        return mpmath.log(s + (mpmath.exp(y) - phi_s) / slope)
+    return mpmath.findroot(lambda v: p0 * v - gamma * mpmath.log(-v) - y,
+                           (y / p0 - 10 * gamma - 1, mpmath.log(s) + 1e-30),
+                           solver="anderson")
+
+
+def _tabulated_log_inverse_oracle(y):
+    # make_tabulated([(1, 1), (2, 4)]): slopes 1, 3, and 3 past (2, 4)
+    u = mpmath.exp(y)
+    t = u if u <= 1 else 1 + (u - 1) / 3
+    return mpmath.log(t)
+
+
+@pytest.mark.parametrize("phi, oracle", [
+    (make_logpower(1.2, 1.5), _logpower_log_inverse_oracle),
+    (make_tabulated([(1, 1), (2, 4)]), _tabulated_log_inverse_oracle),
+], ids=["logpower", "tabulated"])
+def test_log_inverse_far_outside_float_range_matches_mpmath(phi, oracle):
+    ys = [-1e5, -2000.0, -800.0, -700.0, 0.0, 700.0, 800.0, 2000.0, 1e5]
+    got = phi.log_inverse(np.array(ys))
+    assert np.all(np.isfinite(got))
+    with mpmath.workdps(50):
+        for y, v in zip(ys, got.tolist()):
+            want = oracle(mpmath.mpf(y))
+            assert abs(v - want) <= max(1e-12, 1e-15 * abs(want)), y
+    assert phi.log_inverse([-np.inf, np.inf]).tolist() == [-np.inf, np.inf]
+    with pytest.raises(YoungFunctionError, match="NaN"):
+        phi.log_inverse([0.0, np.nan])
+
+
 def test_logpower_rejects_bad_params():
     with pytest.raises(YoungFunctionError):
         make_logpower(0.9, 1.0)
@@ -306,7 +344,7 @@ def test_supermultiplicativity_power_equality():
     pairs = supermultiplicativity_pairs(seed=1, n=100)
     rep = check_supermultiplicativity(make_power(2.0), 1.0, pairs)
     assert rep.passed
-    assert abs(rep.details["min_relative_margin"]) <= 1e-12
+    assert abs(rep.min_relative_margin) <= 1e-12
 
 
 def test_supermultiplicativity_section7_with_paper_constant():
@@ -346,7 +384,7 @@ def test_inverse_product_section7_equality_beyond_r_squared():
 def test_inverse_product_logpower_reported():
     rep = check_inverse_product(make_logpower(1.2, 1.5), 4.0,
                                 np.geomspace(1e-6, 1e6, 100))
-    assert rep.grid_size == 100
+    assert rep.inputs["grid_size"] == 100
     assert rep.witness > 0
 
 
