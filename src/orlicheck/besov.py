@@ -85,16 +85,23 @@ def _shift_norms(f: TrigPoly, hs: np.ndarray,
                  phi: YoungFunction) -> np.ndarray:
     """||f(. + h) - f||_{L_Phi} for each row h of the (count, dim) array hs.
 
-    For Phi = t^2 Parseval gives sum |c_k|^2 |e^{ik.h} - 1|^2 for all rows
-    through one phase matrix.  Otherwise the differences are normed by
-    quadrature in one batch (luxemburg.poly_norms): stacked by degree,
-    sampled by one pruned FFT and solved by one row-wise Luxemburg root per
-    grid, with the values poly_norm gives each of them.
+    For Phi = t^2 Parseval gives sum_k |c_k|^2 4 sin^2(k.h / 2), whose terms
+    are even in k.  It is summed over the mirror-folded spectrum
+    (TrigPoly._folded: one k per pair {k, -k}, weight |c_k|^2 + |c_{-k}|^2,
+    no zero mode) in real arithmetic, as 2 sqrt(sin^2(hs K^T / 2) @ w): one
+    sine matrix, worked in place, and one matrix-vector product for all
+    rows.  Otherwise the differences are normed by quadrature in one batch
+    (luxemburg.poly_norms): stacked by degree, sampled by one pruned FFT and
+    solved by one row-wise Luxemburg root per grid, with the values
+    poly_norm gives each of them.
     """
-    if phi.kind == "power" and phi.params.get("p") == 2.0:
-        ks, cs = f._arrays
-        jumps = np.abs(np.exp(1j * (hs @ ks.T)) - 1.0) ** 2
-        return np.sqrt(np.sum(np.abs(cs) ** 2 * jumps, axis=1))
+    if phi.is_square:
+        ks, w = f._folded
+        s = hs @ ks.T
+        s *= 0.5
+        np.sin(s, out=s)
+        s *= s
+        return 2.0 * np.sqrt(s @ w)
     return poly_norms(phi, [f.translate(h) - f for h in hs])
 
 
@@ -116,8 +123,10 @@ def modulus(f: TrigPoly, t: float, phi: YoungFunction, *, angles: int = 64,
     circle |h| = t (4 * ``radii`` radii in 1-D), with one local refinement
     pass around the argmax (5 radii x 9 angles in 2-D, 9 radii in 1-D).
     Each stage, the grid and the refinement, is one batched _shift_norms
-    call.  For low-degree polynomials the objective is smooth and the grid
-    is observed-converged (double ``angles``/``radii`` to check).
+    call: for Phi = t^2 one real sine matrix over the mirror-folded
+    spectrum, otherwise one batched quadrature of the differences.  For
+    low-degree polynomials the objective is smooth and the grid is
+    observed-converged (double ``angles``/``radii`` to check).
     """
     if t <= 0:
         raise ValueError("shift radius t must be positive")
@@ -257,10 +266,9 @@ def best_approximation(f: TrigPoly, m: int,
         approx = convolve(multiplier(m), f)
     upper = poly_norm(phi, f - approx)
     exact = None
-    if phi.kind == "power" and phi.params.get("p") == 2.0:
-        outside = sum(abs(v) ** 2 for (k, l), v in f.coeffs.items()
-                      if max(abs(k), abs(l)) > m)
-        exact = float(math.sqrt(outside))
+    if phi.is_square:
+        ks, cs = f._arrays
+        exact = float(np.linalg.norm(cs[np.abs(ks).max(axis=1) > m]))
     return BestApprox(upper, exact)
 
 

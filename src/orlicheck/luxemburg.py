@@ -147,7 +147,7 @@ def poly_norm(phi: YoungFunction, f, *, oversample: int = 8,
     square function the Luxemburg norm equals the L2 norm, for which Parseval
     is exact; ``exact_l2=False`` forces the quadrature route.
     """
-    if exact_l2 and phi.kind == "power" and phi.params.get("p") == 2.0:
+    if exact_l2 and phi.is_square:
         return f.l2_norm()
     return refine_on_grid(f, lambda m: norm_fun(phi, f.sample_uniform(m)),
                           oversample=oversample, rel_tol=rel_tol,

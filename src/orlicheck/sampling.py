@@ -46,7 +46,8 @@ def _trial(check_id: str, level: int, poly_id: str, lhs: float, rhs: float,
 
     ``bound`` echoes the constant through which rhs was built (1 for the
     modular check, 24 C^2 for the Orlicz norm version, K for the Hilbert
-    lower route), and ``ratio`` is lhs / rhs (inf for rhs = 0).
+    lower route), and ``ratio`` is lhs / rhs: 0 when lhs = 0, as for the
+    zero band that passes trivially, and inf only for lhs > 0 = rhs.
     ``supported`` records whether the hypothesis checks of the underlying
     theorem held, so unsupported trials can be filtered rather than
     mistaken for counterexamples.
@@ -54,7 +55,8 @@ def _trial(check_id: str, level: int, poly_id: str, lhs: float, rhs: float,
     return VerificationReport(
         check_id=check_id, passed=lhs <= rhs * (1.0 + 1e-9), margin=rhs - lhs,
         quantities={"lhs": lhs, "rhs": rhs, "bound": bound,
-                    "ratio": lhs / rhs if rhs > 0 else math.inf,
+                    "ratio": (lhs / rhs if rhs > 0
+                              else math.inf if lhs > 0 else 0.0),
                     "supported": supported, **extra},
         inputs={"level": level, "poly_id": poly_id},
         tolerance="lhs <= rhs (1 + 1e-9)")

@@ -139,6 +139,23 @@ class TrigPoly:
                          count=len(keys))
         return ks, cs
 
+    @cached_property
+    def _folded(self) -> tuple[np.ndarray, np.ndarray]:
+        """The spectrum folded onto one half for sums of even functions of k:
+        each mirror pair {k, -k} as its member whose first nonzero coordinate
+        is positive, a float (count, dim) array, with the Parseval weight
+        |c_k|^2 + |c_{-k}|^2 (|c_k|^2 for a mode without its mirror).  The
+        zero mode is dropped."""
+        ks, cs = self._arrays
+        live = ks.any(axis=1)
+        ks, cs = ks[live], cs[live]
+        lead = ks[np.arange(len(ks)), (ks != 0).argmax(axis=1)]
+        reps, slot = np.unique(ks * np.sign(lead)[:, None], axis=0,
+                               return_inverse=True)
+        w = np.bincount(slot.ravel(), weights=np.abs(cs) ** 2,
+                        minlength=len(reps))
+        return reps.astype(float), w
+
     def support(self) -> set[tuple[int, ...]]:
         return set(self.coeffs)
 
@@ -203,9 +220,7 @@ class TrigPoly:
 
     def l2_norm(self) -> float:
         """L2 norm w.r.t. normalised measure = Euclidean coefficient norm."""
-        if not self.coeffs:
-            return 0.0
-        return float(np.sqrt(sum(abs(v) ** 2 for v in self.coeffs.values())))
+        return float(np.linalg.norm(self._arrays[1]))
 
 
 def coefficient_boxes(fs: Sequence[TrigPoly], degree: int) -> np.ndarray:

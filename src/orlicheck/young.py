@@ -86,7 +86,9 @@ class YoungFunction:
     """Paired evaluator (Phi, Phi^{-1}) with construction metadata.
 
     ``log_inverse(y)`` returns ln Phi^{-1}(e^y) and stays finite for |y| far
-    beyond float range of e^y, which the integral-condition checks require.
+    beyond float range of e^y, which the integral-condition checks require;
+    like the other two maps it raises YoungFunctionError on NaN, for every
+    kind.
     """
 
     kind: str
@@ -106,7 +108,16 @@ class YoungFunction:
         return self._inverse(u)
 
     def log_inverse(self, y):
+        y = np.asarray(y, dtype=float)
+        # min propagates NaN without a boolean pass over y
+        if y.size and np.isnan(y.min()):
+            raise YoungFunctionError("argument of Phi^{-1} must not be NaN")
         return self._log_inverse(y)
+
+    @property
+    def is_square(self) -> bool:
+        """Phi(t) = t^2, where Luxemburg norms are L2 norms (Parseval)."""
+        return self.kind == "power" and self.params.get("p") == 2.0
 
     def __repr__(self) -> str:  # params echo for report provenance
         inner = ", ".join(f"{k}={v:.6g}" for k, v in self.params.items()
@@ -203,9 +214,6 @@ def make_logpower(p0: float, gamma: float, switch: float = 0.5) -> YoungFunction
         return out
 
     def log_inv(y):
-        y = np.asarray(y, dtype=float)
-        if np.isnan(y).any():
-            raise YoungFunctionError("argument of Phi^{-1} must not be NaN")
         out = np.full_like(y, -np.inf)      # ln Phi^{-1}(0)
         big = y > math.log(phi_switch)
         if big.any():

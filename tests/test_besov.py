@@ -3,6 +3,7 @@
 import math
 from unittest import mock
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -135,6 +136,56 @@ def test_batched_shift_norms_match_per_shift_route(phi_name):
     assert degrees[2:] == [[1, 1, 3], [None, 1, None]]
 
 
+def _parseval_cases():
+    """Polynomials for the Phi = t^2 shift norms: random complex ones in 1-D
+    and 2-D of degree 1 to 8, sparse supports where k is present and -k is
+    missing, and supports holding the zero mode."""
+    rng = np.random.default_rng(7)
+    cases = []
+    for deg in range(1, 9):
+        cases.append(TrigPoly(1, {(k,): complex(*rng.standard_normal(2))
+                                  for k in range(-deg, deg + 1)}))
+        cases.append(random_poly2(deg, seed=deg))
+    return cases + [
+        TrigPoly(2, {(1, 0): 1, (0, 2): 1j}),
+        TrigPoly(2, {(1, 0): 1, (-1, 0): 2j, (0, -2): 0.5, (3, -1): 1 - 1j}),
+        TrigPoly(1, {(0,): 4.0, (-2,): 1j, (5,): 0.3}),
+        TrigPoly(2, {(0, 0): 4.0, (0, 1): 1.0, (0, -1): -1.0, (-2, 1): 2j}),
+    ]
+
+
+def test_parseval_shift_norms_match_translate_route():
+    # each coefficient of f(. + h) - f by the translate route is rounded to
+    # about eps |c_k| while it is about |c_k| |k.h| in size, so that route's
+    # own relative error grows like eps ||f|| / ||f(. + h) - f|| at small |h|
+    phi = make_power(2.0)
+    rng = np.random.default_rng(8)
+    radii = np.array([1e-9, 1e-6, 1e-3, 0.1, 1.0, 3.0, 7.0, 13.0, 25.0])
+    eps = np.finfo(float).eps
+    for f in _parseval_cases():
+        dirs = rng.standard_normal((radii.size, f.dim))
+        hs = radii[:, None] * dirs / np.linalg.norm(dirs, axis=1,
+                                                    keepdims=True)
+        got = _shift_norms(f, hs, phi)
+        for h, value in zip(hs, got):
+            want = (f.translate(h) - f).l2_norm()
+            tol = 1e-13 + 8.0 * eps * f.l2_norm() / want
+            assert value == pytest.approx(want, rel=tol, abs=0.0), (f, h)
+
+
+def test_parseval_shift_norm_at_tiny_shift_matches_mpmath():
+    f = TrigPoly(2, {(0, 0): 3.0, (1, 0): 1.0, (0, 2): 1j, (-1, 0): -0.5,
+                     (-3, 1): 0.5 - 2j})
+    h = np.array([[0.6e-9, -0.8e-9]])
+    got = float(_shift_norms(f, h, make_power(2.0))[0])
+    with mpmath.workdps(30):
+        h1, h2 = (mpmath.mpf(float(v)) for v in h[0])
+        want = mpmath.sqrt(mpmath.fsum(
+            abs(mpmath.mpc(c)) ** 2 * 4 * mpmath.sin((k * h1 + l * h2) / 2) ** 2
+            for (k, l), c in f.coeffs.items()))
+    assert got == pytest.approx(float(want), rel=1e-13)
+
+
 # ---------------------------------------------------------------------------
 # classical norm
 # ---------------------------------------------------------------------------
@@ -234,6 +285,9 @@ def test_best_approx_upper_dominates_exact():
     for m in (1, 2, 4):
         res = best_approximation(f, m, make_power(2.0))
         assert res.upper >= res.exact_l2 - 1e-12
+        outside = math.sqrt(sum(abs(v) ** 2 for (k, l), v in f.coeffs.items()
+                                if max(abs(k), abs(l)) > m))
+        assert res.exact_l2 == pytest.approx(outside, rel=1e-14)
 
 
 def test_best_approx_surviving_coefficient():

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from orlicheck.luxemburg import norm_seq, poly_norm
-from orlicheck.sampling import (classical_check_1d, l2_sampling_lower,
-                                orlicz_sampling_check, random_poly_1d,
-                                random_poly_on_frame)
+from orlicheck.sampling import (_trial, classical_check_1d,
+                                l2_sampling_lower, orlicz_sampling_check,
+                                random_poly_1d, random_poly_on_frame)
 from orlicheck.trig import TrigPoly, band_kernel, convolve, fejer, frame, sample_on_grid
 from orlicheck.young import SECTION7_R, make_power, make_section7
 
@@ -143,6 +143,12 @@ def test_l2_lower_zero_band():
     chk = l2_sampling_lower(f, 5)
     assert chk.passed
     assert chk.lhs == 0.0 and chk.rhs == 0.0
+    assert chk.ratio == 0.0
+
+
+def test_trial_ratio_is_infinite_only_for_positive_lhs():
+    assert _trial("t", 3, "p", 1.0, 0.0, 1.0, True).ratio == math.inf
+    assert _trial("t", 3, "p", 1.0, 4.0, 1.0, True).ratio == 0.25
 
 
 def test_l2_lower_single_harmonic_closed_form():

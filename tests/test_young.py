@@ -1,5 +1,6 @@
 """Construction, inversion, and structural checks of Young functions."""
 
+import dataclasses
 import math
 
 import mpmath
@@ -260,9 +261,18 @@ def test_zero_maps_to_zero():
                                  make_tabulated([(1.0, 1.0), (2.0, 4.0)])],
                          ids=lambda p: p.kind)
 def test_nan_argument_is_rejected(phi):
-    for fn in (phi, phi.inverse):
+    for fn in (phi, phi.inverse, phi.log_inverse):
         with pytest.raises(YoungFunctionError, match="NaN"):
             fn(np.array([1.0, math.nan]))
+
+
+def test_is_square_only_for_p2_and_survives_replace():
+    assert [phi.is_square for phi in all_kinds()].count(True) == 1
+    assert make_power(2.0).is_square
+    traced = dataclasses.replace(make_power(2.0), _forward=lambda t: t * t)
+    assert traced.is_square
+    assert not dataclasses.replace(make_power(3.0),
+                                   _forward=lambda t: t ** 3).is_square
 
 
 def test_config_roundtrip():
