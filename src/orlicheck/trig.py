@@ -10,9 +10,7 @@ one pruned inverse FFT over a stack of polynomials (sample_boxes): their
 coefficients fill rows of centred (2 degree + 1)^dim boxes
 (coefficient_boxes), and each axis in turn is zero-padded to the grid and
 transformed in place over all rows, so no transform runs over lines that are
-all zero.  The last axis is transformed in blocks of whole lines, which a
-caller may reduce one by one instead of holding the whole grid.
-TrigPoly.sample_uniform is the one-row case.
+all zero.  TrigPoly.sample_uniform is the one-row case.
 
 Grid quadrature
 ---------------
@@ -23,12 +21,14 @@ refine_on_grid      the one oversample-and-double loop: calls a functional
                     vector, whose entries settle one by one.
                     luxemburg.poly_norm and sampling.classical_check_1d
                     sample each grid whole; luxemburg.poly_norms samples a
-                    stack of polynomials in chunks of rows; poly_l1 sums |f|
-                    block by block, so its memory does not grow with the grid
-                    and its 4096-point cap only bounds its time.  On the band
-                    kernels poly_l1 stops at that cap unconverged:
-                    band_kernel(6) still moves by 8.2e-5 relatively on its
-                    last doubling, against its tolerance 1e-6.
+                    stack of polynomials in chunks of rows; poly_l1 samples
+                    only the 1-D factors of a rank factorisation of f and
+                    sums |f| block by block from them, so its memory does
+                    not grow with the grid and its 4096-point cap only bounds
+                    its time.  On the band kernels poly_l1 stops at that cap
+                    unconverged: band_kernel(6) still moves by 8.2e-5
+                    relatively on its last doubling, against its tolerance
+                    1e-6.
 
 Kernel constructions
 --------------------
@@ -66,9 +66,9 @@ from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
 
-# Points per block when sample_boxes reduces its grids block by block, and
-# per chunk of rows when luxemburg.poly_norms samples a stack: the working set
-# stays a few MB at any grid size.
+# Points per block when poly_l1 sums |f| over a grid, and per chunk of rows
+# when luxemburg.poly_norms samples a stack: the working set stays a few MB at
+# any grid size.
 SAMPLE_BLOCK = 2 ** 18
 
 __all__ = [
@@ -206,17 +206,12 @@ class TrigPoly:
             out += c * np.exp(1j * sum(ki * x for ki, x in zip(k, xs)))
         return out
 
-    def sample_uniform(self, m: int,
-                       reduce: Callable[[np.ndarray], object] | None = None
-                       ) -> np.ndarray | list:
-        """Values on the uniform grid 2 pi j / m per axis, j = 0..m-1.
-
-        The one-row case of sample_boxes: without ``reduce`` the full
-        (m,)*dim grid, with it the list of ``reduce(block)`` over blocks of
-        about SAMPLE_BLOCK points.  Exact provided m >= 2*degree+1.
+    def sample_uniform(self, m: int) -> np.ndarray:
+        """Values on the uniform grid 2 pi j / m per axis, j = 0..m-1, as an
+        (m,)*dim array: the one-row case of sample_boxes.  Exact provided
+        m >= 2*degree+1.
         """
-        out = sample_boxes(coefficient_boxes([self], self.degree), m, reduce)
-        return out if reduce is not None else out[0]
+        return sample_boxes(coefficient_boxes([self], self.degree), m)[0]
 
     def l2_norm(self) -> float:
         """L2 norm w.r.t. normalised measure = Euclidean coefficient norm."""
@@ -235,46 +230,27 @@ def coefficient_boxes(fs: Sequence[TrigPoly], degree: int) -> np.ndarray:
     return boxes
 
 
-def sample_boxes(boxes: np.ndarray, m: int,
-                 reduce: Callable[[np.ndarray], object] | None = None
-                 ) -> np.ndarray | list:
+def sample_boxes(boxes: np.ndarray, m: int) -> np.ndarray:
     """Values on the uniform m-grid of the polynomials stacked in ``boxes``
-    (see coefficient_boxes), by one pruned inverse FFT over the row axis.
+    (see coefficient_boxes), as a (rows,) + (m,)*dim array, by one pruned
+    inverse FFT over the row axis.
 
     Exact provided m >= 2*degree+1, so that the folded indices k mod m are
-    distinct.  Each axis but the last is zero-padded to m at the indices
-    k mod m and inverse-transformed in place, so each transform runs only
-    over the slab of lines that can be nonzero.  The last axis is then
-    padded and transformed in blocks of whole lines.
-
-    Without ``reduce`` there is one block and the result is the full
-    (rows,) + (m,)*dim array.  With ``reduce``, blocks hold about
-    SAMPLE_BLOCK points (at least one line), the grids are never held whole,
-    and the result is the list of ``reduce(block)`` in order; a block is a
-    complex (lines, m) array of consecutive lines of the output viewed as
-    (rows * m^(dim-1), m).
+    distinct.  Each axis in turn is zero-padded to m at the indices k mod m
+    and inverse-transformed in place, so each transform runs only over the
+    slab of lines that can be nonzero.
     """
-    rows, dim, width = boxes.shape[0], boxes.ndim - 1, boxes.shape[-1]
+    dim, width = boxes.ndim - 1, boxes.shape[-1]
     d = (width - 1) // 2
     if m < width:
         raise ValueError(f"grid size {m} aliases degree {d}")
     folded = np.arange(-d, d + 1) % m
     b = boxes
-    for ax in range(1, dim):
+    for ax in range(1, dim + 1):
         slab = np.zeros(b.shape[:ax] + (m,) + b.shape[ax + 1:], dtype=complex)
         slab[(slice(None),) * ax + (folded,)] = b
         b = np.fft.ifft(slab, axis=ax, norm="forward", out=slab)
-    lines = b.reshape(-1, width)
-    step = len(lines) if reduce is None else max(1, SAMPLE_BLOCK // m)
-    parts = []
-    for r in range(0, len(lines), step):
-        block = np.zeros((min(step, len(lines) - r), m), dtype=complex)
-        block[:, folded] = lines[r:r + step]
-        block = np.fft.ifft(block, norm="forward", out=block)
-        parts.append(block if reduce is None else reduce(block))
-    if reduce is None:
-        return parts[0].reshape((rows,) + (m,) * dim)
-    return parts
+    return b
 
 
 # ---------------------------------------------------------------------------
@@ -414,9 +390,9 @@ def refine_on_grid(f: TrigPoly, value: Callable[[int], object], *,
     Calls ``value(m)`` for uniform m-grids per axis, starting from
     m = max(8, oversample * (degree + 1)) capped at ``max_grid`` but never
     below the Nyquist size 2 * f.degree + 1, and doubles m while
-    2m <= max_grid, at most ``max_doublings`` times.  ``value`` samples f,
-    or a stack of polynomials of its degree, on the m-grid itself, whole or
-    block by block (see sample_boxes).  It returns a float or a vector of
+    2m <= max_grid, at most ``max_doublings`` times.  ``value`` samples f, a
+    stack of polynomials of its degree, or the 1-D factors of f, on the m-grid
+    itself (see sample_boxes, poly_l1).  It returns a float or a vector of
     floats.  Each entry freezes, converged, at the first grid where it moved
     by at most ``rel_tol`` relatively; the loop stops once all have, and an
     entry that never did keeps the last grid's value, not converged.  The
@@ -444,25 +420,59 @@ def refine_on_grid(f: TrigPoly, value: Callable[[int], object], *,
     return val, m, done
 
 
+def _rank_factors(f: TrigPoly) -> tuple[list[TrigPoly], list[TrigPoly]]:
+    """1-D polynomials a_i, b_i with f(x, y) = sum_i a_i(x) b_i(y), from the
+    SVD U S V^H of the coefficient box: a_i = s_i u_i and b_i = conj(v_i),
+    keeping the singular values above numpy's matrix_rank cut s_0 w eps for
+    box width w.  A 1-D f is the (w, 1) box, whose b is a constant."""
+    ks, cs = f._arrays
+    bad = ~np.isfinite(cs)
+    if bad.any():
+        named = dict(zip(map(tuple, ks[bad].tolist()), cs[bad].tolist()))
+        raise ValueError(f"non-finite coefficients {named}")
+    box = coefficient_boxes([f], f.degree)[0].reshape(2 * f.degree + 1, -1)
+    u, s, vh = np.linalg.svd(box)
+    r = int(np.count_nonzero(s > s[0] * max(box.shape) * np.finfo(float).eps))
+    polys = lambda vecs: [TrigPoly(1, dict(enumerate(c, -(len(c) // 2))))
+                          for c in vecs]
+    return polys((u[:, :r] * s[:r]).T), polys(vh[:r])
+
+
+def _factor_mean_abs(rows: list[TrigPoly], cols: list[TrigPoly], m: int,
+                     n: int) -> float:
+    """Mean of |sum_i a_i(x) b_i(y)| over the uniform m-grid in x times the
+    n-grid in y, from the a_i (rows) and b_i (cols) sampled once each, summed
+    over blocks of about SAMPLE_BLOCK points."""
+    a, b = (np.array([p.sample_uniform(k) for p in ps]).reshape(-1, k).T
+            for ps, k in ((rows, m), (cols, n)))
+    step = max(1, SAMPLE_BLOCK // n)
+    return sum(float(np.abs(a[i:i + step] @ b.T).sum())
+               for i in range(0, m, step)) / (m * n)
+
+
 def poly_l1(f: TrigPoly) -> float:
     """L1 norm (normalised measure) by grid averaging with doubling check.
 
     The grid starts at 8 (degree + 1) points per axis (refine_on_grid's
     default oversampling) and doubles at most 3 times, up to 4096 points per
-    axis, until the mean moves by at most 1e-6 relatively.  Each grid is
-    summed block by block through sample_uniform, so memory stays a few MB
-    whatever the grid, and the 4096 cap bounds the time only.  The doubling
-    check may end at the cap rather than at 1e-6, and the value carries no
-    status: on band_kernel(6) the last doubling, to 4096 points per axis,
-    still moves it by 8.2e-5 relatively.  That is far below the margins of
-    the bounds these norms feed into.
-    """
-    def mean_abs(m: int) -> float:
-        sums = f.sample_uniform(m, lambda v: float(np.abs(v).sum()))
-        return sum(sums) / m ** f.dim
+    axis, until the mean moves by at most 1e-6 relatively.  Each grid samples
+    the 2r one-dimensional factors of a rank-r factorisation of f
+    (_rank_factors) and sums |f| from them in blocks of SAMPLE_BLOCK points:
+    m^2 r work and a few MB whatever the grid, so the 4096 cap bounds the
+    time only.  r is 1 for plateau_kernel and 2 for band_kernel; a full-rank
+    f of high degree would cost more than a 2-D FFT.  The dropped singular
+    values move each grid value by at most w^4 eps ||f||_1 for box width w.
+    Non-finite coefficients raise ValueError.
 
-    return refine_on_grid(f, mean_abs, rel_tol=1e-6, max_doublings=3,
-                          max_grid=4096)[0]
+    The doubling check may end at the cap rather than at 1e-6, and the value
+    carries no status: on band_kernel(6) the last doubling, to 4096 points
+    per axis, still moves it by 8.2e-5 relatively.  That is far below the
+    margins of the bounds these norms feed into.
+    """
+    rows, cols = _rank_factors(f)
+    return refine_on_grid(
+        f, lambda m: _factor_mean_abs(rows, cols, m, m ** (f.dim - 1)),
+        rel_tol=1e-6, max_doublings=3, max_grid=4096)[0]
 
 
 # ---------------------------------------------------------------------------

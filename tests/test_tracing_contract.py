@@ -10,7 +10,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import tracing  # noqa: E402
-from orlicheck import besov, luxemburg  # noqa: E402
+from orlicheck import besov, luxemburg, trig  # noqa: E402
 from orlicheck.sampling import random_poly_1d  # noqa: E402
 from orlicheck.young import make_section7  # noqa: E402
 
@@ -39,3 +39,18 @@ def test_work_counters_bind_on_poly_norm_and_modulus():
     with mock.patch.object(besov, "_shift_norms", counted):
         besov.modulus(f, 0.5, phi)
     assert sum(rows) == shifts
+
+
+def test_poly_l1_samples_through_sample_uniform():
+    # trig.poly_l1_grid_bytes counts the points of the sample_uniform spans
+    # under poly_l1; _points reads the grid size as the second positional
+    calls = []
+    real = trig.TrigPoly.sample_uniform
+
+    def counted(self, *args):
+        calls.append(args)
+        return real(self, *args)
+
+    with mock.patch.object(trig.TrigPoly, "sample_uniform", counted):
+        trig.poly_l1(trig.band_kernel(3))
+    assert calls

@@ -1,8 +1,8 @@
 """Kernels, band decomposition, frames, and grid sampling."""
 
+import functools
 import math
 import tracemalloc
-from unittest import mock
 
 import numpy as np
 import pytest
@@ -279,8 +279,8 @@ def polys_and_grids(draw):
 
 
 @settings(max_examples=60, deadline=None)
-@given(polys_and_grids(), st.integers(min_value=1, max_value=100))
-def test_sample_uniform_matches_direct_summation(case, block):
+@given(polys_and_grids())
+def test_sample_uniform_matches_direct_summation(case):
     f, m = case
     axis = 2.0 * np.pi * np.arange(m) / m
     points = np.meshgrid(*(axis,) * f.dim, indexing="ij")
@@ -291,18 +291,94 @@ def test_sample_uniform_matches_direct_summation(case, block):
     zero = TrigPoly(f.dim, {}).sample_uniform(m)
     assert zero.shape == (m,) * f.dim
     assert not np.any(zero)
-    # reduced: blocks of whole rows, about ``block`` points each, in order
-    with mock.patch.object(trig, "SAMPLE_BLOCK", block):
-        parts = f.sample_uniform(m, lambda v: v.copy())
-    rows = max(1, block // m)
-    assert [len(p) for p in parts[:-1]] == [rows] * (len(parts) - 1)
-    assert 1 <= len(parts[-1]) <= rows
-    blocks = np.concatenate(parts).reshape((m,) * f.dim)
-    assert np.max(np.abs(blocks - direct)) < 1e-12
+
+
+@st.composite
+def factor_cases(draw):
+    """Random complex full-rank polynomials, explicit sums of 1-3 products
+    of 1-D factors, the zero polynomial and a constant."""
+    dim = draw(st.sampled_from([1, 2]))
+    degree = draw(st.integers(min_value=0, max_value=6))
+    kind = draw(st.sampled_from(["full", "products", "zero", "constant"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    w = 2 * degree + 1
+    noise = lambda *shape: (rng.standard_normal(shape)
+                            + 1j * rng.standard_normal(shape))
+    box = np.zeros((w,) * dim, dtype=complex)
+    if kind == "full":
+        box = noise(*box.shape)
+    elif kind == "products":
+        for _ in range(draw(st.integers(min_value=1, max_value=3))):
+            box += functools.reduce(np.multiply.outer,
+                                    [noise(w) for _ in range(dim)])
+    elif kind == "constant":
+        box[(degree,) * dim] = noise(1)[0]
+    return TrigPoly(dim, {tuple(np.subtract(idx, degree).tolist()): c
+                          for idx, c in np.ndenumerate(box)})
+
+
+@settings(max_examples=60, deadline=None)
+@given(factor_cases(), st.integers(min_value=0, max_value=40))
+def test_factor_route_matches_full_grid_route(f, extra):
+    # the full-grid mean of |f| is the reference the factor route replaced
+    rows, cols = trig._rank_factors(f)
+    first = 8 * (f.degree + 1)
+    for m in (2 * f.degree + 1 + extra, first, 2 * first, 4 * first,
+              8 * first):
+        full = float(np.mean(np.abs(f.sample_uniform(m))))
+        assert trig._factor_mean_abs(rows, cols, m, m ** (f.dim - 1)) \
+            == pytest.approx(full, rel=1e-13)
+
+
+# poly_l1 of the kernels as the full-grid route computed it
+KERNEL_L1 = {
+    **{(band_kernel, k): v for k, v in enumerate([
+        1.0, 2.062283824414431, 2.5322628684065958, 3.292597757758649,
+        3.2925977577586494, 3.2925977577586494, 3.2925977577586494,
+        3.2923269468162735, 3.290625735067618])},
+    **{(plateau_kernel, k): v for k, v in enumerate([
+        2.062283824414431, 2.062283824414431, 2.062283824414431,
+        2.062283824414431, 2.0622838244144304, 2.06228382441443,
+        2.0629079597416298])},
+    (fejer, 6): 1.0,
+}
+
+
+@pytest.mark.parametrize("kernel, k", list(KERNEL_L1),
+                         ids=lambda v: getattr(v, "__name__", v))
+def test_poly_l1_of_kernels_keeps_its_values(kernel, k):
+    assert poly_l1(kernel(k)) == pytest.approx(KERNEL_L1[kernel, k],
+                                               rel=1e-14)
+
+
+def test_kernels_factor_at_rank_one_and_two():
+    for k in range(-1, 7):
+        assert len(trig._rank_factors(plateau_kernel(k))[0]) == 1
+    for k in range(2, 9):
+        assert len(trig._rank_factors(band_kernel(k))[0]) == 2
+
+
+@pytest.mark.parametrize("k", range(0, 7))
+def test_plateau_grid_l1_is_the_square_of_its_factor(k):
+    # ||P_k (x) P_k||_1 = ||P_k||_1^2 holds on each grid of poly_l1's schedule
+    f, p = plateau_kernel(k), TrigPoly(1, trig._plateau_factor(k))
+    rows, cols = trig._rank_factors(f)
+    first = 8 * (f.degree + 1)
+    for m in (first * 2 ** j for j in range(4) if first * 2 ** j <= 4096):
+        assert trig._factor_mean_abs(rows, cols, m, m) == pytest.approx(
+            float(np.mean(np.abs(p.sample_uniform(m)))) ** 2, rel=1e-14)
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("bad", [math.nan, math.inf, complex(1, -math.inf)])
+def test_poly_l1_rejects_non_finite_coefficients(dim, bad):
+    f = TrigPoly(dim, {(1, 0)[:dim]: bad, (0, 1)[:dim]: 1.0})
+    with pytest.raises(ValueError, match=r"non-finite coefficients \{\(1,"):
+        poly_l1(f)
 
 
 def _mean_abs(f, m):
-    return sum(f.sample_uniform(m, lambda v: float(np.abs(v).sum()))) / m ** 2
+    return trig._factor_mean_abs(*trig._rank_factors(f), m, m)
 
 
 @pytest.mark.parametrize("k", [3, 4, 5, 6])
