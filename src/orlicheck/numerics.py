@@ -7,7 +7,10 @@ value can be trusted.
 
 The log-domain integrals evaluate blocks of decades, one vectorised integrand
 call per block; the decade stopping rule consumes a block in order and the
-decades past the stop are discarded.
+decades past the stop are discarded.  Blocks stop growing at 4096 Gauss
+nodes, 64 decades of 64: each float64 temporary of a block is then 32 KB,
+and the few alive at once stay under glibc's 128 KB trim threshold and top
+pad, so the heap is not trimmed and regrown on every block.
 
 Everything here is deterministic and pure.  The arguments that callers or
 refinement tests set are the Gauss nodes per panel, the breakpoints, the
@@ -57,12 +60,18 @@ def _decade_ends(x0: float, n: int) -> np.ndarray:
     return np.add.accumulate(np.concatenate(([x0], np.full(n, LN10))))
 
 
-def _decade_sums(fn: Callable[[np.ndarray], np.ndarray], ends: np.ndarray,
-                 breakpoints: Sequence[float], nodes: int) -> np.ndarray:
-    """Integral of fn over each [ends[i], ends[i+1]], split into panels at the
-    breakpoints inside it; one ``gauss_panel`` call, panels summed in order."""
-    breakpoints = np.asarray(breakpoints, dtype=float)
+def _decade_sums(logF: Callable[[np.ndarray], np.ndarray], ends: np.ndarray,
+                 breakpoints: np.ndarray, nodes: int) -> np.ndarray:
+    """Integral of exp(logF) over each [ends[i], ends[i+1]], split into panels
+    at the breakpoints inside it; one ``gauss_panel`` call, panels summed in
+    order.  The exponential overwrites logF's output unless it is read-only."""
+    def fn(x):
+        v = np.asarray(logF(x), dtype=float)
+        return np.exp(v, out=v if v.flags.writeable else None)
+
     inner = breakpoints[(breakpoints > ends[0]) & (breakpoints < ends[-1])]
+    if not inner.size:
+        return gauss_panel(fn, ends[:-1], ends[1:], nodes)
     edges = np.unique(np.concatenate((ends, inner)))
     vals = gauss_panel(fn, edges[:-1], edges[1:], nodes)
     owner = np.searchsorted(ends, edges[:-1], side="right") - 1
@@ -77,13 +86,15 @@ def integrate_finite_log(logF: Callable[[np.ndarray], np.ndarray],
     ``logF`` must return the logarithm of the (positive) integrand, which is
     how integrands built from Young-function inverses stay representable for
     arguments far outside float range.  All decades are evaluated as one
-    block; a NaN decade raises ValueError.
+    block; a NaN decade or a non-finite end raises ValueError.
     """
+    if not (math.isfinite(x0) and math.isfinite(x1)):
+        raise ValueError(f"ends must be finite, got [{x0!r}, {x1!r}]")
     if x1 <= x0:
         return 0.0
     ends = _decade_ends(x0, int((x1 - x0) / LN10) + 2)
     ends = np.append(ends[ends < x1], x1)
-    contribs = _decade_sums(lambda x: np.exp(logF(x)), ends, breakpoints,
+    contribs = _decade_sums(logF, ends, np.asarray(breakpoints, dtype=float),
                             nodes)
     nan = np.flatnonzero(np.isnan(contribs))
     if nan.size:
@@ -121,8 +132,9 @@ class ImproperIntegral:
         return self.status is Status.TRUNCATED
 
 
-# Each block adds 8 decades to all before it (8, 16, 32, 64), up to 128.
-_FIRST_BLOCK, _LAST_BLOCK = 8, 128
+# Each block adds 8 decades to all before it (8, 16, 32, 64), up to
+# _BLOCK_NODES Gauss nodes (see the module docstring for why).
+_FIRST_BLOCK, _BLOCK_NODES = 8, 4096
 
 
 def integrate_log_improper(logF: Callable[[np.ndarray], np.ndarray],
@@ -135,27 +147,43 @@ def integrate_log_improper(logF: Callable[[np.ndarray], np.ndarray],
     running total and the geometric tail estimate is below 1e-6 of it.
     Its status is divergent when the decade contributions fail the decay
     test (ratio >= 0.999 over three decades, from the sixth on), and
-    truncated when the decade budget runs out first.
+    truncated when the decade budget runs out first.  A non-finite x0 or a
+    budget below one decade raises ValueError.
 
-    Blocks of 8, 16, 32, 64, then 128 decades take one ``logF`` call each,
-    with overflow silenced; the rule consumes a block's decades in order and
-    discards those past the stop.  A consumed NaN decade raises ValueError;
-    a consumed decade that overflows to ``inf`` returns divergent at once.
+    Blocks of 8, 16, 32, 64, then ``4096 // nodes`` decades (at least one)
+    take one ``logF`` call each, with overflow silenced, and ``logF``'s
+    output is overwritten by its exponential.  A block's leading quiet
+    decades, each finite, positive, at least 1e-8 of the running total and
+    below 0.999 of the positive one before, reset both streaks and cannot
+    stop the march, so one ``cumsum`` (the rule's order of addition) takes
+    them; the rule consumes the rest of the block and discards the decades
+    past the stop.  A consumed NaN decade raises ValueError; a consumed
+    decade that overflows to ``inf`` returns divergent at once.
     """
-    fn = lambda x: np.exp(logF(x))
-    total = 0.0
-    prev = None
-    ratio = 0.0
-    small_streak = 0
-    slow_streak = 0
-    lo = x0
-    j = 0
+    if not (math.isfinite(x0) and max_decades >= 1):
+        raise ValueError("need a finite start and max_decades >= 1, got "
+                         f"{x0!r} and {max_decades!r}")
+    breakpoints = np.asarray(breakpoints, dtype=float)
+    cap = max(_BLOCK_NODES // nodes, 1)
+    total, prev, ratio, lo = 0.0, None, 0.0, x0
+    small_streak = slow_streak = j = 0
     while j < max_decades:
-        ends = _decade_ends(lo, min(j + _FIRST_BLOCK, _LAST_BLOCK,
-                                    max_decades - j))
+        ends = _decade_ends(lo, min(j + _FIRST_BLOCK, cap, max_decades - j))
         with np.errstate(over="ignore"):
-            contribs = _decade_sums(fn, ends, breakpoints, nodes).tolist()
-        for c, hi in zip(contribs, ends[1:].tolist()):
+            contribs = _decade_sums(logF, ends, breakpoints, nodes)
+        k = 0
+        if prev:    # a positive decade before; NaN, inf, 0 are not quiet
+            with np.errstate(all="ignore"):
+                run = np.cumsum(np.concatenate(([total], contribs)))
+                ratios = contribs / np.concatenate(([prev], contribs[:-1]))
+                quiet = ((contribs > 0.0) & (contribs >= 1e-8 * run[1:])
+                         & (ratios < 0.999))
+            k = quiet.size if quiet.all() else int(quiet.argmin())
+        if k:
+            total, lo, j = float(run[k]), float(ends[k]), j + k
+            prev, ratio = float(contribs[k - 1]), float(ratios[k - 1])
+            slow_streak = small_streak = 0
+        for c, hi in zip(contribs[k:].tolist(), ends[k + 1:].tolist()):
             if math.isnan(c):
                 raise ValueError(f"integrand is NaN on [{lo!r}, {hi!r}]")
             if math.isinf(c):

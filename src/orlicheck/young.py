@@ -256,6 +256,9 @@ def make_section7(alpha: float) -> YoungFunction:
     the multiplicativity estimates need.  The inverse is closed form on all
     three branches; the forward map inverts it by a safeguarded Newton
     iteration in the log domain (the middle branch is affine, hence exact).
+    The log inverse evaluates an array that lies wholly on the high branch,
+    as the embedding conditions' far decades do, in place and without
+    masks, in the masked route's operation order, so bit for bit alike.
     """
     alpha = float(alpha)
     if not 0.0 < alpha < math.exp(-2.0):
@@ -269,6 +272,12 @@ def make_section7(alpha: float) -> YoungFunction:
 
     def log_inv(y):
         y = np.asarray(y, dtype=float)
+        if y.size and y.min() >= log_r:     # all high: in place, no masks
+            v = 0.5 * y
+            lv = np.log(v)
+            v *= alpha
+            v /= lv
+            return np.subtract(y, v, out=v)
         out = np.empty_like(y)
         low = y < -log_r
         high = y >= log_r

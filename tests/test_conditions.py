@@ -194,3 +194,23 @@ def test_eval_rejects_bad_inputs():
         embedding_condition_eval(phi, constant_weight(1.0), 2, 0.5)
     with pytest.raises(ValueError):
         embedding_condition_sup(phi, constant_weight(1.0), 2, [])
+
+
+# Totals of the section7 embedding expression, pinned to the last bit: the
+# decade march's block schedule and its bulk step over quiet decades are
+# reorganisations of the same arithmetic and must not move them.
+PINNED_TOTALS = {
+    (0.01, 1.0): 1651.5020324109441, (0.01, 1e3): 1653.749360491811,
+    (0.01, 1e6): 1655.023811494024, (0.05, 1.0): 278.56273713267717,
+    (0.05, 1e3): 280.73782997118116, (0.05, 1e6): 282.1324064780885,
+    (0.13, 1.0): 91.98696831069117, (0.13, 1e3): 93.57634157367342,
+    (0.13, 1e6): 94.850759540146,
+}
+
+
+@pytest.mark.parametrize("alpha,s", sorted(PINNED_TOTALS))
+def test_section7_embed_totals_are_pinned(alpha, s):
+    phi = make_section7(alpha)
+    ev = embedding_condition_eval(phi, embedding_weight(phi), 2, s)
+    assert ev.total == PINNED_TOTALS[alpha, s]
+    assert ev.truncated is (alpha == 0.01)

@@ -1,13 +1,17 @@
 """Safeguards of the shared numerical kernels."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from orlicheck.conditions import embedding_weight, power_weight
-from orlicheck.numerics import (LN10, Status, chandrupatla, gauss_panel,
-                                integrate_finite_log, integrate_log_improper)
+from orlicheck.conditions import (embedding_condition_eval, embedding_weight,
+                                  power_weight)
+from orlicheck.numerics import (LN10, ImproperIntegral, Status,
+                                _decade_ends, _decade_sums, chandrupatla,
+                                gauss_panel, integrate_finite_log,
+                                integrate_log_improper)
 from orlicheck.young import make_power, make_section7
 
 
@@ -38,37 +42,84 @@ def test_chandrupatla_solves_each_entry_and_stops_at_ftol():
 # ---------------------------------------------------------------------------
 
 
-def _scalar_march(logF, x0, breakpoints, *, nodes=64, rel_decade_tol=1e-8,
-                  tail_rel=1e-6, max_decades=2600, divergence_ratio=0.999):
-    """Reference: the improper-integral march one decade at a time, each
-    decade split at its interior breakpoints into scalar Gauss panels."""
+def _scalar_decades(logF, x0, breakpoints, nodes, max_decades):
+    """(contribution, end) of each decade, one decade at a time, each split
+    at its interior breakpoints into scalar Gauss panels."""
     fn = lambda x: np.exp(logF(x))
-    total, prev, ratio = 0.0, None, 0.0
-    small_streak = slow_streak = 0
     lo = x0
-    for j in range(max_decades):
+    for _ in range(max_decades):
         hi = lo + LN10
         edges = [lo, *sorted(p for p in breakpoints if lo < p < hi), hi]
         c = 0.0
         for a, b in zip(edges[:-1], edges[1:]):
             c += gauss_panel(fn, a, b, nodes)
-        total += c
-        if prev is not None and prev > 0.0:
-            ratio = c / prev
-            slow_streak = slow_streak + 1 if ratio >= divergence_ratio else 0
-            if slow_streak >= 3 and j >= 5:
-                return total, hi, j + 1, Status.DIVERGENT
-        prev = c
+        yield c, hi
         lo = hi
-        if total > 0.0 and c < rel_decade_tol * total:
-            small_streak += 1
-            if small_streak >= 2:
-                tail = c * ratio / (1.0 - ratio) if 0.0 < ratio < 1.0 else c
-                if tail < tail_rel * total:
-                    return total, hi, j + 1, Status.CONVERGED
-        else:
-            small_streak = 0
-    return total, lo, max_decades, Status.TRUNCATED
+
+
+def _block_sizes(nodes=64):
+    """The march's schedule: 8, 16, 32, 64 decades, then 4096 nodes each."""
+    j = 0
+    while True:
+        n = min(j + 8, max(4096 // nodes, 1))
+        yield n
+        j += n
+
+
+def _block_decades(logF, x0, breakpoints, nodes, max_decades):
+    """The same decades evaluated as the march does, one vector panel call
+    per block of its schedule, so that BLAS rounds each panel alike."""
+    lo, j = x0, 0
+    breakpoints = np.asarray(breakpoints, dtype=float)
+    for n in _block_sizes(nodes):
+        if j >= max_decades:
+            return
+        ends = _decade_ends(lo, min(n, max_decades - j))
+        yield from zip(_decade_sums(logF, ends, breakpoints, nodes).tolist(),
+                       ends[1:].tolist())
+        lo, j = float(ends[-1]), j + ends.size - 1
+
+
+def _scalar_march(logF, x0, breakpoints=(), *, nodes=64, max_decades=2600,
+                  blocked=False, rel_decade_tol=1e-8, tail_rel=1e-6,
+                  divergence_ratio=0.999):
+    """Reference: the improper-integral march's rule applied one decade at a
+    time, on scalar panels or (``blocked``) on the march's own block sums."""
+    decades = _block_decades if blocked else _scalar_decades
+    total, prev, ratio = 0.0, None, 0.0
+    small_streak = slow_streak = 0
+    lo = x0
+    with np.errstate(over="ignore"):
+        for j, (c, hi) in enumerate(decades(logF, x0, breakpoints, nodes,
+                                            max_decades)):
+            if math.isnan(c):
+                raise ValueError(f"integrand is NaN on [{lo!r}, {hi!r}]")
+            if math.isinf(c):
+                return ImproperIntegral(math.inf, math.inf, hi, j + 1,
+                                        Status.DIVERGENT, math.inf)
+            total += c
+            if prev is not None and prev > 0.0:
+                ratio = c / prev
+                slow_streak = (slow_streak + 1 if ratio >= divergence_ratio
+                               else 0)
+                if slow_streak >= 3 and j >= 5:
+                    return ImproperIntegral(total, math.inf, hi, j + 1,
+                                            Status.DIVERGENT, ratio)
+            prev = c
+            lo = hi
+            if total > 0.0 and c < rel_decade_tol * total:
+                small_streak += 1
+                if small_streak >= 2:
+                    tail = (c * ratio / (1.0 - ratio) if 0.0 < ratio < 1.0
+                            else c)
+                    if tail < tail_rel * total:
+                        return ImproperIntegral(total, tail, hi, j + 1,
+                                                Status.CONVERGED, ratio)
+            else:
+                small_streak = 0
+    tail = prev * ratio / (1.0 - ratio) if 0.0 < ratio < 1.0 else math.inf
+    return ImproperIntegral(total, tail, lo, max_decades, Status.TRUNCATED,
+                            ratio)
 
 
 def _second_term(phi, psi, s, d=2):
@@ -161,16 +212,61 @@ def test_improper_overflow_is_not_converged():
     (make_section7(0.05), None),
     (make_section7(0.13), None),
     (make_power(3.0), power_weight(0.3)),
-], ids=["section7-0.05", "section7-0.13", "power3-pw0.3"])
+    (make_section7(0.01), None),                # truncated at 2600 decades
+], ids=["section7-0.05", "section7-0.13", "power3-pw0.3", "section7-0.01"])
 @pytest.mark.parametrize("s", [1.0, 10.0, 1e6])
 def test_block_march_matches_scalar_march(phi, psi, s):
     psi = psi or embedding_weight(phi)
     logF, x0, breaks = _second_term(phi, psi, s)
     res = integrate_log_improper(logF, x0, breakpoints=breaks)
-    total, x_end, n, status = _scalar_march(logF, x0, breaks)
-    assert (res.n_decades, res.x_end) == (n, x_end)
-    assert res.status is status
-    assert res.value == pytest.approx(total, rel=1e-13)
+    # the same decade sums under the per-decade rule: every field exact
+    assert res == _scalar_march(logF, x0, breaks, blocked=True)
+    # scalar Gauss panels: BLAS sums a block's last rows in another order
+    ref = _scalar_march(logF, x0, breaks)
+    assert (res.n_decades, res.x_end, res.status) == (
+        ref.n_decades, ref.x_end, ref.status)
+    assert res.value == pytest.approx(ref.value, rel=1e-13)
+
+
+def _slow_pair_then_flat(x):
+    # decades 54 and 55 end a block with two ratios >= 0.999, the next block
+    # opens quiet, and the third slow decade comes only at 101
+    return -1e-3 * (np.minimum(x, 53.0 * LN10)
+                    + np.clip(x, 56.0 * LN10, 100.0 * LN10) - 56.0 * LN10)
+
+
+def _nan_from_decade_150(x):
+    # decades run [j ln 10, (j + 1) ln 10]; 150 lies inside a 64-block
+    return np.where(x > 149.5 * LN10, np.nan, -1e-3 * x)
+
+
+@pytest.mark.parametrize("logF,max_decades", [
+    (lambda x: -1e-3 * x, 50),
+    (lambda x: -1e-3 * x, 130),                 # crosses the block at 120
+    (lambda x: np.where(x < 30.0, -np.inf, -0.05 * x), 2600),
+    (lambda x: np.where((x > 200.0) & (x < 300.0), -np.inf, -1e-3 * x),
+     2600),
+    (lambda x: 300.0 * x, 40),                  # overflow
+    (lambda x: np.zeros_like(x), 2600),         # constant: divergent
+    (lambda x: -1e-3 * np.minimum(x, 400.0), 2600),  # flat from decade 174
+    (_slow_pair_then_flat, 2600),
+    (lambda x: -0.5 * x, 2600),
+], ids=["slow-50", "slow-130", "zero-head", "zero-gap", "overflow",
+        "constant", "flat-tail", "slow-pair", "exponential"])
+def test_block_march_matches_per_decade_rule(logF, max_decades):
+    res = integrate_log_improper(logF, 0.0, max_decades=max_decades)
+    assert res == _scalar_march(logF, 0.0, max_decades=max_decades,
+                                blocked=True)
+
+
+def test_block_march_nan_inside_a_block_matches_per_decade_rule():
+    with pytest.raises(ValueError) as got:
+        integrate_log_improper(_nan_from_decade_150, 0.0)
+    with pytest.raises(ValueError) as want:
+        _scalar_march(_nan_from_decade_150, 0.0, blocked=True)
+    lo, hi = _decade_ends(0.0, 150)[-2:].tolist()
+    assert str(got.value) == str(want.value) == (
+        f"integrand is NaN on [{lo!r}, {hi!r}]")
 
 
 def test_block_march_calls_integrand_once_per_block():
@@ -184,4 +280,47 @@ def test_block_march_calls_integrand_once_per_block():
 
     res = integrate_log_improper(counted, x0, breakpoints=breaks)
     assert res.status is Status.CONVERGED and res.n_decades == 2327
-    assert len(calls) <= 32      # one call per decade would be 2327
+    # 8 + 16 + 32 + 64 decades, then blocks of 64 until one holds the stop
+    sizes, reached = [], 0
+    for n in _block_sizes():
+        if reached >= res.n_decades:
+            break
+        sizes.append(n)
+        reached += n
+    assert sizes[:5] == [8, 16, 32, 64, 64] and len(sizes) == 39
+    assert len(calls) == len(sizes)
+    # the breakpoints all split the first block; later ones hold 4096 nodes
+    assert calls[1:] == [64 * n for n in sizes[1:]]
+
+
+def test_march_working_set_stays_below_trim_threshold():
+    phi = make_section7(0.01)
+    psi = embedding_weight(phi)
+    embedding_condition_eval(phi, psi, 2, 1e6)        # warm the caches
+    tracemalloc.start()
+    try:
+        embedding_condition_eval(phi, psi, 2, 1e6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 192_000
+
+
+@pytest.mark.parametrize("x0", [math.inf, -math.inf, math.nan])
+def test_improper_rejects_non_finite_start(x0):
+    with pytest.raises(ValueError, match="finite"):
+        integrate_log_improper(lambda x: -x, x0)
+
+
+@pytest.mark.parametrize("max_decades", [0, -3])
+def test_improper_rejects_empty_budget(max_decades):
+    with pytest.raises(ValueError, match="max_decades"):
+        integrate_log_improper(lambda x: -x, 0.0, max_decades=max_decades)
+
+
+@pytest.mark.parametrize("x0,x1", [(0.0, math.inf), (-math.inf, 0.0),
+                                   (math.nan, 1.0), (0.0, math.nan),
+                                   (math.inf, 0.0)])
+def test_finite_log_rejects_non_finite_ends(x0, x1):
+    with pytest.raises(ValueError, match="finite"):
+        integrate_finite_log(lambda x: -x, x0, x1)

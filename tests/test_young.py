@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from orlicheck.young import (SECTION7_R, YoungFunctionError,
+from orlicheck.young import (SECTION7_LOG_R, SECTION7_R, YoungFunctionError,
                              check_inverse_product, check_sqrt_concavity,
                              check_supermultiplicativity,
                              check_multiplicativity_transfer, make_logpower,
@@ -192,6 +192,53 @@ def test_section7_continuity_at_knots():
         left = float(phi.inverse(knot * (1.0 - 1e-13)))
         right = float(phi.inverse(knot * (1.0 + 1e-13)))
         assert left == pytest.approx(right, rel=1e-12)
+
+
+def _section7_log_inv_masked(phi, y):
+    """Oracle: the three-branch section7 log inverse, every branch masked."""
+    alpha, p, q = (phi.params[k] for k in ("alpha", "p", "q"))
+    y = np.asarray(y, dtype=float).ravel()
+    out = np.empty_like(y)
+    low, high = y < -SECTION7_LOG_R, y >= SECTION7_LOG_R
+    mid = ~(low | high)
+    w = -0.5 * y[low]
+    out[low] = y[low] + alpha * w / np.log(w)
+    out[mid] = np.log(p * np.exp(y[mid]) + q)
+    v = 0.5 * y[high]
+    out[high] = y[high] - alpha * v / np.log(v)
+    return out
+
+
+def _section7_arguments():
+    rng = np.random.default_rng(7)
+    lr = SECTION7_LOG_R
+    high = np.concatenate(([lr, np.nextafter(lr, np.inf), 1e300, np.inf],
+                           rng.uniform(lr, 2e4, 300)))
+    low = np.concatenate(([np.nextafter(-lr, -np.inf), -1e300, -np.inf],
+                          rng.uniform(-2e4, -lr, 300)))
+    mixed = rng.permutation(np.concatenate(
+        (high[:50], low[:50], [-lr, 0.0, np.nextafter(lr, 0.0)],
+         rng.uniform(-lr, lr, 50))))
+    return {"high": high, "low": low, "mixed": mixed,
+            "empty": np.array([]), "scalar": 31.5,
+            "2d-high": high[4:304].reshape(20, 15),
+            "2d-mixed": mixed[:150].reshape(3, 50)}
+
+
+@pytest.mark.parametrize("alpha", [0.01, 0.05, 0.13])
+@pytest.mark.parametrize("case", list(_section7_arguments()))
+def test_section7_log_inverse_is_bitwise_the_masked_formula(alpha, case):
+    # arrays wholly on the high branch take an in-place route without masks
+    phi = make_section7(alpha)
+    y = _section7_arguments()[case]
+    with np.errstate(invalid="ignore"):        # +-inf give inf/inf = NaN
+        got = phi.log_inverse(y)
+        want = _section7_log_inv_masked(phi, y)
+    assert np.shape(got) == np.shape(y)
+    if np.ndim(y) == 0:
+        assert isinstance(got, float)
+    got = np.asarray(got, dtype=float).ravel()
+    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
 
 
 @pytest.mark.parametrize("alpha", [0.0, math.exp(-2.0), 0.2, -0.1])
