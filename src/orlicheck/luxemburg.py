@@ -11,11 +11,13 @@ max/mean wide.  Each end is halved or doubled while its sign is wrong,
 because the bounds hold exactly but their evaluation rounds.
 
 There is one root solver, and it is row-wise: the data are the rows of a
-(rows, n) array, every row gets its own bracket, and one vectorised
-Chandrupatla solve (numerics.chandrupatla) finishes them all, with one Phi
-call per step over the rows still running.  norm_seq and norm_fun are its
-one-row case; poly_norms stacks the samples of many polynomials of one
-degree, so a whole batch of shift norms costs a few Phi calls per grid.
+(rows, n) array.  A row whose scaled samples lie on one affine piece of Phi
+takes Jensen's end of its bracket, which is then the root; every other row
+gets its own bracket, and one vectorised Chandrupatla solve
+(numerics.chandrupatla) finishes them all, with one Phi call per step over
+the rows still running.  norm_seq and norm_fun are its one-row case;
+poly_norms stacks the samples of many polynomials of one degree, so a whole
+batch of shift norms costs a few Phi calls per grid, or none.
 """
 
 from __future__ import annotations
@@ -55,22 +57,24 @@ def _lux_root(phi: YoungFunction, a: np.ndarray, average: bool) -> np.ndarray:
     Works on a_r / max(a_r), in place in a (on subnormal data any bracket
     built from max(a_r) itself would underflow), and solves for
     s = 1/lambda, in which w * sum Phi(s * a_r) - 1 increases; w = 1/n for
-    the average, 1 for the sum, and N = n * w.  Every term is at most
-    Phi(s), so the modular is at most N * Phi(s) and the bracket opens at
-    s = Phi^{-1}(1/N).  It closes at the smaller of two points where the
-    modular is at least 1: s = Phi^{-1}(1/N) / mean(a_r), by Jensen's
-    inequality N * Phi(s * mean(a_r)) <= modular, and s = Phi^{-1}(1/w), by
-    the largest term w * Phi(s) alone.  Both inverses are shared by all
-    rows.  The bracket is one factor max/mean wide, so the row-wise
-    Chandrupatla solve needs a handful of modular evaluations, each one
-    Phi call over the rows still running.  The bounds hold exactly, but
-    where one is tight, as Jensen's is on an affine piece of Phi, the
-    rounded modular can land on the wrong side of 1.  A point where it is
-    within one rounding unit of 1 is taken as the root: s * d/ds modular
+    the average, 1 for the sum, and N = n * w.  By Jensen's inequality
+    N * Phi(s * mean(a_r)) <= modular, so the modular is at least 1 at
+    Jensen's end s = Phi^{-1}(1/N) / mean(a_r); where s * a_r lies on one
+    affine piece of Phi (phi.affine_pieces) the inequality is an equality,
+    and that end is the root at no Phi call.  The other rows are solved on
+    a bracket that opens at s = Phi^{-1}(1/N), since every term is at most
+    Phi(s), so the modular is at most N * Phi(s).  It closes at the smaller of
+    Jensen's end and s = Phi^{-1}(1/w), by the largest term w * Phi(s)
+    alone.  Both inverses are shared by all rows.  The bracket is one
+    factor max/mean wide, so the row-wise Chandrupatla solve needs a
+    handful of modular evaluations, each one Phi call over the rows still
+    running.  The bounds hold exactly, but where one is tight the rounded
+    modular can land on the wrong side of 1.  A point where it is within
+    one rounding unit of 1 is taken as the root: s * d/ds modular
     >= modular for convex Phi, so that point is off by at most about one
     unit relatively.  Otherwise each end is halved or doubled until its
-    sign is right, and the modular values of the final ends start the
-    solve.
+    sign is right, at most 200 times before RuntimeError, and the modular
+    values of the final ends start the solve.
     """
     n = a.shape[1]
     top = np.max(a, axis=1)
@@ -82,6 +86,18 @@ def _lux_root(phi: YoungFunction, a: np.ndarray, average: bool) -> np.ndarray:
         a = a[rows]
     top = top[rows]
     a /= top[:, None]
+    lo = float(phi.inverse(1.0 if average else 1.0 / n))
+    jensen = lo / np.mean(a, axis=1)
+    if phi.affine_pieces:
+        ends = np.array(phi.affine_pieces).T
+        on_piece = (((np.min(a, axis=1) * jensen)[:, None] >= ends[0])
+                    & (jensen[:, None] <= ends[1])).any(axis=1)
+        norms[rows[on_piece]] = top[on_piece] / jensen[on_piece]
+        if on_piece.all():
+            return norms
+        if on_piece.any():
+            rest = ~on_piece
+            a, rows, top, jensen = (v[rest] for v in (a, rows, top, jensen))
     weight = 1.0 / n if average else 1.0
 
     def excess(s: np.ndarray, idx: np.ndarray) -> np.ndarray:
@@ -90,17 +106,20 @@ def _lux_root(phi: YoungFunction, a: np.ndarray, average: bool) -> np.ndarray:
 
     def guard(s: np.ndarray, wrong_side, factor: float) -> np.ndarray:
         vals = excess(s, np.arange(s.size))
-        for _ in range(200):
+        for step in range(201):
             bad = np.flatnonzero(wrong_side(vals))
             if bad.size == 0:
-                break
+                return vals
+            if step == 200:
+                raise RuntimeError(f"Luxemburg root: {bad.size} of {s.size} "
+                                   "rows have no sign change after 200 "
+                                   "bracket steps")
             s[bad] *= factor
             vals[bad] = excess(s[bad], bad)
-        return vals
 
     unit = np.finfo(float).eps
-    lo = np.full(rows.size, float(phi.inverse(1.0 if average else 1.0 / n)))
-    hi = np.minimum(lo / np.mean(a, axis=1), float(phi.inverse(1.0 / weight)))
+    lo = np.full(rows.size, lo)
+    hi = np.minimum(jensen, float(phi.inverse(1.0 / weight)))
     f_lo = guard(lo, lambda v: v > unit, 0.5)
     f_hi = guard(hi, lambda v: v < -unit, 2.0)
     norms[rows] = top / chandrupatla(excess, lo, hi, f_lo, f_hi, rel=1e-13,

@@ -226,15 +226,17 @@ def chandrupatla(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
     opposite signs or zero, so a caller that has them already pays nothing
     for the ends.  Each entry stops once its bracket is at most ``rel``
     times its best point wide, or |fn| <= ``ftol`` there, and only the
-    entries still running are evaluated; after 100 steps every entry stops.
-    Returns the best point of each bracket, the end with the smaller |fn|.  The first step is the secant
-    through the two ends, so an end that is nearly a root costs one step.
+    entries still running are evaluated; an entry still running after 100
+    steps raises RuntimeError, which names how many there are.  Returns the
+    best point of each bracket, the end with the smaller |fn|.  The first
+    step is the secant through the two ends, so an end that is nearly a
+    root costs one step.
     """
     x1, x2, f1, f2 = (np.array(v, dtype=float) for v in (x1, x2, f1, f2))
     x3, f3 = x2, f2
     out = np.empty(x1.shape)
     live = np.arange(x1.size)
-    for step in range(100):
+    for step in range(101):
         near = np.abs(f1) < np.abs(f2)
         best = np.where(near, x1, x2)
         tol, dx = rel * np.abs(best), np.abs(x2 - x1)
@@ -242,6 +244,10 @@ def chandrupatla(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
         out[live[stop]] = best[stop]
         if stop.all():
             return out
+        if step == 100:
+            raise RuntimeError(f"Chandrupatla: {np.count_nonzero(~stop)} of "
+                               f"{out.size} entries unconverged after 100 "
+                               "steps")
         go = ~stop
         live, x1, x2, x3, f1, f2, f3, tol, dx = (
             v[go] for v in (live, x1, x2, x3, f1, f2, f3, tol, dx))
@@ -262,9 +268,6 @@ def chandrupatla(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
         x3, f3 = np.where(same, x1, x2), np.where(same, f1, f2)
         x2, f2 = np.where(same, x2, x1), np.where(same, f2, f1)
         x1, f1 = x, fx
-    near = np.abs(f1) < np.abs(f2)
-    out[live] = np.where(near, x1, x2)
-    return out
 
 
 def newton_monotone(h: Callable[[np.ndarray], np.ndarray],

@@ -88,7 +88,10 @@ class YoungFunction:
     ``log_inverse(y)`` returns ln Phi^{-1}(e^y) and stays finite for |y| far
     beyond float range of e^y, which the integral-condition checks require;
     like the other two maps it raises YoungFunctionError on NaN, for every
-    kind.
+    kind.  ``affine_pieces`` lists closed intervals (lo, hi), hi possibly
+    inf, on each of which Phi is affine; it is a property of Phi set by its
+    maker, and lets a Luxemburg root whose scaled data lie on one piece be
+    taken in closed form.
     """
 
     kind: str
@@ -97,6 +100,7 @@ class YoungFunction:
     _inverse: Callable = field(repr=False)
     _log_inverse: Callable = field(repr=False)
     log_inverse_breaks: tuple[float, ...] = ()
+    affine_pieces: tuple[tuple[float, float], ...] = ()
 
     def forward(self, t):
         return self._forward(t)
@@ -229,7 +233,8 @@ def make_logpower(p0: float, gamma: float, switch: float = 0.5) -> YoungFunction
 
     return YoungFunction("logpower", {"p0": p0, "gamma": gamma, "switch": switch},
                          _wrap(fwd), _wrap(inv), _wrap(log_inv),
-                         log_inverse_breaks=(math.log(phi_switch),))
+                         log_inverse_breaks=(math.log(phi_switch),),
+                         affine_pieces=((switch, math.inf),))
 
 
 # ---------------------------------------------------------------------------
@@ -323,7 +328,8 @@ def make_section7(alpha: float) -> YoungFunction:
 
     params = {"alpha": alpha, "r": r, "p": p, "q": q}
     return YoungFunction("section7", params, _wrap(fwd), _wrap(inv),
-                         _wrap(log_inv), log_inverse_breaks=(-log_r, log_r))
+                         _wrap(log_inv), log_inverse_breaks=(-log_r, log_r),
+                         affine_pieces=((t1, t2),))
 
 
 # ---------------------------------------------------------------------------
@@ -394,8 +400,10 @@ def make_tabulated(points: Iterable[Sequence[float]]) -> YoungFunction:
         out[mid] = np.log(inv(np.exp(y[mid])))
         return out
 
+    ends = ts.tolist()[1:-1] + [math.inf]      # the last segment runs on
     return YoungFunction("tabulated", {"points": tuple(map(tuple, pts))},
-                         _wrap(fwd), _wrap(inv), _wrap(log_inv))
+                         _wrap(fwd), _wrap(inv), _wrap(log_inv),
+                         affine_pieces=tuple(zip(ts.tolist(), ends)))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from orlicheck.besov import BesovParams, besov_norm_classical
 from orlicheck.luxemburg import (_lux_root, embed_l2_check, modular_seq,
                                  norm_fun, norm_seq, poly_norm)
+from orlicheck.numerics import chandrupatla
 from orlicheck.sampling import random_poly_1d, random_poly_on_frame
 from orlicheck.trig import TrigPoly, frame, sample_on_grid
 from orlicheck.young import (YoungFunctionError, make_logpower, make_power,
@@ -367,16 +368,18 @@ def test_section7_roots_need_few_modular_evaluations():
 
 
 def test_section7_root_cost_does_not_depend_on_rounding():
-    # Jensen's end is the root on these grids too, but its rounded modular
-    # lands exactly on 1, or one or two units below it, depending on the
-    # polynomial; every one must cost the two guard evaluations, not a
-    # doubled end and a solve (4 or 6 forward calls on half of them)
+    # Jensen's end is the root on these grids too: the scaled samples lie on
+    # the affine branch of section7, so it is taken without a Phi call.  Its
+    # rounded modular lands exactly on 1, or one or two units below it,
+    # depending on the polynomial, and a solve that checked it would cost
+    # two guard evaluations, or a doubled end and a solve (4 or 6 forward
+    # calls on half of them); taken in closed form it costs none on any
     for seed in range(8):
         f = random_poly_on_frame(4, seed)
         for m in (64, 128):
             phi, calls = _counting(make_section7(0.05))
             assert norm_fun(phi, f.sample_uniform(m)) > 0.0
-            assert calls["forward"] == 2
+            assert calls["forward"] == 0
 
 
 def test_classical_section7_norm_cost():
@@ -388,3 +391,134 @@ def test_classical_section7_norm_cost():
                          BesovParams(phi, math.sqrt, n_max=10))
     assert calls["forward"] <= 1011
     assert calls["inverse"] <= 449
+
+
+# ---------------------------------------------------------------------------
+# Jensen's end where Phi is affine on the scaled row
+# ---------------------------------------------------------------------------
+
+_LOGNORMAL = np.random.default_rng(23).lognormal(0.0, 1.0, 32)
+
+SHORTCUT_DATA = {
+    "lognormal": _LOGNORMAL,
+    "narrow": np.linspace(0.95, 1.05, 16),
+    "wide": np.linspace(0.2, 1.8, 16),
+    "single": np.array([2.0]),
+    "ramp": np.linspace(0.5, 1.0, 10),
+    "decades": np.geomspace(1.0, 1e-8, 50),
+    "padded": np.concatenate([_LOGNORMAL, np.zeros(8)]),
+    "subnormal": np.array([3e-310, 1e-310, 2e-310]),
+}
+
+# (phi, data, average, where the row scaled by its norm lies).  Zero-padded
+# rows close for tabulated, whose first piece starts at 0, and fall back for
+# section7.  A row wholly off the pieces of section7 would need more than
+# r ~ 2.6e6 entries, and the pieces of tabulated cover [0, oo), so those two
+# have straddling rows only; the pieces of tabulated on which an average can
+# lie are met by constant rows alone, since Phi^{-1}(1) = 1 is a knot
+SHORTCUT_CASES = [
+    ("power1.5", "lognormal", False, "off"),
+    ("power3", "lognormal", True, "off"),
+    ("logpower1,1", "single", False, "on"),
+    ("logpower1,1", "narrow", True, "on"),
+    ("logpower1,1", "narrow", False, "off"),
+    ("logpower1,1", "wide", True, "straddle"),
+    ("section7", "lognormal", False, "on"),
+    ("section7", "lognormal", True, "on"),
+    ("section7", "subnormal", True, "on"),
+    ("section7", "decades", False, "straddle"),
+    ("section7", "decades", True, "straddle"),
+    ("section7", "padded", False, "straddle"),
+    ("section7", "padded", True, "straddle"),
+    ("tabulated", "ramp", False, "on"),
+    ("tabulated", "single", True, "on"),
+    ("tabulated", "padded", False, "on"),
+    ("tabulated", "subnormal", False, "on"),
+    ("tabulated", "wide", True, "straddle"),
+]
+
+
+def _place(phi, scaled):
+    """Where the scaled row lies among the affine pieces of phi."""
+    lo, hi = scaled.min(), scaled.max()
+    if any(a <= lo and hi <= b for a, b in phi.affine_pieces):
+        return "on"
+    if any(a < hi and lo < b for a, b in phi.affine_pieces):
+        return "straddle"
+    return "off"
+
+
+@pytest.mark.parametrize("phi_name, data, average, where", SHORTCUT_CASES)
+def test_affine_shortcut_matches_oracle_and_solve(phi_name, data, average,
+                                                  where):
+    phi, phi_mp = ORACLE_PHIS[phi_name]
+    x = SHORTCUT_DATA[data]
+    # the norm is homogeneous, and scaling by 2^1000 is exact: the oracle
+    # sees normal numbers for the subnormal row
+    expect = _mp_norm(phi, phi_mp, x * 2.0 ** 1000, average) / 2.0 ** 1000
+    assert _place(phi, x / expect) == where
+    counted, calls = _counting(phi)
+    got = _lux_root(counted, x[None].copy(), average)[0]
+    # a row on a piece is taken at Jensen's end without a Phi call
+    assert (calls["forward"] == 0) == (where == "on")
+    assert got == pytest.approx(expect, rel=1e-12)
+    solved = _lux_root(dataclasses.replace(phi, affine_pieces=()),
+                       x[None].copy(), average)[0]
+    assert abs(got - solved) <= 4.0 * np.spacing(solved)
+
+
+@pytest.mark.parametrize("phi_name", ["logpower1,1", "section7", "tabulated"])
+def test_nan_row_beside_closed_rows_is_rejected(phi_name):
+    phi = ORACLE_PHIS[phi_name][0]
+    rows = np.array([[1.0, 1.0], [math.nan, 1.0], [1.0, 1.0]])
+    for average in (False, True):
+        with pytest.raises(YoungFunctionError, match="NaN"):
+            _lux_root(phi, rows.copy(), average)
+
+
+@pytest.mark.parametrize("phi", [
+    make_power(1.5), make_logpower(1.0, 1.0), make_logpower(1.5, 2.0, 0.1),
+    make_section7(0.01), make_section7(0.05), make_section7(0.13),
+    make_tabulated([(1.0, 1.0), (2.0, 3.0), (3.0, 7.0)]),
+    make_tabulated([(0.5, 0.1)])], ids=repr)
+def test_declared_pieces_are_affine(phi):
+    pieces = phi.affine_pieces
+    assert (len(pieces) == 0) == (phi.kind == "power")
+    if phi.kind == "tabulated":
+        assert len(pieces) == len(phi.params["points"]) - 1
+    for lo, hi in pieces:
+        if math.isinf(hi):
+            hi = 1e6 * lo
+        ends = phi(np.array([lo, hi]))
+        for frac in (0.25, 0.5, 0.75):
+            t = lo + frac * (hi - lo)
+            line = ends[0] + frac * (ends[1] - ends[0])
+            assert float(phi(t)) == pytest.approx(line, rel=1e-14), (lo, t)
+
+
+def test_section7_jensen_end_misses_off_the_affine_branch():
+    # as a sequence, 55 % of the entries scaled by the norm lie below t1,
+    # where Phi is not affine: the row must go to the solve, whose root
+    # Jensen's end misses by about 1.8e-5
+    phi, phi_mp = ORACLE_PHIS["section7"]
+    x = np.geomspace(1.0, 1e-12, 200)
+    expect = _mp_norm(phi, phi_mp, x, False)
+    assert _place(phi, x / expect) == "straddle"
+    counted, calls = _counting(phi)
+    assert _lux_root(counted, x[None].copy(), False)[0] == pytest.approx(
+        expect, rel=1e-12)
+    assert calls["forward"] > 0
+    jensen = float(np.mean(x)) / float(phi.inverse(1.0 / x.size))
+    assert abs(jensen / expect - 1.0) > 1e-6
+
+
+def test_root_bracket_that_never_closes_raises():
+    # a contrived Phi that vanishes above 1e-3: the first row's modular
+    # stays 0 however far its upper end is doubled, the second row's tiny
+    # entry closes its bracket
+    base = make_power(2.0)
+    phi = dataclasses.replace(
+        base, _forward=lambda t: np.where(np.asarray(t) < 1e-3, 1e9 * t, 0.0))
+    rows = np.array([[1.0, 1.0], [1.0, 1e-6]])
+    with pytest.raises(RuntimeError, match="1 of 2 rows"):
+        _lux_root(phi, rows, True)

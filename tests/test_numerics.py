@@ -37,6 +37,18 @@ def test_chandrupatla_solves_each_entry_and_stops_at_ftol():
     assert x[0] == pytest.approx(1.0 / 3.0, rel=1e-15)
 
 
+def test_chandrupatla_raises_on_entries_still_running_after_100_steps():
+    # a jump at 2e-200 on the bracket [1e-200, 1] has values +-1 only, so it
+    # is bisected, some 700 times before the bracket is rel = 1e-13 wide;
+    # the linear entry stops at its exact root on the first secant
+    def fn(x, idx):
+        return np.where(idx == 0, x - 0.5, np.sign(x - 2e-200))
+
+    with pytest.raises(RuntimeError, match="1 of 2 entries"):
+        chandrupatla(fn, [0.0, 1e-200], [1.0, 1.0], [-0.5, -1.0], [0.5, 1.0],
+                     rel=1e-13)
+
+
 # ---------------------------------------------------------------------------
 # log-domain quadrature
 # ---------------------------------------------------------------------------

@@ -1,15 +1,20 @@
 """What perfbench/workloads.py reads off the package's results: each
 quantity extractor is fed a real result of the builder its workload calls,
 on tiny inputs, so a change of result type that would break the benchmark
-fails here first."""
+fails here first.  One pass each of the two workloads built on Luxemburg
+roots is gated against the stored reference, so a change of their values
+fails here too."""
 
+import json
 import math
 import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
-sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
 
 import workloads  # noqa: E402
 from orlicheck import besov, conditions, sampling, trig, young  # noqa: E402
@@ -87,3 +92,18 @@ def test_norm_and_value_quantities():
               trig.poly_l1(trig.band_kernel(2))):
         q = workloads._value_quantities(v)
         assert set(q) == {"value"} and _plain_values(q) and q["value"] > 0.0
+
+
+@pytest.mark.parametrize("name", ["besov_section7", "frame_sampling"])
+def test_reference_seed_pass_is_correct(name):
+    # one pass of the workloads whose values come from Luxemburg roots, on
+    # the seed of the stored reference and gated against it as run.py does
+    refs = json.loads((PERFBENCH / "reference.json").read_text())
+    spec = workloads.WORKLOADS[name]
+    ref = refs["workloads"][name]
+    inputs = spec.build(refs["seed"], workloads.Untraced())
+    records = [rec for task in spec.tasks(inputs, workloads.Untraced())
+               for rec in task()]
+    spec.gate(records, ref)
+    assert {rec.key for rec in records} == set(ref)
+    assert [(r.key, r.error, r.wrong) for r in records if r.incorrect] == []
