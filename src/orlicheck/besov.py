@@ -19,8 +19,8 @@ import numpy as np
 
 from .luxemburg import poly_norm, poly_norms
 from .reports import VerificationReport
-from .trig import TrigPoly, band_kernel, convolve
-from .young import YoungFunction, make_power
+from .trig import TrigPoly, band_kernel, convolve, poly_from_box
+from .young import YoungFunction
 
 __all__ = [
     "BesovParams",
@@ -33,7 +33,6 @@ __all__ = [
     "best_approximation",
     "check_sum_integral_sandwich",
     "check_norm_comparison",
-    "dyadic_band_norm",
 ]
 
 
@@ -130,7 +129,7 @@ def modulus(f: TrigPoly, t: float, phi: YoungFunction, *, angles: int = 64,
     """
     if t <= 0:
         raise ValueError("shift radius t must be positive")
-    if not f.coeffs:
+    if not f.cs.size:
         return 0.0
     one_d = f.dim == 1
     n_r = 4 * radii if one_d else radii
@@ -194,7 +193,7 @@ def besov_norm_tilde(f: TrigPoly, params: BesovParams) -> BesovNorm:
         raise ValueError("the band norm is defined for 2-D polynomials")
     lux = poly_norm(params.phi, f)
     terms = [float(params.psi(2.0 ** n)) * poly_norm(params.phi, band)
-             if band.coeffs else 0.0 for n, band in _bands(f)]
+             if band.cs.size else 0.0 for n, band in _bands(f)]
     value = lux + float(np.sum(terms))
     return BesovNorm(value, lux, tuple(terms), 0.0)
 
@@ -226,15 +225,7 @@ def multiplier(m: int) -> TrigPoly:
     ks = np.arange(-m, m + 1)
     wk = _bump1(ks / m)
     gauss = np.exp(-(ks ** 2) / m ** 2)
-    coeffs = {}
-    for i, k in enumerate(ks):
-        if wk[i] == 0.0:
-            continue
-        for j, l in enumerate(ks):
-            v = wk[i] * wk[j] * gauss[i] * gauss[j]
-            if v != 0.0:
-                coeffs[(int(k), int(l))] = v
-    return TrigPoly(2, coeffs)
+    return poly_from_box(np.multiply.outer(wk, wk) * gauss[:, None] * gauss)
 
 
 @dataclass(frozen=True)
@@ -267,8 +258,7 @@ def best_approximation(f: TrigPoly, m: int,
     upper = poly_norm(phi, f - approx)
     exact = None
     if phi.is_square:
-        ks, cs = f._arrays
-        exact = float(np.linalg.norm(cs[np.abs(ks).max(axis=1) > m]))
+        exact = float(np.linalg.norm(f.cs[np.abs(f.ks).max(axis=1) > m]))
     return BestApprox(upper, exact)
 
 
@@ -290,7 +280,7 @@ def check_sum_integral_sandwich(f: TrigPoly, params: BesovParams,
     if t[0] < 1.0:
         raise ValueError("t grid must start at or above 1")
 
-    if not f.coeffs:
+    if not f.cs.size:
         return VerificationReport(
             check_id="sum-integral-sandwich", passed=True, margin=0.0,
             quantities=dict.fromkeys(
@@ -357,7 +347,7 @@ def check_norm_comparison(f: TrigPoly,
     levels = []
     worst = math.inf
     for n, band in _bands(f, start=2):
-        lhs = poly_norm(params.phi, band) if band.coeffs else 0.0
+        lhs = poly_norm(params.phi, band) if band.cs.size else 0.0
         m = 2 ** (n - 3) if n >= 3 else 0
         rhs = 36.0 * best_approximation(f, m, params.phi).upper
         margin = rhs - lhs
@@ -379,19 +369,3 @@ def check_norm_comparison(f: TrigPoly,
         tolerance="per-level 36*E bound with 1e-9 relative slack",
     )
 
-
-def dyadic_band_norm(f: TrigPoly, s: float, p: float, q: float,
-                     *, n_max: int | None = None) -> float:
-    """Display norm (||f||_{L_p}^q + sum 2^{q n s} ||b_n * f||_{L_p}^q)^{1/q}.
-
-    Standard combination with the outer 1/q root; used only in reports for
-    the smoothness-zero Hilbert target where it reduces to a weighted l2 sum.
-    """
-    phi = make_power(p)
-    total = poly_norm(phi, f) ** q
-    for n, band in _bands(f):
-        if band.coeffs:
-            total += 2.0 ** (q * n * s) * poly_norm(phi, band) ** q
-        if n_max is not None and n >= n_max:
-            break
-    return float(total ** (1.0 / q))

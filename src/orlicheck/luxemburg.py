@@ -127,13 +127,21 @@ def _lux_root(phi: YoungFunction, a: np.ndarray, average: bool) -> np.ndarray:
     return norms
 
 
+def _magnitudes(x) -> np.ndarray:
+    """|x| as a fresh flat float array, for _lux_root to scale in place."""
+    a = np.asarray(x).ravel()
+    if a.dtype not in (np.float64, np.complex128):
+        a = a.astype(complex)
+    return np.abs(a)
+
+
 def norm_seq(phi: YoungFunction, x) -> float:
     """Luxemburg norm of a finite (real or complex) sequence.
 
     Returns 0 iff x = 0; otherwise the unique lambda with unit modular,
     to relative tolerance 1e-12.
     """
-    a = np.abs(np.asarray(x, dtype=complex).ravel()).astype(float)
+    a = _magnitudes(x)
     if a.size == 0:
         return 0.0
     return float(_lux_root(phi, a[None], average=False)[0])
@@ -147,7 +155,7 @@ def norm_fun(phi: YoungFunction, samples) -> float:
     least 8(D+1) points per axis (see poly_norm for the convergence-checked
     wrapper).
     """
-    a = np.abs(np.asarray(samples, dtype=complex).ravel()).astype(float)
+    a = _magnitudes(samples)
     if a.size == 0:
         raise ValueError("empty sample grid")
     return float(_lux_root(phi, a[None], average=True)[0])
@@ -187,7 +195,7 @@ def poly_norms(phi: YoungFunction, fs: Sequence) -> np.ndarray:
     del grids["exact_l2"]
     groups: dict[int, list[int]] = {}
     for i, f in enumerate(fs):
-        if f.coeffs:
+        if f.cs.size:
             groups.setdefault(f.degree, []).append(i)
     out = np.zeros(len(fs))
     for degree, idx in groups.items():
@@ -212,7 +220,7 @@ def embed_l2_check(phi: YoungFunction, x) -> VerificationReport:
     norm, and Phi^{-1}(1) <= 1 for the kinds used here.
     """
     conc = check_sqrt_concavity(phi, np.geomspace(1e-8, 1e8, 257))
-    a = np.abs(np.asarray(x, dtype=complex).ravel()).astype(float)
+    a = _magnitudes(x)
     l2 = float(np.sqrt(np.sum(a ** 2)))
     lux = norm_seq(phi, a)
     margin = lux - l2

@@ -23,10 +23,11 @@ import math
 
 import numpy as np
 
+from . import luxemburg
 from .luxemburg import norm_seq, poly_norm
 from .reports import VerificationReport
 from .trig import (Frame, TrigPoly, band_kernel, convolve, frame,
-                   refine_on_grid, sample_on_grid)
+                   poly_from_box, refine_on_grid, sample_on_grid)
 from .young import (YoungFunction, check_inverse_product,
                     check_supermultiplicativity, supermultiplicativity_pairs)
 
@@ -109,16 +110,22 @@ def orlicz_sampling_check(f: TrigPoly, n: int, phi: YoungFunction, C: float,
     either side of it, because the frame keeps only omega_n of the M^2 grid
     points and grid Parseval does not hold on it.
 
-    The function norm is grid quadrature with ``rel_tol=1e-5`` but only one
-    doubling, so it can come back unconverged with no sign of it.  On
-    random_poly_on_frame(3, seed=5) under section7 its 64- and 128-point
-    grids differ by 9.8e-5 relatively, and the 128-point value it returns
-    is 1.5e-5 below the 1024-point one.  The 24 C^2 margin dwarfs such an
-    error, but the value is not the 1e-5 quadrature the tolerance suggests.
+    The function norm is exact (Parseval) for Phi = t^2, else grid
+    quadrature that asks 1e-5 of one doubling and need not get it:
+    ``fun_norm_grid`` and ``fun_norm_converged`` say where it stopped (0 and
+    True when exact).  On random_poly_on_frame(3, seed=5) under section7 the
+    64- and 128-point grids differ by 9.8e-5 relatively, and the 128-point
+    value is 1.5e-5 below the 1024-point one, which the 24 C^2 margin dwarfs.
+    Each mode must satisfy 2^{n-3} < max_i |k_i| < 2^n for the frame's level
+    n; the ValueError says how many do not.
     """
     fr = fr or frame(n)
-    if not set(f.support()) <= set(fr.indices):
-        raise ValueError("spectrum support must lie inside the frame")
+    radius = np.abs(f.ks).max(axis=1)
+    outside = np.count_nonzero((radius <= 2 ** (fr.level - 3))
+                               | (radius >= 2 ** fr.level))
+    if outside:
+        raise ValueError(f"{outside} of {radius.size} modes lie outside the "
+                         f"frame of level {fr.level}")
     supported = True
     if check_preconditions:
         pairs = supermultiplicativity_pairs(0, 64)
@@ -128,15 +135,19 @@ def orlicz_sampling_check(f: TrigPoly, n: int, phi: YoungFunction, C: float,
     samples = sample_on_grid(f, fr)
     lhs = norm_seq(phi, samples)
     bound = 24.0 * C * C
-    # asks 1e-5 of the function-norm quadrature but need not get it: one
-    # doubling, and the result carries no status (see the docstring)
-    fun_norm = poly_norm(phi, f, rel_tol=1e-5, max_doublings=1, max_grid=1024)
+    if phi.is_square:
+        fun_norm, grid, converged = poly_norm(phi, f), 0, True
+    else:   # luxemburg.norm_fun, where perfbench's tracer wraps it
+        fun_norm, grid, converged = refine_on_grid(
+            f, lambda m: luxemburg.norm_fun(phi, f.sample_uniform(m)),
+            rel_tol=1e-5, max_doublings=1, max_grid=1024)
     inv_omega = float(phi.inverse(float(fr.omega)))
     rhs = bound * inv_omega * fun_norm
     return _trial(
         "orlicz-sampling", n, poly_id or f"deg{f.degree}", lhs, rhs, bound,
         supported,
-        constant_ratio=lhs / (inv_omega * fun_norm) if fun_norm > 0 else 0.0)
+        constant_ratio=lhs / (inv_omega * fun_norm) if fun_norm > 0 else 0.0,
+        fun_norm_grid=grid, fun_norm_converged=converged)
 
 
 def l2_sampling_lower(f: TrigPoly, n: int, *, K: float = 2.0,
@@ -151,7 +162,7 @@ def l2_sampling_lower(f: TrigPoly, n: int, *, K: float = 2.0,
         raise ValueError("the frame grid needs level >= 3")
     band = convolve(band_kernel(n), f)
     lhs = rhs = 0.0
-    if band.coeffs:
+    if band.cs.size:
         fr = frame(n)
         lhs = band.l2_norm()
         samples = sample_on_grid(band, fr)
@@ -181,18 +192,14 @@ def random_poly_on_frame(n: int, seed: int, law: str = "gaussian", *,
     below 1 keeps a random subset of the frame lattice, drawn before the
     coefficients.
     """
-    fr = frame(n)
+    ks = frame(n).ks
     rng = np.random.default_rng(seed)
-    idx = list(fr.indices)
     if subset_fraction < 1.0:
-        keep = rng.random(len(idx)) < subset_fraction
-        idx = [k for k, flag in zip(idx, keep) if flag]
-    return TrigPoly(2, dict(zip(idx, _coefficients(rng, len(idx), law))))
+        ks = ks[rng.random(len(ks)) < subset_fraction]
+    return TrigPoly.from_arrays(2, ks, _coefficients(rng, len(ks), law))
 
 
 def random_poly_1d(degree: int, seed: int, law: str = "gaussian") -> TrigPoly:
     """Deterministic random 1-D polynomial with full spectrum [-degree, degree]."""
     rng = np.random.default_rng(seed)
-    vals = _coefficients(rng, 2 * degree + 1, law)
-    return TrigPoly(1, {(k,): v for k, v in zip(range(-degree, degree + 1),
-                                                vals)})
+    return poly_from_box(_coefficients(rng, 2 * degree + 1, law))

@@ -1,16 +1,17 @@
 """Trigonometric polynomials on the 1- and 2-torus in coefficient space.
 
-Coefficient maps are sparse dictionaries keyed by lattice points (int for
-dimension 1, (int, int) for dimension 2).  All torus integrals use the
-normalised measure (2 pi)^{-d} dx, so convolution is the coefficient-wise
-product of coefficient maps and the L2 norm is the plain Euclidean norm of
-the coefficients.  Translation, evaluation and uniform sampling are written
-once for any dimension, from the sorted support array.  Uniform sampling is
-one pruned inverse FFT over a stack of polynomials (sample_boxes): their
-coefficients fill rows of centred (2 degree + 1)^dim boxes
-(coefficient_boxes), and each axis in turn is zero-padded to the grid and
-transformed in place over all rows, so no transform runs over lines that are
-all zero.  TrigPoly.sample_uniform is the one-row case.
+A polynomial is stored as its sorted support ks and its coefficients cs
+(see TrigPoly), and every operation is array work on them: sums merge the
+supports, convolution intersects them, scaling and translation multiply cs.
+Kernels and random polynomials are built as centred coefficient boxes
+(poly_from_box).  All torus integrals use the normalised measure
+(2 pi)^{-d} dx, so convolution is the coefficient-wise product and the L2
+norm is the Euclidean norm of cs.  Uniform sampling is one pruned inverse
+FFT over a stack of polynomials (sample_boxes): their coefficients fill rows
+of centred (2 degree + 1)^dim boxes (coefficient_boxes), and each axis in
+turn is zero-padded to the grid and transformed in place over all rows, so
+no transform runs over lines that are all zero.  TrigPoly.sample_uniform is
+the one-row case.
 
 Grid quadrature
 ---------------
@@ -19,16 +20,13 @@ refine_on_grid      the one oversample-and-double loop: calls a functional
                     value settles to ``rel_tol``, and returns
                     (value, grid, converged).  The functional may return a
                     vector, whose entries settle one by one.
-                    luxemburg.poly_norm and sampling.classical_check_1d
-                    sample each grid whole; luxemburg.poly_norms samples a
-                    stack of polynomials in chunks of rows; poly_l1 samples
-                    only the 1-D factors of a rank factorisation of f and
-                    sums |f| block by block from them, so its memory does
-                    not grow with the grid and its 4096-point cap only bounds
-                    its time.  On the band kernels poly_l1 stops at that cap
-                    unconverged: band_kernel(6) still moves by 8.2e-5
-                    relatively on its last doubling, against its tolerance
-                    1e-6.
+                    luxemburg.poly_norm and the two sampling checks sample
+                    each grid whole; luxemburg.poly_norms samples a stack of
+                    polynomials in chunks of rows; poly_l1 samples only the
+                    1-D factors of a rank factorisation of f and sums |f|
+                    block by block from them, so its memory does not grow
+                    with the grid and its 4096-point cap only bounds its
+                    time (it stops there unconverged on the band kernels).
 
 Kernel constructions
 --------------------
@@ -59,9 +57,9 @@ annulus, so "samples on the frame" is a well-defined finite sequence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from itertools import chain
+from types import MappingProxyType
 from typing import Callable, Iterable, Mapping, Sequence
 
 import numpy as np
@@ -84,60 +82,92 @@ __all__ = [
     "sample_boxes",
     "poly_l1",
     "refine_on_grid",
+    "poly_from_box",
     "poly_from_coeff_list",
     "poly_to_coeff_list",
 ]
 
 
 def _norm_key(dim: int, key) -> tuple[int, ...]:
-    if dim == 1:
-        if isinstance(key, tuple):
-            (k,) = key
-            return (int(k),)
-        return (int(key),)
-    k, l = key
-    return (int(k), int(l))
+    key = key if isinstance(key, tuple) else (key,)
+    if len(key) != dim:
+        raise ValueError(f"lattice point {key} is not of dimension {dim}")
+    return tuple(map(int, key))
 
 
-@dataclass(frozen=True)
+def _linear(ks: np.ndarray, base: int) -> np.ndarray:
+    """One int per lattice point of ks, increasing in lexicographic order,
+    for coordinates |k_i| < base / 2."""
+    return ks[:, 0] * base + ks[:, 1] if ks.shape[1] == 2 else ks[:, 0]
+
+
+def _times(a, b) -> np.ndarray:
+    """Element-wise a b rounded as Python rounds complex products, each real
+    product on its own; NumPy's complex multiply may fuse one into the sum
+    (moving the last bit, differently on different CPUs)."""
+    out = np.empty(np.broadcast(a, b).shape, dtype=complex)
+    out.real = a.real * b.real - a.imag * b.imag
+    out.imag = a.real * b.imag + a.imag * b.real
+    return out
+
+
 class TrigPoly:
-    """Finite Fourier-coefficient map on Z or Z^2; immutable and pure.
+    """Finite Fourier series on Z or Z^2; immutable and pure.
 
-    ``degree`` is the per-axis coordinate degree max |k_i| over the nonzero
-    support.  Evaluation on uniform grids uses a zero-padded inverse FFT when
-    the grid is at least Nyquist for the degree; arbitrary points use direct
-    summation over the sparse support.
+    Stored as ``ks``, the read-only int64 (count, dim) array of the lattice
+    points with a nonzero coefficient in lexicographic order, and ``cs``,
+    their read-only complex128 coefficients.  ``TrigPoly(dim, mapping)``
+    builds from a dict keyed by ints or tuples.  ``coeffs`` (a read-only
+    tuple-keyed mapping), ``coeff`` and ``support`` are views for tests and
+    I/O, built on demand.  ``degree`` is max |k_i| over the support.
     """
 
-    dim: int
-    coeffs: Mapping[tuple[int, ...], complex] = field(default_factory=dict)
+    def __init__(self, dim: int, coeffs: Mapping | None = None):
+        clean = {_norm_key(dim, k): v for k, v in (coeffs or {}).items()}
+        ks = np.array(list(clean), dtype=np.int64).reshape(len(clean), dim)
+        order = np.lexsort(ks.T[::-1])
+        self._set(dim, ks[order],
+                  np.array(list(clean.values()), dtype=complex)[order])
 
-    def __post_init__(self):
-        if self.dim not in (1, 2):
+    @classmethod
+    def from_arrays(cls, dim: int, ks, cs) -> "TrigPoly":
+        """From distinct lattice points ks, an int (count, dim) array in
+        lexicographic order, and their coefficients cs; both are copied."""
+        cs = np.array(cs, dtype=complex).ravel()
+        ks = np.array(ks, dtype=np.int64).reshape(len(cs), dim)
+        lin = _linear(ks, 2 * int(np.abs(ks).max(initial=0)) + 1)
+        if np.any(lin[1:] <= lin[:-1]):
+            raise ValueError("lattice points must be distinct and in "
+                             "lexicographic order")
+        return cls._of(dim, ks, cs)
+
+    @classmethod
+    def _of(cls, dim: int, ks: np.ndarray, cs: np.ndarray) -> "TrigPoly":
+        """from_arrays for arrays known to be valid and owned by no writer."""
+        return cls.__new__(cls)._set(dim, ks, cs)
+
+    def _set(self, dim: int, ks: np.ndarray, cs: np.ndarray) -> "TrigPoly":
+        if dim not in (1, 2):
             raise ValueError("dimension must be 1 or 2")
-        clean = {}
-        for key, val in self.coeffs.items():
-            kk = _norm_key(self.dim, key)
-            val = complex(val)
-            if val != 0:
-                clean[kk] = val
-        object.__setattr__(self, "coeffs", clean)
+        live = cs != 0
+        if not live.all():
+            ks, cs = ks[live], cs[live]
+        ks.flags.writeable = cs.flags.writeable = False
+        self.dim, self.ks, self.cs = dim, ks, cs
+        return self
 
     @cached_property
     def degree(self) -> int:
-        if not self.coeffs:
-            return 0
-        return max(max(abs(c) for c in key) for key in self.coeffs)
+        return int(np.abs(self.ks).max(initial=0))
 
-    @cached_property
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """Sorted support as an int (count, dim) array and its coefficients."""
-        keys = sorted(self.coeffs)
-        ks = np.fromiter(chain.from_iterable(keys), dtype=np.int64,
-                         count=len(keys) * self.dim).reshape(len(keys), self.dim)
-        cs = np.fromiter((self.coeffs[k] for k in keys), dtype=complex,
-                         count=len(keys))
-        return ks, cs
+    def __eq__(self, other):
+        if not isinstance(other, TrigPoly):
+            return NotImplemented
+        return (self.dim == other.dim and np.array_equal(self.ks, other.ks)
+                and np.array_equal(self.cs, other.cs))
+
+    def __repr__(self) -> str:
+        return f"TrigPoly({self.dim}, {dict(self.coeffs)!r})"
 
     @cached_property
     def _folded(self) -> tuple[np.ndarray, np.ndarray]:
@@ -146,15 +176,19 @@ class TrigPoly:
         is positive, a float (count, dim) array, with the Parseval weight
         |c_k|^2 + |c_{-k}|^2 (|c_k|^2 for a mode without its mirror).  The
         zero mode is dropped."""
-        ks, cs = self._arrays
-        live = ks.any(axis=1)
-        ks, cs = ks[live], cs[live]
+        live = self.ks.any(axis=1)
+        ks, cs = self.ks[live], self.cs[live]
         lead = ks[np.arange(len(ks)), (ks != 0).argmax(axis=1)]
         reps, slot = np.unique(ks * np.sign(lead)[:, None], axis=0,
                                return_inverse=True)
         w = np.bincount(slot.ravel(), weights=np.abs(cs) ** 2,
                         minlength=len(reps))
         return reps.astype(float), w
+
+    @cached_property
+    def coeffs(self) -> Mapping[tuple[int, ...], complex]:
+        return MappingProxyType(dict(zip(map(tuple, self.ks.tolist()),
+                                         self.cs.tolist())))
 
     def support(self) -> set[tuple[int, ...]]:
         return set(self.coeffs)
@@ -165,12 +199,23 @@ class TrigPoly:
     # -- algebra ------------------------------------------------------------
 
     def _combine(self, other: "TrigPoly", sign: float) -> "TrigPoly":
+        """self + sign * other on the merged support; a coefficient that
+        cancels to exactly 0 is dropped."""
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        out = dict(self.coeffs)
-        for key, val in other.coeffs.items():
-            out[key] = out.get(key, 0j) + sign * val
-        return TrigPoly(self.dim, out)
+        if self.ks.shape == other.ks.shape and np.array_equal(self.ks,
+                                                               other.ks):
+            # one support, as in f.translate(h) - f: nothing to merge
+            return TrigPoly._of(self.dim, self.ks, self.cs + sign * other.cs)
+        base = 2 * max(self.degree, other.degree) + 1
+        _, first, slot = np.unique(
+            np.concatenate([_linear(self.ks, base), _linear(other.ks, base)]),
+            return_index=True, return_inverse=True)
+        cs = np.zeros(len(first), dtype=complex)
+        cs[slot[:len(self.cs)]] = self.cs
+        cs[slot[len(self.cs):]] += sign * other.cs
+        return TrigPoly._of(
+            self.dim, np.concatenate([self.ks, other.ks])[first], cs)
 
     def __add__(self, other):
         return self._combine(other, 1.0)
@@ -179,8 +224,8 @@ class TrigPoly:
         return self._combine(other, -1.0)
 
     def __mul__(self, scalar):
-        s = complex(scalar)
-        return TrigPoly(self.dim, {k: s * v for k, v in self.coeffs.items()})
+        return TrigPoly._of(self.dim, self.ks,
+                            _times(complex(scalar), self.cs))
 
     __rmul__ = __mul__
 
@@ -189,22 +234,20 @@ class TrigPoly:
         hv = np.atleast_1d(np.asarray(h, dtype=float))
         if hv.shape != (self.dim,):
             raise ValueError(f"shift needs {self.dim} components")
-        ks, cs = self._arrays
-        phase = (ks * hv).sum(axis=1)
-        return TrigPoly(self.dim, dict(zip(map(tuple, ks.tolist()),
-                                           cs * np.exp(1j * phase))))
+        phase = (self.ks * hv).sum(axis=1)
+        return TrigPoly._of(self.dim, self.ks, self.cs * np.exp(1j * phase))
 
     # -- evaluation ----------------------------------------------------------
 
     def eval_at(self, *points):
-        """Direct summation sum c_k exp(i k . x), vectorised over points."""
+        """Direct summation sum c_k exp(i k . x) over all coefficients and
+        points at once (count x points values: meant for few points)."""
         if len(points) != self.dim:
             raise ValueError(f"evaluation needs {self.dim} coordinates")
-        xs = np.broadcast_arrays(*(np.asarray(p, dtype=float) for p in points))
-        out = np.zeros(xs[0].shape, dtype=complex)
-        for k, c in zip(*self._arrays):
-            out += c * np.exp(1j * sum(ki * x for ki, x in zip(k, xs)))
-        return out
+        xs = np.array(np.broadcast_arrays(*points), dtype=float)
+        return np.tensordot(self.cs,
+                            np.exp(1j * np.tensordot(self.ks, xs, axes=1)),
+                            axes=1)
 
     def sample_uniform(self, m: int) -> np.ndarray:
         """Values on the uniform grid 2 pi j / m per axis, j = 0..m-1, as an
@@ -215,7 +258,17 @@ class TrigPoly:
 
     def l2_norm(self) -> float:
         """L2 norm w.r.t. normalised measure = Euclidean coefficient norm."""
-        return float(np.linalg.norm(self._arrays[1]))
+        return float(np.linalg.norm(self.cs))
+
+
+def poly_from_box(box: np.ndarray) -> TrigPoly:
+    """The polynomial whose coefficients fill the centred (2 d + 1)^dim box
+    (entry [k + d] is the coefficient of e^{ik.x}); the box is copied."""
+    d = (box.shape[0] - 1) // 2
+    axis = np.arange(-d, d + 1)
+    ks = np.stack(np.meshgrid(*(axis,) * box.ndim, indexing="ij"), axis=-1)
+    return TrigPoly._of(box.ndim, ks.reshape(-1, box.ndim),
+                        box.astype(complex).ravel())
 
 
 def coefficient_boxes(fs: Sequence[TrigPoly], degree: int) -> np.ndarray:
@@ -225,8 +278,7 @@ def coefficient_boxes(fs: Sequence[TrigPoly], degree: int) -> np.ndarray:
     boxes = np.zeros((len(fs),) + (2 * degree + 1,) * fs[0].dim,
                      dtype=complex)
     for r, f in enumerate(fs):
-        ks, cs = f._arrays
-        boxes[(r,) + tuple((ks + degree).T)] = cs
+        boxes[(r,) + tuple((f.ks + degree).T)] = f.cs
     return boxes
 
 
@@ -262,20 +314,17 @@ def fejer(n: int) -> TrigPoly:
     """1-D kernel with coefficients 1 - |k|/(n+1), k in [-n, n]."""
     if n < 0:
         raise ValueError("order must be >= 0")
-    return TrigPoly(1, {(k,): 1.0 - abs(k) / (n + 1) for k in range(-n, n + 1)})
+    return poly_from_box(1.0 - np.abs(np.arange(-n, n + 1)) / (n + 1))
 
 
-def _plateau_factor(k: int) -> dict[int, float]:
-    """1-D coefficients: triangle of half-width 2^k convolved with the three
-    shifts {-2^k, 0, 2^k}; identically 1 on [-2^k, 2^k]."""
+def _plateau_factor(k: int) -> np.ndarray:
+    """1-D coefficients on [-2^{k+1}, 2^{k+1}] as a centred box: triangle of
+    half-width 2^k convolved with the three shifts {-2^k, 0, 2^k};
+    identically 1 on [-2^k, 2^k] and 0 at both ends."""
     m = 2 ** k
-    tri = lambda j: max(0.0, 1.0 - abs(j) / m)
-    out = {}
-    for j in range(-2 * m + 1, 2 * m):
-        v = tri(j) + tri(j - m) + tri(j + m)
-        if v != 0.0:
-            out[j] = v
-    return out
+    j = np.arange(-2 * m, 2 * m + 1)
+    tri = lambda j: np.maximum(0.0, 1.0 - np.abs(j) / m)
+    return tri(j) + tri(j - m) + tri(j + m)
 
 
 @lru_cache(maxsize=32)
@@ -290,8 +339,7 @@ def plateau_kernel(k: int) -> TrigPoly:
     if k == -1:
         return TrigPoly(2, {(0, 0): 1.0})
     fac = _plateau_factor(k)
-    coeffs = {(a, b): va * vb for a, va in fac.items() for b, vb in fac.items()}
-    return TrigPoly(2, coeffs)
+    return poly_from_box(np.multiply.outer(fac, fac))
 
 
 @lru_cache(maxsize=32)
@@ -311,19 +359,24 @@ def band_kernel(k: int) -> TrigPoly:
 # frames and sampling grids
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Frame:
     """Dyadic lattice annulus with its Marcinkiewicz sampling grid.
 
-    indices = Z^2 intersected with (-2^n, 2^n)^2 minus [-2^{n-3}, 2^{n-3}]^2,
-    listed in lexicographic order; omega is its cardinality, and the grid has
-    (2^{n+1} - 1)^2 equispaced points per axis.
+    ks = Z^2 intersected with (-2^n, 2^n)^2 minus [-2^{n-3}, 2^{n-3}]^2, a
+    read-only int64 (omega, 2) array in lexicographic order (``indices``:
+    the same as tuples, built on demand for tests and I/O); the grid has
+    2^{n+1} - 1 equispaced points per axis.
     """
 
     level: int
-    indices: tuple[tuple[int, int], ...]
+    ks: np.ndarray
     omega: int
     grid_size: int
+
+    @cached_property
+    def indices(self) -> tuple[tuple[int, int], ...]:
+        return tuple(map(tuple, self.ks.tolist()))
 
     def grid_coordinate(self, k: int) -> float:
         """x_k = 2 pi (k + 2^n - 1) / (2^{n+1} - 1)."""
@@ -340,28 +393,26 @@ def frame(n: int) -> Frame:
     """Frame of level n >= 3 (smaller n leaves no hole to remove)."""
     if n < 3:
         raise ValueError("frame level must be >= 3")
-    outer = 2 ** n
-    hole = 2 ** (n - 3)
-    idx = tuple(
-        (k, l)
-        for k in range(-outer + 1, outer)
-        for l in range(-outer + 1, outer)
-        if not (abs(k) <= hole and abs(l) <= hole)
-    )
-    return Frame(n, idx, len(idx), 2 ** (n + 1) - 1)
+    axis = np.arange(1 - 2 ** n, 2 ** n)
+    ks = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1)
+    ks = ks[np.abs(ks).max(axis=-1) > 2 ** (n - 3)]
+    ks.flags.writeable = False
+    return Frame(n, ks, len(ks), 2 ** (n + 1) - 1)
 
 
 def convolve(g: TrigPoly, f: TrigPoly) -> TrigPoly:
-    """Convolution w.r.t. normalised measure: coefficient-wise product."""
+    """Convolution w.r.t. normalised measure: coefficient-wise product, on
+    the intersection of the two sorted supports (each point of the smaller
+    one is looked up in the larger by binary search)."""
     if g.dim != f.dim:
         raise ValueError("dimension mismatch")
-    small, large = (g, f) if len(g.coeffs) <= len(f.coeffs) else (f, g)
-    out = {}
-    for key, val in small.coeffs.items():
-        other = large.coeffs.get(key)
-        if other is not None:
-            out[key] = val * other
-    return TrigPoly(g.dim, out)
+    small, large = (g, f) if len(g.cs) <= len(f.cs) else (f, g)
+    base = 2 * max(g.degree, f.degree) + 1
+    lin, key = _linear(large.ks, base), _linear(small.ks, base)
+    at = np.minimum(np.searchsorted(lin, key), len(lin) - 1)
+    hit = lin[at] == key
+    return TrigPoly._of(g.dim, small.ks[hit],
+                        _times(small.cs[hit], large.cs[at[hit]]))
 
 
 def sample_on_grid(f: TrigPoly, fr: Frame) -> np.ndarray:
@@ -373,12 +424,8 @@ def sample_on_grid(f: TrigPoly, fr: Frame) -> np.ndarray:
     """
     if f.dim != 2:
         raise ValueError("frame sampling needs a 2-D polynomial")
-    m = fr.grid_size
-    shift = 2 ** fr.level - 1
-    values = f.sample_uniform(m)
-    ks = np.array([k for k, _ in fr.indices]) + shift
-    ls = np.array([l for _, l in fr.indices]) + shift
-    return values[ks, ls]
+    values = f.sample_uniform(fr.grid_size)
+    return values[tuple((fr.ks + 2 ** fr.level - 1).T)]
 
 
 def refine_on_grid(f: TrigPoly, value: Callable[[int], object], *,
@@ -425,17 +472,15 @@ def _rank_factors(f: TrigPoly) -> tuple[list[TrigPoly], list[TrigPoly]]:
     SVD U S V^H of the coefficient box: a_i = s_i u_i and b_i = conj(v_i),
     keeping the singular values above numpy's matrix_rank cut s_0 w eps for
     box width w.  A 1-D f is the (w, 1) box, whose b is a constant."""
-    ks, cs = f._arrays
-    bad = ~np.isfinite(cs)
+    bad = ~np.isfinite(f.cs)
     if bad.any():
-        named = dict(zip(map(tuple, ks[bad].tolist()), cs[bad].tolist()))
+        named = dict(zip(map(tuple, f.ks[bad].tolist()), f.cs[bad].tolist()))
         raise ValueError(f"non-finite coefficients {named}")
     box = coefficient_boxes([f], f.degree)[0].reshape(2 * f.degree + 1, -1)
     u, s, vh = np.linalg.svd(box)
     r = int(np.count_nonzero(s > s[0] * max(box.shape) * np.finfo(float).eps))
-    polys = lambda vecs: [TrigPoly(1, dict(enumerate(c, -(len(c) // 2))))
-                          for c in vecs]
-    return polys((u[:, :r] * s[:r]).T), polys(vh[:r])
+    return ([poly_from_box(c) for c in (u[:, :r] * s[:r]).T],
+            [poly_from_box(c) for c in vh[:r]])
 
 
 def _factor_mean_abs(rows: list[TrigPoly], cols: list[TrigPoly], m: int,
@@ -480,19 +525,13 @@ def poly_l1(f: TrigPoly) -> float:
 # ---------------------------------------------------------------------------
 
 def poly_to_coeff_list(f: TrigPoly) -> list[list[float]]:
-    out = []
-    for key in sorted(f.coeffs):
-        c = f.coeffs[key]
-        out.append([*key, c.real, c.imag])
-    return out
+    return [[*k, c.real, c.imag]
+            for k, c in zip(f.ks.tolist(), f.cs.tolist())]
 
 
 def poly_from_coeff_list(rows: Iterable[Iterable[float]], dim: int) -> TrigPoly:
-    coeffs = {}
-    for row in rows:
-        row = list(row)
-        if len(row) != dim + 2:
-            raise ValueError(f"coefficient rows need {dim + 2} entries")
-        key = tuple(int(v) for v in row[:dim])
-        coeffs[key] = complex(row[dim], row[dim + 1])
-    return TrigPoly(dim, coeffs)
+    rows = [list(row) for row in rows]
+    if any(len(row) != dim + 2 for row in rows):
+        raise ValueError(f"coefficient rows need {dim + 2} entries")
+    return TrigPoly(dim, {tuple(row[:dim]): complex(*row[dim:])
+                          for row in rows})

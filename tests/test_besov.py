@@ -7,11 +7,11 @@ import mpmath
 import numpy as np
 import pytest
 
-from orlicheck import trig
+from orlicheck import besov, trig
 from orlicheck.besov import (BesovParams, _shift_norms,
                              best_approximation, besov_norm_classical,
                              besov_norm_tilde, check_norm_comparison,
-                             check_sum_integral_sandwich, dyadic_band_norm,
+                             check_sum_integral_sandwich,
                              modulus, multiplier)
 from orlicheck.luxemburg import poly_norm
 from orlicheck.sampling import random_poly_1d
@@ -312,6 +312,21 @@ def test_multiplier_family_invariants():
         assert all(max(abs(k), abs(l)) <= m for k, l in pm.support())
 
 
+def test_multiplier_matches_dict_formula():
+    # the per-coefficient loop the outer product replaced, as the oracle
+    for m in range(1, 9):
+        ks = np.arange(-m, m + 1)
+        wk = besov._bump1(ks / m)
+        gauss = np.exp(-(ks ** 2) / m ** 2)
+        coeffs = {}
+        for i, k in enumerate(ks):
+            for j, l in enumerate(ks):
+                v = wk[i] * wk[j] * gauss[i] * gauss[j]
+                if v != 0.0:
+                    coeffs[(int(k), int(l))] = v
+        assert multiplier(m) == TrigPoly(2, coeffs)
+
+
 # ---------------------------------------------------------------------------
 # sum-integral sandwich
 # ---------------------------------------------------------------------------
@@ -402,10 +417,3 @@ def test_comparison_section7_degree2():
     assert rep.margin >= 0.0
     assert all(lv["margin"] >= 0.0 for lv in rep.quantities["levels"])
 
-
-def test_dyadic_band_norm_hilbert_case():
-    f = random_poly2(3, seed=12)
-    val = dyadic_band_norm(f, s=0.0, p=2.0, q=2.0)
-    expect = math.sqrt(f.l2_norm() ** 2 + sum(
-        convolve(band_kernel(n), f).l2_norm() ** 2 for n in range(9)))
-    assert val == pytest.approx(expect, rel=1e-10)

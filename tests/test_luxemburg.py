@@ -10,7 +10,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orlicheck.besov import BesovParams, besov_norm_classical
-from orlicheck.luxemburg import (_lux_root, embed_l2_check, modular_seq,
+from orlicheck.luxemburg import (_lux_root, _magnitudes, embed_l2_check,
+                                 modular_seq,
                                  norm_fun, norm_seq, poly_norm)
 from orlicheck.numerics import chandrupatla
 from orlicheck.sampling import random_poly_1d, random_poly_on_frame
@@ -194,6 +195,31 @@ def test_embed_l2_section7_random_batch():
         rep = embed_l2_check(phi, x)
         assert rep.passed
         assert rep.margin >= -1e-10 * max(rep.quantities["lux"], 1.0)
+
+
+@pytest.mark.parametrize("data", [
+    np.array([3.0, -4.0, 0.0, 5e-324, -1e300]),
+    np.array([[3.0 + 4.0j, -1e-200j], [0.0, 1e300 - 1e300j]]),
+    np.array([-7, 0, 2 ** 53 + 1, -(2 ** 62)]),
+    [1, -2.5, 3j],
+])
+def test_magnitudes_are_the_old_complex_cast_bit_for_bit(data):
+    a = _magnitudes(data)
+    old = np.abs(np.asarray(data, dtype=complex).ravel()).astype(float)
+    assert a.dtype == np.float64 and a.tobytes() == old.tobytes()
+
+
+@pytest.mark.parametrize("phi", [make_power(2.0), make_section7(0.05)])
+def test_norms_leave_the_callers_samples_unwritten(phi):
+    # _lux_root scales its rows in place, so it must get a fresh array
+    rng = np.random.default_rng(4)
+    for x in (rng.standard_normal(64),
+              rng.standard_normal(64) + 1j * rng.standard_normal(64)):
+        keep = x.copy()
+        norm_seq(phi, x)
+        norm_fun(phi, x)
+        embed_l2_check(phi, x)
+        assert x.tobytes() == keep.tobytes()
 
 
 def test_complex_sequences_use_modulus():

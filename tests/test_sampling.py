@@ -83,6 +83,40 @@ def test_orlicz_rejects_support_violation():
         orlicz_sampling_check(f, 3, make_power(2.0), 1.0)
 
 
+@pytest.mark.parametrize("n", [3, 4, 5])
+def test_orlicz_frame_membership_edges(n):
+    # the frame is hole < max |k_i| < 2^n with hole = 2^{n-3}
+    phi, hole, outer = make_power(2.0), 2 ** (n - 3), 2 ** n
+    inside = [(hole + 1, 0), (0, -hole - 1), (outer - 1, 1 - outer),
+              (1 - outer, 0), (hole, outer - 1)]
+    for key in inside:
+        assert orlicz_sampling_check(TrigPoly(2, {key: 1.0}), n, phi, 1.0,
+                                     check_preconditions=False).passed
+    for key in [(hole, 0), (-hole, hole), (0, 0), (outer, 0), (0, -outer),
+                (outer, outer)]:
+        with pytest.raises(ValueError, match="1 of 1 modes lie outside"):
+            orlicz_sampling_check(TrigPoly(2, {key: 1.0}), n, phi, 1.0,
+                                  check_preconditions=False)
+    mixed = TrigPoly(2, {**dict.fromkeys(inside, 1.0), (hole, 0): 1.0,
+                         (outer, 0): 2.0})
+    with pytest.raises(ValueError, match=f"2 of 7 modes lie outside the "
+                                         f"frame of level {n}"):
+        orlicz_sampling_check(mixed, n, phi, 1.0, check_preconditions=False)
+
+
+def test_orlicz_reports_function_norm_grid_and_convergence():
+    # one doubling from 64 to 128 points leaves the section7 norm of this
+    # polynomial 9.8e-5 away from settling at 1e-5; Parseval needs no grid
+    f = random_poly_on_frame(3, seed=5)
+    chk = orlicz_sampling_check(f, 3, make_section7(0.05), SECTION7_R,
+                                check_preconditions=False)
+    assert chk.fun_norm_grid == 128
+    assert chk.fun_norm_converged is False
+    exact = orlicz_sampling_check(f, 3, make_power(2.0), 1.0,
+                                  check_preconditions=False)
+    assert exact.fun_norm_grid == 0 and exact.fun_norm_converged is True
+
+
 def test_orlicz_section7_batch_small():
     phi = make_section7(0.05)
     for seed in range(10):

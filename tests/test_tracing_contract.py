@@ -5,12 +5,14 @@ import sys
 from pathlib import Path
 from unittest import mock
 
+import numpy as np
 import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
 
 import tracing  # noqa: E402
-from orlicheck import besov, luxemburg, trig  # noqa: E402
+import workloads  # noqa: E402
+from orlicheck import besov, luxemburg, sampling, trig  # noqa: E402
 from orlicheck.sampling import random_poly_1d  # noqa: E402
 from orlicheck.young import make_section7  # noqa: E402
 
@@ -53,4 +55,44 @@ def test_poly_l1_samples_through_sample_uniform():
 
     with mock.patch.object(trig.TrigPoly, "sample_uniform", counted):
         trig.poly_l1(trig.band_kernel(3))
+    assert calls
+
+
+def test_shift_count_is_zero_on_an_array_built_zero_polynomial():
+    phi = make_section7(0.05)
+    for f in (trig.TrigPoly.from_arrays(2, np.zeros((0, 2)), []),
+              trig.TrigPoly.from_arrays(1, [[-1], [2]], [0.0, 0.0])):
+        assert tracing._shifts(besov.modulus, (f, 0.5, phi), {}, None) \
+            == (0.0, 0.0)
+
+
+def test_dict_built_workload_polynomial_equals_the_array_built_one():
+    for degree in (1, 3, 8):
+        f = workloads.random_poly2(degree, np.random.default_rng(degree))
+        z = np.random.default_rng(degree).standard_normal(
+            ((2 * degree + 1) ** 2, 2))
+        axis = np.arange(-degree, degree + 1)
+        ks = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1)
+        assert f == trig.TrigPoly.from_arrays(2, ks.reshape(-1, 2),
+                                              z[:, 0] + 1j * z[:, 1])
+
+
+@pytest.mark.parametrize("attr, route", [
+    ("translate", lambda: besov.modulus(random_poly_1d(3, 0), 0.5,
+                                        make_section7(0.05), refine=False)),
+    ("sample_uniform", lambda: trig.sample_on_grid(
+        sampling.random_poly_on_frame(3, 0), trig.frame(3))),
+], ids=["translate", "sample_uniform"])
+def test_patched_trigpoly_methods_are_the_ones_called(attr, route):
+    # tracing wraps these two on the class, and the routes that the
+    # benchmark times reach them there
+    calls = []
+    real = getattr(trig.TrigPoly, attr)
+
+    def counted(self, *args):
+        calls.append(attr)
+        return real(self, *args)
+
+    with mock.patch.object(trig.TrigPoly, attr, counted):
+        route()
     assert calls

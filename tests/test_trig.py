@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from orlicheck import trig
 from orlicheck.luxemburg import norm_fun
-from orlicheck.sampling import random_poly_on_frame
+from orlicheck.sampling import _coefficients, random_poly_on_frame
 from orlicheck.trig import (TrigPoly, band_kernel, convolve, fejer, frame,
                             plateau_kernel, poly_from_coeff_list, poly_l1,
                             poly_to_coeff_list, refine_on_grid,
@@ -361,7 +361,7 @@ def test_kernels_factor_at_rank_one_and_two():
 @pytest.mark.parametrize("k", range(0, 7))
 def test_plateau_grid_l1_is_the_square_of_its_factor(k):
     # ||P_k (x) P_k||_1 = ||P_k||_1^2 holds on each grid of poly_l1's schedule
-    f, p = plateau_kernel(k), TrigPoly(1, trig._plateau_factor(k))
+    f, p = plateau_kernel(k), trig.poly_from_box(trig._plateau_factor(k))
     rows, cols = trig._rank_factors(f)
     first = 8 * (f.degree + 1)
     for m in (first * 2 ** j for j in range(4) if first * 2 ** j <= 4096):
@@ -460,3 +460,177 @@ def test_refine_on_grid_reports_unconverged_section7_norm():
     assert not converged
     assert grid == 128
     assert value == pytest.approx(14.89687, rel=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# the array algebra against the dict formulas it replaced
+# ---------------------------------------------------------------------------
+# The oracle keeps coefficients in dicts keyed by tuples, normalised and
+# combined one key at a time, exactly as TrigPoly did before it stored
+# sorted arrays; every comparison is exact (==).
+
+def _dict_key(dim, key):
+    if dim == 1:
+        return (int(key[0]),) if isinstance(key, tuple) else (int(key),)
+    return (int(key[0]), int(key[1]))
+
+
+def _dict_clean(dim, mapping):
+    out = {}
+    for key, val in mapping.items():
+        if complex(val) != 0:
+            out[_dict_key(dim, key)] = complex(val)
+    return out
+
+
+def _dict_combine(a, b, sign):
+    out = dict(a)
+    for key, val in b.items():
+        out[key] = out.get(key, 0j) + sign * val
+    return {k: v for k, v in out.items() if v != 0}
+
+
+def _dict_convolve(a, b):
+    small, large = (a, b) if len(a) <= len(b) else (b, a)
+    out = {k: v * large[k] for k, v in small.items() if k in large}
+    return {k: v for k, v in out.items() if v != 0}
+
+
+def _dict_translate(dim, a, h):
+    keys = sorted(a)
+    ks = np.array(keys, dtype=np.int64).reshape(len(keys), dim)
+    cs = np.array([a[k] for k in keys], dtype=complex)
+    phase = (ks * np.asarray(h, dtype=float)).sum(axis=1)
+    return {k: complex(v) for k, v in zip(keys, cs * np.exp(1j * phase))
+            if v != 0}
+
+
+def _dict_degree(a):
+    return max((max(abs(c) for c in key) for key in a), default=0)
+
+
+COEFFS = st.one_of(
+    st.just(0j), st.sampled_from([1.0, -1.0, 0.5j, 1 - 1j]),
+    st.complex_numbers(max_magnitude=1e6, allow_nan=False,
+                       allow_infinity=False))
+
+
+@st.composite
+def dict_pairs(draw):
+    """Two coefficient dicts of one dimension on random (possibly empty)
+    supports.  The second repeats some coefficients of the first with either
+    sign, so sums and differences cancel to exactly 0 there; 1-D keys are
+    ints or 1-tuples at random."""
+    dim = draw(st.sampled_from([1, 2]))
+    box = st.tuples(*(st.integers(-6, 6),) * dim)
+    a = draw(st.dictionaries(box, COEFFS, max_size=20))
+    b = draw(st.dictionaries(box, COEFFS, max_size=20))
+    for key in draw(st.lists(st.sampled_from(sorted(a)), unique=True)
+                    if a else st.just([])):
+        b[key] = draw(st.sampled_from([1.0, -1.0])) * a[key]
+    if dim == 1:
+        as_int = draw(st.booleans())
+        a = {(k[0] if as_int and k[0] % 2 else k): v for k, v in a.items()}
+        b = {(k[0] if not as_int and k[0] % 2 else k): v
+             for k, v in b.items()}
+    return dim, a, b
+
+
+@settings(max_examples=150, deadline=None)
+@given(dict_pairs(), COEFFS,
+       st.lists(st.floats(-10.0, 10.0), min_size=2, max_size=2))
+def test_array_algebra_matches_dict_formulas(case, scalar, h):
+    dim, a, b = case
+    f, g = TrigPoly(dim, a), TrigPoly(dim, b)
+    da, db = _dict_clean(dim, a), _dict_clean(dim, b)
+    assert f.coeffs == da and g.coeffs == db
+    assert f + g == TrigPoly(dim, _dict_combine(da, db, 1.0))
+    assert f - g == TrigPoly(dim, _dict_combine(da, db, -1.0))
+    assert f - f == TrigPoly(dim, {})
+    assert scalar * f == TrigPoly(dim, {k: complex(scalar) * v
+                                        for k, v in da.items()})
+    assert convolve(f, g) == TrigPoly(dim, _dict_convolve(da, db))
+    assert f.translate(h[:dim]) == TrigPoly(dim,
+                                            _dict_translate(dim, da, h[:dim]))
+    assert f.degree == _dict_degree(da)
+    assert f.l2_norm() == float(np.linalg.norm(
+        np.array([da[k] for k in sorted(da)], dtype=complex)))
+    assert f.support() == set(da)
+    for key in list(da)[:3] + [(7,) * dim]:
+        assert f.coeff(key) == da.get(key, 0j)
+
+
+def test_from_arrays_validates_and_owns_its_arrays():
+    ks = np.array([[-1, 2], [0, 0], [0, 3]])
+    cs = np.array([1.0, 0.0, 2j])
+    f = TrigPoly.from_arrays(2, ks, cs)
+    assert f == TrigPoly(2, {(-1, 2): 1.0, (0, 3): 2j})
+    ks[0, 0], cs[0] = 5, 7.0           # the caller's arrays stay its own
+    assert f.coeff((-1, 2)) == 1.0
+    assert not f.ks.flags.writeable and not f.cs.flags.writeable
+    for bad in ([[0, 3], [0, 0]], [[0, 0], [0, 0]]):
+        with pytest.raises(ValueError, match="lexicographic"):
+            TrigPoly.from_arrays(2, bad, [1.0, 1.0])
+    with pytest.raises(ValueError, match="cannot reshape"):
+        TrigPoly.from_arrays(2, [[0, 0], [0, 1]], [1.0, 1.0, 1.0])
+    with pytest.raises(ValueError, match="dimension"):
+        TrigPoly.from_arrays(3, np.zeros((0, 3)), [])
+    empty = TrigPoly.from_arrays(1, [[0], [3]], [0.0, 0.0])
+    assert empty == TrigPoly(1) and empty.degree == 0 and not empty.coeffs
+
+
+def _dict_plateau_factor(k):
+    m = 2 ** k
+    tri = lambda j: max(0.0, 1.0 - abs(j) / m)
+    out = {}
+    for j in range(-2 * m + 1, 2 * m):
+        v = tri(j) + tri(j - m) + tri(j + m)
+        if v != 0.0:
+            out[j] = v
+    return out
+
+
+def _dict_plateau(k):
+    if k == -1:
+        return {(0, 0): 1.0 + 0j}
+    fac = _dict_plateau_factor(k)
+    return {(a, b): complex(va * vb) for a, va in fac.items()
+            for b, vb in fac.items()}
+
+
+def test_kernels_match_dict_formulas():
+    for n in range(21):
+        assert fejer(n) == TrigPoly(1, {(k,): 1.0 - abs(k) / (n + 1)
+                                        for k in range(-n, n + 1)})
+    for k in range(-1, 8):
+        assert plateau_kernel(k) == TrigPoly(2, _dict_plateau(k))
+    for k in range(8):
+        expect = (_dict_plateau(k - 1) if k < 2 else _dict_combine(
+            _dict_plateau(k - 1), _dict_plateau(k - 3), -1.0))
+        assert band_kernel(k) == TrigPoly(2, expect)
+
+
+@pytest.mark.parametrize("n", range(3, 8))
+def test_frame_indices_match_comprehension(n):
+    outer, hole = 2 ** n, 2 ** (n - 3)
+    expect = tuple((k, l) for k in range(-outer + 1, outer)
+                   for l in range(-outer + 1, outer)
+                   if not (abs(k) <= hole and abs(l) <= hole))
+    fr = frame(n)
+    assert fr.indices == expect
+    assert fr.ks.dtype == np.int64 and fr.ks.shape == (fr.omega, 2)
+    assert not fr.ks.flags.writeable
+
+
+@pytest.mark.parametrize("law", ["gaussian", "unimodular"])
+@pytest.mark.parametrize("fraction", [1.0, 0.3])
+def test_random_poly_on_frame_matches_dict_route(law, fraction):
+    for n, seed in ((3, 0), (4, 7), (5, 11)):
+        rng = np.random.default_rng(seed)
+        idx = list(frame(n).indices)
+        if fraction < 1.0:
+            keep = rng.random(len(idx)) < fraction
+            idx = [k for k, flag in zip(idx, keep) if flag]
+        expect = TrigPoly(2, dict(zip(idx, _coefficients(rng, len(idx), law))))
+        assert random_poly_on_frame(n, seed, law,
+                                    subset_fraction=fraction) == expect
