@@ -2,18 +2,15 @@
 
 The quantity of interest is the Lebesgue measure of the symmetric difference
 of two closed radius-r balls whose centres are 2*offset apart; the verified
-lower bound is V_d * r^(d-1) * offset with V_d the unit-ball volume.  Exact
-formulas cover d = 1 (interval arithmetic) and d = 2 (circle lens); higher
-dimensions use stratified Monte Carlo with a reported standard error and a
-3-sigma acceptance rule.
+lower bound is V_d * r^(d-1) * offset with V_d the unit-ball volume.  Only
+d = 1 (interval arithmetic) and d = 2 (circle lens), the torus dimensions of
+the paper, are supported, and both are closed form.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-import numpy as np
 
 from .reports import VerificationReport
 
@@ -32,95 +29,50 @@ def unit_ball_volume(d: int) -> float:
 
 @dataclass(frozen=True)
 class BallPair:
-    """Two closed d-balls of radius r, centred at 0 and at distance 2*offset."""
+    """Two closed d-balls of radius r, centred at 0 and at distance 2*offset;
+    d is 1 or 2."""
 
     dim: int
     radius: float
     offset: float
 
     def __post_init__(self):
-        if self.dim < 1:
-            raise ValueError("dimension must be >= 1")
+        if self.dim not in (1, 2):
+            raise ValueError("dimension must be 1 or 2")
         if self.radius <= 0:
             raise ValueError("radius must be positive")
         if not 0.0 <= self.offset < self.radius:
             raise ValueError("offset must lie in [0, radius)")
 
-    @property
-    def unit_volume(self) -> float:
-        return unit_ball_volume(self.dim)
 
+def symmdiff_measure(bp: BallPair) -> float:
+    """Measure of the symmetric difference, in closed form.
 
-def symmdiff_measure(bp: BallPair, method: str = "auto", *,
-                     seed: int = 0, n_samples: int = 1_000_000
-                     ) -> tuple[float, float]:
-    """Measure of the symmetric difference, with its standard error.
-
-    Methods: ``exact_1d`` (4*offset), ``exact_2d_lens`` (full disc area minus
-    twice the circle-intersection lens), ``monte_carlo`` (stratified jittered
-    grid over the bounding box of the union, deterministic per seed).
-    ``auto`` picks the exact formula when available.  Exact values carry
-    standard error 0.
+    4*offset in 1-D; in 2-D the full disc area minus twice the
+    circle-intersection lens.
     """
-    d, r, a = bp.dim, bp.radius, bp.offset
-    if method == "auto":
-        method = {1: "exact_1d", 2: "exact_2d_lens"}.get(d, "monte_carlo")
-    if method == "exact_1d":
-        if d != 1:
-            raise ValueError("exact_1d needs dimension 1")
-        return 4.0 * a, 0.0
-    if method == "exact_2d_lens":
-        if d != 2:
-            raise ValueError("exact_2d_lens needs dimension 2")
-        centre_dist = 2.0 * a
-        half = centre_dist / 2.0
-        lens = (2.0 * r * r * math.acos(half / r)
-                - half * math.sqrt(r * r - half * half) * 2.0)
-        return 2.0 * math.pi * r * r - 2.0 * lens, 0.0
-    if method != "monte_carlo":
-        raise ValueError(f"unknown method: {method!r}")
-
-    # Stratified jittered grid over the bounding box of the union.
-    m = max(2, round(n_samples ** (1.0 / d)))
-    n = m ** d
-    rng = np.random.default_rng(seed)
-    lows = np.array([-r] + [-r] * (d - 1))
-    highs = np.array([2.0 * a + r] + [r] * (d - 1))
-    vol_box = float(np.prod(highs - lows))
-    grids = np.meshgrid(*[np.arange(m)] * d, indexing="ij")
-    cells = np.stack([g.ravel() for g in grids], axis=1).astype(float)
-    pts = (cells + rng.random((n, d))) / m
-    pts = lows + pts * (highs - lows)
-    in_a = np.sum(pts ** 2, axis=1) <= r * r
-    shifted = pts.copy()
-    shifted[:, 0] -= 2.0 * a
-    in_b = np.sum(shifted ** 2, axis=1) <= r * r
-    hit = in_a ^ in_b
-    frac = float(np.count_nonzero(hit)) / n
-    value = vol_box * frac
-    stderr = vol_box * math.sqrt(max(frac * (1.0 - frac), 1e-300) / n)
-    return value, stderr
+    r, a = bp.radius, bp.offset
+    if bp.dim == 1:
+        return 4.0 * a
+    # half the centre distance is a itself
+    lens = 2.0 * r * r * math.acos(a / r) - a * math.sqrt(r * r - a * a) * 2.0
+    return 2.0 * math.pi * r * r - 2.0 * lens
 
 
-def check_symmdiff_lower_bound(bp: BallPair, method: str = "auto", *,
-                               seed: int = 0, n_samples: int = 1_000_000
-                               ) -> VerificationReport:
+def check_symmdiff_lower_bound(bp: BallPair) -> VerificationReport:
     """Verify measure(symmetric difference) >= V_d r^{d-1} offset.
 
-    Exact methods must land nonnegative (up to 1e-12 relative rounding);
-    Monte Carlo passes when the margin exceeds -3 standard errors.
+    The closed-form measure must land nonnegative up to 1e-12 relative
+    rounding.
     """
-    value, stderr = symmdiff_measure(bp, method, seed=seed,
-                                     n_samples=n_samples)
-    bound = bp.unit_volume * bp.radius ** (bp.dim - 1) * bp.offset
+    value = symmdiff_measure(bp)
+    bound = unit_ball_volume(bp.dim) * bp.radius ** (bp.dim - 1) * bp.offset
     margin = value - bound
-    slack = 3.0 * stderr + 1e-12 * max(bound, 1.0)
     return VerificationReport(
         check_id="ball-symmdiff-lower-bound",
-        inputs={"dim": bp.dim, "radius": bp.radius, "offset": bp.offset,
-                "method": method, "seed": seed, "n_samples": n_samples},
-        quantities={"measure": value, "stderr": stderr, "bound": bound},
+        inputs={"dim": bp.dim, "radius": bp.radius, "offset": bp.offset},
+        quantities={"measure": value, "bound": bound},
         margin=margin,
-        passed=margin >= -slack,
-        tolerance="margin >= -(3 stderr + 1e-12 relative)",
+        passed=margin >= -1e-12 * max(bound, 1.0),
+        tolerance="margin >= -1e-12 relative",
     )

@@ -2,9 +2,11 @@
 
 A Young function is a continuous, strictly increasing, convex
 Phi: [0, oo) -> [0, oo) with Phi(0) = 0, Phi(t)/t -> 0 at 0 and
-t/Phi(t) -> 0 at infinity.  Instances carry a paired evaluator
-(forward, inverse), both vectorised over numpy arrays, plus an
-overflow-safe log-domain inverse used by the improper-integral machinery.
+t/Phi(t) -> 0 at infinity.  Each of its three maps, forward, inverse and an
+overflow-safe log-domain inverse for the improper-integral machinery, is
+reached through one front, a YoungFunction method that checks and shapes
+the argument (see there); each kind supplies bare kernels that map a flat
+1-D float array to one of the same length.
 
 Supported kinds
 ---------------
@@ -30,6 +32,7 @@ raising, so negative controls can be exercised on the same code path.
 
 from __future__ import annotations
 
+import inspect
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
@@ -67,31 +70,21 @@ class YoungFunctionError(ValueError):
     """Constructor arguments violate the Young-function contract."""
 
 
-def _wrap(fn: Callable[[np.ndarray], np.ndarray]) -> Callable:
-    """Make an array kernel accept scalars and arbitrary shapes."""
-
-    def wrapped(t):
-        arr = np.asarray(t, dtype=float)
-        flat = arr.reshape(-1) if arr.ndim != 1 else arr
-        out = fn(flat)
-        if arr.ndim == 0:
-            return float(out[0])
-        return out.reshape(arr.shape)
-
-    return wrapped
-
-
 @dataclass(frozen=True)
 class YoungFunction:
     """Paired evaluator (Phi, Phi^{-1}) with construction metadata.
 
-    ``log_inverse(y)`` returns ln Phi^{-1}(e^y) and stays finite for |y| far
-    beyond float range of e^y, which the integral-condition checks require;
-    like the other two maps it raises YoungFunctionError on NaN, for every
-    kind.  ``affine_pieces`` lists closed intervals (lo, hi), hi possibly
-    inf, on each of which Phi is affine; it is a property of Phi set by its
-    maker, and lets a Luxemburg root whose scaled data lie on one piece be
-    taken in closed form.
+    ``forward`` (or ``phi(x)``), ``inverse`` and ``log_inverse`` front the
+    kernels ``_forward``, ``_inverse`` and ``_log_inverse``: each takes
+    ``np.asarray(x, dtype=float)``, raises YoungFunctionError on NaN (forward
+    and inverse also on a negative entry), hands the kernel x flat (x itself
+    if 1-D), and returns a float for a scalar x, else x's shape.
+    ``log_inverse(y)`` = ln Phi^{-1}(e^y) accepts negative and infinite y and
+    stays finite for |y| far beyond float range of e^y, which the
+    integral-condition checks require.  ``affine_pieces`` lists
+    closed intervals (lo, hi), hi possibly inf, on each of which Phi is
+    affine; it is a property of Phi set by its maker, and lets a Luxemburg
+    root whose scaled data lie on one piece be taken in closed form.
     """
 
     kind: str
@@ -103,20 +96,17 @@ class YoungFunction:
     affine_pieces: tuple[tuple[float, float], ...] = ()
 
     def forward(self, t):
-        return self._forward(t)
+        return _front(self._forward, t, 0.0, "Phi must be >= 0 and not NaN")
 
-    def __call__(self, t):
-        return self._forward(t)
+    __call__ = forward
 
     def inverse(self, u):
-        return self._inverse(u)
+        return _front(self._inverse, u, 0.0,
+                      "Phi^{-1} must be >= 0 and not NaN")
 
     def log_inverse(self, y):
-        y = np.asarray(y, dtype=float)
-        # min propagates NaN without a boolean pass over y
-        if y.size and np.isnan(y.min()):
-            raise YoungFunctionError("argument of Phi^{-1} must not be NaN")
-        return self._log_inverse(y)
+        return _front(self._log_inverse, y, -math.inf,
+                      "Phi^{-1} must not be NaN")
 
     @property
     def is_square(self) -> bool:
@@ -129,9 +119,16 @@ class YoungFunction:
         return f"YoungFunction({self.kind}, {inner})"
 
 
-def _check_nonnegative(arr: np.ndarray, what: str) -> None:
-    if not np.all(arr >= 0):
-        raise YoungFunctionError(f"{what} must be >= 0 and not NaN")
+def _front(kernel: Callable[[np.ndarray], np.ndarray], x, least: float,
+           what: str):
+    """kernel(x) for x of any shape, once no entry is NaN or below least."""
+    arr = np.asarray(x, dtype=float)
+    flat = arr if arr.ndim == 1 else arr.reshape(-1)
+    # min propagates NaN, so one reduction screens both
+    if flat.size and not flat.min() >= least:
+        raise YoungFunctionError(f"argument of {what}")
+    out = kernel(flat)
+    return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
 
 # ---------------------------------------------------------------------------
@@ -149,18 +146,15 @@ def make_power(p: float) -> YoungFunction:
         raise YoungFunctionError("power kind requires p > 1")
 
     def fwd(t):
-        _check_nonnegative(t, "argument of Phi")
         return t ** p
 
     def inv(u):
-        _check_nonnegative(u, "argument of Phi^{-1}")
         return u ** (1.0 / p)
 
     def log_inv(y):
-        return np.asarray(y, dtype=float) / p
+        return y / p
 
-    return YoungFunction("power", {"p": p}, _wrap(fwd), _wrap(inv),
-                         _wrap(log_inv))
+    return YoungFunction("power", {"p": p}, fwd, inv, log_inv)
 
 
 # ---------------------------------------------------------------------------
@@ -195,7 +189,6 @@ def make_logpower(p0: float, gamma: float, switch: float = 0.5) -> YoungFunction
                                np.full_like(ly, log_switch))
 
     def fwd(t):
-        _check_nonnegative(t, "argument of Phi")
         out = np.zeros_like(t)
         small = (t > 0) & (t <= switch)
         if small.any():
@@ -207,7 +200,6 @@ def make_logpower(p0: float, gamma: float, switch: float = 0.5) -> YoungFunction
         return out
 
     def inv(u):
-        _check_nonnegative(u, "argument of Phi^{-1}")
         out = np.zeros_like(u)
         big = u > phi_switch
         if big.any():
@@ -232,7 +224,7 @@ def make_logpower(p0: float, gamma: float, switch: float = 0.5) -> YoungFunction
         return out
 
     return YoungFunction("logpower", {"p0": p0, "gamma": gamma, "switch": switch},
-                         _wrap(fwd), _wrap(inv), _wrap(log_inv),
+                         fwd, inv, log_inv,
                          log_inverse_breaks=(math.log(phi_switch),),
                          affine_pieces=((switch, math.inf),))
 
@@ -276,7 +268,6 @@ def make_section7(alpha: float) -> YoungFunction:
     t2 = p * r + q          # Phi^{-1}(r), end of the affine branch
 
     def log_inv(y):
-        y = np.asarray(y, dtype=float)
         if y.size and y.min() >= log_r:     # all high: in place, no masks
             v = 0.5 * y
             lv = np.log(v)
@@ -298,7 +289,6 @@ def make_section7(alpha: float) -> YoungFunction:
         return out
 
     def inv(u):
-        _check_nonnegative(u, "argument of Phi^{-1}")
         out = np.zeros_like(u)
         pos = u > 0
         if pos.any():
@@ -309,7 +299,6 @@ def make_section7(alpha: float) -> YoungFunction:
         return out
 
     def fwd(t):
-        _check_nonnegative(t, "argument of Phi")
         out = np.zeros_like(t)
         mid = (t >= t1) & (t < t2)
         if mid.any():
@@ -327,8 +316,8 @@ def make_section7(alpha: float) -> YoungFunction:
         return out
 
     params = {"alpha": alpha, "r": r, "p": p, "q": q}
-    return YoungFunction("section7", params, _wrap(fwd), _wrap(inv),
-                         _wrap(log_inv), log_inverse_breaks=(-log_r, log_r),
+    return YoungFunction("section7", params, fwd, inv, log_inv,
+                         log_inverse_breaks=(-log_r, log_r),
                          affine_pieces=((t1, t2),))
 
 
@@ -381,15 +370,12 @@ def make_tabulated(points: Iterable[Sequence[float]]) -> YoungFunction:
         return out
 
     def fwd(t):
-        _check_nonnegative(t, "argument of Phi")
         return interp(t, ts, us, end_slope)
 
     def inv(u):
-        _check_nonnegative(u, "argument of Phi^{-1}")
         return interp(u, us, ts, 1.0 / end_slope)
 
     def log_inv(y):
-        y = np.asarray(y, dtype=float)
         out = np.empty_like(y)
         low, high = y < log_u1, y > log_un
         out[low] = y[low] - math.log(slopes[0])
@@ -402,7 +388,7 @@ def make_tabulated(points: Iterable[Sequence[float]]) -> YoungFunction:
 
     ends = ts.tolist()[1:-1] + [math.inf]      # the last segment runs on
     return YoungFunction("tabulated", {"points": tuple(map(tuple, pts))},
-                         _wrap(fwd), _wrap(inv), _wrap(log_inv),
+                         fwd, inv, log_inv,
                          affine_pieces=tuple(zip(ts.tolist(), ends)))
 
 
@@ -410,32 +396,36 @@ def make_tabulated(points: Iterable[Sequence[float]]) -> YoungFunction:
 # config round-trip (CLI file format)
 # ---------------------------------------------------------------------------
 
-_MAKERS = {
-    "power": lambda params: make_power(params["p"]),
-    "logpower": lambda params: make_logpower(
-        params["p0"], params["gamma"], params.get("switch", 0.5)),
-    "section7": lambda params: make_section7(params["alpha"]),
-    "tabulated": lambda params: make_tabulated(params["points"]),
+# kind -> (maker, the names of its parameters, which a config uses too)
+_KINDS = {
+    "power": (make_power, ("p",)),
+    "logpower": (make_logpower, ("p0", "gamma", "switch")),
+    "section7": (make_section7, ("alpha",)),
+    "tabulated": (make_tabulated, ("points",)),
 }
 
 
 def young_from_config(config: dict) -> YoungFunction:
-    """Build from ``{"kind": ..., "params": {...}}``."""
+    """Build from ``{"kind": ..., "params": {...}}``.
+
+    An omitted optional parameter takes the maker's default; a missing
+    required or an unknown parameter raises YoungFunctionError naming it.
+    """
     kind = config.get("kind")
-    if kind not in _MAKERS:
+    if kind not in _KINDS:
         raise YoungFunctionError(f"unknown Young function kind: {kind!r}")
-    return _MAKERS[kind](config.get("params", {}))
+    maker = _KINDS[kind][0]
+    params = config.get("params", {})
+    try:
+        inspect.signature(maker).bind(**params)
+    except TypeError as exc:    # names the missing or unknown parameter
+        raise YoungFunctionError(f"{kind} config: {exc}") from None
+    return maker(**params)
 
 
 def young_to_config(phi: YoungFunction) -> dict:
-    keep = {
-        "power": ("p",),
-        "logpower": ("p0", "gamma", "switch"),
-        "section7": ("alpha",),
-        "tabulated": ("points",),
-    }[phi.kind]
     return {"kind": phi.kind,
-            "params": {k: phi.params[k] for k in keep}}
+            "params": {k: phi.params[k] for k in _KINDS[phi.kind][1]}}
 
 
 # ---------------------------------------------------------------------------

@@ -250,6 +250,17 @@ def test_tilde_norm_exact_finite_sum():
     assert len(res.terms) >= 4
 
 
+@pytest.mark.parametrize("degree", [0, 1, 2, 3, 4, 5, 8, 9])
+def test_band_sum_stops_where_the_hole_covers_the_degree(degree):
+    f = random_poly2(degree, seed=degree)
+    terms = besov_norm_tilde(f, params_power2()).terms
+    last = next(n for n in range(3, 64) if 2 ** (n - 3) >= degree)
+    assert len(terms) == last + 1
+    assert not convolve(band_kernel(last + 1), f).cs.size
+    if last > 3:
+        assert terms[last - 1] > 0.0
+
+
 def test_tilde_norm_rejects_1d():
     with pytest.raises(ValueError):
         besov_norm_tilde(TrigPoly(1, {(1,): 1.0}), params_power2())
@@ -341,11 +352,11 @@ def test_sandwich_single_harmonic():
 
 
 def test_sandwich_constant_trivial():
-    f = TrigPoly(2, {(0, 0): 1.0})
-    rep = check_sum_integral_sandwich(f, params_power2(),
-                                      np.geomspace(1.0, 100.0, 20))
-    assert rep.passed
-    assert rep.quantities["sum"] == 0.0
+    for f in (TrigPoly(2, {(0, 0): 1.0}), TrigPoly(2, {})):
+        rep = check_sum_integral_sandwich(f, params_power2(),
+                                          np.geomspace(1.0, 100.0, 20))
+        assert rep.passed
+        assert set(rep.quantities.values()) == {0.0}
 
 
 def test_sandwich_random_batch():

@@ -1,4 +1,5 @@
-"""Symmetric difference of two shifted balls against closed forms."""
+"""Symmetric difference of two shifted intervals or discs against closed
+forms."""
 
 import math
 
@@ -14,10 +15,10 @@ def test_interval_symmdiff_is_four_offsets(r, offset):
     # overlap [2 offset - r, r]
     overlap = max(0.0, r - (2.0 * offset - r))
     expect = 4.0 * r - 2.0 * overlap
-    value, stderr = symmdiff_measure(BallPair(1, r, offset))
+    value = symmdiff_measure(BallPair(1, r, offset))
+    assert type(value) is float
     assert value == pytest.approx(expect, rel=1e-14, abs=1e-15)
     assert value == 4.0 * offset
-    assert stderr == 0.0
 
 
 def _disc_symmdiff(r: float, c: float) -> float:
@@ -32,43 +33,23 @@ def _disc_symmdiff(r: float, c: float) -> float:
 @pytest.mark.parametrize("r,offset", [(1.0, 0.3), (1.0, 0.0), (3.0, 0.1),
                                       (0.5, 0.49), (2.0, 1.0)])
 def test_lens_matches_segment_formula(r, offset):
-    value, stderr = symmdiff_measure(BallPair(2, r, offset))
+    value = symmdiff_measure(BallPair(2, r, offset))
+    assert type(value) is float
     assert value == pytest.approx(_disc_symmdiff(r, 2.0 * offset),
                                   rel=1e-12, abs=1e-12)
-    assert stderr == 0.0
 
 
-def _ball_symmdiff(r: float, c: float) -> float:
-    """Two radius-r balls c apart: twice the ball minus twice the lens, whose
-    volume is pi (4r + c)(2r - c)^2 / 12."""
-    return 2.0 * (4.0 * math.pi * r ** 3 / 3.0
-                  - math.pi * (4.0 * r + c) * (2.0 * r - c) ** 2 / 12.0)
-
-
-def test_ball_closed_form_at_reference_point():
-    assert _ball_symmdiff(1.0, 0.6) == pytest.approx(3.656814, abs=1e-6)
-
-
-@pytest.mark.parametrize("r,offset,n_samples", [
-    (1.0, 0.3, 1_000_000), (2.0, 0.5, 200_000), (0.5, 0.05, 200_000)])
-def test_monte_carlo_ball_within_four_standard_errors(r, offset, n_samples):
-    value, stderr = symmdiff_measure(BallPair(3, r, offset), "monte_carlo",
-                                     seed=3, n_samples=n_samples)
-    assert stderr > 0.0
-    assert abs(value - _ball_symmdiff(r, 2.0 * offset)) <= 4.0 * stderr
-
-
-@pytest.mark.parametrize("dim", [1, 2, 3, 4])
+@pytest.mark.parametrize("dim", [1, 2])
 def test_lower_bound_holds(dim):
-    rep = check_symmdiff_lower_bound(BallPair(dim, 1.0, 0.2),
-                                     n_samples=200_000)
+    rep = check_symmdiff_lower_bound(BallPair(dim, 1.0, 0.2))
     assert rep.passed
     assert rep.margin > 0.0
+    assert rep.measure == symmdiff_measure(BallPair(dim, 1.0, 0.2))
 
 
 @pytest.mark.parametrize("dim,radius,offset", [
     (0, 1.0, 0.1), (1, 0.0, 0.0), (2, -1.0, 0.1), (2, 1.0, -0.1),
-    (3, 1.0, 1.0)])
+    (3, 1.0, 1.0), (3, 1.0, 0.2)])
 def test_ball_pair_rejects_bad_input(dim, radius, offset):
     with pytest.raises(ValueError):
         BallPair(dim, radius, offset)

@@ -303,14 +303,68 @@ def test_zero_maps_to_zero():
         assert phi.inverse(0.0) == 0.0
 
 
-@pytest.mark.parametrize("phi", [make_power(1.5), make_logpower(1.0, 1.0),
-                                 make_section7(0.05),
-                                 make_tabulated([(1.0, 1.0), (2.0, 4.0)])],
-                         ids=lambda p: p.kind)
+ONE_OF_EACH_KIND = [make_power(1.5), make_logpower(1.0, 1.0),
+                    make_section7(0.05),
+                    make_tabulated([(1.0, 1.0), (2.0, 4.0)])]
+
+
+@pytest.mark.parametrize("phi", ONE_OF_EACH_KIND, ids=lambda p: p.kind)
 def test_nan_argument_is_rejected(phi):
     for fn in (phi, phi.inverse, phi.log_inverse):
         with pytest.raises(YoungFunctionError, match="NaN"):
             fn(np.array([1.0, math.nan]))
+
+
+# arguments of every shape the front takes; the entries straddle every
+# branch of the four kinds (section7's affine piece starts near 1/r)
+FRONT_ARGS = {
+    "float": 0.7,
+    "0-d": np.array(3.0),
+    "list": [0.0, 1e-3, 0.7, 2.0],
+    "1-d": np.geomspace(1e-5, 1e5, 11),
+    "2-d": np.geomspace(1e-5, 1e5, 12).reshape(3, 4),
+    "empty": np.array([]),
+}
+
+
+@pytest.mark.parametrize("x", FRONT_ARGS.values(), ids=list(FRONT_ARGS))
+@pytest.mark.parametrize("name", ["forward", "inverse", "log_inverse"])
+@pytest.mark.parametrize("phi", ONE_OF_EACH_KIND, ids=lambda p: p.kind)
+def test_front_keeps_shape_and_acts_elementwise(phi, name, x):
+    fn = getattr(phi, name)
+    got = fn(x)
+    arr = np.asarray(x, dtype=float)
+    if arr.ndim == 0:
+        assert type(got) is float
+    else:
+        assert type(got) is np.ndarray and got.dtype == float
+        assert got.shape == arr.shape
+    assert np.ravel(got).tolist() == [fn(float(v)) for v in arr.ravel()]
+    rejects = name != "log_inverse"
+    for bad in (-1.0, [2.0, -1e-300], np.array([[1.0], [math.nan]])):
+        if rejects or np.isnan(bad).any():
+            with pytest.raises(YoungFunctionError, match="argument of Phi"):
+                fn(bad)
+        else:
+            assert np.all(np.isfinite(fn(bad)))
+
+
+def test_front_hands_kernels_one_flat_array():
+    seen = []
+
+    def kernel(flat):
+        seen.append(flat)
+        return 2.0 * flat
+
+    phi = dataclasses.replace(make_power(2.0), _forward=kernel,
+                              _inverse=kernel, _log_inverse=kernel)
+    x = np.linspace(0.0, 1.0, 6)
+    for fn in (phi, phi.inverse, phi.log_inverse):
+        assert fn(x).tolist() == (2.0 * x).tolist()
+        assert seen[-1] is x
+        assert fn(x.reshape(2, 3)).shape == (2, 3)
+        assert seen[-1].shape == (6,)
+        assert fn(0.5) == 1.0 and seen[-1].shape == (1,)
 
 
 def test_is_square_only_for_p2_and_survives_replace():
@@ -332,6 +386,22 @@ def test_config_roundtrip():
 def test_config_rejects_unknown_kind():
     with pytest.raises(YoungFunctionError):
         young_from_config({"kind": "exponential", "params": {}})
+
+
+@pytest.mark.parametrize("params,name", [
+    ({"p0": 1.2}, "gamma"),
+    ({"p0": 1.2, "gamma": 1.5, "slope": 2.0}, "slope")])
+def test_config_names_missing_or_unknown_parameter(params, name):
+    with pytest.raises(YoungFunctionError, match=f"'{name}'"):
+        young_from_config({"kind": "logpower", "params": params})
+
+
+def test_config_omitted_switch_takes_default():
+    phi = young_from_config({"kind": "logpower",
+                             "params": {"p0": 1.2, "gamma": 1.5}})
+    assert phi.params["switch"] == 0.5
+    assert young_to_config(phi)["params"] == {"p0": 1.2, "gamma": 1.5,
+                                              "switch": 0.5}
 
 
 # ---------------------------------------------------------------------------
