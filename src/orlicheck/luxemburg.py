@@ -16,20 +16,19 @@ takes Jensen's end of its bracket, which is then the root; every other row
 gets its own bracket, and one vectorised Chandrupatla solve
 (numerics.chandrupatla) finishes them all, with one Phi call per step over
 the rows still running.  norm_seq and norm_fun are its one-row case;
-poly_norms stacks the samples of many polynomials of one degree, so a whole
-batch of shift norms costs a few Phi calls per grid, or none.
+poly_norms takes a stack of coefficient boxes of one width (besov's shift
+differences) and samples it on one grid schedule, so a whole batch of shift
+norms costs a few Phi calls per grid, or none.
 """
 
 from __future__ import annotations
-
-from typing import Sequence
 
 import numpy as np
 
 from .numerics import chandrupatla
 from .reports import VerificationReport
 from . import trig
-from .trig import coefficient_boxes, refine_on_grid, sample_boxes
+from .trig import refine_on_grid, sample_boxes
 from .young import YoungFunction, check_sqrt_concavity
 
 __all__ = [
@@ -176,40 +175,34 @@ def poly_norm(phi: YoungFunction, f, *, oversample: int = 8,
     """
     if exact_l2 and phi.is_square:
         return f.l2_norm()
-    return refine_on_grid(f, lambda m: norm_fun(phi, f.sample_uniform(m)),
+    return refine_on_grid(f.degree,
+                          lambda m: norm_fun(phi, f.sample_uniform(m)),
                           oversample=oversample, rel_tol=rel_tol,
                           max_doublings=max_doublings, max_grid=max_grid)[0]
 
 
-def poly_norms(phi: YoungFunction, fs: Sequence) -> np.ndarray:
-    """[poly_norm(phi, f, exact_l2=False) for f in fs], batched.
-
-    The polynomials are grouped by degree, so each one visits exactly the
-    grids poly_norm would give it, and a zero polynomial has norm 0.  Each
-    group is stacked once (trig.coefficient_boxes).  On every grid its rows
-    are sampled by one pruned FFT and normed by one row-wise root, in chunks
-    of at most SAMPLE_BLOCK grid points (at least one row), and each row
-    freezes at its own first settled grid.
+def poly_norms(phi: YoungFunction, boxes: np.ndarray) -> np.ndarray:
+    """poly_norm(phi, p, exact_l2=False) for each polynomial p stacked in
+    ``boxes`` (trig.coefficient_boxes), batched, on the grids of the degree d
+    of the box width 2 d + 1: a row whose top coefficients cancel exactly
+    visits these, not the grids of its own lower degree, and a zero row has
+    norm 0.  On every grid the rows are sampled by one pruned FFT and normed
+    by one row-wise root, in chunks of at most SAMPLE_BLOCK grid points (at
+    least one row), and each row freezes at its own first settled grid.
     """
+    if not len(boxes):
+        return np.zeros(0)
     grids = dict(poly_norm.__kwdefaults__)   # poly_norm's grid options
     del grids["exact_l2"]
-    groups: dict[int, list[int]] = {}
-    for i, f in enumerate(fs):
-        if f.cs.size:
-            groups.setdefault(f.degree, []).append(i)
-    out = np.zeros(len(fs))
-    for degree, idx in groups.items():
-        boxes = coefficient_boxes([fs[i] for i in idx], degree)
 
-        def rows_norm(m: int, boxes=boxes) -> np.ndarray:
-            step = max(1, trig.SAMPLE_BLOCK // m ** (boxes.ndim - 1))
-            chunks = (np.abs(sample_boxes(boxes[r:r + step], m))
-                      for r in range(0, len(boxes), step))
-            return np.concatenate([_lux_root(phi, v.reshape(len(v), -1), True)
-                                   for v in chunks])
+    def rows_norm(m: int) -> np.ndarray:
+        step = max(1, trig.SAMPLE_BLOCK // m ** (boxes.ndim - 1))
+        chunks = (np.abs(sample_boxes(boxes[r:r + step], m))
+                  for r in range(0, len(boxes), step))
+        return np.concatenate([_lux_root(phi, v.reshape(len(v), -1), True)
+                               for v in chunks])
 
-        out[idx] = refine_on_grid(fs[idx[0]], rows_norm, **grids)[0]
-    return out
+    return refine_on_grid((boxes.shape[-1] - 1) // 2, rows_norm, **grids)[0]
 
 
 def embed_l2_check(phi: YoungFunction, x) -> VerificationReport:

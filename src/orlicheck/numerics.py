@@ -125,7 +125,6 @@ class ImproperIntegral:
     x_end: float
     n_decades: int
     status: Status
-    last_ratio: float
 
     @property
     def truncated(self) -> bool:
@@ -188,14 +187,14 @@ def integrate_log_improper(logF: Callable[[np.ndarray], np.ndarray],
                 raise ValueError(f"integrand is NaN on [{lo!r}, {hi!r}]")
             if math.isinf(c):
                 return ImproperIntegral(math.inf, math.inf, hi, j + 1,
-                                        Status.DIVERGENT, math.inf)
+                                        Status.DIVERGENT)
             total += c
             if prev is not None and prev > 0.0:
                 ratio = c / prev
                 slow_streak = slow_streak + 1 if ratio >= 0.999 else 0
                 if slow_streak >= 3 and j >= 5:
                     return ImproperIntegral(total, np.inf, hi, j + 1,
-                                            Status.DIVERGENT, ratio)
+                                            Status.DIVERGENT)
             prev = c
             lo = hi
             j += 1
@@ -205,12 +204,11 @@ def integrate_log_improper(logF: Callable[[np.ndarray], np.ndarray],
                     tail = c * ratio / (1.0 - ratio) if 0.0 < ratio < 1.0 else c
                     if tail < 1e-6 * total:
                         return ImproperIntegral(total, tail, hi, j,
-                                                Status.CONVERGED, ratio)
+                                                Status.CONVERGED)
             else:
                 small_streak = 0
     tail = prev * ratio / (1.0 - ratio) if 0.0 < ratio < 1.0 else np.inf
-    return ImproperIntegral(total, tail, lo, max_decades,
-                            Status.TRUNCATED, ratio)
+    return ImproperIntegral(total, tail, lo, max_decades, Status.TRUNCATED)
 
 
 def chandrupatla(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],

@@ -12,7 +12,7 @@ Three checks:
   inverse-product lower bound, both with constant C;
 * the Hilbert lower route: ||b_n * f||_{L_2} <= K omega_n^{-1/2}
   ||(b_n * f) samples||_{l_2}.  The implicit constant is not explicit in the
-  underlying sampling theorem; the default threshold K = 2 follows from the
+  underlying sampling theorem; the threshold K = 2 follows from the
   grid Parseval identity with the 4/3 grid-to-frame slack, and the observed
   empirical constant is always reported.
 """
@@ -30,6 +30,8 @@ from .trig import (Frame, TrigPoly, band_kernel, convolve, frame,
                    poly_from_box, refine_on_grid, sample_on_grid)
 from .young import (YoungFunction, check_inverse_product,
                     check_supermultiplicativity, supermultiplicativity_pairs)
+
+L2_LOWER_K = 2.0   # the threshold K of the Hilbert lower route
 
 __all__ = [
     "classical_check_1d",
@@ -81,8 +83,8 @@ def classical_check_1d(g: TrigPoly, phi: YoungFunction, *,
     # grid points 2 pi (k+n)/m, k = -n..n, equal the standard m-grid re-indexed
     lhs = float(np.mean(phi(np.abs(g.sample_uniform(m)) / 3.0)))
     rhs = refine_on_grid(
-        g, lambda grid: float(np.mean(phi(np.abs(g.sample_uniform(grid))))),
-        degree=n, rel_tol=1e-10, max_doublings=3)[0]
+        n, lambda grid: float(np.mean(phi(np.abs(g.sample_uniform(grid))))),
+        rel_tol=1e-10, max_doublings=3)[0]
     return _trial("classical-1d", n, f"deg{g.degree}", lhs, rhs, 1.0, True)
 
 
@@ -139,7 +141,7 @@ def orlicz_sampling_check(f: TrigPoly, n: int, phi: YoungFunction, C: float,
         fun_norm, grid, converged = poly_norm(phi, f), 0, True
     else:   # luxemburg.norm_fun, where perfbench's tracer wraps it
         fun_norm, grid, converged = refine_on_grid(
-            f, lambda m: luxemburg.norm_fun(phi, f.sample_uniform(m)),
+            f.degree, lambda m: luxemburg.norm_fun(phi, f.sample_uniform(m)),
             rel_tol=1e-5, max_doublings=1, max_grid=1024)
     inv_omega = float(phi.inverse(float(fr.omega)))
     rhs = bound * inv_omega * fun_norm
@@ -150,13 +152,13 @@ def orlicz_sampling_check(f: TrigPoly, n: int, phi: YoungFunction, C: float,
         fun_norm_grid=grid, fun_norm_converged=converged)
 
 
-def l2_sampling_lower(f: TrigPoly, n: int, *, K: float = 2.0,
+def l2_sampling_lower(f: TrigPoly, n: int, *,
                       poly_id: str = "") -> VerificationReport:
     """Hilbert lower sampling route for the band piece of level n.
 
     Checks ||b_n * f||_{L_2} <= K * omega_n^{-1/2} * ||(b_n * f)||_{l_2}
-    with the frame-grid sample l2 norm on the right.  The zero band passes
-    trivially.
+    with K = L2_LOWER_K and the frame-grid sample l2 norm on the right.
+    The zero band passes trivially.
     """
     if n < 3:
         raise ValueError("the frame grid needs level >= 3")
@@ -166,9 +168,9 @@ def l2_sampling_lower(f: TrigPoly, n: int, *, K: float = 2.0,
         fr = frame(n)
         lhs = band.l2_norm()
         samples = sample_on_grid(band, fr)
-        rhs = K * float(np.sqrt(np.sum(np.abs(samples) ** 2) / fr.omega))
+        rhs = L2_LOWER_K * float(np.sqrt(np.mean(np.abs(samples) ** 2)))
     return _trial("l2-sampling-lower", n, poly_id or f"deg{f.degree}", lhs,
-                  rhs, K, True)
+                  rhs, L2_LOWER_K, True)
 
 
 def _coefficients(rng: np.random.Generator, count: int,

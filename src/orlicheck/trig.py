@@ -15,15 +15,15 @@ the one-row case.
 
 Grid quadrature
 ---------------
-refine_on_grid      the one oversample-and-double loop: calls a functional
-                    of the grid size on uniform grids that double until its
-                    value settles to ``rel_tol``, and returns
-                    (value, grid, converged).  The functional may return a
-                    vector, whose entries settle one by one.
+refine_on_grid      the one oversample-and-double loop: from a degree, it
+                    calls a functional of the grid size on uniform grids
+                    that double until its value settles to ``rel_tol``, and
+                    returns (value, grid, converged).  The functional may
+                    return a vector, whose entries settle one by one.
                     luxemburg.poly_norm and the two sampling checks sample
                     each grid whole; luxemburg.poly_norms samples a stack of
-                    polynomials in chunks of rows; poly_l1 samples only the
-                    1-D factors of a rank factorisation of f and sums |f|
+                    coefficient boxes in chunks of rows; poly_l1 samples only
+                    the 1-D factors of a rank factorisation of f and sums |f|
                     block by block from them, so its memory does not grow
                     with the grid and its 4096-point cap only bounds its
                     time (it stops there unconverged on the band kernels).
@@ -203,10 +203,6 @@ class TrigPoly:
         cancels to exactly 0 is dropped."""
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        if self.ks.shape == other.ks.shape and np.array_equal(self.ks,
-                                                               other.ks):
-            # one support, as in f.translate(h) - f: nothing to merge
-            return TrigPoly._of(self.dim, self.ks, self.cs + sign * other.cs)
         base = 2 * max(self.degree, other.degree) + 1
         _, first, slot = np.unique(
             np.concatenate([_linear(self.ks, base), _linear(other.ks, base)]),
@@ -428,27 +424,23 @@ def sample_on_grid(f: TrigPoly, fr: Frame) -> np.ndarray:
     return values[tuple((fr.ks + 2 ** fr.level - 1).T)]
 
 
-def refine_on_grid(f: TrigPoly, value: Callable[[int], object], *,
-                   degree: int | None = None, oversample: int = 8,
-                   rel_tol: float, max_doublings: int,
+def refine_on_grid(degree: int, value: Callable[[int], object], *,
+                   oversample: int = 8, rel_tol: float, max_doublings: int,
                    max_grid: float = math.inf) -> tuple:
     """Grid quadrature with a doubling check: (value, grid, converged).
 
     Calls ``value(m)`` for uniform m-grids per axis, starting from
     m = max(8, oversample * (degree + 1)) capped at ``max_grid`` but never
-    below the Nyquist size 2 * f.degree + 1, and doubles m while
-    2m <= max_grid, at most ``max_doublings`` times.  ``value`` samples f, a
-    stack of polynomials of its degree, or the 1-D factors of f, on the m-grid
-    itself (see sample_boxes, poly_l1).  It returns a float or a vector of
-    floats.  Each entry freezes, converged, at the first grid where it moved
-    by at most ``rel_tol`` relatively; the loop stops once all have, and an
-    entry that never did keeps the last grid's value, not converged.  The
-    grid returned is the last one visited; value and converged have the
-    shape of value(m).  ``degree`` defaults to the degree of f.
+    below the Nyquist size 2 * degree + 1, and doubles m while
+    2m <= max_grid, at most ``max_doublings`` times.  ``value`` samples a
+    polynomial of that degree, a stack of them, or the 1-D factors of one,
+    on the m-grid itself (see sample_boxes, poly_l1), and returns a float or
+    a vector.  Each entry freezes, converged, at the first grid where it
+    moved by at most ``rel_tol`` relatively; the loop stops once all have,
+    and an entry that never did keeps the last grid's value, not converged.
+    The grid is the last one visited; value and converged have its shape.
     """
-    degree = f.degree if degree is None else degree
-    m = max(min(max(8, oversample * (degree + 1)), max_grid),
-            2 * f.degree + 1)
+    m = max(min(max(8, oversample * (degree + 1)), max_grid), 2 * degree + 1)
     val = np.array(value(m), dtype=float)
     done = np.zeros(val.shape, dtype=bool)
     for _ in range(max_doublings):
@@ -516,7 +508,7 @@ def poly_l1(f: TrigPoly) -> float:
     """
     rows, cols = _rank_factors(f)
     return refine_on_grid(
-        f, lambda m: _factor_mean_abs(rows, cols, m, m ** (f.dim - 1)),
+        f.degree, lambda m: _factor_mean_abs(rows, cols, m, m ** (f.dim - 1)),
         rel_tol=1e-6, max_doublings=3, max_grid=4096)[0]
 
 

@@ -1,6 +1,7 @@
 """Moduli of continuity, the two Besov-Orlicz norms, and best approximation."""
 
 import math
+import re
 from unittest import mock
 
 import mpmath
@@ -13,7 +14,7 @@ from orlicheck.besov import (BesovParams, _shift_norms,
                              besov_norm_tilde, check_norm_comparison,
                              check_sum_integral_sandwich,
                              modulus, multiplier)
-from orlicheck.luxemburg import poly_norm
+from orlicheck.luxemburg import norm_fun, poly_norm
 from orlicheck.sampling import random_poly_1d
 from orlicheck.trig import TrigPoly, band_kernel, convolve
 from orlicheck.young import (make_logpower, make_power, make_section7,
@@ -134,6 +135,29 @@ def test_batched_shift_norms_match_per_shift_route(phi_name):
                 got = _shift_norms(f, hs, phi)
             assert got == pytest.approx(expect, rel=1e-12, abs=0.0), block
     assert degrees[2:] == [[1, 1, 3], [None, 1, None]]
+
+
+def test_shift_stack_samples_every_row_on_the_grids_of_f():
+    # along x, e^{3iy} + e^{ix} + 0.5 e^{2ix} has a difference of degree 2
+    # whose modulus is not constant, so its grids matter: each row takes the
+    # grids of degree 3, not those poly_norm gives the difference
+    top = TrigPoly(2, {(0, 3): 1.0, (1, 0): 1.0, (2, 0): 0.5})
+    cases = _shift_cases() + [
+        (top, np.array([[0.4, 0.0], [0.9, 0.0], [1.7, 0.0], [0.3, 0.2]]))]
+    grids = dict(poly_norm.__kwdefaults__)
+    del grids["exact_l2"]
+    for phi in SHIFT_PHIS.values():
+        for f, hs in cases:
+            diffs = [f.translate(h) - f for h in hs]
+            on_f = [trig.refine_on_grid(
+                f.degree, lambda m, d=d: norm_fun(phi, d.sample_uniform(m)),
+                **grids)[0] for d in diffs]
+            got = _shift_norms(f, hs, phi)
+            assert got == pytest.approx(on_f, rel=1e-12, abs=0.0)
+            own = [poly_norm(phi, d) for d in diffs]
+            assert got == pytest.approx(own, rel=1e-5, abs=0.0)
+    assert [d.degree for d in (top.translate(h) - top for h in cases[-1][1])
+            ] == [2, 2, 2, 3]
 
 
 def _parseval_cases():
@@ -428,3 +452,48 @@ def test_comparison_section7_degree2():
     assert rep.margin >= 0.0
     assert all(lv["margin"] >= 0.0 for lv in rep.quantities["levels"])
 
+
+def test_comparison_norms_f_once():
+    # three nonzero bands (b_1 * f equals f, but is its own polynomial), two
+    # best approximations, and ||f||_Phi once for both sums
+    params = BesovParams(make_section7(0.05), lambda t: t ** 0.5, n_max=3,
+                         h_angles=8, h_radii=3)
+    f = TrigPoly(2, {(1, 0): 1.0, (0, -1): 0.5j, (0, 0): 0.25})
+    with mock.patch.object(besov, "poly_norm",
+                           wraps=besov.poly_norm) as counted:
+        rep = check_norm_comparison(f, params)
+    assert counted.call_count == 6
+    assert sum(c.args[1] is f for c in counted.call_args_list) == 1
+    assert rep.passed
+
+
+# ---------------------------------------------------------------------------
+# input guards
+# ---------------------------------------------------------------------------
+
+_F2 = TrigPoly(2, {(1, 0): 1.0, (0, 1): 0.5})
+_P2 = params_power2()
+
+GUARDS = [
+    (lambda: params_power2(n_max=1), "n_max must be >= 2"),
+    (lambda: modulus(_F2, 0.0, make_power(2.0)),
+     "shift radius t must be positive"),
+    (lambda: multiplier(0), "multiplier order must be >= 1"),
+    (lambda: best_approximation(TrigPoly(1, {(1,): 1.0}), 1, make_power(2.0)),
+     "best approximation is defined for 2-D polynomials"),
+    (lambda: best_approximation(_F2, -1, make_power(2.0)),
+     "box size must be >= 0"),
+    (lambda: check_sum_integral_sandwich(_F2, _P2, [0.5, 2.0]),
+     "t grid must start at or above 1"),
+    (lambda: check_sum_integral_sandwich(_F2, _P2, [2.0]),
+     "t grid needs at least 2 nodes, got 1"),
+    (lambda: check_sum_integral_sandwich(_F2, _P2, []),
+     "t grid needs at least 2 nodes, got 0"),
+]
+
+
+@pytest.mark.parametrize("call, message", GUARDS,
+                         ids=[m for _, m in GUARDS])
+def test_input_guards_raise(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

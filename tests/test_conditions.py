@@ -1,6 +1,7 @@
 """Integral embedding conditions: closed forms, classification, consistency."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -214,3 +215,31 @@ def test_section7_embed_totals_are_pinned(alpha, s):
     ev = embedding_condition_eval(phi, embedding_weight(phi), 2, s)
     assert ev.total == PINNED_TOTALS[alpha, s]
     assert ev.truncated is (alpha == 0.01)
+
+
+# ---------------------------------------------------------------------------
+# input guards
+# ---------------------------------------------------------------------------
+
+_POWER2 = make_power(2.0)
+_ONE = constant_weight(1.0)
+
+GUARDS = [
+    (lambda: embedding_condition_eval(_POWER2, _ONE, 0, 2.0),
+     "dimension must be >= 1"),
+    (lambda: factorization_integral_condition(_POWER2, []),
+     "s grid must be nonempty"),
+    (lambda: factorization_integral_condition(_POWER2, [0.5, 2.0]),
+     "scale s must be >= 1"),
+    (lambda: weight_domination_check(_POWER2, _ONE, [0.0, 1.0]),
+     "t grid must be positive"),
+    (lambda: lorentz_embedding_probe(_POWER2, 1, [1.0]),
+     "the probe needs dimension >= 2"),
+]
+
+
+@pytest.mark.parametrize("call, message", GUARDS,
+                         ids=[m for _, m in GUARDS])
+def test_input_guards_raise(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

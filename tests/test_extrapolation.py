@@ -2,6 +2,7 @@
 30-digit mpmath quadrature, the chain's gamma factor, and bucketing."""
 
 import math
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -176,3 +177,25 @@ def test_import_leaves_scipy_out():
          "print('scipy' in sys.modules)", src],
         capture_output=True, text=True, check=True)
     assert out.stdout.strip() == "False"
+
+
+# ---------------------------------------------------------------------------
+# input guards
+# ---------------------------------------------------------------------------
+
+GUARDS = [
+    (lambda: bucket([0.1, -1.0]), "bucket entries must be >= 0"),
+    (lambda: sobolev_profile(1, 1, 1.0),
+     "dimension d must be an integer >= 2"),
+    (lambda: sobolev_profile(3, 3, 1.0),
+     "smoothness k must be an integer in [1, d-1]"),
+    (lambda: sobolev_profile(3, 1, 2.0), "integrability p must lie in [1, 2)"),
+    (lambda: sobolev_profile(3, 2, 1.6), "requires p < d/k"),
+]
+
+
+@pytest.mark.parametrize("call, message", GUARDS,
+                         ids=[m for _, m in GUARDS])
+def test_input_guards_raise(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 from orlicheck.besov import BesovParams, besov_norm_classical
 from orlicheck.luxemburg import (_lux_root, _magnitudes, embed_l2_check,
                                  modular_seq,
-                                 norm_fun, norm_seq, poly_norm)
+                                 norm_fun, norm_seq, poly_norm, poly_norms)
 from orlicheck.numerics import chandrupatla
 from orlicheck.sampling import random_poly_1d, random_poly_on_frame
-from orlicheck.trig import TrigPoly, frame, sample_on_grid
+from orlicheck.trig import TrigPoly, coefficient_boxes, frame, sample_on_grid
 from orlicheck.young import (YoungFunctionError, make_logpower, make_power,
                              make_section7, make_tabulated)
 
@@ -100,6 +100,18 @@ def test_poly_norm_power2_shortcut_matches_quadrature():
     fast = poly_norm(phi, f)
     slow = poly_norm(phi, f, exact_l2=False)
     assert fast == pytest.approx(slow, rel=1e-9)
+
+
+def test_poly_norms_of_a_box_stack():
+    # the stack of degree 2 holds a polynomial of that degree, a zero row
+    # and a constant, whose modulus makes every grid exact
+    phi = make_section7(0.05)
+    fs = [random_poly_1d(2, 3), TrigPoly(1, {}), TrigPoly(1, {(0,): 2.5})]
+    got = poly_norms(phi, coefficient_boxes(fs, 2))
+    want = [poly_norm(phi, f) if f.cs.size else 0.0 for f in fs]
+    assert got.tolist() == pytest.approx(want, rel=1e-12, abs=0.0)
+    assert got[1] == 0.0
+    assert poly_norms(phi, coefficient_boxes(fs, 2)[:0]).shape == (0,)
 
 
 # ---------------------------------------------------------------------------

@@ -108,7 +108,7 @@ def _scalar_march(logF, x0, breakpoints=(), *, nodes=64, max_decades=2600,
                 raise ValueError(f"integrand is NaN on [{lo!r}, {hi!r}]")
             if math.isinf(c):
                 return ImproperIntegral(math.inf, math.inf, hi, j + 1,
-                                        Status.DIVERGENT, math.inf)
+                                        Status.DIVERGENT)
             total += c
             if prev is not None and prev > 0.0:
                 ratio = c / prev
@@ -116,7 +116,7 @@ def _scalar_march(logF, x0, breakpoints=(), *, nodes=64, max_decades=2600,
                                else 0)
                 if slow_streak >= 3 and j >= 5:
                     return ImproperIntegral(total, math.inf, hi, j + 1,
-                                            Status.DIVERGENT, ratio)
+                                            Status.DIVERGENT)
             prev = c
             lo = hi
             if total > 0.0 and c < rel_decade_tol * total:
@@ -126,12 +126,11 @@ def _scalar_march(logF, x0, breakpoints=(), *, nodes=64, max_decades=2600,
                             else c)
                     if tail < tail_rel * total:
                         return ImproperIntegral(total, tail, hi, j + 1,
-                                                Status.CONVERGED, ratio)
+                                                Status.CONVERGED)
             else:
                 small_streak = 0
     tail = prev * ratio / (1.0 - ratio) if 0.0 < ratio < 1.0 else math.inf
-    return ImproperIntegral(total, tail, lo, max_decades, Status.TRUNCATED,
-                            ratio)
+    return ImproperIntegral(total, tail, lo, max_decades, Status.TRUNCATED)
 
 
 def _second_term(phi, psi, s, d=2):

@@ -90,6 +90,26 @@ def test_to_dict_writes_status_and_infinite_margins_as_strings():
     assert type(d["quantities"]["integral_status"]) is str
 
 
+def test_to_dict_writes_numpy_and_complex_values_as_json():
+    rep = VerificationReport(
+        check_id="plain", passed=np.bool_(True), margin=np.float64(0.5),
+        witness=np.array([[1, 2], [3, 4]]),
+        quantities={"count": np.int64(7), "flag": np.bool_(False),
+                    "z": 1.5 - 2j, "grid": np.array([0.25, np.inf]),
+                    "nested": (np.float32(0.5), {3: np.int32(-1)})},
+        inputs={}, tolerance="")
+    d = rep.to_dict()
+    assert json.loads(json.dumps(d)) == d
+    assert d["passed"] is True and d["margin"] == 0.5
+    assert d["witness"] == [[1, 2], [3, 4]]
+    q = d["quantities"]
+    assert q["count"] == 7 and type(q["count"]) is int
+    assert q["flag"] is False
+    assert q["z"] == [1.5, -2.0]
+    assert q["grid"] == [0.25, "inf"]
+    assert q["nested"] == [0.5, {"3": -1}]
+
+
 def test_quantities_read_as_attributes_and_survive_copy_and_pickle():
     rep = BUILDERS["embedding-sup"]()
     assert rep.bounded is rep.quantities["bounded"] is True

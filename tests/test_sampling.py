@@ -2,6 +2,7 @@
 lower route, and random polynomial generators."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -248,3 +249,22 @@ def test_unknown_law_rejected():
         random_poly_on_frame(3, seed=0, law="cauchy")
     with pytest.raises(ValueError):
         random_poly_1d(3, seed=0, law="levy")
+
+
+# ---------------------------------------------------------------------------
+# input guards
+# ---------------------------------------------------------------------------
+
+GUARDS = [
+    (lambda: classical_check_1d(TrigPoly(2, {(1, 0): 1.0}), make_power(2.0)),
+     "classical check needs a 1-D polynomial"),
+    (lambda: l2_sampling_lower(random_poly_on_frame(3, 0), 2),
+     "the frame grid needs level >= 3"),
+]
+
+
+@pytest.mark.parametrize("call, message", GUARDS,
+                         ids=[m for _, m in GUARDS])
+def test_input_guards_raise(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -2,6 +2,7 @@
 
 import functools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -434,7 +435,7 @@ def test_refine_on_grid_converges_for_fejer_l1():
     # poly_l1 defaults: 8 * (6 + 1) = 56 points, one doubling settles it
     f = fejer(6)
     value, grid, converged = refine_on_grid(
-        f, lambda m: float(np.mean(np.abs(f.sample_uniform(m)))),
+        f.degree, lambda m: float(np.mean(np.abs(f.sample_uniform(m)))),
         rel_tol=1e-6, max_doublings=3, max_grid=4096)
     assert converged
     assert grid == 112
@@ -442,7 +443,7 @@ def test_refine_on_grid_converges_for_fejer_l1():
     # entries of a vector freeze one by one: 1 + m^-4 settles on the same
     # grid, while 1/m keeps moving and takes the loop on to its last grid
     values, grid, converged = refine_on_grid(
-        f, lambda m: [1.0 + m ** -4.0, 1.0 / m],
+        f.degree, lambda m: [1.0 + m ** -4.0, 1.0 / m],
         rel_tol=1e-6, max_doublings=3, max_grid=4096)
     assert converged.tolist() == [True, False]
     assert grid == 448
@@ -455,7 +456,7 @@ def test_refine_on_grid_reports_unconverged_section7_norm():
     phi = make_section7(0.05)
     f = random_poly_on_frame(3, seed=5)
     value, grid, converged = refine_on_grid(
-        f, lambda m: norm_fun(phi, f.sample_uniform(m)), rel_tol=1e-5,
+        f.degree, lambda m: norm_fun(phi, f.sample_uniform(m)), rel_tol=1e-5,
         max_doublings=1, max_grid=1024)
     assert not converged
     assert grid == 128
@@ -634,3 +635,34 @@ def test_random_poly_on_frame_matches_dict_route(law, fraction):
         expect = TrigPoly(2, dict(zip(idx, _coefficients(rng, len(idx), law))))
         assert random_poly_on_frame(n, seed, law,
                                     subset_fraction=fraction) == expect
+
+
+# ---------------------------------------------------------------------------
+# input guards
+# ---------------------------------------------------------------------------
+
+_F1 = TrigPoly(1, {(1,): 1.0})
+_F2 = TrigPoly(2, {(1, 0): 1.0})
+
+GUARDS = [
+    (lambda: TrigPoly(2, {(1,): 1.0}),
+     "lattice point (1,) is not of dimension 2"),
+    (lambda: _F1 + _F2, "dimension mismatch"),
+    (lambda: _F2.translate(0.5), "shift needs 2 components"),
+    (lambda: _F2.eval_at(0.0), "evaluation needs 2 coordinates"),
+    (lambda: fejer(-1), "order must be >= 0"),
+    (lambda: plateau_kernel(-2), "index must be >= -1"),
+    (lambda: band_kernel(-1), "index must be >= 0"),
+    (lambda: convolve(_F1, _F2), "dimension mismatch"),
+    (lambda: sample_on_grid(_F1, frame(3)),
+     "frame sampling needs a 2-D polynomial"),
+    (lambda: poly_from_coeff_list([[1, 0.5]], 1),
+     "coefficient rows need 3 entries"),
+]
+
+
+@pytest.mark.parametrize("call, message", GUARDS,
+                         ids=[m for _, m in GUARDS])
+def test_input_guards_raise(call, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -560,3 +561,34 @@ def test_power_inverse_identity_property(p, u):
 def test_section7_inverse_identity_property(alpha, u):
     phi = make_section7(alpha)
     assert float(phi(phi.inverse(u))) == pytest.approx(u, rel=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# input guards
+# ---------------------------------------------------------------------------
+
+_PAIRS = [(2.0, 3.0)]
+
+GUARDS = [
+    (lambda: make_logpower(1.0, 1.0, switch=1.0),
+     "logpower switch must lie in (0, 1)"),
+    (lambda: make_tabulated([]),
+     "tabulated kind needs at least one breakpoint"),
+    (lambda: make_tabulated([(1.0, 1.0), (1.0, 2.0)]),
+     "tabulated breakpoints must be strictly increasing"),
+    (lambda: check_supermultiplicativity(make_power(2.0), 0.5, _PAIRS),
+     "supermultiplicativity constant C must be >= 1"),
+    (lambda: check_inverse_product(make_power(2.0), 0.5, [1.0]),
+     "inverse-product constant C must be >= 1"),
+    (lambda: check_inverse_product(make_power(2.0), 1.0, [0.0, 1.0]),
+     "inverse-product grid must be positive"),
+    (lambda: check_multiplicativity_transfer(make_power(2.0), 0.5, _PAIRS),
+     "transfer constant C must be >= 1"),
+]
+
+
+@pytest.mark.parametrize("call, message", GUARDS,
+                         ids=[m for _, m in GUARDS])
+def test_input_guards_raise(call, message):
+    with pytest.raises(YoungFunctionError, match=f"^{re.escape(message)}$"):
+        call()
