@@ -45,7 +45,7 @@ class BesovParams:
     (dyadic arguments 2^n and the continuous comparison integrals).
     ``n_max`` truncates the classical dyadic sum; the band sum needs no
     truncation.  ``h_angles`` x ``h_radii`` is the polar search grid of the
-    modulus of continuity.
+    modulus of continuity, which always takes its local refinement pass.
     """
 
     phi: YoungFunction
@@ -53,7 +53,6 @@ class BesovParams:
     n_max: int = 16
     h_angles: int = 64
     h_radii: int = 8
-    refine: bool = True
 
     def __post_init__(self):
         if self.n_max < 2:
@@ -158,7 +157,7 @@ def _dyadic_terms(f: TrigPoly, params: BesovParams) -> list[float]:
     """psi(2^n) * modulus(f, 2^{-n}) for n = 0, ..., n_max."""
     return [float(params.psi(2.0 ** n))
             * modulus(f, 2.0 ** (-n), params.phi, angles=params.h_angles,
-                      radii=params.h_radii, refine=params.refine)
+                      radii=params.h_radii)
             for n in range(params.n_max + 1)]
 
 
@@ -288,7 +287,7 @@ def check_sum_integral_sandwich(f: TrigPoly, params: BesovParams,
 
     def om(tt: float) -> float:
         return modulus(f, tt, params.phi, angles=params.h_angles,
-                       radii=params.h_radii, refine=params.refine)
+                       radii=params.h_radii)
 
     psi_t = np.array([params.psi(float(v)) for v in t])
     low_vals = psi_t / t * np.array([om(1.0 / (2.0 * v)) for v in t])

@@ -128,8 +128,6 @@ def _evaluation(s: float, first: float,
 
 def _first_term_log(phi: YoungFunction, psi: Weight, d: int,
                     sigma: float, nodes: int) -> float:
-    if sigma <= 0.0:
-        return 0.0
     pref = math.exp((d - 1) * sigma - float(phi.log_inverse(d * sigma)))
     integral = integrate_finite_log(psi.log_value, 0.0, sigma, nodes=nodes,
                                     breakpoints=psi.log_breaks)

@@ -63,7 +63,6 @@ class BoundProfile:
     q: float
     eps: float
     log_fn: Callable[[np.ndarray], np.ndarray]
-    label: str = ""
 
 
 @dataclass
@@ -236,8 +235,7 @@ def sobolev_profile(d: int, k: int, p: float) -> BoundProfile:
         raise ValueError("requires p < d/k")
     p0 = max(2.0 * d / (2.0 * k + d), float(p))
     expo = 1.0 - 2.0 / p
-    return BoundProfile(q=p0, eps=2.0 - p0, log_fn=lambda x: -expo * x,
-                        label=f"sobolev(d={d},k={k},p={p:g})")
+    return BoundProfile(q=p0, eps=2.0 - p0, log_fn=lambda x: -expo * x)
 
 
 def admissible_gamma(d: int, k: int, p: float) -> tuple[float, float]:

@@ -43,15 +43,13 @@ __all__ = [
 
 def modular_seq(phi: YoungFunction, x, lam: float) -> float:
     """Sum of Phi(|x_i| / lam) over the finite sequence x."""
-    a = np.abs(np.asarray(x).ravel())
-    if a.size == 0:
-        return 0.0
-    return float(np.sum(phi(a / lam)))
+    return float(np.sum(phi(np.abs(np.asarray(x).ravel()) / lam)))
 
 
 def _lux_root(phi: YoungFunction, a: np.ndarray, average: bool) -> np.ndarray:
     """Solve modular(a_r / lambda_r) = 1 for each row a_r of the nonnegative
-    (rows, n) array a; a row of zeros has norm 0.
+    (rows, n) array a; a row of zeros has norm 0.  An infinite entry raises
+    ValueError; a NaN row goes on to Phi, which rejects it.
 
     Works on a_r / max(a_r), in place in a (on subnormal data any bracket
     built from max(a_r) itself would underflow), and solves for
@@ -77,6 +75,8 @@ def _lux_root(phi: YoungFunction, a: np.ndarray, average: bool) -> np.ndarray:
     """
     n = a.shape[1]
     top = np.max(a, axis=1)
+    if np.isinf(top).any():
+        raise ValueError("Luxemburg norm: the data hold an infinite entry")
     norms = np.zeros(len(a))
     rows = np.flatnonzero(top != 0.0)   # NaN rows go on, for Phi to reject
     if rows.size == 0:

@@ -65,9 +65,8 @@ def _trial(check_id: str, level: int, poly_id: str, lhs: float, rhs: float,
         tolerance="lhs <= rhs (1 + 1e-9)")
 
 
-def classical_check_1d(g: TrigPoly, phi: YoungFunction, *,
-                       n: int | None = None) -> VerificationReport:
-    """Grid modular vs integral modular for a 1-D polynomial of degree n.
+def classical_check_1d(g: TrigPoly, phi: YoungFunction) -> VerificationReport:
+    """Grid modular vs integral modular for a 1-D polynomial g of degree n.
 
     lhs = (2n+1)^{-1} sum_k Phi(|g(2 pi (k+n)/(2n+1))|/3),
     rhs = (2 pi)^{-1} int Phi(|g|) by quadrature on 8 (n + 1) points and up
@@ -76,9 +75,7 @@ def classical_check_1d(g: TrigPoly, phi: YoungFunction, *,
     """
     if g.dim != 1:
         raise ValueError("classical check needs a 1-D polynomial")
-    n = g.degree if n is None else int(n)
-    if n < g.degree:
-        raise ValueError("declared degree below actual degree")
+    n = g.degree
     m = 2 * n + 1
     # grid points 2 pi (k+n)/m, k = -n..n, equal the standard m-grid re-indexed
     lhs = float(np.mean(phi(np.abs(g.sample_uniform(m)) / 3.0)))
@@ -118,16 +115,18 @@ def orlicz_sampling_check(f: TrigPoly, n: int, phi: YoungFunction, C: float,
     True when exact).  On random_poly_on_frame(3, seed=5) under section7 the
     64- and 128-point grids differ by 9.8e-5 relatively, and the 128-point
     value is 1.5e-5 below the 1024-point one, which the 24 C^2 margin dwarfs.
-    Each mode must satisfy 2^{n-3} < max_i |k_i| < 2^n for the frame's level
-    n; the ValueError says how many do not.
+    A frame ``fr`` of another level than n raises ValueError.  Each mode
+    must satisfy 2^{n-3} < max_i |k_i| < 2^n; the ValueError says how many
+    do not.
     """
     fr = fr or frame(n)
+    if fr.level != n:
+        raise ValueError(f"frame of level {fr.level} given for level {n}")
     radius = np.abs(f.ks).max(axis=1)
-    outside = np.count_nonzero((radius <= 2 ** (fr.level - 3))
-                               | (radius >= 2 ** fr.level))
+    outside = np.count_nonzero((radius <= 2 ** (n - 3)) | (radius >= 2 ** n))
     if outside:
         raise ValueError(f"{outside} of {radius.size} modes lie outside the "
-                         f"frame of level {fr.level}")
+                         f"frame of level {n}")
     supported = True
     if check_preconditions:
         pairs = supermultiplicativity_pairs(0, 64)
@@ -163,12 +162,9 @@ def l2_sampling_lower(f: TrigPoly, n: int, *,
     if n < 3:
         raise ValueError("the frame grid needs level >= 3")
     band = convolve(band_kernel(n), f)
-    lhs = rhs = 0.0
-    if band.cs.size:
-        fr = frame(n)
-        lhs = band.l2_norm()
-        samples = sample_on_grid(band, fr)
-        rhs = L2_LOWER_K * float(np.sqrt(np.mean(np.abs(samples) ** 2)))
+    lhs = band.l2_norm()
+    samples = sample_on_grid(band, frame(n))
+    rhs = L2_LOWER_K * float(np.sqrt(np.mean(np.abs(samples) ** 2)))
     return _trial("l2-sampling-lower", n, poly_id or f"deg{f.degree}", lhs,
                   rhs, L2_LOWER_K, True)
 
@@ -186,18 +182,12 @@ def _coefficients(rng: np.random.Generator, count: int,
     raise ValueError(f"unknown coefficient law: {law!r}")
 
 
-def random_poly_on_frame(n: int, seed: int, law: str = "gaussian", *,
-                         subset_fraction: float = 1.0) -> TrigPoly:
-    """Deterministic random polynomial with spectrum on the frame of level n.
-
-    Coefficients follow ``law`` (see _coefficients).  A subset fraction
-    below 1 keeps a random subset of the frame lattice, drawn before the
-    coefficients.
-    """
+def random_poly_on_frame(n: int, seed: int,
+                         law: str = "gaussian") -> TrigPoly:
+    """Deterministic random polynomial with a coefficient at every point of
+    the frame of level n, following ``law`` (see _coefficients)."""
     ks = frame(n).ks
     rng = np.random.default_rng(seed)
-    if subset_fraction < 1.0:
-        ks = ks[rng.random(len(ks)) < subset_fraction]
     return TrigPoly.from_arrays(2, ks, _coefficients(rng, len(ks), law))
 
 

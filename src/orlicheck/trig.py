@@ -60,7 +60,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from types import MappingProxyType
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -83,8 +83,6 @@ __all__ = [
     "poly_l1",
     "refine_on_grid",
     "poly_from_box",
-    "poly_from_coeff_list",
-    "poly_to_coeff_list",
 ]
 
 
@@ -117,9 +115,10 @@ class TrigPoly:
     Stored as ``ks``, the read-only int64 (count, dim) array of the lattice
     points with a nonzero coefficient in lexicographic order, and ``cs``,
     their read-only complex128 coefficients.  ``TrigPoly(dim, mapping)``
-    builds from a dict keyed by ints or tuples.  ``coeffs`` (a read-only
-    tuple-keyed mapping), ``coeff`` and ``support`` are views for tests and
-    I/O, built on demand.  ``degree`` is max |k_i| over the support.
+    builds from a dict keyed by ints or tuples.  ``coeffs`` holds the same
+    data as a read-only tuple-keyed mapping, built on demand; ``coeff(k)``
+    reads one entry (0 off the support).  ``degree`` is max |k_i| over the
+    support.
     """
 
     def __init__(self, dim: int, coeffs: Mapping | None = None):
@@ -189,9 +188,6 @@ class TrigPoly:
     def coeffs(self) -> Mapping[tuple[int, ...], complex]:
         return MappingProxyType(dict(zip(map(tuple, self.ks.tolist()),
                                          self.cs.tolist())))
-
-    def support(self) -> set[tuple[int, ...]]:
-        return set(self.coeffs)
 
     def coeff(self, key) -> complex:
         return self.coeffs.get(_norm_key(self.dim, key), 0j)
@@ -360,28 +356,15 @@ class Frame:
     """Dyadic lattice annulus with its Marcinkiewicz sampling grid.
 
     ks = Z^2 intersected with (-2^n, 2^n)^2 minus [-2^{n-3}, 2^{n-3}]^2, a
-    read-only int64 (omega, 2) array in lexicographic order (``indices``:
-    the same as tuples, built on demand for tests and I/O); the grid has
-    2^{n+1} - 1 equispaced points per axis.
+    read-only int64 (omega, 2) array in lexicographic order; the grid has
+    grid_size = 2^{n+1} - 1 equispaced points per axis, and the frame index
+    k sits at the angle 2 pi (k + 2^n - 1) / grid_size.
     """
 
     level: int
     ks: np.ndarray
     omega: int
     grid_size: int
-
-    @cached_property
-    def indices(self) -> tuple[tuple[int, int], ...]:
-        return tuple(map(tuple, self.ks.tolist()))
-
-    def grid_coordinate(self, k: int) -> float:
-        """x_k = 2 pi (k + 2^n - 1) / (2^{n+1} - 1)."""
-        n = self.level
-        return 2.0 * np.pi * (k + 2 ** n - 1) / self.grid_size
-
-    @property
-    def grid_spacing(self) -> float:
-        return 2.0 * np.pi / self.grid_size
 
 
 @lru_cache(maxsize=32)
@@ -510,20 +493,3 @@ def poly_l1(f: TrigPoly) -> float:
     return refine_on_grid(
         f.degree, lambda m: _factor_mean_abs(rows, cols, m, m ** (f.dim - 1)),
         rel_tol=1e-6, max_doublings=3, max_grid=4096)[0]
-
-
-# ---------------------------------------------------------------------------
-# coefficient I/O: JSON-friendly (k, l, re, im) tuples
-# ---------------------------------------------------------------------------
-
-def poly_to_coeff_list(f: TrigPoly) -> list[list[float]]:
-    return [[*k, c.real, c.imag]
-            for k, c in zip(f.ks.tolist(), f.cs.tolist())]
-
-
-def poly_from_coeff_list(rows: Iterable[Iterable[float]], dim: int) -> TrigPoly:
-    rows = [list(row) for row in rows]
-    if any(len(row) != dim + 2 for row in rows):
-        raise ValueError(f"coefficient rows need {dim + 2} entries")
-    return TrigPoly(dim, {tuple(row[:dim]): complex(*row[dim:])
-                          for row in rows})

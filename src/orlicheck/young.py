@@ -331,7 +331,9 @@ def make_tabulated(points: Iterable[Sequence[float]]) -> YoungFunction:
     A (0, 0) anchor is prepended if absent; beyond the last breakpoint both
     directions extrapolate with the final segment slope.  The log inverse is
     closed form on the first segment and past the last one, so it stays
-    finite for every finite y.  Raises
+    finite for every finite y; its kinks, the logs of the interior
+    breakpoint values u_1 ... u_{n-1}, are its ``log_inverse_breaks`` (the
+    last segment runs on past u_n, so there is none there).  Raises
     YoungFunctionError unless the segment slopes, the anchor segment
     included, are nondecreasing up to the rounding of their differences.
     """
@@ -389,6 +391,7 @@ def make_tabulated(points: Iterable[Sequence[float]]) -> YoungFunction:
     ends = ts.tolist()[1:-1] + [math.inf]      # the last segment runs on
     return YoungFunction("tabulated", {"points": tuple(map(tuple, pts))},
                          fwd, inv, log_inv,
+                         log_inverse_breaks=tuple(np.log(us[1:-1]).tolist()),
                          affine_pieces=tuple(zip(ts.tolist(), ends)))
 
 

@@ -344,7 +344,7 @@ def test_multiplier_family_invariants():
     for m in (1, 2, 5, 8):
         pm = multiplier(m)
         assert pm.coeff((0, 0)) == pytest.approx(1.0)
-        assert all(max(abs(k), abs(l)) <= m for k, l in pm.support())
+        assert all(max(abs(k), abs(l)) <= m for k, l in pm.coeffs)
 
 
 def test_multiplier_matches_dict_formula():
@@ -446,7 +446,7 @@ def test_comparison_zero_band_levels_trivially_pass():
 
 def test_comparison_section7_degree2():
     params = BesovParams(make_section7(0.05), lambda t: t ** 0.5, n_max=4,
-                         h_angles=8, h_radii=2, refine=False)
+                         h_angles=8, h_radii=2)
     rep = check_norm_comparison(random_poly2(2, seed=13), params)
     assert rep.passed
     assert rep.margin >= 0.0

@@ -12,7 +12,7 @@ from orlicheck.conditions import (ConditionEvaluation, constant_weight,
                                   factorization_integral_condition,
                                   lorentz_embedding_probe, power_weight,
                                   weight_domination_check)
-from orlicheck.young import make_power, make_section7
+from orlicheck.young import make_power, make_section7, make_tabulated
 
 S_GRID = np.geomspace(1.0, 1e6, 25)
 
@@ -147,6 +147,19 @@ def test_doubling_nodes_changes_totals_below_1e6():
     a = embedding_condition_eval(p2, w, 2, 100.0, nodes=64)
     b = embedding_condition_eval(p2, w, 2, 100.0, nodes=128)
     assert a.total == pytest.approx(b.total, rel=1e-6)
+
+
+def test_tabulated_terms_match_fine_nodes():
+    # the kinks of the tabulated log inverse split the Gauss panels, so the
+    # default 64 nodes agree with 2048 far below the 1e-5 that a panel
+    # straddling a kink costs
+    phi = make_tabulated([(0.5, 0.2), (1, 0.7), (2, 2.5), (4, 9)])
+    for psi in (constant_weight(1.0), embedding_weight(phi)):
+        for s in (1.2, 1.5, 2.0, 3.0, 10.0, 30.0, 300.0):
+            a = embedding_condition_eval(phi, psi, 2, s)
+            b = embedding_condition_eval(phi, psi, 2, s, nodes=2048)
+            assert a.first_term == pytest.approx(b.first_term, rel=1e-8)
+            assert a.second_term == pytest.approx(b.second_term, rel=1e-8)
 
 
 # ---------------------------------------------------------------------------

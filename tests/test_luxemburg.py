@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import warnings
 
 import mpmath
 import numpy as np
@@ -144,6 +145,15 @@ def test_subnormal_power_data_has_finite_norm():
 def test_nan_data_is_rejected():
     with pytest.raises(YoungFunctionError, match="NaN"):
         norm_seq(make_section7(0.05), [math.nan, 1.0])
+
+
+@pytest.mark.parametrize("route", [norm_seq, norm_fun, embed_l2_check])
+def test_infinite_data_is_rejected_before_scaling(route):
+    # no division warning on the way, and the error names the infinity
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="infinite entry"):
+            route(make_section7(0.05), [1.0, math.inf])
 
 
 @settings(max_examples=30, deadline=None)

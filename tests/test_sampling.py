@@ -54,12 +54,6 @@ def test_classical_batch_never_fails():
         assert chk.passed, (trial, deg)
 
 
-def test_classical_declared_degree_must_cover():
-    g = random_poly_1d(8, seed=1)
-    with pytest.raises(ValueError):
-        classical_check_1d(g, make_power(2.0), n=5)
-
-
 # ---------------------------------------------------------------------------
 # Orlicz sampling on frames
 # ---------------------------------------------------------------------------
@@ -68,7 +62,7 @@ def test_orlicz_single_coefficient_closed_form():
     phi = make_power(2.0)
     n = 3
     fr = frame(n)
-    f = TrigPoly(2, {fr.indices[0]: 1.0})
+    f = TrigPoly(2, {tuple(fr.ks[0]): 1.0})
     chk = orlicz_sampling_check(f, n, phi, 1.0)
     # |f| = 1 everywhere: lhs = 1/Phi^{-1}(1/omega) = sqrt(omega), and
     # constant_ratio = lhs / (Phi^{-1}(omega) ||f||_{L_2}) = sqrt(omega) /
@@ -133,7 +127,7 @@ def test_orlicz_unsupported_flagged_but_computed():
     # Power(3) fails sqrt-concavity-compatible hypotheses? No: it fails the
     # inverse-product condition with C = 1 for extreme x, so supported=False
     phi = make_power(3.0)
-    f = TrigPoly(2, {frame(3).indices[0]: 1.0})
+    f = TrigPoly(2, {tuple(frame(3).ks[0]): 1.0})
     chk = orlicz_sampling_check(f, 3, phi, 1.0)
     assert chk.lhs > 0 and chk.rhs > 0  # still computed
 
@@ -154,7 +148,7 @@ def test_orlicz_extremal_candidate_has_higher_ratio():
         peak = float(np.max(np.abs(sample_on_grid(g, fr))))
         return chk.lhs * inv_small / peak
 
-    single = TrigPoly(2, {fr.indices[0]: 1.0})
+    single = TrigPoly(2, {tuple(fr.ks[0]): 1.0})
     rnd = random_poly_on_frame(n, seed=5)
     base = orlicz_sampling_check(single, n, phi, SECTION7_R,
                                  check_preconditions=False)
@@ -190,7 +184,7 @@ def test_l2_lower_single_harmonic_closed_form():
     n = 3
     fr = frame(n)
     key = (2, 2)
-    assert key in set(fr.indices)
+    assert key in set(map(tuple, fr.ks.tolist()))
     f = TrigPoly(2, {key: 1.0})
     band = convolve(band_kernel(n), f)
     chk = l2_sampling_lower(f, n)
@@ -225,13 +219,6 @@ def test_random_poly_deterministic():
     assert a != c
 
 
-def test_random_poly_support_inside_frame():
-    fr = frame(4)
-    f = random_poly_on_frame(4, seed=9, subset_fraction=0.5)
-    assert f.support() <= set(fr.indices)
-    assert 0 < len(f.support()) < fr.omega
-
-
 def test_random_poly_parseval_law_of_large_numbers():
     fr = frame(3)
     vals = [random_poly_on_frame(3, seed=s).l2_norm() ** 2 for s in range(100)]
@@ -260,6 +247,9 @@ GUARDS = [
      "classical check needs a 1-D polynomial"),
     (lambda: l2_sampling_lower(random_poly_on_frame(3, 0), 2),
      "the frame grid needs level >= 3"),
+    (lambda: orlicz_sampling_check(random_poly_on_frame(3, 0), 4,
+                                   make_power(2.0), 1.0, fr=frame(3)),
+     "frame of level 3 given for level 4"),
 ]
 
 

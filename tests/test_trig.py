@@ -14,8 +14,7 @@ from orlicheck import trig
 from orlicheck.luxemburg import norm_fun
 from orlicheck.sampling import _coefficients, random_poly_on_frame
 from orlicheck.trig import (TrigPoly, band_kernel, convolve, fejer, frame,
-                            plateau_kernel, poly_from_coeff_list, poly_l1,
-                            poly_to_coeff_list, refine_on_grid,
+                            plateau_kernel, poly_l1, refine_on_grid,
                             sample_on_grid)
 from orlicheck.young import make_section7
 
@@ -54,7 +53,7 @@ def test_plateau_degenerate_level():
     assert plateau_kernel(-1).coeffs == {(0, 0): 1.0 + 0j}
     # k = 0 keeps the product structure: all nine coefficients on {-1,0,1}^2
     f0 = plateau_kernel(0)
-    assert f0.support() == {(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)}
+    assert set(f0.coeffs) == {(a, b) for a in (-1, 0, 1) for b in (-1, 0, 1)}
     assert all(v == 1.0 for v in f0.coeffs.values())
 
 
@@ -78,7 +77,7 @@ def test_plateau_support_bound():
         f = plateau_kernel(k)
         bound = 2 ** (k + 1)
         assert f.coeff((bound, 0)) == 0
-        assert all(max(abs(a), abs(b)) < bound for a, b in f.support())
+        assert all(max(abs(a), abs(b)) < bound for a, b in f.coeffs)
 
 
 def test_plateau_l1_at_most_nine():
@@ -102,7 +101,7 @@ def test_band_telescoping_identity():
         for j in range(K + 2):
             total = total + band_kernel(j)
         expect = plateau_kernel(K) + plateau_kernel(K - 1)
-        keys = set(total.support()) | set(expect.support())
+        keys = set(total.coeffs) | set(expect.coeffs)
         for key in keys:
             assert abs(total.coeff(key) - expect.coeff(key)) <= 1e-14
 
@@ -116,13 +115,13 @@ def test_band_vanishes_on_hole(n):
     for a in range(-hole, hole + 1):
         for c in (-hole, 0, hole):
             assert b.coeff((a, c)) == 0
-    assert all(max(abs(k), abs(l)) > hole for k, l in b.support())
+    assert all(max(abs(k), abs(l)) > hole for k, l in b.coeffs)
 
 
 @pytest.mark.parametrize("n", range(3, 9))
 def test_band_support_inside_frame(n):
     fr = frame(n)
-    assert band_kernel(n).support() <= set(fr.indices)
+    assert set(band_kernel(n).coeffs) <= set(map(tuple, fr.ks.tolist()))
 
 
 def test_band_l1_at_most_eighteen():
@@ -156,10 +155,16 @@ def test_frame_cardinalities_by_enumeration():
 
 
 def test_frame_grid_spacing():
+    # e^{ix} sampled on the frame: frame neighbours k, k + 1 sit one grid
+    # step 2 pi / (2^{n+1} - 1) apart
     for n in (3, 4, 5):
         fr = frame(n)
         assert fr.grid_size == 2 ** (n + 1) - 1
-        assert fr.grid_spacing == pytest.approx(2.0 * np.pi / (2 ** (n + 1) - 1))
+        vals = sample_on_grid(TrigPoly(2, {(1, 0): 1.0}), fr)
+        step = np.flatnonzero(np.diff(fr.ks[:, 0]) == 1)
+        np.testing.assert_allclose(vals[step + 1] / vals[step],
+                                   np.exp(2j * np.pi / fr.grid_size),
+                                   rtol=1e-12)
 
 
 def test_frame_sqrt_omega_bound():
@@ -207,7 +212,7 @@ def test_convolve_parseval():
     g = band_kernel(4)
     conv = convolve(g, f)
     expect = math.sqrt(sum(abs(g.coeff(key) * f.coeff(key)) ** 2
-                           for key in f.support()))
+                           for key in f.coeffs))
     assert conv.l2_norm() == pytest.approx(expect, rel=1e-12)
 
 
@@ -233,12 +238,13 @@ def test_sample_single_harmonic_modulus_one():
 def test_sample_matches_direct_summation():
     rng = np.random.default_rng(3)
     fr = frame(3)
-    support = [fr.indices[i]
-               for i in rng.choice(len(fr.indices), size=25, replace=False)]
+    support = [tuple(fr.ks[i])
+               for i in rng.choice(fr.omega, size=25, replace=False)]
     f = TrigPoly(2, {key: complex(*rng.standard_normal(2)) for key in support})
     fast = sample_on_grid(f, fr)
-    xs = np.array([fr.grid_coordinate(k) for k, _ in fr.indices])
-    ys = np.array([fr.grid_coordinate(l) for _, l in fr.indices])
+    # the frame index k sits at the angle 2 pi (k + 2^n - 1) / (2^{n+1} - 1)
+    xs, ys = (2.0 * np.pi * (fr.ks.T + 2 ** fr.level - 1)
+              / (2 ** (fr.level + 1) - 1))
     direct = f.eval_at(xs, ys)
     assert np.max(np.abs(fast - direct)) < 1e-10
 
@@ -410,16 +416,6 @@ def test_sample_uniform_rejects_aliasing_grid():
         f.sample_uniform(7)
 
 
-def test_coeff_list_roundtrip():
-    rng = np.random.default_rng(5)
-    f = TrigPoly(2, {(k, l): complex(*rng.standard_normal(2))
-                     for k in range(-2, 3) for l in range(-2, 3)})
-    clone = poly_from_coeff_list(poly_to_coeff_list(f), dim=2)
-    assert clone == f
-    g = TrigPoly(1, {(-1,): 1.0j, (2,): 0.5})
-    assert poly_from_coeff_list(poly_to_coeff_list(g), dim=1) == g
-
-
 def test_evaluation_matches_definition():
     f = TrigPoly(2, {(1, 0): 1.0, (0, 1): 2.0})
     x, y = 0.3, 1.1
@@ -556,7 +552,7 @@ def test_array_algebra_matches_dict_formulas(case, scalar, h):
     assert f.degree == _dict_degree(da)
     assert f.l2_norm() == float(np.linalg.norm(
         np.array([da[k] for k in sorted(da)], dtype=complex)))
-    assert f.support() == set(da)
+    assert set(f.coeffs) == set(da)
     for key in list(da)[:3] + [(7,) * dim]:
         assert f.coeff(key) == da.get(key, 0j)
 
@@ -618,23 +614,18 @@ def test_frame_indices_match_comprehension(n):
                    for l in range(-outer + 1, outer)
                    if not (abs(k) <= hole and abs(l) <= hole))
     fr = frame(n)
-    assert fr.indices == expect
+    assert tuple(map(tuple, fr.ks.tolist())) == expect
     assert fr.ks.dtype == np.int64 and fr.ks.shape == (fr.omega, 2)
     assert not fr.ks.flags.writeable
 
 
 @pytest.mark.parametrize("law", ["gaussian", "unimodular"])
-@pytest.mark.parametrize("fraction", [1.0, 0.3])
-def test_random_poly_on_frame_matches_dict_route(law, fraction):
+def test_random_poly_on_frame_matches_dict_route(law):
     for n, seed in ((3, 0), (4, 7), (5, 11)):
         rng = np.random.default_rng(seed)
-        idx = list(frame(n).indices)
-        if fraction < 1.0:
-            keep = rng.random(len(idx)) < fraction
-            idx = [k for k, flag in zip(idx, keep) if flag]
+        idx = list(map(tuple, frame(n).ks.tolist()))
         expect = TrigPoly(2, dict(zip(idx, _coefficients(rng, len(idx), law))))
-        assert random_poly_on_frame(n, seed, law,
-                                    subset_fraction=fraction) == expect
+        assert random_poly_on_frame(n, seed, law) == expect
 
 
 # ---------------------------------------------------------------------------
@@ -656,8 +647,6 @@ GUARDS = [
     (lambda: convolve(_F1, _F2), "dimension mismatch"),
     (lambda: sample_on_grid(_F1, frame(3)),
      "frame sampling needs a 2-D polynomial"),
-    (lambda: poly_from_coeff_list([[1, 0.5]], 1),
-     "coefficient rows need 3 entries"),
 ]
 
 

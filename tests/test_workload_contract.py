@@ -82,7 +82,7 @@ def test_norm_and_value_quantities():
     f2 = workloads.random_poly2(1, np.random.default_rng(0))
     norms = [besov.besov_norm_classical(
                  f1, besov.BesovParams(phi, math.sqrt, n_max=2, h_angles=4,
-                                       h_radii=2, refine=False)),
+                                       h_radii=2)),
              besov.besov_norm_tilde(f2, besov.BesovParams(phi, math.sqrt))]
     for res in norms:
         q = workloads._norm_quantities(res)
