@@ -12,9 +12,11 @@ Three checks:
   inverse-product lower bound, both with constant C;
 * the Hilbert lower route: ||b_n * f||_{L_2} <= K omega_n^{-1/2}
   ||(b_n * f) samples||_{l_2}.  The implicit constant is not explicit in the
-  underlying sampling theorem; the threshold K = 2 follows from the
-  grid Parseval identity with the 4/3 grid-to-frame slack, and the observed
-  empirical constant is always reported.
+  underlying sampling theorem.  K = L2_LOWER_K = 2 is an empirical
+  threshold that random frame polynomials meet, not a bound: on the
+  frame's own points the sharp constant is sqrt(omega_n) / sigma_min of the
+  omega_n x omega_n sampling matrix, about 4.1e3 at n = 3 and 8.6e7 at
+  n = 4 (ROADMAP item 2).  The observed ratio is always reported.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .trig import (Frame, TrigPoly, band_kernel, convolve, frame,
 from .young import (YoungFunction, check_inverse_product,
                     check_supermultiplicativity, supermultiplicativity_pairs)
 
-L2_LOWER_K = 2.0   # the threshold K of the Hilbert lower route
+L2_LOWER_K = 2.0   # the empirical threshold K of the Hilbert lower route
 
 __all__ = [
     "classical_check_1d",
@@ -157,7 +159,9 @@ def l2_sampling_lower(f: TrigPoly, n: int, *,
 
     Checks ||b_n * f||_{L_2} <= K * omega_n^{-1/2} * ||(b_n * f)||_{l_2}
     with K = L2_LOWER_K and the frame-grid sample l2 norm on the right.
-    The zero band passes trivially.
+    K = 2 is an empirical threshold, not a bound (see the module doc): a
+    polynomial built on the smallest singular vector of the level's
+    sampling matrix fails it.  The zero band passes trivially.
     """
     if n < 3:
         raise ValueError("the frame grid needs level >= 3")

@@ -227,7 +227,8 @@ class TrigPoly:
         if hv.shape != (self.dim,):
             raise ValueError(f"shift needs {self.dim} components")
         phase = (self.ks * hv).sum(axis=1)
-        return TrigPoly._of(self.dim, self.ks, self.cs * np.exp(1j * phase))
+        return TrigPoly._of(self.dim, self.ks,
+                            _times(self.cs, np.exp(1j * phase)))
 
     # -- evaluation ----------------------------------------------------------
 

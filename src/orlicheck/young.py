@@ -2,29 +2,38 @@
 
 A Young function is a continuous, strictly increasing, convex
 Phi: [0, oo) -> [0, oo) with Phi(0) = 0, Phi(t)/t -> 0 at 0 and
-t/Phi(t) -> 0 at infinity.  Each of its three maps, forward, inverse and an
-overflow-safe log-domain inverse for the improper-integral machinery, is
-reached through one front, a YoungFunction method that checks and shapes
-the argument (see there); each kind supplies bare kernels that map a flat
-1-D float array to one of the same length.
+t/Phi(t) -> 0 at infinity.  Its three maps, forward, inverse and an
+overflow-safe log-domain inverse y -> ln Phi^{-1}(e^y) for the
+improper-integral machinery, are each reached through one front, a
+YoungFunction method that checks and shapes the argument (see there).
+
+Each kind is one table of pieces, declared once by its maker.  Adjacent
+pieces meet at a cut, the triple (t, Phi(t), ln Phi(t)), so a cut splits
+all three maps at the same place; a piece gives the three maps' formulas
+and says whether Phi is affine on it.  The three kernels, the kinks of the
+log inverse and the affine intervals all come from that table, so they
+cannot disagree.  Every kernel fixes its ends, whatever its formulas would
+give there: 0 -> 0 (forward, inverse), -oo -> -oo (log inverse) and
++oo -> +oo (all three).
 
 Supported kinds
 ---------------
-power        Phi(t) = t^p, p > 1.
-logpower     Phi(t) = t^p0 / |ln t|^gamma on (0, 1/2], extended past 1/2 by
-             the tangent line at 1/2 (value and one-sided slope match, so the
+power        one piece: Phi(t) = t^p, p > 1.
+logpower     two pieces: Phi(t) = t^p0 / |ln t|^gamma below switch, then the
+             tangent line at switch (value and one-sided slope match, so the
              splice stays convex and continuous).  Orlicz sequence-space
              membership of bounded normalised sequences depends only on small
              arguments, so any convex extension gives the same space up to
              equivalence.
-section7     piecewise inverse
+section7     three pieces of the inverse
                  Phi^{-1}(t) = t * exp(+a * ln(1/sqrt(t)) / lnln(1/sqrt(t)))   t < 1/r
                  Phi^{-1}(t) = p*t + q                                         1/r <= t < r
                  Phi^{-1}(t) = t * exp(-a * ln(sqrt(t)) / lnln(sqrt(t)))       t >= r
              with r = exp(2 e^2) and p, q chosen so Phi^{-1} is continuous.
              Near zero this dominates every t^p with p > 1 while keeping
              Phi^{-1}(x) * Phi^{-1}(1/x) = 1 for large x.
-tabulated    convex piecewise-linear interpolation of breakpoints.
+tabulated    convex piecewise-linear interpolation of breakpoints, one affine
+             piece per segment.
 
 Checkers return a VerificationReport with the worst-case margin rather than
 raising, so negative controls can be exercised on the same code path.
@@ -32,6 +41,7 @@ raising, so negative controls can be exercised on the same code path.
 
 from __future__ import annotations
 
+import bisect
 import inspect
 import math
 from dataclasses import dataclass, field
@@ -81,10 +91,12 @@ class YoungFunction:
     if 1-D), and returns a float for a scalar x, else x's shape.
     ``log_inverse(y)`` = ln Phi^{-1}(e^y) accepts negative and infinite y and
     stays finite for |y| far beyond float range of e^y, which the
-    integral-condition checks require.  ``affine_pieces`` lists
-    closed intervals (lo, hi), hi possibly inf, on each of which Phi is
-    affine; it is a property of Phi set by its maker, and lets a Luxemburg
-    root whose scaled data lie on one piece be taken in closed form.
+    integral-condition checks require.  The kernels and the two tuples come
+    from the maker's piece table (see the module doc): ``log_inverse_breaks``
+    holds the ln Phi(t) of its cuts, where quadrature splits its panels, and
+    ``affine_pieces`` the closed intervals (lo, hi), hi possibly inf, of its
+    affine pieces, where a Luxemburg root whose scaled data lie on one piece
+    is taken in closed form.
     """
 
     kind: str
@@ -132,8 +144,59 @@ def _front(kernel: Callable[[np.ndarray], np.ndarray], x, least: float,
 
 
 # ---------------------------------------------------------------------------
-# power
+# piece tables, and one for each kind
 # ---------------------------------------------------------------------------
+
+def _piecewise(low: float, cuts: Sequence[float],
+               fns: Sequence[Callable]) -> Callable:
+    """The kernel that applies fns[i] on [cuts[i-1], cuts[i]), the cuts
+    increasing from low to inf, and fixes the ends low and inf.
+
+    An array that lies on one piece goes to that piece's formula whole, with
+    no masks and no copy.  Otherwise each distinct formula runs once on all
+    of its entries, in their order, so pieces that share one (an iterative
+    solve) see the batch they would see as one piece.  No formula sees an
+    end, and none may write to its argument.
+    """
+    edges = [*cuts, math.inf]
+    bounds = np.array(edges)
+    maps = {}
+    group = np.array([maps.setdefault(fn, len(maps)) for fn in fns] + [-1])
+
+    def kernel(x):
+        if x.size:
+            lo, hi = x.min(), x.max()
+            if lo > low and hi < math.inf:
+                i = bisect.bisect_right(edges, lo)
+                if hi < edges[i]:
+                    return fns[i](x)
+        out = x.copy()
+        piece = np.searchsorted(bounds, x, side="right")  # len(fns) at inf
+        piece[x == low] = len(fns)
+        which = group[piece]
+        for g, fn in enumerate(maps):
+            on = which == g
+            if on.any():
+                out[on] = fn(x[on])
+        return out
+
+    return kernel
+
+
+def _young(kind: str, params: dict, cuts: Sequence[tuple[float, float, float]],
+           pieces: Sequence[tuple]) -> YoungFunction:
+    """The YoungFunction of a piece table: cuts[i] = (t, Phi(t), ln Phi(t))
+    closes pieces[i] = (forward, inverse, log inverse, affine) and opens
+    pieces[i + 1]."""
+    ts, us, ys = np.reshape(cuts, (-1, 3)).T.tolist()
+    fwds, invs, logs, affine = zip(*pieces)
+    ends = [0.0, *ts, math.inf]
+    return YoungFunction(
+        kind, params, _piecewise(0.0, ts, fwds), _piecewise(0.0, us, invs),
+        _piecewise(-math.inf, ys, logs), log_inverse_breaks=tuple(ys),
+        affine_pieces=tuple((lo, hi) for lo, hi, flat
+                            in zip(ends, ends[1:], affine) if flat))
+
 
 def make_power(p: float) -> YoungFunction:
     """Phi(t) = t^p with exact inverse u^(1/p); requires p > 1.
@@ -144,25 +207,14 @@ def make_power(p: float) -> YoungFunction:
     p = float(p)
     if not p > 1.0:
         raise YoungFunctionError("power kind requires p > 1")
+    q = 1.0 / p
+    return _young("power", {"p": p}, [],
+                  [(lambda t: t ** p, lambda u: u ** q, lambda y: y / p,
+                    False)])
 
-    def fwd(t):
-        return t ** p
-
-    def inv(u):
-        return u ** (1.0 / p)
-
-    def log_inv(y):
-        return y / p
-
-    return YoungFunction("power", {"p": p}, fwd, inv, log_inv)
-
-
-# ---------------------------------------------------------------------------
-# logpower
-# ---------------------------------------------------------------------------
 
 def make_logpower(p0: float, gamma: float, switch: float = 0.5) -> YoungFunction:
-    """Phi(t) = t^p0 / |ln t|^gamma on (0, switch], tangent line beyond.
+    """Phi(t) = t^p0 / |ln t|^gamma on (0, switch), tangent line from switch.
 
     Requires p0 >= 1 and gamma > 0; switch must stay below 1 so the closed
     form never meets the |ln t| = 0 singularity.
@@ -178,7 +230,6 @@ def make_logpower(p0: float, gamma: float, switch: float = 0.5) -> YoungFunction
     ls = -math.log(switch)                     # |ln switch| > 0
     phi_switch = switch ** p0 * ls ** (-gamma)
     slope = switch ** (p0 - 1.0) * ls ** (-gamma) * (p0 + gamma / ls)
-    log_switch = math.log(switch)
 
     def log_small(ly):
         # solve r(y) = p0*y - gamma*ln(-y) = ly for y = ln t, from
@@ -186,64 +237,20 @@ def make_logpower(p0: float, gamma: float, switch: float = 0.5) -> YoungFunction
         # of the root falls monotonically onto it
         return newton_monotone(lambda y: p0 * y - gamma * np.log(-y) - ly,
                                lambda y: p0 - gamma / y,
-                               np.full_like(ly, log_switch))
+                               np.full_like(ly, -ls))
 
-    def fwd(t):
-        out = np.zeros_like(t)
-        small = (t > 0) & (t <= switch)
-        if small.any():
-            ts = t[small]
-            out[small] = ts ** p0 * (-np.log(ts)) ** (-gamma)
-        big = t > switch
-        if big.any():
-            out[big] = phi_switch + slope * (t[big] - switch)
-        return out
+    def log_line(y):
+        # x = (u - phi_switch + slope*switch)/slope, stable for huge u;
+        # slope*switch - phi_switch >= 0 since p0 >= 1
+        return y - math.log(slope) + np.log1p(
+            (slope * switch - phi_switch) * np.exp(-y))
 
-    def inv(u):
-        out = np.zeros_like(u)
-        big = u > phi_switch
-        if big.any():
-            out[big] = switch + (u[big] - phi_switch) / slope
-        small = (u > 0) & ~big
-        if small.any():
-            out[small] = np.exp(log_small(np.log(u[small])))
-        return out
-
-    def log_inv(y):
-        out = np.full_like(y, -np.inf)      # ln Phi^{-1}(0)
-        big = y > math.log(phi_switch)
-        if big.any():
-            # x = (u - phi_switch + slope*switch)/slope, stable for huge u;
-            # slope*switch - phi_switch >= 0 since p0 >= 1
-            yb = y[big]
-            out[big] = yb - math.log(slope) + np.log1p(
-                (slope * switch - phi_switch) * np.exp(-yb))
-        small = ~big & ~np.isneginf(y)
-        if small.any():
-            out[small] = log_small(y[small])
-        return out
-
-    return YoungFunction("logpower", {"p0": p0, "gamma": gamma, "switch": switch},
-                         fwd, inv, log_inv,
-                         log_inverse_breaks=(math.log(phi_switch),),
-                         affine_pieces=((switch, math.inf),))
-
-
-# ---------------------------------------------------------------------------
-# section7
-# ---------------------------------------------------------------------------
-
-def _section7_constants(alpha: float) -> tuple[float, float]:
-    """Continuity coefficients (p, q) of the middle affine branch.
-
-    q is evaluated as 2*sinh(alpha*e^2/2)/(r - 1/r); the direct difference
-    r*e^{-alpha e^2/2} - p*r cancels catastrophically.
-    """
-    r = SECTION7_R
-    ehalf = alpha * E2 / 2.0
-    p = (r * math.exp(-ehalf) - math.exp(ehalf) / r) / (r - 1.0 / r)
-    q = 2.0 * math.sinh(ehalf) / (r - 1.0 / r)
-    return p, q
+    small = (lambda t: t ** p0 * (-np.log(t)) ** (-gamma),
+             lambda u: np.exp(log_small(np.log(u))), log_small, False)
+    line = (lambda t: phi_switch + slope * (t - switch),
+            lambda u: switch + (u - phi_switch) / slope, log_line, True)
+    return _young("logpower", {"p0": p0, "gamma": gamma, "switch": switch},
+                  [(switch, phi_switch, math.log(phi_switch))], [small, line])
 
 
 def make_section7(alpha: float) -> YoungFunction:
@@ -251,90 +258,64 @@ def make_section7(alpha: float) -> YoungFunction:
 
     The alpha bound keeps alpha * ln(r)/lnln(r) <= 1 for r = exp(2 e^2), which
     the multiplicativity estimates need.  The inverse is closed form on all
-    three branches; the forward map inverts it by a safeguarded Newton
-    iteration in the log domain (the middle branch is affine, hence exact).
-    The log inverse evaluates an array that lies wholly on the high branch,
-    as the embedding conditions' far decades do, in place and without
-    masks, in the masked route's operation order, so bit for bit alike.
+    three pieces, and on the outer two it goes through the log inverse.  The
+    forward map is affine on the middle piece; on both outer pieces it
+    inverts the closed form by one safeguarded Newton iteration in the log
+    domain.  The high piece's log inverse, which the embedding conditions'
+    far decades call on whole arrays, works in place in its result.
     """
     alpha = float(alpha)
     if not 0.0 < alpha < math.exp(-2.0):
         raise YoungFunctionError("section7 kind requires 0 < alpha < e^{-2}")
 
-    r = SECTION7_R
-    log_r = SECTION7_LOG_R
-    p, q = _section7_constants(alpha)
-    t1 = p / r + q          # Phi^{-1}(1/r), start of the affine branch
-    t2 = p * r + q          # Phi^{-1}(r), end of the affine branch
+    r, log_r = SECTION7_R, SECTION7_LOG_R
+    # the middle piece p*t + q makes Phi^{-1} continuous; q is taken as
+    # 2 sinh(alpha e^2/2)/(r - 1/r), for r e^{-alpha e^2/2} - p r cancels
+    ehalf = alpha * E2 / 2.0
+    p = (r * math.exp(-ehalf) - math.exp(ehalf) / r) / (r - 1.0 / r)
+    q = 2.0 * math.sinh(ehalf) / (r - 1.0 / r)
 
-    def log_inv(y):
-        if y.size and y.min() >= log_r:     # all high: in place, no masks
-            v = 0.5 * y
-            lv = np.log(v)
-            v *= alpha
-            v /= lv
-            return np.subtract(y, v, out=v)
-        out = np.empty_like(y)
-        low = y < -log_r
-        high = y >= log_r
-        mid = ~(low | high)
-        if low.any():
-            w = -0.5 * y[low]
-            out[low] = y[low] + alpha * w / np.log(w)
-        if mid.any():
-            out[mid] = np.log(p * np.exp(y[mid]) + q)
-        if high.any():
-            v = 0.5 * y[high]
-            out[high] = y[high] - alpha * v / np.log(v)
-        return out
+    def log_low(y):
+        w = -0.5 * y
+        return y + alpha * w / np.log(w)
 
-    def inv(u):
-        out = np.zeros_like(u)
-        pos = u > 0
-        if pos.any():
-            out[pos] = np.exp(log_inv(np.log(u[pos])))
-        mid = (u >= 1.0 / r) & (u < r)
-        if mid.any():
-            out[mid] = p * u[mid] + q
-        return out
+    def log_high(y):
+        v = 0.5 * y
+        lv = np.log(v)
+        v *= alpha
+        v /= lv
+        return np.subtract(y, v, out=v)
 
-    def fwd(t):
-        out = np.zeros_like(t)
-        mid = (t >= t1) & (t < t2)
-        if mid.any():
-            out[mid] = (t[mid] - q) / p
-        outer = (t > 0) & ~mid
-        if outer.any():
-            # both outer branches solve 2v - alpha*v/ln(v) = |ln t| for
-            # v = |ln sqrt(u)|, and u = exp(+-2v) with the sign of ln t
-            z = np.log(t[outer])
-            a = np.abs(z)
-            h = lambda v: 2.0 * v - alpha * v / np.log(v) - a
-            hp = lambda v: 2.0 - alpha * (np.log(v) - 1.0) / np.log(v) ** 2
-            v = newton_monotone(h, hp, np.maximum(0.5 * a, E2), lower=1.05)
-            out[outer] = np.exp(np.copysign(2.0 * v, z))
-        return out
+    def inv_outer(u):       # phi is bound below, before any call
+        return np.exp(phi._log_inverse(np.log(u)))
 
-    params = {"alpha": alpha, "r": r, "p": p, "q": q}
-    return YoungFunction("section7", params, fwd, inv, log_inv,
-                         log_inverse_breaks=(-log_r, log_r),
-                         affine_pieces=((t1, t2),))
+    def fwd_outer(t):
+        # both outer pieces solve 2v - alpha*v/ln(v) = |ln t| for
+        # v = |ln sqrt(u)|, and u = exp(+-2v) with the sign of ln t
+        z = np.log(t)
+        a = np.abs(z)
+        h = lambda v: 2.0 * v - alpha * v / np.log(v) - a
+        hp = lambda v: 2.0 - alpha * (np.log(v) - 1.0) / np.log(v) ** 2
+        v = newton_monotone(h, hp, np.maximum(0.5 * a, E2), lower=1.05)
+        return np.exp(np.copysign(2.0 * v, z))
 
+    mid = (lambda t: (t - q) / p, lambda u: p * u + q,
+           lambda y: np.log(p * np.exp(y) + q), True)
+    phi = _young("section7", {"alpha": alpha, "r": r, "p": p, "q": q},
+                 [(p / r + q, 1.0 / r, -log_r), (p * r + q, r, log_r)],
+                 [(fwd_outer, inv_outer, log_low, False), mid,
+                  (fwd_outer, inv_outer, log_high, False)])
+    return phi
 
-# ---------------------------------------------------------------------------
-# tabulated
-# ---------------------------------------------------------------------------
 
 def make_tabulated(points: Iterable[Sequence[float]]) -> YoungFunction:
     """Convex piecewise-linear Phi through (t_i, u_i) breakpoints.
 
-    A (0, 0) anchor is prepended if absent; beyond the last breakpoint both
-    directions extrapolate with the final segment slope.  The log inverse is
-    closed form on the first segment and past the last one, so it stays
-    finite for every finite y; its kinks, the logs of the interior
-    breakpoint values u_1 ... u_{n-1}, are its ``log_inverse_breaks`` (the
-    last segment runs on past u_n, so there is none there).  Raises
-    YoungFunctionError unless the segment slopes, the anchor segment
+    A (0, 0) anchor is prepended if absent; each segment is one affine
+    piece, and the last one runs on past the last breakpoint.  The log
+    inverse is closed form on the first and the last piece, so it stays
+    finite for every finite y; the cuts are the interior breakpoints.
+    Raises YoungFunctionError unless the segment slopes, the anchor segment
     included, are nondecreasing up to the rounding of their differences.
     """
     pts = sorted((float(t), float(u)) for t, u in points)
@@ -342,17 +323,15 @@ def make_tabulated(points: Iterable[Sequence[float]]) -> YoungFunction:
         raise YoungFunctionError("tabulated kind needs at least one breakpoint")
     if pts[0] != (0.0, 0.0):
         pts.insert(0, (0.0, 0.0))
-    ts = np.array([t for t, _ in pts])
-    us = np.array([u for _, u in pts])
+    ts, us = np.array(pts).T
     du, dt = np.diff(us), np.diff(ts)
     if np.any(dt <= 0) or np.any(du <= 0):
         raise YoungFunctionError("tabulated breakpoints must be strictly increasing")
     slopes = du / dt
     # a difference of two doubles is off by up to eps times their sum, so
     # breakpoints on one line can give slopes that fall by this much
-    eps = np.finfo(float).eps
-    err = 4.0 * eps * slopes * ((us[1:] + us[:-1]) / du
-                                + (ts[1:] + ts[:-1]) / dt)
+    err = 4.0 * np.finfo(float).eps * slopes * ((us[1:] + us[:-1]) / du
+                                                + (ts[1:] + ts[:-1]) / dt)
     falls = np.flatnonzero(np.diff(slopes) < -(err[1:] + err[:-1]))
     if falls.size:
         i = int(falls[0])
@@ -362,37 +341,25 @@ def make_tabulated(points: Iterable[Sequence[float]]) -> YoungFunction:
     end_slope = slopes[-1]
     # the last segment's line is -offset <= 0 at t = 0, by convexity
     offset = end_slope * ts[-1] - us[-1]
-    log_u1, log_un = math.log(us[1]), math.log(us[-1])
 
-    def interp(x, xs, ys, slope):
-        out = np.interp(x, xs, ys)
-        beyond = x > xs[-1]
-        if beyond.any():
-            out[beyond] = ys[-1] + slope * (x[beyond] - xs[-1])
-        return out
+    def lines(xs, ys, ss):
+        # one map for all segments, so that a call spanning many of them is
+        # one batch: each entry on its segment's line, the last running on
+        def line(x):
+            i = np.searchsorted(xs[1:-1], x, side="right")
+            return ss[i] * (x - xs[i]) + ys[i]
+        return line
 
-    def fwd(t):
-        return interp(t, ts, us, end_slope)
-
-    def inv(u):
-        return interp(u, us, ts, 1.0 / end_slope)
-
-    def log_inv(y):
-        out = np.empty_like(y)
-        low, high = y < log_u1, y > log_un
-        out[low] = y[low] - math.log(slopes[0])
-        # Phi^{-1}(u) = (u + offset) / end_slope, in the log of u
-        out[high] = y[high] - math.log(end_slope) + np.log1p(
-            offset * np.exp(-y[high]))
-        mid = ~(low | high)
-        out[mid] = np.log(inv(np.exp(y[mid])))
-        return out
-
-    ends = ts.tolist()[1:-1] + [math.inf]      # the last segment runs on
-    return YoungFunction("tabulated", {"points": tuple(map(tuple, pts))},
-                         fwd, inv, log_inv,
-                         log_inverse_breaks=tuple(np.log(us[1:-1]).tolist()),
-                         affine_pieces=tuple(zip(ts.tolist(), ends)))
+    fwd, inv = lines(ts, us, slopes), lines(us, ts, dt / du)
+    # closed form on the first segment, through the origin, and on the
+    # last: Phi^{-1}(u) = (u + offset) / end_slope, in the log of u
+    logs = [lambda y: np.log(inv(np.exp(y)))] * len(slopes)
+    logs[-1] = lambda y: y - math.log(end_slope) + np.log1p(
+        offset * np.exp(-y))
+    logs[0] = lambda y: y - math.log(slopes[0])
+    cuts = np.column_stack([ts[1:-1], us[1:-1], np.log(us[1:-1])])
+    return _young("tabulated", {"points": tuple(map(tuple, pts))}, cuts,
+                  [(fwd, inv, log_inv, True) for log_inv in logs])
 
 
 # ---------------------------------------------------------------------------
@@ -445,11 +412,10 @@ def validate(phi: YoungFunction) -> VerificationReport:
     grid (>= -1e-12 for convex).  The margin is the smaller slack of the
     two thresholds, -inf if Phi is not strictly increasing on the grid.
     """
-    u = np.geomspace(1e-6, 1e6, 1000)
+    t = u = np.geomspace(1e-6, 1e6, 1000)
     back = phi(phi.inverse(u))
     roundtrip = float(np.max(np.abs(back / u - 1.0)))
 
-    t = np.geomspace(1e-6, 1e6, 1000)
     vals = phi(t)
     slopes = np.diff(vals) / np.diff(t)
     increments = np.diff(slopes) / np.maximum(slopes[1:], 1e-300)

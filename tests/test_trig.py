@@ -12,7 +12,8 @@ from hypothesis import strategies as st
 
 from orlicheck import trig
 from orlicheck.luxemburg import norm_fun
-from orlicheck.sampling import _coefficients, random_poly_on_frame
+from orlicheck.sampling import (_coefficients, random_poly_1d,
+                                random_poly_on_frame)
 from orlicheck.trig import (TrigPoly, band_kernel, convolve, fejer, frame,
                             plateau_kernel, poly_l1, refine_on_grid,
                             sample_on_grid)
@@ -272,6 +273,16 @@ def test_translate_matches_shifted_evaluation_2d():
                        f.eval_at(x + h[0], y + h[1]))
 
 
+def test_translate_rounds_like_python_complex_products():
+    # NumPy's complex multiply may fuse one real product into the sum, which
+    # moves the last bit of some coefficients on some CPUs
+    f = random_poly_1d(3, 0)
+    for h in np.geomspace(1e-3, 1.0, 451):
+        unit = np.exp(1j * (f.ks[:, 0] * h))
+        want = [complex(c) * complex(e) for c, e in zip(f.cs, unit)]
+        assert f.translate(h).cs.tolist() == want, h
+
+
 @st.composite
 def polys_and_grids(draw):
     dim = draw(st.sampled_from([1, 2]))
@@ -496,10 +507,10 @@ def _dict_convolve(a, b):
 def _dict_translate(dim, a, h):
     keys = sorted(a)
     ks = np.array(keys, dtype=np.int64).reshape(len(keys), dim)
-    cs = np.array([a[k] for k in keys], dtype=complex)
     phase = (ks * np.asarray(h, dtype=float)).sum(axis=1)
-    return {k: complex(v) for k, v in zip(keys, cs * np.exp(1j * phase))
-            if v != 0}
+    out = {k: complex(a[k]) * complex(e)
+           for k, e in zip(keys, np.exp(1j * phase))}
+    return {k: v for k, v in out.items() if v != 0}
 
 
 def _dict_degree(a):

@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import re
+import warnings
 
 import mpmath
 import numpy as np
@@ -229,17 +230,20 @@ def _section7_arguments():
 @pytest.mark.parametrize("alpha", [0.01, 0.05, 0.13])
 @pytest.mark.parametrize("case", list(_section7_arguments()))
 def test_section7_log_inverse_is_bitwise_the_masked_formula(alpha, case):
-    # arrays wholly on the high branch take an in-place route without masks
+    # arrays wholly on the high branch take an in-place route without masks;
+    # the ends -inf and inf map to themselves, where the formula gives NaN
     phi = make_section7(alpha)
     y = _section7_arguments()[case]
-    with np.errstate(invalid="ignore"):        # +-inf give inf/inf = NaN
-        got = phi.log_inverse(y)
-        want = _section7_log_inv_masked(phi, y)
+    got = phi.log_inverse(y)
     assert np.shape(got) == np.shape(y)
     if np.ndim(y) == 0:
         assert isinstance(got, float)
-    got = np.asarray(got, dtype=float).ravel()
-    assert got.view(np.uint64).tolist() == want.view(np.uint64).tolist()
+    got, y = np.ravel(got), np.ravel(y)
+    finite = np.isfinite(y)
+    want = _section7_log_inv_masked(phi, y[finite])
+    assert (got[finite].view(np.uint64).tolist()
+            == want.view(np.uint64).tolist())
+    assert got[~finite].tolist() == y[~finite].tolist()
 
 
 @pytest.mark.parametrize("alpha", [0.0, math.exp(-2.0), 0.2, -0.1])
@@ -264,6 +268,23 @@ def test_tabulated_accepts_collinear_breakpoints():
     t = np.linspace(0.1, 100.0, 1000)
     phi = make_tabulated(list(zip(t, 7.0 * t)))
     assert float(phi(50.0)) == pytest.approx(350.0, rel=1e-12)
+
+
+def test_tabulated_matches_interpolation_across_many_segments():
+    # one call spans all 200 segments and the run past the last breakpoint
+    t = np.geomspace(0.01, 100.0, 200)
+    phi = make_tabulated(list(zip(t, t ** 2)))
+    ts, us = np.array(phi.params["points"]).T
+    end = (us[-1] - us[-2]) / (ts[-1] - ts[-2])
+    x = np.geomspace(1e-3, 1e5, 5000)
+    fwd = np.where(x > ts[-1], us[-1] + end * (x - ts[-1]),
+                   np.interp(x, ts, us))
+    inv = np.where(x > us[-1], ts[-1] + (x - us[-1]) / end,
+                   np.interp(x, us, ts))
+    assert np.allclose(phi(x), fwd, rtol=1e-15, atol=0.0)
+    assert np.allclose(phi.inverse(x), inv, rtol=1e-15, atol=0.0)
+    assert np.allclose(phi.log_inverse(np.log(x)), np.log(inv), rtol=0.0,
+                       atol=1e-13)
 
 
 def test_section7_alpha_ln_r_constraint():
@@ -292,6 +313,18 @@ def test_validate_passes(phi):
     assert v.strictly_increasing
 
 
+@pytest.mark.parametrize("phi", all_kinds(), ids=lambda p: repr(p))
+def test_log_inverse_breaks_are_the_log_values_of_the_piece_ends(phi):
+    # both tuples come from one list of cuts: the finite positive ends of
+    # the affine pieces are cuts, and so is each break
+    ends = {e for piece in phi.affine_pieces for e in piece
+            if 0.0 < e < math.inf}
+    got = sorted(float(np.log(phi(e))) for e in ends)
+    want = sorted(set(phi.log_inverse_breaks))
+    assert len(got) == len(want)
+    assert np.allclose(got, want, rtol=0.0, atol=1e-13)
+
+
 @pytest.mark.parametrize("p", [2.0, 3.0])
 def test_small_argument_ratio_power(p):
     phi = make_power(p)
@@ -299,9 +332,16 @@ def test_small_argument_ratio_power(p):
 
 
 def test_zero_maps_to_zero():
-    for phi in all_kinds():
-        assert phi(0.0) == 0.0
-        assert phi.inverse(0.0) == 0.0
+    # every map fixes its ends, infinities included, without a NaN on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for phi in all_kinds():
+            assert phi(0.0) == 0.0
+            assert phi.inverse(0.0) == 0.0
+            assert phi(math.inf) == math.inf
+            assert phi.inverse(math.inf) == math.inf
+            assert phi.log_inverse([-math.inf, math.inf]).tolist() == [
+                -math.inf, math.inf]
 
 
 ONE_OF_EACH_KIND = [make_power(1.5), make_logpower(1.0, 1.0),
