@@ -268,24 +268,33 @@ def chandrupatla(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
         x1, f1 = x, fx
 
 
-def newton_monotone(h: Callable[[np.ndarray], np.ndarray],
-                    hprime: Callable[[np.ndarray], np.ndarray],
-                    x0: np.ndarray, *,
+def newton_monotone(g: Callable[[np.ndarray], np.ndarray],
+                    gprime: Callable[[np.ndarray], np.ndarray],
+                    target: np.ndarray, x0: np.ndarray, *,
                     lower: float | None = None) -> np.ndarray:
-    """Newton iteration for a strictly monotone smooth h, vectorised.
+    """Newton iteration for g(x) = target, g strictly monotone and smooth,
+    vectorised over the entries of the 1-D arrays target and x0 (the starts).
 
-    Stops once every step is at most 1e-15 of its iterate, or after 40
-    steps.  ``lower`` clamps iterates away from a domain boundary (e.g. log
-    arguments).
+    Each entry freezes once its step is at most 1e-15 of its iterate, and
+    only the entries still running are stepped (as chandrupatla does), so an
+    entry's result does not depend on the rest of its batch; an entry still
+    running after 40 steps keeps its last iterate.  ``lower`` clamps
+    iterates away from a domain boundary (e.g. log arguments).
     """
-    x = np.asarray(x0, dtype=float).copy()
+    x = np.asarray(x0, dtype=float)
+    out = np.empty(x.shape)
+    live = np.arange(x.size)
     for _ in range(40):
-        step = h(x) / hprime(x)
-        x_new = x - step
+        x_new = x - (g(x) - target) / gprime(x)
         if lower is not None:
             x_new = np.maximum(x_new, lower)
         done = np.abs(x_new - x) <= 1e-15 * np.maximum(np.abs(x_new), 1e-300)
-        x = x_new
         if done.all():
-            break
-    return x
+            out[live] = x_new
+            return out
+        if done.any():
+            out[live[done]] = x_new[done]
+            live, x_new, target = (v[~done] for v in (live, x_new, target))
+        x = x_new
+    out[live] = x
+    return out

@@ -27,6 +27,9 @@ refine_on_grid      the one oversample-and-double loop: from a degree, it
                     block by block from them, so its memory does not grow
                     with the grid and its 4096-point cap only bounds its
                     time (it stops there unconverged on the band kernels).
+                    It sums over one orbit of the symmetries the coefficient
+                    box shows exactly: half of each axis along which f is
+                    even, in real arithmetic when f is real-valued.
 
 Kernel constructions
 --------------------
@@ -443,32 +446,66 @@ def refine_on_grid(degree: int, value: Callable[[int], object], *,
     return val, m, done
 
 
-def _rank_factors(f: TrigPoly) -> tuple[list[TrigPoly], list[TrigPoly]]:
+def _rank_factors(f: TrigPoly) -> tuple[list[TrigPoly], list[TrigPoly],
+                                         tuple[bool, bool, bool]]:
     """1-D polynomials a_i, b_i with f(x, y) = sum_i a_i(x) b_i(y), from the
     SVD U S V^H of the coefficient box: a_i = s_i u_i and b_i = conj(v_i),
     keeping the singular values above numpy's matrix_rank cut s_0 w eps for
-    box width w.  A 1-D f is the (w, 1) box, whose b is a constant."""
+    box width w; a real box is factored in real arithmetic.  A 1-D f is the
+    (w, 1) box, whose b is a constant.
+
+    Also the symmetries the box shows exactly: (even in x, even in y, real)
+    for a box equal to its mirror along axis 0, along axis 1, and to the
+    conjugate of its mirror through the centre (a Hermitian box)."""
     bad = ~np.isfinite(f.cs)
     if bad.any():
         named = dict(zip(map(tuple, f.ks[bad].tolist()), f.cs[bad].tolist()))
         raise ValueError(f"non-finite coefficients {named}")
     box = coefficient_boxes([f], f.degree)[0].reshape(2 * f.degree + 1, -1)
-    u, s, vh = np.linalg.svd(box)
+    sym = (np.array_equal(box, box[::-1]), np.array_equal(box, box[:, ::-1]),
+           np.array_equal(box, box[::-1, ::-1].conj()))
+    u, s, vh = np.linalg.svd(box if box.imag.any() else box.real)
     r = int(np.count_nonzero(s > s[0] * max(box.shape) * np.finfo(float).eps))
     return ([poly_from_box(c) for c in (u[:, :r] * s[:r]).T],
-            [poly_from_box(c) for c in vh[:r]])
+            [poly_from_box(c) for c in vh[:r]], sym)
 
 
-def _factor_mean_abs(rows: list[TrigPoly], cols: list[TrigPoly], m: int,
-                     n: int) -> float:
+def _fold_weights(m: int, even: bool) -> np.ndarray:
+    """Weights of the points 2 pi j / m of one axis in a sum over the grid:
+    all m points at weight 1, or for an even function only j = 0..m//2, at
+    weight 2 where the mirror point m - j is another point (they sum to m)."""
+    if not even:
+        return np.ones(m)
+    w = np.full(m // 2 + 1, 2.0)
+    w[0] = 1.0
+    if m % 2 == 0:
+        w[-1] = 1.0
+    return w
+
+
+def _factor_mean_abs(rows: list[TrigPoly], cols: list[TrigPoly],
+                     sym: tuple[bool, bool, bool], m: int, n: int) -> float:
     """Mean of |sum_i a_i(x) b_i(y)| over the uniform m-grid in x times the
-    n-grid in y, from the a_i (rows) and b_i (cols) sampled once each, summed
-    over blocks of about SAMPLE_BLOCK points."""
-    a, b = (np.array([p.sample_uniform(k) for p in ps]).reshape(-1, k).T
-            for ps, k in ((rows, m), (cols, n)))
-    step = max(1, SAMPLE_BLOCK // n)
-    return sum(float(np.abs(a[i:i + step] @ b.T).sum())
-               for i in range(0, m, step)) / (m * n)
+    n-grid in y, from the a_i (rows) and b_i (cols) sampled once each and the
+    symmetries sym of _rank_factors, summed over blocks of about SAMPLE_BLOCK
+    points.  An even axis sums one half with _fold_weights; a real f takes
+    the real part of each block by one real product,
+    Re(A B^T) = [Re A, Im A] [Re B, -Im B]^T."""
+    even_x, even_y, real = sym
+    wx, wy = _fold_weights(m, even_x), _fold_weights(n, even_y)
+    a, b = (np.array([p.sample_uniform(k) for p in ps])
+            .reshape(-1, k)[:, :len(w)].T
+            for ps, k, w in ((rows, m, wx), (cols, n, wy)))
+    if real:
+        a = np.concatenate([a.real, a.imag], axis=1)
+        b = np.concatenate([b.real, -b.imag], axis=1)
+    step = max(1, SAMPLE_BLOCK // len(wy))
+    total = 0.0
+    for i in range(0, len(wx), step):
+        blk = a[i:i + step] @ b.T
+        blk = np.abs(blk, out=blk) if real else np.abs(blk)
+        total += float(wx[i:i + step] @ (blk @ wy))
+    return total / (m * n)
 
 
 def poly_l1(f: TrigPoly) -> float:
@@ -478,19 +515,28 @@ def poly_l1(f: TrigPoly) -> float:
     default oversampling) and doubles at most 3 times, up to 4096 points per
     axis, until the mean moves by at most 1e-6 relatively.  Each grid samples
     the 2r one-dimensional factors of a rank-r factorisation of f
-    (_rank_factors) and sums |f| from them in blocks of SAMPLE_BLOCK points:
-    m^2 r work and a few MB whatever the grid, so the 4096 cap bounds the
-    time only.  r is 1 for plateau_kernel and 2 for band_kernel; a full-rank
-    f of high degree would cost more than a 2-D FFT.  The dropped singular
-    values move each grid value by at most w^4 eps ||f||_1 for box width w.
-    Non-finite coefficients raise ValueError.
+    (_rank_factors) and sums |f| from them in blocks of SAMPLE_BLOCK points,
+    a few MB whatever the grid, so the 4096 cap bounds the time only.  The
+    sum runs over one orbit of the symmetries that f's coefficient box shows
+    exactly (_factor_mean_abs): along an axis where the box equals its
+    mirror, f is even and only the points 0..m/2 are summed, each weighted
+    by the size of its orbit; if the box is Hermitian, f is real and each
+    block is one real product of inner dimension 2r.  The grid value is the
+    full-grid mean to rounding.  A real, even f such as plateau_kernel
+    (r = 1) or band_kernel (r = 2) costs (m/2 + 1)^2 real entries per grid,
+    any other f m^2 r complex ones; a full-rank f of high degree would cost
+    more than a 2-D FFT.  The dropped singular values move each grid value
+    by at most w^4 eps ||f||_1 for box width w.  Non-finite coefficients
+    raise ValueError.
 
     The doubling check may end at the cap rather than at 1e-6, and the value
     carries no status: on band_kernel(6) the last doubling, to 4096 points
-    per axis, still moves it by 8.2e-5 relatively.  That is far below the
-    margins of the bounds these norms feed into.
+    per axis, still moves it by 8.2e-5 relatively; summing one orbit keeps
+    the grids, the cap and that value, so it is still uncertified.  That is
+    far below the margins of the bounds these norms feed into.
     """
-    rows, cols = _rank_factors(f)
+    rows, cols, sym = _rank_factors(f)
     return refine_on_grid(
-        f.degree, lambda m: _factor_mean_abs(rows, cols, m, m ** (f.dim - 1)),
+        f.degree,
+        lambda m: _factor_mean_abs(rows, cols, sym, m, m ** (f.dim - 1)),
         rel_tol=1e-6, max_doublings=3, max_grid=4096)[0]

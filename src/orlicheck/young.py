@@ -235,8 +235,8 @@ def make_logpower(p0: float, gamma: float, switch: float = 0.5) -> YoungFunction
         # solve r(y) = p0*y - gamma*ln(-y) = ly for y = ln t, from
         # y = ln switch: r is increasing and convex, so Newton started right
         # of the root falls monotonically onto it
-        return newton_monotone(lambda y: p0 * y - gamma * np.log(-y) - ly,
-                               lambda y: p0 - gamma / y,
+        return newton_monotone(lambda y: p0 * y - gamma * np.log(-y),
+                               lambda y: p0 - gamma / y, ly,
                                np.full_like(ly, -ls))
 
     def log_line(y):
@@ -294,9 +294,9 @@ def make_section7(alpha: float) -> YoungFunction:
         # v = |ln sqrt(u)|, and u = exp(+-2v) with the sign of ln t
         z = np.log(t)
         a = np.abs(z)
-        h = lambda v: 2.0 * v - alpha * v / np.log(v) - a
-        hp = lambda v: 2.0 - alpha * (np.log(v) - 1.0) / np.log(v) ** 2
-        v = newton_monotone(h, hp, np.maximum(0.5 * a, E2), lower=1.05)
+        g = lambda v: 2.0 * v - alpha * v / np.log(v)
+        gp = lambda v: 2.0 - alpha * (np.log(v) - 1.0) / np.log(v) ** 2
+        v = newton_monotone(g, gp, a, np.maximum(0.5 * a, E2), lower=1.05)
         return np.exp(np.copysign(2.0 * v, z))
 
     mid = (lambda t: (t - q) / p, lambda u: p * u + q,

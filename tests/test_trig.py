@@ -4,6 +4,7 @@ import functools
 import math
 import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -311,41 +312,111 @@ def test_sample_uniform_matches_direct_summation(case):
     assert not np.any(zero)
 
 
+# the boxes that factor_cases mirrors exactly: the axes it makes even
+MIRRORED = {"even_x": (0,), "even_y": (-1,), "even_xy": (0, -1),
+            "real_even": (0, -1)}
+
+
 @st.composite
 def factor_cases(draw):
     """Random complex full-rank polynomials, explicit sums of 1-3 products
-    of 1-D factors, the zero polynomial and a constant."""
+    of 1-D factors, the zero polynomial, a constant, and boxes made even
+    along one axis (the last axis of a 1-D box is x), along both, Hermitian
+    (f real) or real and even; with the symmetries (even in x, even in y,
+    real) that the construction guarantees."""
     dim = draw(st.sampled_from([1, 2]))
     degree = draw(st.integers(min_value=0, max_value=6))
-    kind = draw(st.sampled_from(["full", "products", "zero", "constant"]))
+    kind = draw(st.sampled_from(["full", "products", "zero", "constant",
+                                 *MIRRORED, "hermitian"]))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     w = 2 * degree + 1
     noise = lambda *shape: (rng.standard_normal(shape)
                             + 1j * rng.standard_normal(shape))
     box = np.zeros((w,) * dim, dtype=complex)
-    if kind == "full":
-        box = noise(*box.shape)
-    elif kind == "products":
+    if kind == "products":
         for _ in range(draw(st.integers(min_value=1, max_value=3))):
             box += functools.reduce(np.multiply.outer,
                                     [noise(w) for _ in range(dim)])
     elif kind == "constant":
         box[(degree,) * dim] = noise(1)[0]
+    elif kind != "zero":
+        box = noise(*box.shape).real if kind == "real_even" \
+            else noise(*box.shape)
+        for ax in MIRRORED.get(kind, ()):
+            box = box + np.flip(box, ax)
+        if kind == "hermitian":
+            box = box + np.flip(box).conj()
+    axes = {ax % dim for ax in MIRRORED.get(kind, ())}
+    sym = (0 in axes, dim == 1 or 1 in axes,
+           kind in ("hermitian", "real_even"))
     return TrigPoly(dim, {tuple(np.subtract(idx, degree).tolist()): c
-                          for idx, c in np.ndenumerate(box)})
+                          for idx, c in np.ndenumerate(box)}), sym
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=80, deadline=None)
 @given(factor_cases(), st.integers(min_value=0, max_value=40))
-def test_factor_route_matches_full_grid_route(f, extra):
-    # the full-grid mean of |f| is the reference the factor route replaced
-    rows, cols = trig._rank_factors(f)
+def test_factor_route_matches_full_grid_route(case, extra):
+    # the full-grid mean of |f| is the reference for the factor route, which
+    # sums one orbit of the symmetries that _rank_factors finds
+    f, made = case
+    rows, cols, sym = trig._rank_factors(f)
+    assert all(found for found, want in zip(sym, made) if want)
     first = 8 * (f.degree + 1)
-    for m in (2 * f.degree + 1 + extra, first, 2 * first, 4 * first,
-              8 * first):
+    for m in (2 * f.degree + 1 + extra, 2 * f.degree + 1, first, first + 1,
+              2 * first, 4 * first, 8 * first):
         full = float(np.mean(np.abs(f.sample_uniform(m))))
-        assert trig._factor_mean_abs(rows, cols, m, m ** (f.dim - 1)) \
+        assert trig._factor_mean_abs(rows, cols, sym, m, m ** (f.dim - 1)) \
             == pytest.approx(full, rel=1e-13)
+
+
+def test_one_ulp_off_symmetry_takes_the_full_route():
+    # band_kernel(4) is real and even; moving one coefficient by one ulp
+    # breaks all three symmetries, and the full route still meets the oracle
+    f = band_kernel(4)
+    assert trig._rank_factors(f)[2] == (True, True, True)
+    at = int(np.flatnonzero((f.ks == (3, 5)).all(axis=1))[0])
+    cs = f.cs.copy()
+    cs[at] = np.nextafter(cs[at].real, np.inf)
+    g = TrigPoly.from_arrays(2, f.ks, cs)
+    rows, cols, sym = trig._rank_factors(g)
+    assert sym == (False, False, False)
+    for m in (8 * (g.degree + 1), 8 * (g.degree + 1) + 1):
+        full = float(np.mean(np.abs(g.sample_uniform(m))))
+        assert trig._factor_mean_abs(rows, cols, sym, m, m) \
+            == pytest.approx(full, rel=1e-13)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4, 7, 8, 9, 64, 4095, 4096])
+def test_fold_weights_sum_to_the_grid(m):
+    for even, count in ((False, m), (True, m // 2 + 1)):
+        w = trig._fold_weights(m, even)
+        assert len(w) == count
+        assert w.sum() == m
+
+
+def test_poly_l1_sums_one_orbit_of_a_real_even_kernel():
+    # band_kernel(6) is real and even in both axes: on its last grid poly_l1
+    # takes |f| at no more than (m/2 + 1)^2 points, counted by a spy on abs
+    events, real_abs, real_sample = [], np.abs, TrigPoly.sample_uniform
+
+    def sample(self, m):
+        events.append(("grid", m))
+        return real_sample(self, m)
+
+    def counted_abs(x, *args, **kwargs):
+        if np.ndim(x) == 2:
+            events.append(("abs", np.size(x), np.iscomplexobj(x)))
+        return real_abs(x, *args, **kwargs)
+
+    with mock.patch.object(TrigPoly, "sample_uniform", sample), \
+            mock.patch.object(np, "abs", counted_abs):
+        poly_l1(band_kernel(6))
+    last = max(i for i, e in enumerate(events) if e[0] == "grid")
+    m = events[last][1]
+    blocks = [e for e in events[last:] if e[0] == "abs"]
+    assert m == 4096
+    assert 0 < sum(e[1] for e in blocks) <= (m // 2 + 1) ** 2
+    assert not any(e[2] for e in blocks)
 
 
 # poly_l1 of the kernels as the full-grid route computed it
@@ -380,10 +451,10 @@ def test_kernels_factor_at_rank_one_and_two():
 def test_plateau_grid_l1_is_the_square_of_its_factor(k):
     # ||P_k (x) P_k||_1 = ||P_k||_1^2 holds on each grid of poly_l1's schedule
     f, p = plateau_kernel(k), trig.poly_from_box(trig._plateau_factor(k))
-    rows, cols = trig._rank_factors(f)
+    rows, cols, sym = trig._rank_factors(f)
     first = 8 * (f.degree + 1)
     for m in (first * 2 ** j for j in range(4) if first * 2 ** j <= 4096):
-        assert trig._factor_mean_abs(rows, cols, m, m) == pytest.approx(
+        assert trig._factor_mean_abs(rows, cols, sym, m, m) == pytest.approx(
             float(np.mean(np.abs(p.sample_uniform(m)))) ** 2, rel=1e-14)
 
 
@@ -411,14 +482,16 @@ def test_band_kernel_grid_l1_is_level_free(k):
 
 
 def test_poly_l1_streams_its_grids():
-    f = band_kernel(6)          # the 4096^2 grid alone is 268 MB complex
+    # the 4096^2 grid alone is 268 MB complex; poly_l1 peaks at about 4.5 MB
+    # (one 2 MiB real block, the SVD of the 257^2 box), measured
+    f = band_kernel(6)
     tracemalloc.start()
     try:
         poly_l1(f)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 32e6
+    assert peak < 5e6
 
 
 def test_sample_uniform_rejects_aliasing_grid():
