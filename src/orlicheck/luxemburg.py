@@ -17,8 +17,10 @@ gets its own bracket, and one vectorised Chandrupatla solve
 (numerics.chandrupatla) finishes them all, with one Phi call per step over
 the rows still running.  norm_seq and norm_fun are its one-row case;
 poly_norms takes a stack of coefficient boxes of one width (besov's shift
-differences) and samples it on one grid schedule, so a whole batch of shift
-norms costs a few Phi calls per grid, or none.
+differences) and norms it on one grid schedule, so a whole batch of shift
+norms costs a few Phi calls per grid, or none.  It roots the |samples| that
+trig.sample_abs_chunks hands it chunk by chunk; trig owns the chunk size,
+the sampling route and the buffers.
 """
 
 from __future__ import annotations
@@ -27,8 +29,7 @@ import numpy as np
 
 from .numerics import chandrupatla
 from .reports import VerificationReport
-from . import trig
-from .trig import refine_on_grid, sample_boxes
+from .trig import refine_on_grid, sample_abs_chunks
 from .young import YoungFunction, check_sqrt_concavity
 
 __all__ = [
@@ -186,9 +187,10 @@ def poly_norms(phi: YoungFunction, boxes: np.ndarray) -> np.ndarray:
     ``boxes`` (trig.coefficient_boxes), batched, on the grids of the degree d
     of the box width 2 d + 1: a row whose top coefficients cancel exactly
     visits these, not the grids of its own lower degree, and a zero row has
-    norm 0.  On every grid the rows are sampled by one pruned FFT and normed
-    by one row-wise root, in chunks of at most SAMPLE_BLOCK grid points (at
-    least one row), and each row freezes at its own first settled grid.
+    norm 0.  On every grid the rows are sampled chunk by chunk
+    (trig.sample_abs_chunks, which picks the chunk size and the sampling
+    route) and each chunk is normed by one row-wise root, in place in the
+    chunk's buffer; each row freezes at its own first settled grid.
     """
     if not len(boxes):
         return np.zeros(0)
@@ -196,11 +198,8 @@ def poly_norms(phi: YoungFunction, boxes: np.ndarray) -> np.ndarray:
     del grids["exact_l2"]
 
     def rows_norm(m: int) -> np.ndarray:
-        step = max(1, trig.SAMPLE_BLOCK // m ** (boxes.ndim - 1))
-        chunks = (np.abs(sample_boxes(boxes[r:r + step], m))
-                  for r in range(0, len(boxes), step))
-        return np.concatenate([_lux_root(phi, v.reshape(len(v), -1), True)
-                               for v in chunks])
+        return np.concatenate([_lux_root(phi, a, True)
+                               for a in sample_abs_chunks(boxes, m)])
 
     return refine_on_grid((boxes.shape[-1] - 1) // 2, rows_norm, **grids)[0]
 

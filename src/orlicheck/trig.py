@@ -6,12 +6,23 @@ supports, convolution intersects them, scaling and translation multiply cs.
 Kernels and random polynomials are built as centred coefficient boxes
 (poly_from_box).  All torus integrals use the normalised measure
 (2 pi)^{-d} dx, so convolution is the coefficient-wise product and the L2
-norm is the Euclidean norm of cs.  Uniform sampling is one pruned inverse
-FFT over a stack of polynomials (sample_boxes): their coefficients fill rows
-of centred (2 degree + 1)^dim boxes (coefficient_boxes), and each axis in
-turn is zero-padded to the grid and transformed in place over all rows, so
-no transform runs over lines that are all zero.  TrigPoly.sample_uniform is
-the one-row case.
+norm is the Euclidean norm of cs.
+
+Uniform sampling works on a stack of polynomials (sample_boxes): their
+coefficients fill rows of centred boxes of width w = 2 degree + 1
+(coefficient_boxes), and each axis of the stack is transformed by one of
+two routes.  A fixed rule on w and the grid size m alone picks it
+(_by_matrix).  A box that is narrow against the grid is multiplied by the
+(w, m) matrix of e^{ikx_j}, the input-pruned DFT (J. D. Markel, "FFT
+pruning", IEEE Trans. Audio Electroacoust. 19 (1971) 305-311).  Any other
+box goes by a pruned inverse FFT: the axis is zero-padded to the grid and
+transformed in place, so that no transform runs over lines that are all
+zero.  Each matrix is built once per (w, m) from unit boxes through the
+FFT route.  TrigPoly.sample_uniform is the one-row case.
+sample_abs_chunks hands out |values| of a stack chunk by chunk, in a float
+buffer it reuses from chunk to chunk (and a complex one on the matrix
+route).  It owns the chunking of stacks as poly_l1 owns its blocks, so
+SAMPLE_BLOCK is read in this module only.
 
 Grid quadrature
 ---------------
@@ -21,12 +32,13 @@ refine_on_grid      the one oversample-and-double loop: from a degree, it
                     returns (value, grid, converged).  The functional may
                     return a vector, whose entries settle one by one.
                     luxemburg.poly_norm and the two sampling checks sample
-                    each grid whole; luxemburg.poly_norms samples a stack of
-                    coefficient boxes in chunks of rows; poly_l1 samples only
-                    the 1-D factors of a rank factorisation of f and sums |f|
-                    block by block from them, so its memory does not grow
-                    with the grid and its 4096-point cap only bounds its
-                    time (it stops there unconverged on the band kernels).
+                    each grid whole; luxemburg.poly_norms norms a stack
+                    of coefficient boxes from sample_abs_chunks; poly_l1
+                    samples only the 1-D factors of a rank factorisation of
+                    f and sums |f| block by block from them, so its memory
+                    does not grow with the grid and its 4096-point cap only
+                    bounds its time (it stops there unconverged on the band
+                    kernels).
                     It sums over one orbit of the symmetries the coefficient
                     box shows exactly: half of each axis along which f is
                     even, in real arithmetic when f is real-valued.
@@ -63,12 +75,12 @@ import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from types import MappingProxyType
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 import numpy as np
 
 # Points per block when poly_l1 sums |f| over a grid, and per chunk of rows
-# when luxemburg.poly_norms samples a stack: the working set stays a few MB at
+# when sample_abs_chunks samples a stack: the working set stays a few MB at
 # any grid size.
 SAMPLE_BLOCK = 2 ** 18
 
@@ -83,6 +95,7 @@ __all__ = [
     "sample_on_grid",
     "coefficient_boxes",
     "sample_boxes",
+    "sample_abs_chunks",
     "poly_l1",
     "refine_on_grid",
     "poly_from_box",
@@ -278,16 +291,31 @@ def coefficient_boxes(fs: Sequence[TrigPoly], degree: int) -> np.ndarray:
     return boxes
 
 
-def sample_boxes(boxes: np.ndarray, m: int) -> np.ndarray:
-    """Values on the uniform m-grid of the polynomials stacked in ``boxes``
-    (see coefficient_boxes), as a (rows,) + (m,)*dim array, by one pruned
-    inverse FFT over the row axis.
+def _by_matrix(width: int, m: int) -> bool:
+    """The route rule of sample_boxes: a box of width w goes by the
+    exponential matrix on an m-grid where w <= 3 bit_length(m) and the
+    (w, m) matrix has at most 2^15 entries (512 KB, so the matrices that
+    _exp_matrix caches stay small), otherwise by the FFT.  The matrix route
+    costs about w complex products per value and axis, the FFT route a
+    multiple of log2(m).  In every case measured under the rule (one row
+    and chunks of rows, 1-D and 2-D, m from 15 to 4096, single-threaded
+    BLAS) the matrix route was 1.38 to 10.7 times as fast.  Beyond it the
+    FFT route won 41 of 98 cases.  Width 31 on 128- and 256-point grids
+    stays on the FFT: one 2-D row there timed up to 1.3 times faster by the
+    matrix alone, but slower inside the sampling checks."""
+    return width <= 3 * m.bit_length() and width * m <= 2 ** 15
 
-    Exact provided m >= 2*degree+1, so that the folded indices k mod m are
-    distinct.  Each axis in turn is zero-padded to m at the indices k mod m
-    and inverse-transformed in place, so each transform runs only over the
-    slab of lines that can be nonzero.
-    """
+
+def _sample_fft(boxes: np.ndarray, m: int) -> np.ndarray:
+    """The FFT route of sample_boxes, as a fresh array: each axis in turn
+    is zero-padded to m at the indices k mod m and inverse-transformed in
+    place, so each transform runs only over the slab of lines that can be
+    nonzero.  Each slab is a fresh np.zeros, whose zero pages cost less
+    than zeroing a reused buffer (2.3 against 3.2 ms for 1024^2 points).
+
+    A grid smaller than the box width aliases and raises ValueError; the
+    exponential matrices are built through this route, so no matrix of
+    such a grid exists either."""
     dim, width = boxes.ndim - 1, boxes.shape[-1]
     d = (width - 1) // 2
     if m < width:
@@ -299,6 +327,72 @@ def sample_boxes(boxes: np.ndarray, m: int) -> np.ndarray:
         slab[(slice(None),) * ax + (folded,)] = b
         b = np.fft.ifft(slab, axis=ax, norm="forward", out=slab)
     return b
+
+
+@lru_cache(maxsize=32)
+def _exp_matrix(width: int, m: int) -> np.ndarray:
+    """The read-only (width, m) matrix whose row k + d holds e^{ikx_j} on the
+    m-grid, for k = -d..d: the FFT route's samples of the unit boxes, so
+    the two routes share these entries."""
+    e = _sample_fft(np.eye(width, dtype=complex), m)
+    e.flags.writeable = False
+    return e
+
+
+def _sample_matrix(boxes: np.ndarray, m: int,
+                   out: np.ndarray) -> np.ndarray:
+    """The matrix route of sample_boxes, into the C-contiguous complex
+    array ``out`` of its shape: with E the exponential matrix, boxes @ E
+    for a 1-D stack and (E^T @ boxes) @ E, the second product as one
+    matrix over all rows, for a 2-D one."""
+    width = boxes.shape[-1]
+    e = _exp_matrix(width, m)
+    if boxes.ndim == 2:
+        return np.matmul(boxes, e, out=out)
+    np.matmul(np.matmul(e.T, boxes).reshape(-1, width), e,
+              out=out.reshape(-1, m))
+    return out
+
+
+def sample_boxes(boxes: np.ndarray, m: int) -> np.ndarray:
+    """Values on the uniform m-grid of the polynomials stacked in ``boxes``
+    (see coefficient_boxes), as a fresh (rows,) + (m,)*dim array.
+
+    Exact provided m >= 2*degree+1, so that the folded indices k mod m are
+    distinct.  Each axis goes by one of two routes, picked by _by_matrix
+    from the box width w and m alone: a product with the (w, m) matrix of
+    e^{ikx_j} (_sample_matrix) when w is small against m, otherwise a pruned
+    inverse FFT over the row axis (_sample_fft).  The two agree to rounding.
+    """
+    if _by_matrix(boxes.shape[-1], m):
+        out = np.empty(boxes.shape[:1] + (m,) * (boxes.ndim - 1),
+                       dtype=complex)
+        return _sample_matrix(boxes, m, out)
+    return _sample_fft(boxes, m)
+
+
+def sample_abs_chunks(boxes: np.ndarray, m: int) -> Iterator[np.ndarray]:
+    """|values| on the uniform m-grid of the polynomials stacked in
+    ``boxes``, chunk by chunk: consecutive rows of at most SAMPLE_BLOCK grid
+    points (at least one row), each chunk a (rows, m**dim) float array.
+
+    Each chunk is sampled as in sample_boxes, and its modulus is written
+    into one float buffer allocated once per call; on the matrix route the
+    values go into one complex buffer, also allocated once, while the FFT
+    route pads fresh zero slabs per chunk.  So each chunk handed out is a
+    view that the next one overwrites: use it, or copy it, before asking
+    for the next.
+    """
+    dim = boxes.ndim - 1
+    step = min(len(boxes), max(1, SAMPLE_BLOCK // m ** dim))
+    values = (np.empty((step,) + (m,) * dim, dtype=complex)
+              if _by_matrix(boxes.shape[-1], m) else None)
+    mags = np.empty((step, m ** dim))
+    for r in range(0, len(boxes), step):
+        chunk = boxes[r:r + step]
+        z = (_sample_fft(chunk, m) if values is None
+             else _sample_matrix(chunk, m, values[:len(chunk)]))
+        yield np.abs(z.reshape(len(chunk), -1), out=mags[:len(chunk)])
 
 
 # ---------------------------------------------------------------------------

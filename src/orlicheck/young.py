@@ -152,12 +152,24 @@ def _piecewise(low: float, cuts: Sequence[float],
     """The kernel that applies fns[i] on [cuts[i-1], cuts[i]), the cuts
     increasing from low to inf, and fixes the ends low and inf.
 
-    An array that lies on one piece goes to that piece's formula whole, with
-    no masks and no copy.  Otherwise each distinct formula runs once on all
-    of its entries, in their order, so pieces that share one (an iterative
-    solve) see the batch they would see as one piece.  No formula sees an
-    end, and none may write to its argument.
+    On a one-piece table the formula takes every array whole, ends included,
+    and the ends are then fixed; that formula must take an end without a
+    floating-point warning.  On a longer table an array that lies on one
+    piece goes to that piece's formula whole, with no masks and no copy.
+    Otherwise each distinct formula runs once on all of its entries, in
+    their order, so pieces that share one (an iterative solve) see the batch
+    they would see as one piece; then no formula sees an end.  No formula
+    may write to its argument.
     """
+    if not cuts:
+        fn = fns[0]
+
+        def whole(x):
+            out = fn(x)
+            np.copyto(out, x, where=(x == low) | (x == math.inf))
+            return out
+
+        return whole
     edges = [*cuts, math.inf]
     bounds = np.array(edges)
     maps = {}

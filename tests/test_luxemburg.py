@@ -2,7 +2,9 @@
 
 import dataclasses
 import math
+import tracemalloc
 import warnings
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -10,10 +12,11 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from orlicheck.besov import BesovParams, besov_norm_classical
+from orlicheck.besov import BesovParams, _shift_grid, besov_norm_classical
 from orlicheck.luxemburg import (_lux_root, _magnitudes, embed_l2_check,
                                  modular_seq,
                                  norm_fun, norm_seq, poly_norm, poly_norms)
+from orlicheck import trig
 from orlicheck.numerics import chandrupatla
 from orlicheck.sampling import random_poly_1d, random_poly_on_frame
 from orlicheck.trig import TrigPoly, coefficient_boxes, frame, sample_on_grid
@@ -103,6 +106,13 @@ def test_poly_norm_power2_shortcut_matches_quadrature():
     assert fast == pytest.approx(slow, rel=1e-9)
 
 
+def random_poly2(degree, seed):
+    rng = np.random.default_rng(seed)
+    return TrigPoly(2, {(k, l): complex(*rng.standard_normal(2))
+                        for k in range(-degree, degree + 1)
+                        for l in range(-degree, degree + 1)})
+
+
 def test_poly_norms_of_a_box_stack():
     # the stack of degree 2 holds a polynomial of that degree, a zero row
     # and a constant, whose modulus makes every grid exact
@@ -113,6 +123,51 @@ def test_poly_norms_of_a_box_stack():
     assert got.tolist() == pytest.approx(want, rel=1e-12, abs=0.0)
     assert got[1] == 0.0
     assert poly_norms(phi, coefficient_boxes(fs, 2)[:0]).shape == (0,)
+
+    # a 2-D stack of degree 3 on grids 32 to 512: a zero row in the middle
+    # and a row of degree 1, g less its top coefficients, which cancel
+    # exactly, each normed on the stack's grids (oversample 16 gives degree
+    # 1 the same 32-point start); chunks of 1 and 3 rows at m = 512, the
+    # last one partial, and of 4 and 3 rows at 256 reuse the buffers
+    g = random_poly2(3, 11)
+    low = g - TrigPoly(2, {k: c for k, c in g.coeffs.items()
+                           if max(map(abs, k)) > 1})
+    fs = [random_poly2(3, seed) for seed in range(3)]
+    fs += [TrigPoly(2, {}), low] + [random_poly2(3, seed) for seed in (3, 4)]
+    boxes = coefficient_boxes(fs, 3)
+    want = [poly_norm(phi, f, exact_l2=False,
+                      oversample=8 if f.degree == 3 else 16)
+            if f.cs.size else 0.0 for f in fs]
+    assert low.degree == 1
+    for block in (trig.SAMPLE_BLOCK, 3 * 512 ** 2):
+        with mock.patch.object(trig, "SAMPLE_BLOCK", block):
+            got = poly_norms(phi, boxes)
+        assert got.tolist() == pytest.approx(want, rel=1e-13, abs=0.0), block
+        assert got[3] == 0.0
+
+
+def test_poly_norms_holds_one_chunk_of_samples():
+    # the 16-row stack of a besov_section7 modulus (degree 3, 2-D, 2 radii
+    # x 8 angles up to t = 0.5, grids 32 to 512): each grid is sampled
+    # through one complex and one float buffer of SAMPLE_BLOCK points; the
+    # allowance holds the exponential matrices, built on first use (110 KB),
+    # and the first product of the matrix route (16 rows x 128 x 7 complex
+    # at m = 128, 230 KB); the peak is 6.7 MB, 8.5 MB when every chunk was
+    # sampled into fresh arrays
+    f = random_poly2(3, 0)
+    hs = _shift_grid(2, np.array([0.25, 0.5]),
+                     2.0 * np.pi * np.arange(8) / 8)
+    boxes = coefficient_boxes([f.translate(h) for h in hs], 3)
+    boxes -= coefficient_boxes([f], 3)
+    phi = make_section7(0.05)
+    buffers = trig.SAMPLE_BLOCK * (16 + 8)
+    tracemalloc.start()
+    try:
+        poly_norms(phi, boxes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < buffers + 2 ** 20
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from orlicheck import trig
@@ -284,32 +284,76 @@ def test_translate_rounds_like_python_complex_products():
         assert f.translate(h).cs.tolist() == want, h
 
 
-@st.composite
-def polys_and_grids(draw):
-    dim = draw(st.sampled_from([1, 2]))
-    degree = draw(st.integers(min_value=0, max_value=6))
-    m = draw(st.integers(min_value=2 * degree + 1, max_value=40))
-    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+def _full_box_poly(dim: int, degree: int, rng) -> TrigPoly:
+    """Complex Gaussian coefficients on the whole box of the degree; the zero
+    polynomial for degree -1."""
     box = np.arange(-degree, degree + 1)
     keys = np.stack(np.meshgrid(*(box,) * dim, indexing="ij"),
                     axis=-1).reshape(-1, dim)
     coeffs = rng.standard_normal(len(keys)) + 1j * rng.standard_normal(len(keys))
-    return TrigPoly(dim, dict(zip(map(tuple, keys.tolist()), coeffs))), m
+    return TrigPoly(dim, dict(zip(map(tuple, keys.tolist()), coeffs)))
+
+
+@st.composite
+def polys_and_grids(draw):
+    """A stack of 1-4 polynomials of one dimension, each of a degree up to
+    the stack's (or zero), its box degree, a grid size and a chunk size in
+    points.  Degrees up to 9 and grids from the Nyquist size 2 degree + 1
+    up to 70, odd and even, fall on both sides of trig._by_matrix: degree 5
+    and below always goes by the matrix, and from 6 on the FFT takes the
+    small grids, the Nyquist grid included, and the matrix the large ones.
+    (Beyond degree 9 eval_at's own rounding nears the 1e-12 bound.)"""
+    dim = draw(st.sampled_from([1, 2]))
+    degree = draw(st.integers(min_value=0, max_value=9))
+    w = 2 * degree + 1
+    m = draw(st.one_of(st.just(w), st.integers(min_value=w, max_value=70)))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    degrees = draw(st.lists(st.integers(-1, degree), min_size=0, max_size=3))
+    fs = [_full_box_poly(dim, d, rng) for d in [degree, *degrees]]
+    block = draw(st.integers(min_value=1, max_value=3 * m ** dim))
+    return fs, degree, m, block
 
 
 @settings(max_examples=60, deadline=None)
 @given(polys_and_grids())
+@example(([_full_box_poly(2, 3, np.random.default_rng(1))] * 2, 3, 7, 60))
+@example(([_full_box_poly(2, 9, np.random.default_rng(2)),
+           TrigPoly(2, {})], 9, 19, 500))
 def test_sample_uniform_matches_direct_summation(case):
-    f, m = case
+    # both routes of sample_boxes against direct summation on every stack;
+    # sample_boxes takes the route trig._by_matrix picks, sample_uniform is
+    # its one-row case, and sample_abs_chunks gives its moduli through
+    # reused buffers, chunk by chunk
+    fs, degree, m, block = case
+    dim = fs[0].dim
     axis = 2.0 * np.pi * np.arange(m) / m
-    points = np.meshgrid(*(axis,) * f.dim, indexing="ij")
-    direct = f.eval_at(*points)
-    values = f.sample_uniform(m)
-    assert values.shape == (m,) * f.dim
-    assert np.max(np.abs(values - direct)) < 1e-12
-    zero = TrigPoly(f.dim, {}).sample_uniform(m)
-    assert zero.shape == (m,) * f.dim
-    assert not np.any(zero)
+    points = np.meshgrid(*(axis,) * dim, indexing="ij")
+    direct = np.array([f.eval_at(*points) for f in fs])
+    boxes = trig.coefficient_boxes(fs, degree)
+    by_route = {
+        "_sample_fft": trig._sample_fft(boxes, m),
+        "_sample_matrix": trig._sample_matrix(
+            boxes, m, np.full(direct.shape, np.nan, dtype=complex))}
+    for got in by_route.values():
+        assert np.max(np.abs(got - direct)) < 1e-12
+    picked = (trig._sample_matrix if trig._by_matrix(2 * degree + 1, m)
+              else trig._sample_fft).__name__
+    with mock.patch.object(trig, picked, wraps=getattr(trig, picked)) as spy:
+        values = trig.sample_boxes(boxes, m)
+    assert spy.call_count == 1
+    assert values.shape == (len(fs),) + (m,) * dim
+    assert np.array_equal(values, by_route[picked])
+    for f, row in zip(fs, direct):
+        one = f.sample_uniform(m)
+        assert one.shape == row.shape
+        assert np.max(np.abs(one - row), initial=0.0) < 1e-12
+    with mock.patch.object(trig, "SAMPLE_BLOCK", block):
+        chunks = [a.copy() for a in trig.sample_abs_chunks(boxes, m)]
+    step = max(1, block // m ** dim)
+    assert [len(a) for a in chunks] == [
+        len(fs[r:r + step]) for r in range(0, len(fs), step)]
+    assert np.max(np.abs(np.concatenate(chunks)
+                         - np.abs(direct).reshape(len(fs), -1))) < 1e-12
 
 
 # the boxes that factor_cases mirrors exactly: the axes it makes even
@@ -492,6 +536,23 @@ def test_poly_l1_streams_its_grids():
     finally:
         tracemalloc.stop()
     assert peak < 5e6
+
+
+def test_exponential_matrix_cache_is_bounded():
+    # the rule sends no matrix above 2^15 entries to the cache (a 7 x 2^16
+    # matrix would be 7 MB against a 1 MB grid), and the cache keeps at
+    # most its maxsize of them, however many (w, m) pairs it sees
+    assert not trig._by_matrix(7, 2 ** 16)
+    assert trig._by_matrix(7, 2 ** 12)
+    f = TrigPoly(1, {(-3,): 1.0, (2,): 0.5j})
+    cache = trig._exp_matrix
+    for m in range(7, 7 + 2 * cache.cache_info().maxsize):
+        f.sample_uniform(m)
+        assert cache.cache_info().currsize <= cache.cache_info().maxsize
+    assert cache.cache_info().currsize == cache.cache_info().maxsize
+    misses = cache.cache_info().misses
+    f.sample_uniform(2 ** 16)
+    assert cache.cache_info().misses == misses
 
 
 def test_sample_uniform_rejects_aliasing_grid():

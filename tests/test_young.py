@@ -12,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from orlicheck.young import (SECTION7_LOG_R, SECTION7_R, YoungFunctionError,
+                             _piecewise,
                              check_inverse_product, check_sqrt_concavity,
                              check_supermultiplicativity,
                              check_multiplicativity_transfer, make_logpower,
@@ -323,6 +324,38 @@ def test_log_inverse_breaks_are_the_log_values_of_the_piece_ends(phi):
     want = sorted(set(phi.log_inverse_breaks))
     assert len(got) == len(want)
     assert np.allclose(got, want, rtol=0.0, atol=1e-13)
+
+
+@pytest.mark.parametrize("phi", [make_power(1.5),
+                                 make_tabulated([(1.0, 2.0)])],
+                         ids=lambda p: p.kind)
+def test_one_piece_maps_take_arrays_with_ends_whole(phi):
+    # a one-piece table runs its formula once over the whole array, ends
+    # included, then fixes the ends: every other entry gets the bits of a
+    # call without ends, and no end raises a warning
+    calls = []
+
+    def formula(x):
+        calls.append(x.size)
+        return 2.0 * x
+
+    kernel = _piecewise(0.0, [], [formula])
+    assert kernel(np.array([0.0, 1.0, math.inf])).tolist() == [
+        0.0, 2.0, math.inf]
+    assert calls == [3]
+    x = np.random.default_rng(0).uniform(0.0, 3.0, 512)
+    x[::47] = 0.0
+    x[5] = math.inf
+    y = np.full_like(x, -math.inf)
+    y[x > 0] = np.log(x[x > 0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for fn, arg, low in ((phi.forward, x, 0.0), (phi.inverse, x, 0.0),
+                             (phi.log_inverse, y, -math.inf)):
+            got = fn(arg)
+            ends = (arg == low) | (arg == math.inf)
+            assert got[ends].tolist() == arg[ends].tolist()
+            assert got[~ends].tolist() == fn(arg[~ends]).tolist()
 
 
 @pytest.mark.parametrize("p", [2.0, 3.0])
