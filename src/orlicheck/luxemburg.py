@@ -188,8 +188,8 @@ def poly_norms(phi: YoungFunction, boxes: np.ndarray) -> np.ndarray:
     of the box width 2 d + 1: a row whose top coefficients cancel exactly
     visits these, not the grids of its own lower degree, and a zero row has
     norm 0.  On every grid the rows are sampled chunk by chunk
-    (trig.sample_abs_chunks, which picks the chunk size and the sampling
-    route) and each chunk is normed by one row-wise root, in place in the
+    (trig.sample_abs_chunks, which picks the chunk size and leaves the
+    route to trig.sample_boxes) and each chunk is normed by one row-wise root, in place in the
     chunk's buffer; each row freezes at its own first settled grid.
     """
     if not len(boxes):

@@ -19,10 +19,11 @@ box goes by a pruned inverse FFT: the axis is zero-padded to the grid and
 transformed in place, so that no transform runs over lines that are all
 zero.  Each matrix is built once per (w, m) from unit boxes through the
 FFT route.  TrigPoly.sample_uniform is the one-row case.
-sample_abs_chunks hands out |values| of a stack chunk by chunk, in a float
-buffer it reuses from chunk to chunk (and a complex one on the matrix
-route).  It owns the chunking of stacks as poly_l1 owns its blocks, so
-SAMPLE_BLOCK is read in this module only.
+sample_abs_chunks hands out |values| of a stack chunk by chunk: each chunk
+goes through sample_boxes, which alone picks the route, into a complex
+buffer (filled on the matrix route only) and a float one, both reused from
+chunk to chunk.  It owns the chunking of stacks as poly_l1 owns its blocks,
+so SAMPLE_BLOCK is read in this module only.
 
 Grid quadrature
 ---------------
@@ -72,6 +73,7 @@ annulus, so "samples on the frame" is a well-defined finite sequence.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from types import MappingProxyType
@@ -303,7 +305,7 @@ def _by_matrix(width: int, m: int) -> bool:
     FFT route won 41 of 98 cases.  Width 31 on 128- and 256-point grids
     stays on the FFT: one 2-D row there timed up to 1.3 times faster by the
     matrix alone, but slower inside the sampling checks."""
-    return width <= 3 * m.bit_length() and width * m <= 2 ** 15
+    return width <= 3 * operator.index(m).bit_length() and width * m <= 2 ** 15
 
 
 def _sample_fft(boxes: np.ndarray, m: int) -> np.ndarray:
@@ -354,44 +356,48 @@ def _sample_matrix(boxes: np.ndarray, m: int,
     return out
 
 
-def sample_boxes(boxes: np.ndarray, m: int) -> np.ndarray:
+def sample_boxes(boxes: np.ndarray, m: int,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """Values on the uniform m-grid of the polynomials stacked in ``boxes``
-    (see coefficient_boxes), as a fresh (rows,) + (m,)*dim array.
+    (see coefficient_boxes), as a (rows,) + (m,)*dim complex array.
 
     Exact provided m >= 2*degree+1, so that the folded indices k mod m are
     distinct.  Each axis goes by one of two routes, picked by _by_matrix
     from the box width w and m alone: a product with the (w, m) matrix of
     e^{ikx_j} (_sample_matrix) when w is small against m, otherwise a pruned
     inverse FFT over the row axis (_sample_fft).  The two agree to rounding.
+    The matrix route writes into ``out`` when it is given (a C-contiguous
+    complex array of the result's shape) and into a fresh array otherwise;
+    the FFT route always returns a fresh array and leaves ``out`` alone.
     """
-    if _by_matrix(boxes.shape[-1], m):
+    if not _by_matrix(boxes.shape[-1], m):
+        return _sample_fft(boxes, m)
+    if out is None:
         out = np.empty(boxes.shape[:1] + (m,) * (boxes.ndim - 1),
                        dtype=complex)
-        return _sample_matrix(boxes, m, out)
-    return _sample_fft(boxes, m)
+    return _sample_matrix(boxes, m, out)
 
 
 def sample_abs_chunks(boxes: np.ndarray, m: int) -> Iterator[np.ndarray]:
     """|values| on the uniform m-grid of the polynomials stacked in
     ``boxes``, chunk by chunk: consecutive rows of at most SAMPLE_BLOCK grid
-    points (at least one row), each chunk a (rows, m**dim) float array.
+    points (at least one row), each chunk a (rows, m**dim) float array; an
+    empty stack yields nothing.
 
-    Each chunk is sampled as in sample_boxes, and its modulus is written
-    into one float buffer allocated once per call; on the matrix route the
-    values go into one complex buffer, also allocated once, while the FFT
-    route pads fresh zero slabs per chunk.  So each chunk handed out is a
-    view that the next one overwrites: use it, or copy it, before asking
-    for the next.
+    Each chunk is sampled by sample_boxes into one complex buffer, and its
+    modulus is written into one float buffer, both allocated once per call.
+    The matrix route fills the complex buffer; the FFT route leaves it
+    untouched and pads fresh zero slabs per chunk.  So each chunk handed out
+    is a view that the next one overwrites: use it, or copy it, before
+    asking for the next.
     """
     dim = boxes.ndim - 1
-    step = min(len(boxes), max(1, SAMPLE_BLOCK // m ** dim))
-    values = (np.empty((step,) + (m,) * dim, dtype=complex)
-              if _by_matrix(boxes.shape[-1], m) else None)
+    step = max(1, min(len(boxes), SAMPLE_BLOCK // m ** dim))
+    values = np.empty((step,) + (m,) * dim, dtype=complex)
     mags = np.empty((step, m ** dim))
     for r in range(0, len(boxes), step):
         chunk = boxes[r:r + step]
-        z = (_sample_fft(chunk, m) if values is None
-             else _sample_matrix(chunk, m, values[:len(chunk)]))
+        z = sample_boxes(chunk, m, out=values[:len(chunk)])
         yield np.abs(z.reshape(len(chunk), -1), out=mags[:len(chunk)])
 
 

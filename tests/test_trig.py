@@ -334,8 +334,10 @@ def test_sample_uniform_matches_direct_summation(case):
         "_sample_fft": trig._sample_fft(boxes, m),
         "_sample_matrix": trig._sample_matrix(
             boxes, m, np.full(direct.shape, np.nan, dtype=complex))}
+    zero_rows = ~boxes.reshape(len(fs), -1).any(axis=1)
     for got in by_route.values():
         assert np.max(np.abs(got - direct)) < 1e-12
+        assert not np.any(got[zero_rows])
     picked = (trig._sample_matrix if trig._by_matrix(2 * degree + 1, m)
               else trig._sample_fft).__name__
     with mock.patch.object(trig, picked, wraps=getattr(trig, picked)) as spy:
@@ -347,6 +349,9 @@ def test_sample_uniform_matches_direct_summation(case):
         one = f.sample_uniform(m)
         assert one.shape == row.shape
         assert np.max(np.abs(one - row), initial=0.0) < 1e-12
+    zero = TrigPoly(dim, {}).sample_uniform(m)
+    assert zero.shape == (m,) * dim
+    assert not np.any(zero)
     with mock.patch.object(trig, "SAMPLE_BLOCK", block):
         chunks = [a.copy() for a in trig.sample_abs_chunks(boxes, m)]
     step = max(1, block // m ** dim)
@@ -354,6 +359,7 @@ def test_sample_uniform_matches_direct_summation(case):
         len(fs[r:r + step]) for r in range(0, len(fs), step)]
     assert np.max(np.abs(np.concatenate(chunks)
                          - np.abs(direct).reshape(len(fs), -1))) < 1e-12
+    assert not np.any(np.concatenate(chunks)[zero_rows])
 
 
 # the boxes that factor_cases mirrors exactly: the axes it makes even
@@ -553,6 +559,25 @@ def test_exponential_matrix_cache_is_bounded():
     misses = cache.cache_info().misses
     f.sample_uniform(2 ** 16)
     assert cache.cache_info().misses == misses
+
+
+def test_sampling_takes_numpy_grid_sizes_and_empty_stacks():
+    # a numpy integer grid size samples as the same Python int does, and an
+    # empty stack samples to an empty array and yields no chunk, on the
+    # matrix route (w = 7 on 7 and 64 points) and on the FFT route (w = 7
+    # on 2^13 points, w = 19 on 19)
+    f = TrigPoly(1, {(-3,): 1.0, (2,): 0.5j})
+    assert [trig._by_matrix(7, m) for m in (7, 64, 2 ** 13)] == [
+        True, True, False]
+    for m in (7, 64, 2 ** 13):
+        assert np.array_equal(f.sample_uniform(np.int64(m)),
+                              f.sample_uniform(m))
+    assert not trig._by_matrix(19, 19)
+    for dim, degree, m in ((1, 3, 64), (2, 3, 64), (1, 3, 2 ** 13),
+                           (2, 9, 19)):
+        boxes = np.zeros((0,) + (2 * degree + 1,) * dim, dtype=complex)
+        assert trig.sample_boxes(boxes, m).shape == (0,) + (m,) * dim
+        assert list(trig.sample_abs_chunks(boxes, m)) == []
 
 
 def test_sample_uniform_rejects_aliasing_grid():
