@@ -5,8 +5,7 @@ bounds, and Yano-style extrapolation of summing norms.
 """
 
 from .young import (YoungFunction, YoungFunctionError, make_power,
-                    make_logpower, make_section7, make_tabulated,
-                    young_from_config, young_to_config, validate,
+                    make_logpower, make_section7, make_tabulated, validate,
                     check_sqrt_concavity, check_supermultiplicativity,
                     check_inverse_product, check_multiplicativity_transfer,
                     SECTION7_R)

@@ -124,9 +124,10 @@ def modulus(f: TrigPoly, t: float, phi: YoungFunction, *, angles: int = 64,
     call: for Phi = t^2 one real sine matrix over the mirror-folded
     spectrum, otherwise one batched quadrature of the differences.  For
     low-degree polynomials the objective is smooth and the grid is
-    observed-converged (double ``angles``/``radii`` to check).
+    observed-converged (double ``angles``/``radii`` to check).  A radius
+    that is not a finite number > 0 raises ValueError.
     """
-    if t <= 0:
+    if not 0.0 < t < math.inf:
         raise ValueError("shift radius t must be positive")
     if not f.cs.size:
         return 0.0

@@ -8,10 +8,11 @@ is the two-part expression at scale s >= 1:
 
 Uniform boundedness of this over s is the embedding criterion; its d = 2
 specialisation with Psi(t) = Phi^{-1}(t^2)/t is the integral condition of the
-Hilbert-factorization result.  All integrals run in the log domain
-(x = ln t), which keeps near-linear Young functions representable: their
-second integrals converge only at astronomically large t (far beyond float
-range) although every intermediate quantity is of moderate size.
+Hilbert-factorization result.  Every check runs in the log domain
+(x = ln t), where Psi and Phi enter only as ln Psi(e^x) and ln Phi^{-1}(e^y).
+That keeps near-linear Young functions representable: their second integrals
+converge only at astronomically large t (far beyond float range) although
+every intermediate quantity is of moderate size.
 
 Truncation control is decade-by-decade with a geometric tail bound; the
 boundedness classification regresses the totals against ln s over the top
@@ -49,7 +50,7 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Weight:
-    """Increasing continuous weight on [1, oo) with a log-domain evaluator.
+    """Increasing continuous weight on [1, oo), known only in the log domain.
 
     ``log_value(x)`` returns ln Psi(e^x) and must stay finite for x far
     beyond ln(float max); ``log_breaks`` lists kink locations in x where the
@@ -57,37 +58,28 @@ class Weight:
     """
 
     name: str
-    value: Callable = field(repr=False)
     log_value: Callable = field(repr=False)
     log_breaks: tuple[float, ...] = ()
 
 
-def constant_weight(c: float = 1.0) -> Weight:
-    logc = math.log(c)
-    return Weight(f"const({c:g})",
-                  lambda t: np.full_like(np.asarray(t, dtype=float), c),
-                  lambda x: np.full_like(np.asarray(x, dtype=float), logc))
+def constant_weight() -> Weight:
+    return Weight("const(1)", lambda x: np.zeros_like(x, dtype=float))
 
 
 def power_weight(theta: float) -> Weight:
     return Weight(f"power({theta:g})",
-                  lambda t: np.asarray(t, dtype=float) ** theta,
                   lambda x: theta * np.asarray(x, dtype=float))
 
 
 def embedding_weight(phi: YoungFunction) -> Weight:
     """Psi(t) = Phi^{-1}(t^2) / t, the substitution that turns the
     factorization integral condition into the embedding condition."""
-    def value(t):
-        t = np.asarray(t, dtype=float)
-        return phi.inverse(t ** 2) / t
-
     def log_value(x):
         x = np.asarray(x, dtype=float)
         return phi.log_inverse(2.0 * x) - x
 
     breaks = tuple(b / 2.0 for b in phi.log_inverse_breaks)
-    return Weight(f"inv2/t[{phi.kind}]", value, log_value, breaks)
+    return Weight(f"inv2/t[{phi.kind}]", log_value, breaks)
 
 
 @dataclass
@@ -263,17 +255,18 @@ def weight_domination_check(phi: YoungFunction, psi: Weight,
                             t_grid: Sequence[float]) -> VerificationReport:
     """1/t <= Psi(t) / Phi^{-1}(t^2) over a positive grid.
 
-    The primary margin is dimensionless: min of t * Psi(t)/Phi^{-1}(t^2) - 1;
-    the raw difference Psi(t)/Phi^{-1}(t^2) - 1/t is echoed in the
-    quantities.
+    The primary margin is dimensionless: min of t * Psi(t)/Phi^{-1}(t^2) - 1,
+    taken as expm1(ln Psi(e^x) - ln Phi^{-1}(e^{2x}) + x) at x = ln t; the
+    raw difference Psi(t)/Phi^{-1}(t^2) - 1/t, that margin over t, is echoed
+    in the quantities.
     """
     t = np.asarray(t_grid, dtype=float)
     if np.any(t <= 0):
         raise ValueError("t grid must be positive")
-    ratio = t * psi.value(t) / phi.inverse(t ** 2)
-    margins = ratio - 1.0
+    x = np.log(t)
+    margins = np.expm1(psi.log_value(x) - phi.log_inverse(2.0 * x) + x)
     i = int(np.argmin(margins))
-    raw = psi.value(t) / phi.inverse(t ** 2) - 1.0 / t
+    raw = margins / t
     return VerificationReport(
         check_id="weight-domination",
         passed=bool(margins[i] >= -1e-9),
@@ -286,9 +279,8 @@ def weight_domination_check(phi: YoungFunction, psi: Weight,
 
 
 def lorentz_embedding_probe(phi: YoungFunction, d: int,
-                            t_grid: Sequence[float], *, a: float = 1.0,
-                            b: float = 1.0) -> VerificationReport:
-    """Informative probe of Phi(t) <= a * t^{d/(d-1)} + b on a grid.
+                            t_grid: Sequence[float]) -> VerificationReport:
+    """Informative probe of Phi(t) <= t^{d/(d-1)} + 1 on a grid.
 
     This pointwise bound is sufficient (not equivalent) for the background
     hypothesis L_{d/(d-1)} -> L_Phi; it is reported but never gates a check.
@@ -296,7 +288,7 @@ def lorentz_embedding_probe(phi: YoungFunction, d: int,
     if d < 2:
         raise ValueError("the probe needs dimension >= 2")
     t = np.asarray(t_grid, dtype=float)
-    margins = a * t ** (d / (d - 1.0)) + b - phi(t)
+    margins = t ** (d / (d - 1.0)) + 1.0 - phi(t)
     i = int(np.argmin(margins))
     return VerificationReport(
         check_id="lorentz-embedding-probe",
@@ -304,7 +296,6 @@ def lorentz_embedding_probe(phi: YoungFunction, d: int,
         margin=float(margins[i]),
         witness=float(t[i]),
         quantities={"informative_only": True},
-        inputs={"phi": repr(phi), "d": d, "a": a, "b": b,
-                "grid_size": int(t.size)},
-        tolerance="a t^{d/(d-1)} + b - Phi(t) >= 0",
+        inputs={"phi": repr(phi), "d": d, "grid_size": int(t.size)},
+        tolerance="t^{d/(d-1)} + 1 - Phi(t) >= 0",
     )

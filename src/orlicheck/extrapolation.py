@@ -89,9 +89,13 @@ def bucket(x) -> BucketDecomposition:
     """Normalise a nonnegative sequence below 1/2 and bucket it.
 
     The scale is min(1, (1/2 - 1e-12)/max(x)); sequences already below the
-    threshold are left untouched.
+    threshold are left untouched.  An entry that is negative or not finite
+    raises ValueError.
     """
     a = np.asarray(x, dtype=float).ravel()
+    bad = np.flatnonzero(~np.isfinite(a))
+    if bad.size:
+        raise ValueError(f"sequence entry {bad[0]} is {a[bad[0]]}, not finite")
     if np.any(a < 0):
         raise ValueError("bucket entries must be >= 0")
     a = a[a > 0]
@@ -150,10 +154,11 @@ def verify_extrapolation_chain(x, profile: BoundProfile,
     """Quantitative extrapolation chain for ||x||_p^p <= f(p) on (q, q+eps),
     with q, eps and f given by ``profile``.
 
-    First asserts the hypothesis on 33 points p = q + eps*(1e-6 .. 1),
-    evaluating f(p) as exp(profile.log_fn(-ln(p - q))) from the offsets
-    themselves (raising HypothesisError with a witness where it fails, and
-    ValueError where f is NaN), then checks
+    Rejects an entry of x that is not finite as ``bucket`` does, then asserts
+    the hypothesis on 33 points p = q + eps*(1e-6 .. 1), evaluating f(p) as
+    exp(profile.log_fn(-ln(p - q))) from the offsets themselves (raising
+    HypothesisError with a witness where it fails, and ValueError where f
+    is NaN), then checks
 
         gamma(alpha+1, eps ln 2) * sum_n #K_n n^{-q} (ln n)^{-(alpha+1)}
             <= int_q^{q+eps} f(p)(p-q)^alpha dp
@@ -170,6 +175,7 @@ def verify_extrapolation_chain(x, profile: BoundProfile,
     """
     q, eps = profile.q, profile.eps
     a = np.abs(np.asarray(x, dtype=float).ravel())
+    dec = bucket(a)     # rejects an entry that is not finite
     offsets = np.linspace(eps * 1e-6, eps, 33)
     bounds = np.broadcast_to(np.exp(profile.log_fn(-np.log(offsets))),
                              offsets.shape)
@@ -180,7 +186,6 @@ def verify_extrapolation_chain(x, profile: BoundProfile,
         if lhs > rhs * (1.0 + 1e-12):
             raise HypothesisError(p, lhs, rhs)
 
-    dec = bucket(a)
     a1 = alpha + 1.0
     gamma = weighted_integral(
         BoundProfile(0.0, eps * math.log(2.0), lambda x: -np.exp(-x)), alpha)

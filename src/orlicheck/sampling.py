@@ -117,10 +117,13 @@ def orlicz_sampling_check(f: TrigPoly, n: int, phi: YoungFunction, C: float,
     True when exact).  On random_poly_on_frame(3, seed=5) under section7 the
     64- and 128-point grids differ by 9.8e-5 relatively, and the 128-point
     value is 1.5e-5 below the 1024-point one, which the 24 C^2 margin dwarfs.
-    A frame ``fr`` of another level than n raises ValueError.  Each mode
-    must satisfy 2^{n-3} < max_i |k_i| < 2^n; the ValueError says how many
-    do not.
+    A constant C that is not a finite number >= 1, or a frame ``fr`` of
+    another level than n, raises ValueError.  Each mode must satisfy
+    2^{n-3} < max_i |k_i| < 2^n; the ValueError says how many do not.
     """
+    if not 1.0 <= C < math.inf:
+        raise ValueError(f"sampling constant C must be finite and >= 1, "
+                         f"not {C}")
     fr = fr or frame(n)
     if fr.level != n:
         raise ValueError(f"frame of level {fr.level} given for level {n}")

@@ -7,13 +7,14 @@ overflow-safe log-domain inverse y -> ln Phi^{-1}(e^y) for the
 improper-integral machinery, are each reached through one front, a
 YoungFunction method that checks and shapes the argument (see there).
 
-Each kind is one table of pieces, declared once by its maker.  Adjacent
-pieces meet at a cut, the triple (t, Phi(t), ln Phi(t)), so a cut splits
-all three maps at the same place; a piece gives the three maps' formulas
-and says whether Phi is affine on it.  The three kernels, the kinks of the
-log inverse and the affine intervals all come from that table, so they
-cannot disagree.  Every kernel fixes its ends, whatever its formulas would
-give there: 0 -> 0 (forward, inverse), -oo -> -oo (log inverse) and
+Each kind is one table of pieces, declared once by its maker, which
+rejects a parameter that is NaN or infinite.  Adjacent pieces meet at a
+cut, the triple (t, Phi(t), ln Phi(t)), so a cut splits all three maps at
+the same place; a piece gives the three maps' formulas and says whether
+Phi is affine on it.  The three kernels, the kinks of the log inverse and
+the affine intervals all come from that table, so they cannot disagree.
+Every kernel, a one-piece table's too, fixes its ends without handing them
+to a formula: 0 -> 0 (forward, inverse), -oo -> -oo (log inverse) and
 +oo -> +oo (all three).
 
 Supported kinds
@@ -42,7 +43,6 @@ raising, so negative controls can be exercised on the same code path.
 from __future__ import annotations
 
 import bisect
-import inspect
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence
@@ -59,8 +59,6 @@ __all__ = [
     "make_logpower",
     "make_section7",
     "make_tabulated",
-    "young_from_config",
-    "young_to_config",
     "validate",
     "check_sqrt_concavity",
     "check_supermultiplicativity",
@@ -152,24 +150,13 @@ def _piecewise(low: float, cuts: Sequence[float],
     """The kernel that applies fns[i] on [cuts[i-1], cuts[i]), the cuts
     increasing from low to inf, and fixes the ends low and inf.
 
-    On a one-piece table the formula takes every array whole, ends included,
-    and the ends are then fixed; that formula must take an end without a
-    floating-point warning.  On a longer table an array that lies on one
-    piece goes to that piece's formula whole, with no masks and no copy.
-    Otherwise each distinct formula runs once on all of its entries, in
-    their order, so pieces that share one (an iterative solve) see the batch
-    they would see as one piece; then no formula sees an end.  No formula
-    may write to its argument.
+    An array that lies on one piece, ends excluded, goes to that piece's
+    formula whole, with no masks and no copy.  Otherwise each distinct
+    formula runs once on all of its entries, in their order, so pieces that
+    share one (an iterative solve) see the batch they would see as one
+    piece; the ends are copied through, and no formula sees one.  No
+    formula may write to its argument.
     """
-    if not cuts:
-        fn = fns[0]
-
-        def whole(x):
-            out = fn(x)
-            np.copyto(out, x, where=(x == low) | (x == math.inf))
-            return out
-
-        return whole
     edges = [*cuts, math.inf]
     bounds = np.array(edges)
     maps = {}
@@ -211,14 +198,14 @@ def _young(kind: str, params: dict, cuts: Sequence[tuple[float, float, float]],
 
 
 def make_power(p: float) -> YoungFunction:
-    """Phi(t) = t^p with exact inverse u^(1/p); requires p > 1.
+    """Phi(t) = t^p with exact inverse u^(1/p); requires a finite p > 1.
 
     p <= 1 is rejected: Phi(t)/t -> 0 at zero fails and the function is not
     strictly convex.
     """
     p = float(p)
-    if not p > 1.0:
-        raise YoungFunctionError("power kind requires p > 1")
+    if not 1.0 < p < math.inf:
+        raise YoungFunctionError("power kind requires a finite p > 1")
     q = 1.0 / p
     return _young("power", {"p": p}, [],
                   [(lambda t: t ** p, lambda u: u ** q, lambda y: y / p,
@@ -228,14 +215,14 @@ def make_power(p: float) -> YoungFunction:
 def make_logpower(p0: float, gamma: float, switch: float = 0.5) -> YoungFunction:
     """Phi(t) = t^p0 / |ln t|^gamma on (0, switch), tangent line from switch.
 
-    Requires p0 >= 1 and gamma > 0; switch must stay below 1 so the closed
-    form never meets the |ln t| = 0 singularity.
+    Requires finite p0 >= 1 and gamma > 0; switch must stay below 1 so the
+    closed form never meets the |ln t| = 0 singularity.
     """
     p0, gamma, switch = float(p0), float(gamma), float(switch)
-    if p0 < 1.0:
-        raise YoungFunctionError("logpower kind requires p0 >= 1")
-    if gamma <= 0.0:
-        raise YoungFunctionError("logpower kind requires gamma > 0")
+    if not 1.0 <= p0 < math.inf:
+        raise YoungFunctionError("logpower kind requires a finite p0 >= 1")
+    if not 0.0 < gamma < math.inf:
+        raise YoungFunctionError("logpower kind requires a finite gamma > 0")
     if not 0.0 < switch < 1.0:
         raise YoungFunctionError("logpower switch must lie in (0, 1)")
 
@@ -327,12 +314,16 @@ def make_tabulated(points: Iterable[Sequence[float]]) -> YoungFunction:
     piece, and the last one runs on past the last breakpoint.  The log
     inverse is closed form on the first and the last piece, so it stays
     finite for every finite y; the cuts are the interior breakpoints.
-    Raises YoungFunctionError unless the segment slopes, the anchor segment
-    included, are nondecreasing up to the rounding of their differences.
+    Raises YoungFunctionError on a breakpoint that is not finite, and
+    unless the segment slopes, the anchor segment included, are
+    nondecreasing up to the rounding of their differences.
     """
     pts = sorted((float(t), float(u)) for t, u in points)
     if not pts:
         raise YoungFunctionError("tabulated kind needs at least one breakpoint")
+    bad = [pt for pt in pts if not np.isfinite(pt).all()]
+    if bad:
+        raise YoungFunctionError(f"tabulated breakpoint {bad[0]} is not finite")
     if pts[0] != (0.0, 0.0):
         pts.insert(0, (0.0, 0.0))
     ts, us = np.array(pts).T
@@ -372,42 +363,6 @@ def make_tabulated(points: Iterable[Sequence[float]]) -> YoungFunction:
     cuts = np.column_stack([ts[1:-1], us[1:-1], np.log(us[1:-1])])
     return _young("tabulated", {"points": tuple(map(tuple, pts))}, cuts,
                   [(fwd, inv, log_inv, True) for log_inv in logs])
-
-
-# ---------------------------------------------------------------------------
-# config round-trip (CLI file format)
-# ---------------------------------------------------------------------------
-
-# kind -> (maker, the names of its parameters, which a config uses too)
-_KINDS = {
-    "power": (make_power, ("p",)),
-    "logpower": (make_logpower, ("p0", "gamma", "switch")),
-    "section7": (make_section7, ("alpha",)),
-    "tabulated": (make_tabulated, ("points",)),
-}
-
-
-def young_from_config(config: dict) -> YoungFunction:
-    """Build from ``{"kind": ..., "params": {...}}``.
-
-    An omitted optional parameter takes the maker's default; a missing
-    required or an unknown parameter raises YoungFunctionError naming it.
-    """
-    kind = config.get("kind")
-    if kind not in _KINDS:
-        raise YoungFunctionError(f"unknown Young function kind: {kind!r}")
-    maker = _KINDS[kind][0]
-    params = config.get("params", {})
-    try:
-        inspect.signature(maker).bind(**params)
-    except TypeError as exc:    # names the missing or unknown parameter
-        raise YoungFunctionError(f"{kind} config: {exc}") from None
-    return maker(**params)
-
-
-def young_to_config(phi: YoungFunction) -> dict:
-    return {"kind": phi.kind,
-            "params": {k: phi.params[k] for k in _KINDS[phi.kind][1]}}
 
 
 # ---------------------------------------------------------------------------
@@ -483,7 +438,7 @@ def check_supermultiplicativity(phi: YoungFunction, C: float,
     Margin is the worst absolute value of Phi(Cab) - Phi(a)Phi(b); the pass
     flag allows 1e-9 relative rounding at the witness scale.
     """
-    if C < 1.0:
+    if not C >= 1.0:
         raise YoungFunctionError("supermultiplicativity constant C must be >= 1")
     pa = np.array([a for a, _ in pairs], dtype=float)
     pb = np.array([b for _, b in pairs], dtype=float)
@@ -510,7 +465,7 @@ def check_supermultiplicativity(phi: YoungFunction, C: float,
 def check_inverse_product(phi: YoungFunction, C: float,
                           x_grid: Sequence[float]) -> VerificationReport:
     """1 <= C * Phi^{-1}(x) * Phi^{-1}(1/x) over a positive grid."""
-    if C < 1.0:
+    if not C >= 1.0:
         raise YoungFunctionError("inverse-product constant C must be >= 1")
     x = np.asarray(x_grid, dtype=float)
     if np.any(x <= 0):
@@ -542,7 +497,7 @@ def check_multiplicativity_transfer(phi: YoungFunction, C: float,
     b = Phi^{-1}(y).  Violations of the implication are counted (none are
     expected for a valid Young function).
     """
-    if C < 1.0:
+    if not C >= 1.0:
         raise YoungFunctionError("transfer constant C must be >= 1")
     phi1 = float(phi(1.0))
     xs = np.array([x for x, _ in pairs], dtype=float)

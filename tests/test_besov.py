@@ -1,5 +1,6 @@
 """Moduli of continuity, the two Besov-Orlicz norms, and best approximation."""
 
+import collections
 import math
 import re
 from unittest import mock
@@ -478,6 +479,10 @@ GUARDS = [
     (lambda: params_power2(n_max=1), "n_max must be >= 2"),
     (lambda: modulus(_F2, 0.0, make_power(2.0)),
      "shift radius t must be positive"),
+    (lambda: modulus(random_poly_1d(3, 0), math.nan, make_power(2.0)),
+     "shift radius t must be positive"),
+    (lambda: modulus(random_poly_1d(3, 0), math.inf, make_section7(0.05)),
+     "shift radius t must be positive"),
     (lambda: multiplier(0), "multiplier order must be >= 1"),
     (lambda: best_approximation(TrigPoly(1, {(1,): 1.0}), 1, make_power(2.0)),
      "best approximation is defined for 2-D polynomials"),
@@ -492,8 +497,15 @@ GUARDS = [
 ]
 
 
-@pytest.mark.parametrize("call, message", GUARDS,
-                         ids=[m for _, m in GUARDS])
+def _ids(guards):
+    """Each guard's message, a repeated one numbered from its second use."""
+    seen = collections.Counter()
+    for _, message in guards:
+        seen[message] += 1
+        yield message + (f" #{seen[message]}" if seen[message] > 1 else "")
+
+
+@pytest.mark.parametrize("call, message", GUARDS, ids=list(_ids(GUARDS)))
 def test_input_guards_raise(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()

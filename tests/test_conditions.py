@@ -3,6 +3,7 @@
 import math
 import re
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -19,7 +20,7 @@ S_GRID = np.geomspace(1.0, 1e6, 25)
 
 def test_first_term_closed_form_at_e():
     # d=2, Phi(t)=t^2, Psi=1, s=e: prefactor e/Phi^{-1}(e^2)=1, integral ln e=1
-    ev = embedding_condition_eval(make_power(2.0), constant_weight(1.0), 2,
+    ev = embedding_condition_eval(make_power(2.0), constant_weight(), 2,
                                   math.e)
     assert ev.first_term == pytest.approx(1.0, rel=1e-10)
     assert ev.total == ev.first_term + ev.second_term
@@ -27,14 +28,14 @@ def test_first_term_closed_form_at_e():
 
 def test_first_term_grows_like_log():
     phi = make_power(2.0)
-    psi = constant_weight(1.0)
+    psi = constant_weight()
     for s in (1e2, 1e4, 1e6):
         ev = embedding_condition_eval(phi, psi, 2, s)
         assert 0.98 <= ev.first_term / math.log(s) <= 1.02
 
 
 def test_power2_constant_weight_classified_divergent():
-    scan = embedding_condition_sup(make_power(2.0), constant_weight(1.0), 2,
+    scan = embedding_condition_sup(make_power(2.0), constant_weight(), 2,
                                    S_GRID)
     assert not scan.bounded and not scan.passed
     assert scan.margin == pytest.approx(0.01 - abs(scan.relative_slope))
@@ -69,7 +70,7 @@ def test_section7_sweep_carries_its_worst_status(alpha, status):
 
 def test_single_point_grid_equals_eval():
     phi = make_power(2.0)
-    psi = constant_weight(1.0)
+    psi = constant_weight()
     scan = embedding_condition_sup(phi, psi, 2, [1.0])
     ev = embedding_condition_eval(phi, psi, 2, 1.0)
     assert scan.sup_value == pytest.approx(ev.total, rel=1e-12)
@@ -154,7 +155,7 @@ def test_tabulated_terms_match_fine_nodes():
     # default 64 nodes agree with 2048 far below the 1e-5 that a panel
     # straddling a kink costs
     phi = make_tabulated([(0.5, 0.2), (1, 0.7), (2, 2.5), (4, 9)])
-    for psi in (constant_weight(1.0), embedding_weight(phi)):
+    for psi in (constant_weight(), embedding_weight(phi)):
         for s in (1.2, 1.5, 2.0, 3.0, 10.0, 30.0, 300.0):
             a = embedding_condition_eval(phi, psi, 2, s)
             b = embedding_condition_eval(phi, psi, 2, s, nodes=2048)
@@ -178,8 +179,7 @@ def test_weight_domination_doubled_weight_positive_margin():
     phi = make_section7(0.05)
     base = embedding_weight(phi)
     from orlicheck.conditions import Weight
-    doubled = Weight("2x", lambda t: 2.0 * base.value(t),
-                     lambda x: math.log(2.0) + base.log_value(x),
+    doubled = Weight("2x", lambda x: math.log(2.0) + base.log_value(x),
                      base.log_breaks)
     rep = weight_domination_check(phi, doubled, np.geomspace(0.1, 1e4, 100))
     assert rep.passed
@@ -189,10 +189,33 @@ def test_weight_domination_doubled_weight_positive_margin():
 def test_weight_domination_zero_weight_fails():
     phi = make_power(2.0)
     from orlicheck.conditions import Weight
-    zero = Weight("0", lambda t: np.zeros_like(np.asarray(t, dtype=float)),
-                  lambda x: np.full_like(np.asarray(x, dtype=float), -np.inf))
+    zero = Weight("0", lambda x: np.full_like(np.asarray(x, dtype=float),
+                                              -np.inf))
     rep = weight_domination_check(phi, zero, np.geomspace(0.1, 10.0, 20))
     assert not rep.passed
+    assert rep.margin == -1.0
+
+
+@pytest.mark.parametrize("theta", [0.25, 0.5, 2.0])
+def test_weight_domination_power_weight_matches_closed_form(theta):
+    # under Phi = t^2, t Psi(t)/Phi^{-1}(t^2) - 1 = t^theta - 1, least at
+    # the grid's first node, and the raw margin is that over t
+    t = np.geomspace(0.1, 1e4, 50)
+    rep = weight_domination_check(make_power(2.0), power_weight(theta), t)
+    want = float(mpmath.expm1(theta * mpmath.log(t[0])))
+    assert rep.witness == t[0]
+    assert rep.margin == pytest.approx(want, rel=1e-14)
+    assert rep.min_raw_margin == pytest.approx(want / t[0], rel=1e-14)
+
+
+def test_weight_domination_holds_far_beyond_float_range():
+    # t^2 and Phi^{-1}(t^2) leave float range on this grid; the log form
+    # never forms them, so the equality case still reads 0
+    phi = make_section7(0.05)
+    rep = weight_domination_check(phi, embedding_weight(phi),
+                                  np.geomspace(1e-300, 1e300, 61))
+    assert rep.passed
+    assert abs(rep.margin) <= 1e-12
 
 
 def test_lorentz_probe_informative():
@@ -205,9 +228,9 @@ def test_lorentz_probe_informative():
 def test_eval_rejects_bad_inputs():
     phi = make_power(2.0)
     with pytest.raises(ValueError):
-        embedding_condition_eval(phi, constant_weight(1.0), 2, 0.5)
+        embedding_condition_eval(phi, constant_weight(), 2, 0.5)
     with pytest.raises(ValueError):
-        embedding_condition_sup(phi, constant_weight(1.0), 2, [])
+        embedding_condition_sup(phi, constant_weight(), 2, [])
 
 
 # Totals of the section7 embedding expression, pinned to the last bit: the
@@ -235,7 +258,7 @@ def test_section7_embed_totals_are_pinned(alpha, s):
 # ---------------------------------------------------------------------------
 
 _POWER2 = make_power(2.0)
-_ONE = constant_weight(1.0)
+_ONE = constant_weight()
 
 GUARDS = [
     (lambda: embedding_condition_eval(_POWER2, _ONE, 0, 2.0),

@@ -185,6 +185,14 @@ def test_import_leaves_scipy_out():
 
 GUARDS = [
     (lambda: bucket([0.1, -1.0]), "bucket entries must be >= 0"),
+    (lambda: bucket([math.nan, 0.3]), "sequence entry 0 is nan, not finite"),
+    (lambda: bucket([math.inf, 0.1]), "sequence entry 0 is inf, not finite"),
+    (lambda: verify_extrapolation_chain([0.2, math.nan],
+                                        sobolev_profile(2, 1, 1.0), 1.5),
+     "sequence entry 1 is nan, not finite"),
+    (lambda: verify_extrapolation_chain([0.3, 0.1, -math.inf],
+                                        sobolev_profile(2, 1, 1.0), 1.5),
+     "sequence entry 2 is inf, not finite"),
     (lambda: sobolev_profile(1, 1, 1.0),
      "dimension d must be an integer >= 2"),
     (lambda: sobolev_profile(3, 3, 1.0),

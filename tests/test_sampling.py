@@ -250,6 +250,17 @@ GUARDS = [
     (lambda: orlicz_sampling_check(random_poly_on_frame(3, 0), 4,
                                    make_power(2.0), 1.0, fr=frame(3)),
      "frame of level 3 given for level 4"),
+    (lambda: orlicz_sampling_check(random_poly_on_frame(3, 0), 3,
+                                   make_section7(0.05), math.nan,
+                                   check_preconditions=False),
+     "sampling constant C must be finite and >= 1, not nan"),
+    (lambda: orlicz_sampling_check(random_poly_on_frame(3, 0), 3,
+                                   make_power(2.0), 0.5,
+                                   check_preconditions=False),
+     "sampling constant C must be finite and >= 1, not 0.5"),
+    (lambda: orlicz_sampling_check(random_poly_on_frame(3, 0), 3,
+                                   make_power(2.0), math.inf),
+     "sampling constant C must be finite and >= 1, not inf"),
 ]
 
 
