@@ -19,8 +19,8 @@ import numpy as np
 
 from .luxemburg import poly_norm, poly_norms
 from .reports import VerificationReport
-from .trig import (TrigPoly, band_kernel, coefficient_boxes, convolve,
-                   poly_from_box)
+from .trig import (TrigPoly, _integer, band_kernel, coefficient_boxes,
+                   convolve, poly_from_box)
 from .young import YoungFunction
 
 __all__ = [
@@ -224,6 +224,7 @@ def multiplier(m: int) -> TrigPoly:
     eta(0, 0) = 1, so supp(phi_m) lies in [-m, m]^2 and the mean is
     preserved exactly.
     """
+    m = _integer(m, "multiplier order")
     if m < 1:
         raise ValueError("multiplier order must be >= 1")
     ks = np.arange(-m, m + 1)
@@ -253,6 +254,7 @@ def best_approximation(f: TrigPoly, m: int,
     """
     if f.dim != 2:
         raise ValueError("best approximation is defined for 2-D polynomials")
+    m = _integer(m, "box size")
     if m < 0:
         raise ValueError("box size must be >= 0")
     if m == 0:

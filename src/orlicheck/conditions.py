@@ -6,10 +6,12 @@ is the two-part expression at scale s >= 1:
     s^{d-1} / Phi^{-1}(s^d) * int_1^s Psi(t)/t dt
         + int_s^oo Psi(t) s^{d-1} / (Phi^{-1}(t s^{d-1}) t) dt.
 
-Uniform boundedness of this over s is the embedding criterion; its d = 2
-specialisation with Psi(t) = Phi^{-1}(t^2)/t is the integral condition of the
-Hilbert-factorization result.  Every check runs in the log domain
-(x = ln t), where Psi and Phi enter only as ln Psi(e^x) and ln Phi^{-1}(e^y).
+Uniform boundedness of this over s is the embedding criterion.  Its d = 2
+case under Psi(t) = Phi^{-1}(t^2)/t (``embedding_weight``) is the integral
+condition of the Hilbert-factorization result, which
+``factorization_integral_condition`` sweeps as exactly that, with no second
+spelling.  Every check runs in the log domain (x = ln t), where Psi and Phi
+enter only as ln Psi(e^x) and ln Phi^{-1}(e^y).
 That keeps near-linear Young functions representable: their second integrals
 converge only at astronomically large t (far beyond float range) although
 every intermediate quantity is of moderate size.
@@ -29,8 +31,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .numerics import (ImproperIntegral, Status, integrate_finite_log,
-                       integrate_log_improper)
+from .numerics import Status, integrate_finite_log, integrate_log_improper
 from .reports import VerificationReport
 from .young import YoungFunction
 
@@ -110,65 +111,61 @@ class ConditionEvaluation:
         return self.status is Status.DIVERGENT
 
 
-def _evaluation(s: float, first: float,
-                second: ImproperIntegral) -> ConditionEvaluation:
+def _evaluate(phi: YoungFunction, psi: Weight, d: int, s: float,
+              nodes: int) -> ConditionEvaluation:
+    """``embedding_condition_eval``, called directly by the factor sweep."""
+    if d < 1:
+        raise ValueError("dimension must be >= 1")
+    if not 1.0 <= s < math.inf:
+        raise ValueError("scale s must be >= 1")
+    sigma = math.log(s)
+    shift = (d - 1) * sigma
+    pref = math.exp(shift - float(phi.log_inverse(d * sigma)))
+    first = pref * integrate_finite_log(psi.log_value, 0.0, sigma, nodes=nodes,
+                                        breakpoints=psi.log_breaks)
+
+    def log_integrand(x):
+        return psi.log_value(x) + shift - phi.log_inverse(x + shift)
+
+    breaks = (*psi.log_breaks, *(b - shift for b in phi.log_inverse_breaks))
+    second = integrate_log_improper(log_integrand, sigma, nodes=nodes,
+                                    breakpoints=breaks)
     return ConditionEvaluation(
         s=s, first_term=first, second_term=second.value,
         tail_bound=second.tail_bound, total=first + second.value,
         status=second.status, log10_t_reached=second.x_end / math.log(10.0))
 
 
-def _first_term_log(phi: YoungFunction, psi: Weight, d: int,
-                    sigma: float, nodes: int) -> float:
-    pref = math.exp((d - 1) * sigma - float(phi.log_inverse(d * sigma)))
-    integral = integrate_finite_log(psi.log_value, 0.0, sigma, nodes=nodes,
-                                    breakpoints=psi.log_breaks)
-    return pref * integral
-
-
-def _second_term_log(phi: YoungFunction, psi: Weight, d: int, sigma: float,
-                     nodes: int) -> ImproperIntegral:
-    shift = (d - 1) * sigma
-
-    def logF(x):
-        return psi.log_value(x) + shift - phi.log_inverse(x + shift)
-
-    breaks = list(psi.log_breaks)
-    breaks += [b - shift for b in phi.log_inverse_breaks]
-    return integrate_log_improper(logF, sigma, nodes=nodes,
-                                  breakpoints=tuple(breaks))
-
-
 def embedding_condition_eval(phi: YoungFunction, psi: Weight, d: int,
                              s: float, *, nodes: int = 64
                              ) -> ConditionEvaluation:
-    """Evaluate both terms of the embedding expression at scale s >= 1.
+    """Both terms of the embedding expression at a finite scale s >= 1.
 
     ``nodes`` is the Gauss-Legendre order of every panel; the second term
     marches at most 2600 decades.
     """
-    if d < 1:
-        raise ValueError("dimension must be >= 1")
-    if s < 1.0:
+    return _evaluate(phi, psi, d, s, nodes)
+
+
+def _sweep(check_id: str, inputs: dict, s_grid: Sequence[float],
+           evaluate: Callable[[float], ConditionEvaluation]
+           ) -> VerificationReport:
+    """Classify ``evaluate`` over the sorted grid, each scale checked first,
+    as ``embedding_condition_sup`` states."""
+    s_grid = sorted(float(s) for s in s_grid)
+    if not s_grid:
+        raise ValueError("s grid must be nonempty")
+    if not all(1.0 <= s < math.inf for s in s_grid):
         raise ValueError("scale s must be >= 1")
-    sigma = math.log(s)
-    first = _first_term_log(phi, psi, d, sigma, nodes)
-    return _evaluation(s, first, _second_term_log(phi, psi, d, sigma, nodes))
-
-
-def _sweep_report(check_id: str, inputs: dict,
-                  evals: list[ConditionEvaluation]) -> VerificationReport:
-    """Classify a sweep as ``embedding_condition_sup`` states."""
+    evals = [evaluate(s) for s in s_grid]
     totals = np.array([e.total for e in evals])
-    svals = np.array([e.s for e in evals])
+    svals = np.array(s_grid)
     i = int(np.argmax(totals))
     sup_value, witness = float(totals[i]), float(svals[i])
-    s_max = float(np.max(svals))
-    top = svals >= s_max / 10.0
+    top = svals >= svals[-1] / 10.0
     if np.count_nonzero(top) >= 2:
-        x = np.log(svals[top])
         y = totals[top]
-        slope = float(np.polyfit(x, y, 1)[0])
+        slope = float(np.polyfit(np.log(svals[top]), y, 1)[0])
         rel = slope / max(float(np.mean(y)), 1e-300)
     else:
         slope, rel = 0.0, 0.0
@@ -183,7 +180,7 @@ def _sweep_report(check_id: str, inputs: dict,
                     "status": max((e.status for e in evals),
                                   key=list(Status).index),
                     "evaluations": evals},
-        inputs=inputs,
+        inputs={**inputs, "s_grid": s_grid},
         tolerance="|relative slope| < 0.01 and no divergent evaluation")
 
 
@@ -200,13 +197,9 @@ def embedding_condition_sup(phi: YoungFunction, psi: Weight, d: int,
     ``bounded`` as it is, but says that its total, and so the sup, may be
     short.
     """
-    s_grid = sorted(float(s) for s in s_grid)
-    if not s_grid:
-        raise ValueError("s grid must be nonempty")
-    evals = [embedding_condition_eval(phi, psi, d, s) for s in s_grid]
-    return _sweep_report("embedding-condition-sup",
-                         {"phi": repr(phi), "psi": psi.name, "d": d,
-                          "s_grid": s_grid}, evals)
+    return _sweep("embedding-condition-sup",
+                  {"phi": repr(phi), "psi": psi.name, "d": d}, s_grid,
+                  lambda s: embedding_condition_eval(phi, psi, d, s))
 
 
 def factorization_integral_condition(phi: YoungFunction,
@@ -217,38 +210,13 @@ def factorization_integral_condition(phi: YoungFunction,
         s/Phi^{-1}(s^2) * int_1^s Phi^{-1}(t^2)/t^2 dt
             + int_s^oo Phi^{-1}(t^2) s / (t^2 Phi^{-1}(t s)) dt < C.
 
-    This is spelled with its own integrands; it must agree with the
-    embedding-condition sweep under Psi(t) = Phi^{-1}(t^2)/t at d = 2, and
-    it is classified the same way.
+    It is the embedding expression at d = 2 under ``embedding_weight``,
+    Psi(t) = Phi^{-1}(t^2)/t, swept as ``embedding_condition_sup`` sweeps;
+    only an oracle can check it independently of that sweep.
     """
-    s_grid = sorted(float(s) for s in s_grid)
-    if not s_grid:
-        raise ValueError("s grid must be nonempty")
-    inv_breaks = phi.log_inverse_breaks
-    breaks1 = tuple(b / 2.0 for b in inv_breaks)
-
-    def log_first(x):
-        return phi.log_inverse(2.0 * x) - x
-
-    evals = []
-    for s in s_grid:
-        if s < 1.0:
-            raise ValueError("scale s must be >= 1")
-        sigma = math.log(s)
-        pref = math.exp(sigma - float(phi.log_inverse(2.0 * sigma)))
-        first = pref * integrate_finite_log(log_first, 0.0, sigma,
-                                            breakpoints=breaks1)
-
-        def log_second(x):
-            return (phi.log_inverse(2.0 * x) + sigma - x
-                    - phi.log_inverse(x + sigma))
-
-        breaks2 = breaks1 + tuple(b - sigma for b in inv_breaks)
-        second = integrate_log_improper(log_second, sigma,
-                                        breakpoints=breaks2)
-        evals.append(_evaluation(s, first, second))
-    return _sweep_report("factorization-integral-condition",
-                         {"phi": repr(phi), "s_grid": s_grid}, evals)
+    psi = embedding_weight(phi)
+    return _sweep("factorization-integral-condition", {"phi": repr(phi)},
+                  s_grid, lambda s: _evaluate(phi, psi, 2, s, 64))
 
 
 def weight_domination_check(phi: YoungFunction, psi: Weight,
@@ -261,7 +229,9 @@ def weight_domination_check(phi: YoungFunction, psi: Weight,
     in the quantities.
     """
     t = np.asarray(t_grid, dtype=float)
-    if np.any(t <= 0):
+    if t.size == 0:
+        raise ValueError("t grid must be nonempty")
+    if not np.all((0 < t) & (t < np.inf)):
         raise ValueError("t grid must be positive")
     x = np.log(t)
     margins = np.expm1(psi.log_value(x) - phi.log_inverse(2.0 * x) + x)

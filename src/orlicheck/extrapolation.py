@@ -256,12 +256,11 @@ def admissible_gamma(d: int, k: int, p: float) -> tuple[float, float]:
 
 @dataclass
 class SummingResult:
-    """Profile integral with the induced Orlicz target description."""
+    """Profile integral with the induced Orlicz target."""
 
     value: float | None
     status: Status
     target: YoungFunction | None
-    target_config: dict
 
 
 def summing_criterion(profile: BoundProfile, alpha: float) -> SummingResult:
@@ -278,8 +277,6 @@ def summing_criterion(profile: BoundProfile, alpha: float) -> SummingResult:
     """
     q = profile.q
     res = _endpoint_integral(profile, alpha, lambda x: q + np.exp(-x))
-    gamma = alpha + 1.0
-    config = {"kind": "logpower", "params": {"p0": q, "gamma": gamma}}
-    target = make_logpower(q, gamma) if q >= 1.0 else None
+    target = make_logpower(q, alpha + 1.0) if q >= 1.0 else None
     value = res.value if res.status is Status.CONVERGED else None
-    return SummingResult(value, res.status, target, config)
+    return SummingResult(value, res.status, target)

@@ -39,8 +39,8 @@ class BallPair:
     def __post_init__(self):
         if self.dim not in (1, 2):
             raise ValueError("dimension must be 1 or 2")
-        if self.radius <= 0:
-            raise ValueError("radius must be positive")
+        if not 0.0 < self.radius < math.inf:
+            raise ValueError("radius must be positive and finite")
         if not 0.0 <= self.offset < self.radius:
             raise ValueError("offset must lie in [0, radius)")
 

@@ -111,6 +111,13 @@ def _norm_key(dim: int, key) -> tuple[int, ...]:
     return tuple(map(int, key))
 
 
+def _integer(n, name: str) -> int:
+    """n as an int; a ValueError naming it unless n is an int or np.integer."""
+    if not isinstance(n, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, not {n!r}")
+    return int(n)
+
+
 def _linear(ks: np.ndarray, base: int) -> np.ndarray:
     """One int per lattice point of ks, increasing in lexicographic order,
     for coordinates |k_i| < base / 2."""
@@ -275,6 +282,8 @@ class TrigPoly:
 def poly_from_box(box: np.ndarray) -> TrigPoly:
     """The polynomial whose coefficients fill the centred (2 d + 1)^dim box
     (entry [k + d] is the coefficient of e^{ik.x}); the box is copied."""
+    if len(set(box.shape)) != 1 or box.shape[0] % 2 == 0:
+        raise ValueError(f"box shape {box.shape} is not square of odd width")
     d = (box.shape[0] - 1) // 2
     axis = np.arange(-d, d + 1)
     ks = np.stack(np.meshgrid(*(axis,) * box.ndim, indexing="ij"), axis=-1)
@@ -405,9 +414,10 @@ def sample_abs_chunks(boxes: np.ndarray, m: int) -> Iterator[np.ndarray]:
 # kernels
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=64)
+@lru_cache(maxsize=64, typed=True)
 def fejer(n: int) -> TrigPoly:
     """1-D kernel with coefficients 1 - |k|/(n+1), k in [-n, n]."""
+    n = _integer(n, "fejer order")
     if n < 0:
         raise ValueError("order must be >= 0")
     return poly_from_box(1.0 - np.abs(np.arange(-n, n + 1)) / (n + 1))
@@ -423,13 +433,14 @@ def _plateau_factor(k: int) -> np.ndarray:
     return tri(j) + tri(j - m) + tri(j + m)
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=32, typed=True)
 def plateau_kernel(k: int) -> TrigPoly:
     """2-D product kernel with coefficient plateau 1 on [-2^k, 2^k]^2.
 
     k = -1 is the single coefficient 1 at the origin; every k >= 0 uses the
     product formula (at k = 0 the factor is 1 + 2cos x, plateau [-1, 1]).
     """
+    k = _integer(k, "plateau_kernel index")
     if k < -1:
         raise ValueError("index must be >= -1")
     if k == -1:
@@ -438,10 +449,11 @@ def plateau_kernel(k: int) -> TrigPoly:
     return poly_from_box(np.multiply.outer(fac, fac))
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=32, typed=True)
 def band_kernel(k: int) -> TrigPoly:
     """Telescoping band kernels: b_0 = plateau(-1), b_1 = plateau(0),
     b_{k+1} = plateau_kernel(k) - plateau_kernel(k-2)."""
+    k = _integer(k, "band_kernel index")
     if k < 0:
         raise ValueError("index must be >= 0")
     if k == 0:
@@ -471,9 +483,10 @@ class Frame:
     grid_size: int
 
 
-@lru_cache(maxsize=32)
+@lru_cache(maxsize=32, typed=True)
 def frame(n: int) -> Frame:
     """Frame of level n >= 3 (smaller n leaves no hole to remove)."""
+    n = _integer(n, "frame level")
     if n < 3:
         raise ValueError("frame level must be >= 3")
     axis = np.arange(1 - 2 ** n, 2 ** n)

@@ -413,6 +413,9 @@ def check_sqrt_concavity(phi: YoungFunction,
     endpoint values; concavity holds iff it is >= 0 (up to 1e-12 rounding).
     """
     g = np.asarray(sorted(grid), dtype=float)
+    if g.size < 2:
+        raise YoungFunctionError(
+            f"sqrt-concavity grid needs at least 2 points, got {g.size}")
     a, b = g[:-1], g[1:]
     mid = phi(np.sqrt(0.5 * (a + b)))
     avg = 0.5 * (phi(np.sqrt(a)) + phi(np.sqrt(b)))
@@ -438,8 +441,11 @@ def check_supermultiplicativity(phi: YoungFunction, C: float,
     Margin is the worst absolute value of Phi(Cab) - Phi(a)Phi(b); the pass
     flag allows 1e-9 relative rounding at the witness scale.
     """
-    if not C >= 1.0:
+    if not 1.0 <= C < math.inf:
         raise YoungFunctionError("supermultiplicativity constant C must be >= 1")
+    if len(pairs) == 0:
+        raise YoungFunctionError(
+            "supermultiplicativity pairs must be nonempty")
     pa = np.array([a for a, _ in pairs], dtype=float)
     pb = np.array([b for _, b in pairs], dtype=float)
     if np.any(~((0 < pa) & (pa < 1) & (1 <= pa * pb) & (pa * pb < pb))):
@@ -465,10 +471,12 @@ def check_supermultiplicativity(phi: YoungFunction, C: float,
 def check_inverse_product(phi: YoungFunction, C: float,
                           x_grid: Sequence[float]) -> VerificationReport:
     """1 <= C * Phi^{-1}(x) * Phi^{-1}(1/x) over a positive grid."""
-    if not C >= 1.0:
+    if not 1.0 <= C < math.inf:
         raise YoungFunctionError("inverse-product constant C must be >= 1")
     x = np.asarray(x_grid, dtype=float)
-    if np.any(x <= 0):
+    if x.size == 0:
+        raise YoungFunctionError("inverse-product grid must be nonempty")
+    if not np.all((0 < x) & (x < np.inf)):
         raise YoungFunctionError("inverse-product grid must be positive")
     prod = C * phi.inverse(x) * phi.inverse(1.0 / x)
     margins = prod - 1.0
@@ -497,7 +505,7 @@ def check_multiplicativity_transfer(phi: YoungFunction, C: float,
     b = Phi^{-1}(y).  Violations of the implication are counted (none are
     expected for a valid Young function).
     """
-    if not C >= 1.0:
+    if not 1.0 <= C < math.inf:
         raise YoungFunctionError("transfer constant C must be >= 1")
     phi1 = float(phi(1.0))
     xs = np.array([x for x, _ in pairs], dtype=float)

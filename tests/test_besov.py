@@ -363,6 +363,14 @@ def test_multiplier_matches_dict_formula():
         assert multiplier(m) == TrigPoly(2, coeffs)
 
 
+def test_numpy_integer_orders_match_int_ones():
+    f = TrigPoly(2, {(1, 0): 1.0, (3, 2): 0.5, (0, 0): 0.25})
+    assert multiplier(np.int64(3)) == multiplier(3)
+    for m in (0, 2):
+        assert best_approximation(f, np.int32(m), make_power(2.0)) \
+            == best_approximation(f, m, make_power(2.0))
+
+
 # ---------------------------------------------------------------------------
 # sum-integral sandwich
 # ---------------------------------------------------------------------------
@@ -494,6 +502,11 @@ GUARDS = [
      "t grid needs at least 2 nodes, got 1"),
     (lambda: check_sum_integral_sandwich(_F2, _P2, []),
      "t grid needs at least 2 nodes, got 0"),
+    (lambda: multiplier(1.5), "multiplier order must be an integer, not 1.5"),
+    (lambda: best_approximation(_F2, 1.5, make_power(2.0)),
+     "box size must be an integer, not 1.5"),
+    (lambda: best_approximation(_F2, 0.0, make_power(2.0)),
+     "box size must be an integer, not 0.0"),
 ]
 
 

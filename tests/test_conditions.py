@@ -1,12 +1,15 @@
 """Integral embedding conditions: closed forms, classification, consistency."""
 
+import collections
 import math
 import re
+from unittest import mock
 
 import mpmath
 import numpy as np
 import pytest
 
+from orlicheck import conditions
 from orlicheck.conditions import (ConditionEvaluation, constant_weight,
                                   embedding_condition_eval,
                                   embedding_condition_sup, embedding_weight,
@@ -101,6 +104,78 @@ def test_factorization_condition_power2_divergent_section7_bounded():
                                                 S_GRID).bounded
     assert factorization_integral_condition(make_section7(0.05),
                                             np.geomspace(1.0, 1e5, 15)).bounded
+
+
+# ---------------------------------------------------------------------------
+# oracles for the factorization condition
+# ---------------------------------------------------------------------------
+
+# The factorization condition is the embedding sweep under embedding_weight
+# at d = 2 by construction, so the two routes above cannot check each other;
+# a closed form and a 30-digit quadrature can.
+
+@pytest.mark.parametrize("s", [1.0, 10.0, 1e3, 1e6])
+@pytest.mark.parametrize("p", [1.5, 1.7])
+def test_power_factorization_total_matches_closed_form(p, s):
+    # Phi = t^p: Phi^{-1}(t^2)/t = t^{2/p - 1}, so the first term is
+    # (1 - s^{1-2/p})/(2/p - 1) and the second p/(p - 1) at every s
+    want = (1.0 - s ** (1.0 - 2.0 / p)) / (2.0 / p - 1.0) + p / (p - 1.0)
+    rep = factorization_integral_condition(make_power(p), [s])
+    assert rep.evaluations[0].total == pytest.approx(want, rel=1e-8)
+
+
+def _mp_section7_inverse(alpha):
+    """Phi^{-1} of section7 from its three-branch closed form, the affine
+    middle branch fitted for continuity, in mpmath arithmetic."""
+    alpha = mpmath.mpf(alpha)
+    r = mpmath.exp(2 * mpmath.e ** 2)
+    h = alpha * mpmath.e ** 2 / 2
+    p = (r * mpmath.exp(-h) - mpmath.exp(h) / r) / (r - 1 / r)
+    q = mpmath.exp(h) / r - p / r
+
+    def inverse(u):
+        if u < 1 / r:
+            w = -mpmath.log(u) / 2
+            return u * mpmath.exp(alpha * w / mpmath.log(w))
+        if u < r:
+            return p * u + q
+        v = mpmath.log(u) / 2
+        return u * mpmath.exp(-alpha * v / mpmath.log(v))
+
+    return inverse
+
+
+@pytest.mark.parametrize("alpha", [0.05, 0.13])
+def test_section7_factorization_totals_match_mpmath(alpha):
+    # The integrals in their own spelling, the second in x = ln t, split at
+    # the branch changes t^2 = r and t s = r (t = e^{e^2}, x = e^2 and
+    # x = 2 e^2 - ln s).
+    # Its integrand falls like exp(-(alpha/2) x / ln x), below 1e-90 of the
+    # total past x = ln s + 1e5.  The march stops on a geometric tail
+    # estimate that is not a certified bound (ROADMAP item 5), and its
+    # totals sit 5.7e-7 to 1.0e-6 below these values, hence rel 2e-6.
+    inv = _mp_section7_inverse(alpha)
+
+    def second_integrand(x, s):
+        t = mpmath.exp(x)
+        return inv(t ** 2) * s / (t ** 2 * inv(t * s)) * t
+
+    rep = factorization_integral_condition(make_section7(alpha),
+                                           [1.0, 10.0, 1e3])
+    with mpmath.workdps(30):
+        e2 = mpmath.e ** 2
+        for ev in rep.evaluations:
+            s = mpmath.mpf(ev.s)
+            sigma = mpmath.log(s)
+            first = s / inv(s ** 2) * mpmath.quad(
+                lambda t: inv(t ** 2) / t ** 2,
+                sorted({1, s, min(mpmath.exp(e2), s)}))
+            second = mpmath.quad(
+                lambda x: second_integrand(x, s),
+                sorted({sigma, max(e2, sigma), max(2 * e2 - sigma, sigma),
+                        *(sigma + 10 ** k for k in range(-1, 6))}))
+            assert ev.status == "converged"
+            assert ev.total == pytest.approx(float(first + second), rel=2e-6)
 
 
 # ---------------------------------------------------------------------------
@@ -259,6 +334,7 @@ def test_section7_embed_totals_are_pinned(alpha, s):
 
 _POWER2 = make_power(2.0)
 _ONE = constant_weight()
+NAN, INF = math.nan, math.inf
 
 GUARDS = [
     (lambda: embedding_condition_eval(_POWER2, _ONE, 0, 2.0),
@@ -271,11 +347,64 @@ GUARDS = [
      "t grid must be positive"),
     (lambda: lorentz_embedding_probe(_POWER2, 1, [1.0]),
      "the probe needs dimension >= 2"),
+    (lambda: embedding_condition_eval(_POWER2, _ONE, 2, NAN),
+     "scale s must be >= 1"),
+    (lambda: embedding_condition_eval(_POWER2, _ONE, 2, INF),
+     "scale s must be >= 1"),
+    (lambda: embedding_condition_sup(_POWER2, _ONE, 2, [2.0, NAN]),
+     "scale s must be >= 1"),
+    (lambda: factorization_integral_condition(_POWER2, [2.0, INF]),
+     "scale s must be >= 1"),
+    (lambda: weight_domination_check(_POWER2, _ONE, [1.0, INF]),
+     "t grid must be positive"),
+    (lambda: weight_domination_check(_POWER2, _ONE, [NAN, 1.0]),
+     "t grid must be positive"),
+    (lambda: weight_domination_check(_POWER2, _ONE, []),
+     "t grid must be nonempty"),
 ]
 
 
-@pytest.mark.parametrize("call, message", GUARDS,
-                         ids=[m for _, m in GUARDS])
+def _ids(guards):
+    """Each guard's message, a repeated one numbered from its second use."""
+    seen = collections.Counter()
+    for _, message in guards:
+        seen[message] += 1
+        yield message + (f" #{seen[message]}" if seen[message] > 1 else "")
+
+
+@pytest.mark.parametrize("call, message", GUARDS, ids=list(_ids(GUARDS)))
 def test_input_guards_raise(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+def test_sweeps_check_every_scale_before_evaluating():
+    # a bad scale anywhere in the grid stops the sweep before its first
+    # evaluation, so no partial work is timed or traced
+    phi = make_section7(0.05)
+    with mock.patch.object(conditions, "embedding_condition_eval") as ev, \
+            mock.patch.object(conditions, "integrate_finite_log") as fin:
+        for bad in (0.5, NAN, INF):
+            with pytest.raises(ValueError, match="^scale s must be >= 1$"):
+                embedding_condition_sup(phi, embedding_weight(phi), 2,
+                                        [1.0, 10.0, bad])
+            with pytest.raises(ValueError, match="^scale s must be >= 1$"):
+                factorization_integral_condition(phi, [1.0, 10.0, bad])
+    assert ev.call_count == fin.call_count == 0
+
+
+def test_only_the_embedding_sweep_calls_the_public_evaluator():
+    # the benchmark times each embedding scale through the module attribute
+    # embedding_condition_eval, and traces it as conditions.eval; the
+    # factorization sweep evaluates past it, so a traced factorization task
+    # opens only its own conditions.eval span
+    phi = make_section7(0.13)
+    grid = [1.0, 10.0, 100.0]
+    with mock.patch.object(conditions, "embedding_condition_eval",
+                           wraps=embedding_condition_eval) as ev:
+        emb = embedding_condition_sup(phi, embedding_weight(phi), 2, grid)
+        assert ev.call_count == len(grid)
+        fact = factorization_integral_condition(phi, grid)
+    assert ev.call_count == len(grid)
+    assert [e.total for e in fact.evaluations] == \
+        [e.total for e in emb.evaluations]

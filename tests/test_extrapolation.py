@@ -49,7 +49,7 @@ def test_summing_criterion_classifies_and_matches_oracle(d, k, p, delta):
         assert res.status == "converged"
         assert res.value == pytest.approx(_summing_oracle(d, k, p, alpha),
                                           rel=1e-12)
-    assert res.target_config["params"]["gamma"] == pytest.approx(alpha + 1.0)
+    assert res.target.params["gamma"] == pytest.approx(alpha + 1.0)
 
 
 @pytest.mark.parametrize("d,k,p", TRIPLES)

@@ -49,7 +49,7 @@ def test_lower_bound_holds(dim):
 
 @pytest.mark.parametrize("dim,radius,offset", [
     (0, 1.0, 0.1), (1, 0.0, 0.0), (2, -1.0, 0.1), (2, 1.0, -0.1),
-    (3, 1.0, 1.0), (3, 1.0, 0.2)])
+    (3, 1.0, 1.0), (3, 1.0, 0.2), (2, math.inf, 0.5)])
 def test_ball_pair_rejects_bad_input(dim, radius, offset):
     with pytest.raises(ValueError):
         BallPair(dim, radius, offset)

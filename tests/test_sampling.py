@@ -261,6 +261,8 @@ GUARDS = [
     (lambda: orlicz_sampling_check(random_poly_on_frame(3, 0), 3,
                                    make_power(2.0), math.inf),
      "sampling constant C must be finite and >= 1, not inf"),
+    (lambda: l2_sampling_lower(random_poly_on_frame(3, 0), 3.5),
+     "band_kernel index must be an integer, not 3.5"),
 ]
 
 

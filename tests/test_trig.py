@@ -16,8 +16,8 @@ from orlicheck.luxemburg import norm_fun
 from orlicheck.sampling import (_coefficients, random_poly_1d,
                                 random_poly_on_frame)
 from orlicheck.trig import (TrigPoly, band_kernel, convolve, fejer, frame,
-                            plateau_kernel, poly_l1, refine_on_grid,
-                            sample_on_grid)
+                            plateau_kernel, poly_from_box, poly_l1,
+                            refine_on_grid, sample_on_grid)
 from orlicheck.young import make_section7
 
 
@@ -817,6 +817,17 @@ GUARDS = [
     (lambda: convolve(_F1, _F2), "dimension mismatch"),
     (lambda: sample_on_grid(_F1, frame(3)),
      "frame sampling needs a 2-D polynomial"),
+    (lambda: frame(3.5), "frame level must be an integer, not 3.5"),
+    (lambda: frame(4.0), "frame level must be an integer, not 4.0"),
+    (lambda: fejer(1.5), "fejer order must be an integer, not 1.5"),
+    (lambda: plateau_kernel(0.5),
+     "plateau_kernel index must be an integer, not 0.5"),
+    (lambda: band_kernel(2.5),
+     "band_kernel index must be an integer, not 2.5"),
+    (lambda: poly_from_box(np.ones(4)),
+     "box shape (4,) is not square of odd width"),
+    (lambda: poly_from_box(np.ones((3, 5))),
+     "box shape (3, 5) is not square of odd width"),
 ]
 
 
@@ -825,3 +836,16 @@ GUARDS = [
 def test_input_guards_raise(call, message):
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         call()
+
+
+@pytest.mark.parametrize("make, n", [(frame, 4), (fejer, 2),
+                                     (plateau_kernel, 1), (band_kernel, 3)],
+                         ids=["frame", "fejer", "plateau", "band"])
+def test_numpy_integer_orders_build_the_int_objects(make, n):
+    for m in (np.int64(n), np.int32(n)):
+        got, want = make(m), make(n)
+        if make is frame:
+            assert type(got.level) is int and got.grid_size == want.grid_size
+            assert np.array_equal(got.ks, want.ks)
+        else:
+            assert got == want

@@ -665,6 +665,24 @@ GUARDS = [
      "transfer constant C must be >= 1"),
     (lambda: check_multiplicativity_transfer(make_power(2.0), NAN, _PAIRS),
      "transfer constant C must be >= 1"),
+    (lambda: check_supermultiplicativity(make_power(2.0), INF, _PAIRS),
+     "supermultiplicativity constant C must be >= 1"),
+    (lambda: check_inverse_product(make_power(2.0), INF, [1.0]),
+     "inverse-product constant C must be >= 1"),
+    (lambda: check_multiplicativity_transfer(make_power(2.0), INF, _PAIRS),
+     "transfer constant C must be >= 1"),
+    (lambda: check_inverse_product(make_power(2.0), 2.0, [INF]),
+     "inverse-product grid must be positive"),
+    (lambda: check_inverse_product(make_power(2.0), 2.0, [1.0, NAN]),
+     "inverse-product grid must be positive"),
+    (lambda: check_inverse_product(make_power(2.0), 2.0, []),
+     "inverse-product grid must be nonempty"),
+    (lambda: check_supermultiplicativity(make_power(2.0), 2.0, []),
+     "supermultiplicativity pairs must be nonempty"),
+    (lambda: check_sqrt_concavity(make_power(2.0), [1.0]),
+     "sqrt-concavity grid needs at least 2 points, got 1"),
+    (lambda: check_sqrt_concavity(make_power(2.0), []),
+     "sqrt-concavity grid needs at least 2 points, got 0"),
 ]
 
 
