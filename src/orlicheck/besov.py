@@ -19,8 +19,8 @@ import numpy as np
 
 from .luxemburg import poly_norm, poly_norms
 from .reports import VerificationReport
-from .trig import (TrigPoly, _integer, band_kernel, coefficient_boxes,
-                   convolve, poly_from_box)
+from .trig import (TrigPoly, _integer, _radius, band_kernel,
+                   coefficient_boxes, convolve, poly_from_box)
 from .young import YoungFunction
 
 __all__ = [
@@ -92,14 +92,14 @@ def _shift_norms(f: TrigPoly, hs: np.ndarray,
     is built per difference.
     """
     if phi.is_square:
-        ks, w = f._folded
-        s = hs @ ks.T
+        pts, w = f._folded
+        s = hs @ pts.T
         s *= 0.5
         np.sin(s, out=s)
         s *= s
         return 2.0 * np.sqrt(s @ w)
     boxes = coefficient_boxes([f.translate(h) for h in hs], f.degree)
-    boxes -= coefficient_boxes([f], f.degree)
+    boxes -= f.box
     return poly_norms(phi, boxes)
 
 
@@ -129,7 +129,7 @@ def modulus(f: TrigPoly, t: float, phi: YoungFunction, *, angles: int = 64,
     """
     if not 0.0 < t < math.inf:
         raise ValueError("shift radius t must be positive")
-    if not f.cs.size:
+    if not f.box.any():
         return 0.0
     one_d = f.dim == 1
     n_r = 4 * radii if one_d else radii
@@ -170,7 +170,7 @@ def _band_norms(f: TrigPoly, phi: YoungFunction) -> list[float]:
         raise ValueError("the band norm is defined for 2-D polynomials")
     last = 3 + max(f.degree - 1, 0).bit_length()
     bands = (convolve(band_kernel(n), f) for n in range(last + 1))
-    return [poly_norm(phi, b) if b.cs.size else 0.0 for b in bands]
+    return [poly_norm(phi, b) if b.box.any() else 0.0 for b in bands]
 
 
 def _band_sum(lux: float, params: BesovParams,
@@ -227,9 +227,9 @@ def multiplier(m: int) -> TrigPoly:
     m = _integer(m, "multiplier order")
     if m < 1:
         raise ValueError("multiplier order must be >= 1")
-    ks = np.arange(-m, m + 1)
-    wk = _bump1(ks / m)
-    gauss = np.exp(-(ks ** 2) / m ** 2)
+    axis = np.arange(-m, m + 1)
+    wk = _bump1(axis / m)
+    gauss = np.exp(-(axis ** 2) / m ** 2)
     return poly_from_box(np.multiply.outer(wk, wk) * gauss[:, None] * gauss)
 
 
@@ -264,7 +264,7 @@ def best_approximation(f: TrigPoly, m: int,
     upper = poly_norm(phi, f - approx)
     exact = None
     if phi.is_square:
-        exact = float(np.linalg.norm(f.cs[np.abs(f.ks).max(axis=1) > m]))
+        exact = float(np.linalg.norm(f.box[_radius(f.degree, 2) > m]))
     return BestApprox(upper, exact)
 
 

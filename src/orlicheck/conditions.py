@@ -258,6 +258,8 @@ def lorentz_embedding_probe(phi: YoungFunction, d: int,
     if d < 2:
         raise ValueError("the probe needs dimension >= 2")
     t = np.asarray(t_grid, dtype=float)
+    if t.size == 0 or not np.all((0 <= t) & (t < np.inf)):
+        raise ValueError("t grid must be nonempty, finite and >= 0")
     margins = t ** (d / (d - 1.0)) + 1.0 - phi(t)
     i = int(np.argmin(margins))
     return VerificationReport(

@@ -28,7 +28,7 @@ import numpy as np
 from . import luxemburg
 from .luxemburg import norm_seq, poly_norm
 from .reports import VerificationReport
-from .trig import (Frame, TrigPoly, band_kernel, convolve, frame,
+from .trig import (Frame, TrigPoly, _radius, band_kernel, convolve, frame,
                    poly_from_box, refine_on_grid, sample_on_grid)
 from .young import (YoungFunction, check_inverse_product,
                     check_supermultiplicativity, supermultiplicativity_pairs)
@@ -127,7 +127,7 @@ def orlicz_sampling_check(f: TrigPoly, n: int, phi: YoungFunction, C: float,
     fr = fr or frame(n)
     if fr.level != n:
         raise ValueError(f"frame of level {fr.level} given for level {n}")
-    radius = np.abs(f.ks).max(axis=1)
+    radius = _radius(f.degree, f.dim)[f.box != 0]
     outside = np.count_nonzero((radius <= 2 ** (n - 3)) | (radius >= 2 ** n))
     if outside:
         raise ValueError(f"{outside} of {radius.size} modes lie outside the "
@@ -193,9 +193,10 @@ def random_poly_on_frame(n: int, seed: int,
                          law: str = "gaussian") -> TrigPoly:
     """Deterministic random polynomial with a coefficient at every point of
     the frame of level n, following ``law`` (see _coefficients)."""
-    ks = frame(n).ks
-    rng = np.random.default_rng(seed)
-    return TrigPoly.from_arrays(2, ks, _coefficients(rng, len(ks), law))
+    fr = frame(n)
+    box = np.zeros(fr.mask.shape, dtype=complex)
+    box[fr.mask] = _coefficients(np.random.default_rng(seed), fr.omega, law)
+    return TrigPoly._of(box)
 
 
 def random_poly_1d(degree: int, seed: int, law: str = "gaussian") -> TrigPoly:

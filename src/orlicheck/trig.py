@@ -1,29 +1,27 @@
 """Trigonometric polynomials on the 1- and 2-torus in coefficient space.
 
-A polynomial is stored as its sorted support ks and its coefficients cs
-(see TrigPoly), and every operation is array work on them: sums merge the
-supports, convolution intersects them, scaling and translation multiply cs.
-Kernels and random polynomials are built as centred coefficient boxes
-(poly_from_box).  All torus integrals use the normalised measure
-(2 pi)^{-d} dx, so convolution is the coefficient-wise product and the L2
-norm is the Euclidean norm of cs.
+A polynomial is stored as its centred coefficient box trimmed to its
+degree (see TrigPoly), and every operation is array work on boxes: sums pad
+and add, convolution crops both to the smaller degree and multiplies,
+scaling and translation multiply entries.  All torus integrals use the
+normalised measure (2 pi)^{-d} dx, so convolution is the coefficient-wise
+product and the L2 norm is the Euclidean norm of the box.
 
-Uniform sampling works on a stack of polynomials (sample_boxes): their
-coefficients fill rows of centred boxes of width w = 2 degree + 1
-(coefficient_boxes), and each axis of the stack is transformed by one of
-two routes.  A fixed rule on w and the grid size m alone picks it
-(_by_matrix).  A box that is narrow against the grid is multiplied by the
-(w, m) matrix of e^{ikx_j}, the input-pruned DFT (J. D. Markel, "FFT
-pruning", IEEE Trans. Audio Electroacoust. 19 (1971) 305-311).  Any other
-box goes by a pruned inverse FFT: the axis is zero-padded to the grid and
-transformed in place, so that no transform runs over lines that are all
-zero.  Each matrix is built once per (w, m) from unit boxes through the
-FFT route.  TrigPoly.sample_uniform is the one-row case.
-sample_abs_chunks hands out |values| of a stack chunk by chunk: each chunk
-goes through sample_boxes, which alone picks the route, into a complex
-buffer (filled on the matrix route only) and a float one, both reused from
-chunk to chunk.  It owns the chunking of stacks as poly_l1 owns its blocks,
-so SAMPLE_BLOCK is read in this module only.
+Uniform sampling works on a stack of polynomials (sample_boxes), their boxes
+padded to one width w = 2 degree + 1 (coefficient_boxes); each axis of the
+stack is transformed by one of two routes.  A fixed rule on w and the grid
+size m alone picks it (_by_matrix).  A box that is narrow against the grid
+is multiplied by the (w, m) matrix of e^{ikx_j}, the input-pruned DFT
+(J. D. Markel, "FFT pruning", IEEE Trans. Audio Electroacoust. 19 (1971)
+305-311).  Any other box goes by a pruned inverse FFT: the axis is
+zero-padded to the grid and transformed in place, so that no transform runs
+over lines that are all zero.  Each matrix is built once per (w, m) from
+unit boxes through the FFT route.  TrigPoly.sample_uniform is the one-row
+case.  sample_abs_chunks hands out |values| of a stack chunk by chunk: each
+chunk goes through sample_boxes, which alone picks the route, into a
+complex buffer (filled on the matrix route only) and a float one, both
+reused from chunk to chunk.  It owns the chunking of stacks as poly_l1 owns
+its blocks, so SAMPLE_BLOCK is read in this module only.
 
 Grid quadrature
 ---------------
@@ -61,17 +59,18 @@ band_kernel(k)      dyadic differences of plateau kernels: b_0 = plateau(-1),
                     b_1 = plateau(0), b_{k+1} = plateau(k) - plateau(k-2).
                     For k >= 3 the coefficients of b_k vanish on the closed
                     square [-2^{k-3}, 2^{k-3}]^2 and are supported inside
-                    (-2^{k-1}, 2^{k-1})^2, so each one lives on a dyadic
-                    frame.
+                    (-2^k, 2^k)^2 (its degree is 2^k - 1), so b_k lives on
+                    the frame of level k.
 
-The frame of level n >= 3 is the lattice annulus
-(-2^n, 2^n)^2 minus [-2^{n-3}, 2^{n-3}]^2 together with the uniform sampling
-grid x_k = 2 pi (k + 2^n - 1)/(2^{n+1} - 1): grid indices run over the same
-annulus, so "samples on the frame" is a well-defined finite sequence.
+The frame of level n >= 3 is the lattice annulus (-2^n, 2^n)^2 minus
+[-2^{n-3}, 2^{n-3}]^2, a mask on the centred box of degree 2^n - 1, with the
+uniform grid x_k = 2 pi (k + 2^n - 1)/(2^{n+1} - 1) over the same box: the
+mask picks "samples on the frame" out of the grid values, in C order.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 import operator
 from dataclasses import dataclass
@@ -118,12 +117,6 @@ def _integer(n, name: str) -> int:
     return int(n)
 
 
-def _linear(ks: np.ndarray, base: int) -> np.ndarray:
-    """One int per lattice point of ks, increasing in lexicographic order,
-    for coordinates |k_i| < base / 2."""
-    return ks[:, 0] * base + ks[:, 1] if ks.shape[1] == 2 else ks[:, 0]
-
-
 def _times(a, b) -> np.ndarray:
     """Element-wise a b rounded as Python rounds complex products, each real
     product on its own; NumPy's complex multiply may fuse one into the sum
@@ -134,61 +127,68 @@ def _times(a, b) -> np.ndarray:
     return out
 
 
+def _centre(inner: int, outer: int, dim: int) -> tuple[slice, ...]:
+    """Slices of the centred box of degree ``inner`` in that of ``outer``."""
+    return (slice(outer - inner, outer + inner + 1),) * dim
+
+
+def _radius(degree: int, dim: int) -> np.ndarray:
+    """max_i |k_i| at each entry of the centred box of the degree."""
+    r = np.abs(np.arange(-degree, degree + 1))
+    return r if dim == 1 else np.maximum.outer(r, r)
+
+
+def _trimmed(box: np.ndarray) -> np.ndarray:
+    """The box less its all-zero outer rings (its centre if all zero),
+    peeled ring by ring from the outside, so that a box whose outer ring is
+    not all zero costs one pass over that ring."""
+    d = r = box.shape[0] // 2
+    while r > 0:
+        core = box[_centre(r, d, box.ndim)]
+        if core[::2 * r].any() or (box.ndim == 2 and core[:, ::2 * r].any()):
+            break
+        r -= 1
+    return box if r == d else box[_centre(r, d, box.ndim)].copy()
+
+
 class TrigPoly:
     """Finite Fourier series on Z or Z^2; immutable and pure.
 
-    Stored as ``ks``, the read-only int64 (count, dim) array of the lattice
-    points with a nonzero coefficient in lexicographic order, and ``cs``,
-    their read-only complex128 coefficients.  ``TrigPoly(dim, mapping)``
-    builds from a dict keyed by ints or tuples.  ``coeffs`` holds the same
-    data as a read-only tuple-keyed mapping, built on demand; ``coeff(k)``
-    reads one entry (0 off the support).  ``degree`` is max |k_i| over the
-    support.
+    Stored as ``box``, the read-only complex128 (2 degree + 1)^dim array
+    whose entry [k + degree] is the coefficient of e^{ik.x}, its outer ring
+    not all zero (the zero polynomial is the (1,)*dim zero box).
+    ``TrigPoly(dim, mapping)`` builds from a dict keyed by ints or tuples.
+    ``coeffs`` holds the nonzero coefficients as a read-only tuple-keyed
+    mapping in lexicographic order, built on demand; ``coeff(k)`` reads one
+    (0 off the support).
     """
 
     def __init__(self, dim: int, coeffs: Mapping | None = None):
         clean = {_norm_key(dim, k): v for k, v in (coeffs or {}).items()}
-        ks = np.array(list(clean), dtype=np.int64).reshape(len(clean), dim)
-        order = np.lexsort(ks.T[::-1])
-        self._set(dim, ks[order],
-                  np.array(list(clean.values()), dtype=complex)[order])
+        keys = np.array(list(clean), dtype=np.int64).reshape(len(clean), dim)
+        d = int(np.abs(keys).max(initial=0))
+        box = np.zeros((2 * d + 1,) * dim, dtype=complex)
+        box[tuple((keys + d).T)] = np.array(list(clean.values()),
+                                            dtype=complex)
+        self._set(box)
 
     @classmethod
-    def from_arrays(cls, dim: int, ks, cs) -> "TrigPoly":
-        """From distinct lattice points ks, an int (count, dim) array in
-        lexicographic order, and their coefficients cs; both are copied."""
-        cs = np.array(cs, dtype=complex).ravel()
-        ks = np.array(ks, dtype=np.int64).reshape(len(cs), dim)
-        lin = _linear(ks, 2 * int(np.abs(ks).max(initial=0)) + 1)
-        if np.any(lin[1:] <= lin[:-1]):
-            raise ValueError("lattice points must be distinct and in "
-                             "lexicographic order")
-        return cls._of(dim, ks, cs)
+    def _of(cls, box: np.ndarray) -> "TrigPoly":
+        """From a complex centred box owned by no writer."""
+        return cls.__new__(cls)._set(box)
 
-    @classmethod
-    def _of(cls, dim: int, ks: np.ndarray, cs: np.ndarray) -> "TrigPoly":
-        """from_arrays for arrays known to be valid and owned by no writer."""
-        return cls.__new__(cls)._set(dim, ks, cs)
-
-    def _set(self, dim: int, ks: np.ndarray, cs: np.ndarray) -> "TrigPoly":
-        if dim not in (1, 2):
+    def _set(self, box: np.ndarray) -> "TrigPoly":
+        if box.ndim not in (1, 2):
             raise ValueError("dimension must be 1 or 2")
-        live = cs != 0
-        if not live.all():
-            ks, cs = ks[live], cs[live]
-        ks.flags.writeable = cs.flags.writeable = False
-        self.dim, self.ks, self.cs = dim, ks, cs
+        box = _trimmed(box)
+        box.flags.writeable = False
+        self.dim, self.degree, self.box = box.ndim, box.shape[0] // 2, box
         return self
-
-    @cached_property
-    def degree(self) -> int:
-        return int(np.abs(self.ks).max(initial=0))
 
     def __eq__(self, other):
         if not isinstance(other, TrigPoly):
             return NotImplemented
-        return (self.dim == other.dim and np.array_equal(self.ks, other.ks)
-                and np.array_equal(self.cs, other.cs))
+        return self.dim == other.dim and np.array_equal(self.box, other.box)
 
     def __repr__(self) -> str:
         return f"TrigPoly({self.dim}, {dict(self.coeffs)!r})"
@@ -196,23 +196,24 @@ class TrigPoly:
     @cached_property
     def _folded(self) -> tuple[np.ndarray, np.ndarray]:
         """The spectrum folded onto one half for sums of even functions of k:
-        each mirror pair {k, -k} as its member whose first nonzero coordinate
-        is positive, a float (count, dim) array, with the Parseval weight
-        |c_k|^2 + |c_{-k}|^2 (|c_k|^2 for a mode without its mirror).  The
-        zero mode is dropped."""
-        live = self.ks.any(axis=1)
-        ks, cs = self.ks[live], self.cs[live]
-        lead = ks[np.arange(len(ks)), (ks != 0).argmax(axis=1)]
-        reps, slot = np.unique(ks * np.sign(lead)[:, None], axis=0,
-                               return_inverse=True)
-        w = np.bincount(slot.ravel(), weights=np.abs(cs) ** 2,
-                        minlength=len(reps))
-        return reps.astype(float), w
+        each mirror pair {k, -k} with a nonzero member as its member whose
+        first nonzero coordinate is positive, a float (count, dim) array in
+        lexicographic order, with the Parseval weight |c_k|^2 + |c_{-k}|^2;
+        no zero mode.  In C order these members follow the centre, each
+        mirror as far before it."""
+        sq = np.abs(self.box.ravel()) ** 2
+        c = sq.size // 2
+        w = sq[c + 1:] + sq[:c][::-1]
+        live = w != 0
+        pts = np.indices(self.box.shape).reshape(self.dim, -1).T[c + 1:]
+        return (pts[live] - self.degree).astype(float), w[live]
 
     @cached_property
     def coeffs(self) -> Mapping[tuple[int, ...], complex]:
-        return MappingProxyType(dict(zip(map(tuple, self.ks.tolist()),
-                                         self.cs.tolist())))
+        live = self.box != 0
+        pts = np.argwhere(live) - self.degree
+        return MappingProxyType(dict(zip(map(tuple, pts.tolist()),
+                                         self.box[live].tolist())))
 
     def coeff(self, key) -> complex:
         return self.coeffs.get(_norm_key(self.dim, key), 0j)
@@ -220,19 +221,15 @@ class TrigPoly:
     # -- algebra ------------------------------------------------------------
 
     def _combine(self, other: "TrigPoly", sign: float) -> "TrigPoly":
-        """self + sign * other on the merged support; a coefficient that
-        cancels to exactly 0 is dropped."""
+        """self + sign * other on the box of the larger degree; the sum is
+        trimmed to its degree."""
         if self.dim != other.dim:
             raise ValueError("dimension mismatch")
-        base = 2 * max(self.degree, other.degree) + 1
-        _, first, slot = np.unique(
-            np.concatenate([_linear(self.ks, base), _linear(other.ks, base)]),
-            return_index=True, return_inverse=True)
-        cs = np.zeros(len(first), dtype=complex)
-        cs[slot[:len(self.cs)]] = self.cs
-        cs[slot[len(self.cs):]] += sign * other.cs
-        return TrigPoly._of(
-            self.dim, np.concatenate([self.ks, other.ks])[first], cs)
+        d = max(self.degree, other.degree)
+        out = np.zeros((2 * d + 1,) * self.dim, dtype=complex)
+        out[_centre(self.degree, d, self.dim)] = self.box
+        out[_centre(other.degree, d, self.dim)] += sign * other.box
+        return TrigPoly._of(out)
 
     def __add__(self, other):
         return self._combine(other, 1.0)
@@ -241,8 +238,7 @@ class TrigPoly:
         return self._combine(other, -1.0)
 
     def __mul__(self, scalar):
-        return TrigPoly._of(self.dim, self.ks,
-                            _times(complex(scalar), self.cs))
+        return TrigPoly._of(_times(complex(scalar), self.box))
 
     __rmul__ = __mul__
 
@@ -251,9 +247,10 @@ class TrigPoly:
         hv = np.atleast_1d(np.asarray(h, dtype=float))
         if hv.shape != (self.dim,):
             raise ValueError(f"shift needs {self.dim} components")
-        phase = (self.ks * hv).sum(axis=1)
-        return TrigPoly._of(self.dim, self.ks,
-                            _times(self.cs, np.exp(1j * phase)))
+        axis = np.arange(-self.degree, self.degree + 1)
+        phase = (axis * hv[0] if self.dim == 1  # one sum k.h, one exp
+                 else np.add.outer(axis * hv[0], axis * hv[1]))
+        return TrigPoly._of(_times(self.box, np.exp(1j * phase)))
 
     # -- evaluation ----------------------------------------------------------
 
@@ -263,8 +260,9 @@ class TrigPoly:
         if len(points) != self.dim:
             raise ValueError(f"evaluation needs {self.dim} coordinates")
         xs = np.array(np.broadcast_arrays(*points), dtype=float)
-        return np.tensordot(self.cs,
-                            np.exp(1j * np.tensordot(self.ks, xs, axes=1)),
+        pts = np.array(list(self.coeffs), dtype=float).reshape(-1, self.dim)
+        vals = np.array(list(self.coeffs.values()), dtype=complex)
+        return np.tensordot(vals, np.exp(1j * np.tensordot(pts, xs, axes=1)),
                             axes=1)
 
     def sample_uniform(self, m: int) -> np.ndarray:
@@ -272,33 +270,34 @@ class TrigPoly:
         (m,)*dim array: the one-row case of sample_boxes.  Exact provided
         m >= 2*degree+1.
         """
-        return sample_boxes(coefficient_boxes([self], self.degree), m)[0]
+        return sample_boxes(self.box[None], m)[0]
 
     def l2_norm(self) -> float:
-        """L2 norm w.r.t. normalised measure = Euclidean coefficient norm."""
-        return float(np.linalg.norm(self.cs))
+        """L2 norm w.r.t. normalised measure = Euclidean coefficient norm,
+        over the nonzero entries (zeros would regroup the BLAS sum)."""
+        return float(np.linalg.norm(self.box[self.box != 0]))
 
 
 def poly_from_box(box: np.ndarray) -> TrigPoly:
     """The polynomial whose coefficients fill the centred (2 d + 1)^dim box
-    (entry [k + d] is the coefficient of e^{ik.x}); the box is copied."""
+    (entry [k + d] is the coefficient of e^{ik.x}), copied and trimmed."""
     if len(set(box.shape)) != 1 or box.shape[0] % 2 == 0:
         raise ValueError(f"box shape {box.shape} is not square of odd width")
-    d = (box.shape[0] - 1) // 2
-    axis = np.arange(-d, d + 1)
-    ks = np.stack(np.meshgrid(*(axis,) * box.ndim, indexing="ij"), axis=-1)
-    return TrigPoly._of(box.ndim, ks.reshape(-1, box.ndim),
-                        box.astype(complex).ravel())
+    return TrigPoly._of(np.array(box, dtype=complex))
 
 
 def coefficient_boxes(fs: Sequence[TrigPoly], degree: int) -> np.ndarray:
     """Stack the coefficients of fs, all of one dimension and of degree at
     most ``degree``, as rows of centred (2 degree + 1)^dim boxes: entry
-    [r, k + degree] is the coefficient of e^{ik.x} in fs[r]."""
-    boxes = np.zeros((len(fs),) + (2 * degree + 1,) * fs[0].dim,
-                     dtype=complex)
+    [r, k + degree] is the coefficient of e^{ik.x} in fs[r].  A polynomial
+    of another dimension or of a larger degree raises ValueError."""
+    dim = fs[0].dim
+    boxes = np.zeros((len(fs),) + (2 * degree + 1,) * dim, dtype=complex)
     for r, f in enumerate(fs):
-        boxes[(r,) + tuple((f.ks + degree).T)] = f.cs
+        if f.dim != dim or f.degree > degree:
+            raise ValueError(f"a {f.dim}-D polynomial of degree {f.degree} "
+                             f"does not fit a {dim}-D box of degree {degree}")
+        boxes[(r,) + _centre(f.degree, degree, dim)] = f.box
     return boxes
 
 
@@ -471,14 +470,15 @@ def band_kernel(k: int) -> TrigPoly:
 class Frame:
     """Dyadic lattice annulus with its Marcinkiewicz sampling grid.
 
-    ks = Z^2 intersected with (-2^n, 2^n)^2 minus [-2^{n-3}, 2^{n-3}]^2, a
-    read-only int64 (omega, 2) array in lexicographic order; the grid has
-    grid_size = 2^{n+1} - 1 equispaced points per axis, and the frame index
-    k sits at the angle 2 pi (k + 2^n - 1) / grid_size.
+    mask: a read-only boolean (grid_size, grid_size) array, grid_size =
+    2^{n+1} - 1, set at [k + 2^n - 1] for the omega points k of Z^2 in
+    (-2^n, 2^n)^2 minus [-2^{n-3}, 2^{n-3}]^2; the grid has grid_size
+    equispaced points per axis, and frame index k sits at the angle
+    2 pi (k + 2^n - 1) / grid_size.
     """
 
     level: int
-    ks: np.ndarray
+    mask: np.ndarray
     omega: int
     grid_size: int
 
@@ -489,39 +489,32 @@ def frame(n: int) -> Frame:
     n = _integer(n, "frame level")
     if n < 3:
         raise ValueError("frame level must be >= 3")
-    axis = np.arange(1 - 2 ** n, 2 ** n)
-    ks = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1)
-    ks = ks[np.abs(ks).max(axis=-1) > 2 ** (n - 3)]
-    ks.flags.writeable = False
-    return Frame(n, ks, len(ks), 2 ** (n + 1) - 1)
+    mask = _radius(2 ** n - 1, 2) > 2 ** (n - 3)
+    mask.flags.writeable = False
+    return Frame(n, mask, int(np.count_nonzero(mask)), 2 ** (n + 1) - 1)
 
 
 def convolve(g: TrigPoly, f: TrigPoly) -> TrigPoly:
-    """Convolution w.r.t. normalised measure: coefficient-wise product, on
-    the intersection of the two sorted supports (each point of the smaller
-    one is looked up in the larger by binary search)."""
+    """Convolution w.r.t. normalised measure: coefficient-wise product of
+    the two boxes cropped to the smaller degree."""
     if g.dim != f.dim:
         raise ValueError("dimension mismatch")
-    small, large = (g, f) if len(g.cs) <= len(f.cs) else (f, g)
-    base = 2 * max(g.degree, f.degree) + 1
-    lin, key = _linear(large.ks, base), _linear(small.ks, base)
-    at = np.minimum(np.searchsorted(lin, key), len(lin) - 1)
-    hit = lin[at] == key
-    return TrigPoly._of(g.dim, small.ks[hit],
-                        _times(small.cs[hit], large.cs[at[hit]]))
+    d = min(g.degree, f.degree)
+    return TrigPoly._of(_times(g.box[_centre(d, g.degree, g.dim)],
+                               f.box[_centre(d, f.degree, f.dim)]))
 
 
 def sample_on_grid(f: TrigPoly, fr: Frame) -> np.ndarray:
-    """Values f(x_k, y_l) for (k, l) in the frame, in index order.
+    """Values f(x_k, y_l) for (k, l) in the frame, in index order (the C
+    order of the mask).
 
     The frame grid point of index k is at angle 2 pi (k + 2^n - 1)/M with
     M = 2^{n+1} - 1, i.e. the standard uniform M-grid re-indexed, so one
-    padded FFT evaluates all of them.
+    padded FFT evaluates all of them and the mask picks the frame's.
     """
     if f.dim != 2:
         raise ValueError("frame sampling needs a 2-D polynomial")
-    values = f.sample_uniform(fr.grid_size)
-    return values[tuple((fr.ks + 2 ** fr.level - 1).T)]
+    return f.sample_uniform(fr.grid_size)[fr.mask]
 
 
 def refine_on_grid(degree: int, value: Callable[[int], object], *,
@@ -570,11 +563,10 @@ def _rank_factors(f: TrigPoly) -> tuple[list[TrigPoly], list[TrigPoly],
     Also the symmetries the box shows exactly: (even in x, even in y, real)
     for a box equal to its mirror along axis 0, along axis 1, and to the
     conjugate of its mirror through the centre (a Hermitian box)."""
-    bad = ~np.isfinite(f.cs)
-    if bad.any():
-        named = dict(zip(map(tuple, f.ks[bad].tolist()), f.cs[bad].tolist()))
+    if not np.isfinite(f.box).all():
+        named = {k: c for k, c in f.coeffs.items() if not cmath.isfinite(c)}
         raise ValueError(f"non-finite coefficients {named}")
-    box = coefficient_boxes([f], f.degree)[0].reshape(2 * f.degree + 1, -1)
+    box = f.box.reshape(2 * f.degree + 1, -1)
     sym = (np.array_equal(box, box[::-1]), np.array_equal(box, box[:, ::-1]),
            np.array_equal(box, box[::-1, ::-1].conj()))
     u, s, vh = np.linalg.svd(box if box.imag.any() else box.real)

@@ -503,13 +503,15 @@ def check_multiplicativity_transfer(phi: YoungFunction, C: float,
     Phi^{-1}(x*y) <= C * Phi^{-1}(x) * Phi^{-1}(y) holds, then
     Phi(a) * Phi(b) <= Phi(C*a*b) must hold for a = Phi^{-1}(x),
     b = Phi^{-1}(y).  Violations of the implication are counted (none are
-    expected for a valid Young function).
+    expected for a valid Young function); pairs must be nonempty and finite.
     """
     if not 1.0 <= C < math.inf:
         raise YoungFunctionError("transfer constant C must be >= 1")
     phi1 = float(phi(1.0))
     xs = np.array([x for x, _ in pairs], dtype=float)
     ys = np.array([y for _, y in pairs], dtype=float)
+    if xs.size == 0 or not np.isfinite([xs, ys]).all():
+        raise YoungFunctionError("transfer pairs must be nonempty and finite")
     a = phi.inverse(xs)
     b = phi.inverse(ys)
     ok = (0 < xs) & (xs < phi1) & (phi1 < ys) & (a * b >= 1.0)

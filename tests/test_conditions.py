@@ -361,6 +361,14 @@ GUARDS = [
      "t grid must be positive"),
     (lambda: weight_domination_check(_POWER2, _ONE, []),
      "t grid must be nonempty"),
+    (lambda: lorentz_embedding_probe(_POWER2, 2, []),
+     "t grid must be nonempty, finite and >= 0"),
+    (lambda: lorentz_embedding_probe(_POWER2, 2, [NAN, 1.0]),
+     "t grid must be nonempty, finite and >= 0"),
+    (lambda: lorentz_embedding_probe(_POWER2, 2, [1.0, INF]),
+     "t grid must be nonempty, finite and >= 0"),
+    (lambda: lorentz_embedding_probe(_POWER2, 2, [-1.0, 1.0]),
+     "t grid must be nonempty, finite and >= 0"),
 ]
 
 

@@ -119,7 +119,7 @@ def test_poly_norms_of_a_box_stack():
     phi = make_section7(0.05)
     fs = [random_poly_1d(2, 3), TrigPoly(1, {}), TrigPoly(1, {(0,): 2.5})]
     got = poly_norms(phi, coefficient_boxes(fs, 2))
-    want = [poly_norm(phi, f) if f.cs.size else 0.0 for f in fs]
+    want = [poly_norm(phi, f) if f.coeffs else 0.0 for f in fs]
     assert got.tolist() == pytest.approx(want, rel=1e-12, abs=0.0)
     assert got[1] == 0.0
     assert poly_norms(phi, coefficient_boxes(fs, 2)[:0]).shape == (0,)
@@ -137,7 +137,7 @@ def test_poly_norms_of_a_box_stack():
     boxes = coefficient_boxes(fs, 3)
     want = [poly_norm(phi, f, exact_l2=False,
                       oversample=8 if f.degree == 3 else 16)
-            if f.cs.size else 0.0 for f in fs]
+            if f.coeffs else 0.0 for f in fs]
     assert low.degree == 1
     for block in (trig.SAMPLE_BLOCK, 3 * 512 ** 2):
         with mock.patch.object(trig, "SAMPLE_BLOCK", block):

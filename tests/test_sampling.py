@@ -62,7 +62,7 @@ def test_orlicz_single_coefficient_closed_form():
     phi = make_power(2.0)
     n = 3
     fr = frame(n)
-    f = TrigPoly(2, {tuple(fr.ks[0]): 1.0})
+    f = TrigPoly(2, {(1 - 2 ** n, 1 - 2 ** n): 1.0})   # a frame corner
     chk = orlicz_sampling_check(f, n, phi, 1.0)
     # |f| = 1 everywhere: lhs = 1/Phi^{-1}(1/omega) = sqrt(omega), and
     # constant_ratio = lhs / (Phi^{-1}(omega) ||f||_{L_2}) = sqrt(omega) /
@@ -127,7 +127,7 @@ def test_orlicz_unsupported_flagged_but_computed():
     # Power(3) fails sqrt-concavity-compatible hypotheses? No: it fails the
     # inverse-product condition with C = 1 for extreme x, so supported=False
     phi = make_power(3.0)
-    f = TrigPoly(2, {tuple(frame(3).ks[0]): 1.0})
+    f = TrigPoly(2, {(-7, -7): 1.0})   # a corner of the level-3 frame
     chk = orlicz_sampling_check(f, 3, phi, 1.0)
     assert chk.lhs > 0 and chk.rhs > 0  # still computed
 
@@ -148,7 +148,7 @@ def test_orlicz_extremal_candidate_has_higher_ratio():
         peak = float(np.max(np.abs(sample_on_grid(g, fr))))
         return chk.lhs * inv_small / peak
 
-    single = TrigPoly(2, {tuple(fr.ks[0]): 1.0})
+    single = TrigPoly(2, {(-7, -7): 1.0})   # a frame corner
     rnd = random_poly_on_frame(n, seed=5)
     base = orlicz_sampling_check(single, n, phi, SECTION7_R,
                                  check_preconditions=False)
@@ -184,7 +184,7 @@ def test_l2_lower_single_harmonic_closed_form():
     n = 3
     fr = frame(n)
     key = (2, 2)
-    assert key in set(map(tuple, fr.ks.tolist()))
+    assert fr.mask[tuple(np.add(key, 2 ** n - 1))]
     f = TrigPoly(2, {key: 1.0})
     band = convolve(band_kernel(n), f)
     chk = l2_sampling_lower(f, n)

@@ -60,8 +60,8 @@ def test_poly_l1_samples_through_sample_uniform():
 
 def test_shift_count_is_zero_on_an_array_built_zero_polynomial():
     phi = make_section7(0.05)
-    for f in (trig.TrigPoly.from_arrays(2, np.zeros((0, 2)), []),
-              trig.TrigPoly.from_arrays(1, [[-1], [2]], [0.0, 0.0])):
+    for f in (trig.poly_from_box(np.zeros((1, 1))),
+              trig.poly_from_box(np.zeros(5))):
         assert tracing._shifts(besov.modulus, (f, 0.5, phi), {}, None) \
             == (0.0, 0.0)
 
@@ -71,10 +71,8 @@ def test_dict_built_workload_polynomial_equals_the_array_built_one():
         f = workloads.random_poly2(degree, np.random.default_rng(degree))
         z = np.random.default_rng(degree).standard_normal(
             ((2 * degree + 1) ** 2, 2))
-        axis = np.arange(-degree, degree + 1)
-        ks = np.stack(np.meshgrid(axis, axis, indexing="ij"), axis=-1)
-        assert f == trig.TrigPoly.from_arrays(2, ks.reshape(-1, 2),
-                                              z[:, 0] + 1j * z[:, 1])
+        box = (z[:, 0] + 1j * z[:, 1]).reshape((2 * degree + 1,) * 2)
+        assert f == trig.poly_from_box(box)
 
 
 @pytest.mark.parametrize("attr, route", [

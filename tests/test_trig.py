@@ -122,8 +122,11 @@ def test_band_vanishes_on_hole(n):
 
 @pytest.mark.parametrize("n", range(3, 9))
 def test_band_support_inside_frame(n):
-    fr = frame(n)
-    assert set(band_kernel(n).coeffs) <= set(map(tuple, fr.ks.tolist()))
+    # b_n has the degree 2^n - 1 of the frame of level n, and its nonzero
+    # coefficients sit exactly at the frame's points
+    fr, b = frame(n), band_kernel(n)
+    assert b.degree == 2 ** n - 1 and b.box.shape == fr.mask.shape
+    assert b.box[fr.mask].all() and not b.box[~fr.mask].any()
 
 
 def test_band_l1_at_most_eighteen():
@@ -156,6 +159,11 @@ def test_frame_cardinalities_by_enumeration():
     assert frame(5).omega == count(5)
 
 
+def _frame_points(fr):
+    """The frame's lattice points in the C order of its mask, (omega, 2)."""
+    return np.argwhere(fr.mask) - (2 ** fr.level - 1)
+
+
 def test_frame_grid_spacing():
     # e^{ix} sampled on the frame: frame neighbours k, k + 1 sit one grid
     # step 2 pi / (2^{n+1} - 1) apart
@@ -163,7 +171,7 @@ def test_frame_grid_spacing():
         fr = frame(n)
         assert fr.grid_size == 2 ** (n + 1) - 1
         vals = sample_on_grid(TrigPoly(2, {(1, 0): 1.0}), fr)
-        step = np.flatnonzero(np.diff(fr.ks[:, 0]) == 1)
+        step = np.flatnonzero(np.diff(_frame_points(fr)[:, 0]) == 1)
         np.testing.assert_allclose(vals[step + 1] / vals[step],
                                    np.exp(2j * np.pi / fr.grid_size),
                                    rtol=1e-12)
@@ -240,12 +248,13 @@ def test_sample_single_harmonic_modulus_one():
 def test_sample_matches_direct_summation():
     rng = np.random.default_rng(3)
     fr = frame(3)
-    support = [tuple(fr.ks[i])
+    points = _frame_points(fr)
+    support = [tuple(points[i])
                for i in rng.choice(fr.omega, size=25, replace=False)]
     f = TrigPoly(2, {key: complex(*rng.standard_normal(2)) for key in support})
     fast = sample_on_grid(f, fr)
     # the frame index k sits at the angle 2 pi (k + 2^n - 1) / (2^{n+1} - 1)
-    xs, ys = (2.0 * np.pi * (fr.ks.T + 2 ** fr.level - 1)
+    xs, ys = (2.0 * np.pi * (points.T + 2 ** fr.level - 1)
               / (2 ** (fr.level + 1) - 1))
     direct = f.eval_at(xs, ys)
     assert np.max(np.abs(fast - direct)) < 1e-10
@@ -279,9 +288,9 @@ def test_translate_rounds_like_python_complex_products():
     # moves the last bit of some coefficients on some CPUs
     f = random_poly_1d(3, 0)
     for h in np.geomspace(1e-3, 1.0, 451):
-        unit = np.exp(1j * (f.ks[:, 0] * h))
-        want = [complex(c) * complex(e) for c, e in zip(f.cs, unit)]
-        assert f.translate(h).cs.tolist() == want, h
+        unit = np.exp(1j * (np.arange(-3, 4) * h))
+        want = [complex(c) * complex(e) for c, e in zip(f.box, unit)]
+        assert f.translate(h).box.tolist() == want, h
 
 
 def _full_box_poly(dim: int, degree: int, rng) -> TrigPoly:
@@ -424,10 +433,10 @@ def test_one_ulp_off_symmetry_takes_the_full_route():
     # breaks all three symmetries, and the full route still meets the oracle
     f = band_kernel(4)
     assert trig._rank_factors(f)[2] == (True, True, True)
-    at = int(np.flatnonzero((f.ks == (3, 5)).all(axis=1))[0])
-    cs = f.cs.copy()
-    cs[at] = np.nextafter(cs[at].real, np.inf)
-    g = TrigPoly.from_arrays(2, f.ks, cs)
+    box = f.box.copy()
+    at = (3 + f.degree, 5 + f.degree)
+    box[at] = np.nextafter(box[at].real, np.inf)
+    g = poly_from_box(box)
     rows, cols, sym = trig._rank_factors(g)
     assert sym == (False, False, False)
     for m in (8 * (g.degree + 1), 8 * (g.degree + 1) + 1):
@@ -727,23 +736,23 @@ def test_array_algebra_matches_dict_formulas(case, scalar, h):
         assert f.coeff(key) == da.get(key, 0j)
 
 
-def test_from_arrays_validates_and_owns_its_arrays():
-    ks = np.array([[-1, 2], [0, 0], [0, 3]])
-    cs = np.array([1.0, 0.0, 2j])
-    f = TrigPoly.from_arrays(2, ks, cs)
-    assert f == TrigPoly(2, {(-1, 2): 1.0, (0, 3): 2j})
-    ks[0, 0], cs[0] = 5, 7.0           # the caller's arrays stay its own
+def test_poly_from_box_copies_validates_and_trims():
+    box = np.zeros((7, 7))
+    box[2, 5], box[3, 3] = 1.0, 2.0     # (-1, 2) and (0, 0) in a degree-3 box
+    f = poly_from_box(box)
+    assert f == TrigPoly(2, {(-1, 2): 1.0, (0, 0): 2.0})
+    assert f.degree == 2 and f.box.shape == (5, 5)   # the zero ring is gone
+    box[2, 5] = 7.0                     # the caller's box stays its own
     assert f.coeff((-1, 2)) == 1.0
-    assert not f.ks.flags.writeable and not f.cs.flags.writeable
-    for bad in ([[0, 3], [0, 0]], [[0, 0], [0, 0]]):
-        with pytest.raises(ValueError, match="lexicographic"):
-            TrigPoly.from_arrays(2, bad, [1.0, 1.0])
-    with pytest.raises(ValueError, match="cannot reshape"):
-        TrigPoly.from_arrays(2, [[0, 0], [0, 1]], [1.0, 1.0, 1.0])
+    assert f.box.dtype == complex and not f.box.flags.writeable
+    for bad in (np.ones((3, 5)), np.ones((4, 4)), np.ones(2)):
+        with pytest.raises(ValueError, match="not square of odd width"):
+            poly_from_box(bad)
     with pytest.raises(ValueError, match="dimension"):
-        TrigPoly.from_arrays(3, np.zeros((0, 3)), [])
-    empty = TrigPoly.from_arrays(1, [[0], [3]], [0.0, 0.0])
+        poly_from_box(np.zeros((1, 1, 1)))
+    empty = poly_from_box(np.zeros(7))
     assert empty == TrigPoly(1) and empty.degree == 0 and not empty.coeffs
+    assert empty.box.shape == (1,)
 
 
 def _dict_plateau_factor(k):
@@ -784,16 +793,17 @@ def test_frame_indices_match_comprehension(n):
                    for l in range(-outer + 1, outer)
                    if not (abs(k) <= hole and abs(l) <= hole))
     fr = frame(n)
-    assert tuple(map(tuple, fr.ks.tolist())) == expect
-    assert fr.ks.dtype == np.int64 and fr.ks.shape == (fr.omega, 2)
-    assert not fr.ks.flags.writeable
+    assert tuple(map(tuple, _frame_points(fr).tolist())) == expect
+    assert fr.omega == len(expect)
+    assert fr.mask.dtype == bool and fr.mask.shape == (fr.grid_size,) * 2
+    assert not fr.mask.flags.writeable
 
 
 @pytest.mark.parametrize("law", ["gaussian", "unimodular"])
 def test_random_poly_on_frame_matches_dict_route(law):
     for n, seed in ((3, 0), (4, 7), (5, 11)):
         rng = np.random.default_rng(seed)
-        idx = list(map(tuple, frame(n).ks.tolist()))
+        idx = list(map(tuple, _frame_points(frame(n)).tolist()))
         expect = TrigPoly(2, dict(zip(idx, _coefficients(rng, len(idx), law))))
         assert random_poly_on_frame(n, seed, law) == expect
 
@@ -828,6 +838,12 @@ GUARDS = [
      "box shape (4,) is not square of odd width"),
     (lambda: poly_from_box(np.ones((3, 5))),
      "box shape (3, 5) is not square of odd width"),
+    (lambda: trig.coefficient_boxes([TrigPoly(1, {-2: 1.0})], 1),
+     "a 1-D polynomial of degree 2 does not fit a 1-D box of degree 1"),
+    (lambda: trig.coefficient_boxes([_F1, TrigPoly(1, {3: 1.0})], 1),
+     "a 1-D polynomial of degree 3 does not fit a 1-D box of degree 1"),
+    (lambda: trig.coefficient_boxes([_F2, _F1], 1),
+     "a 1-D polynomial of degree 1 does not fit a 2-D box of degree 1"),
 ]
 
 
@@ -846,6 +862,6 @@ def test_numpy_integer_orders_build_the_int_objects(make, n):
         got, want = make(m), make(n)
         if make is frame:
             assert type(got.level) is int and got.grid_size == want.grid_size
-            assert np.array_equal(got.ks, want.ks)
+            assert np.array_equal(got.mask, want.mask)
         else:
             assert got == want

@@ -683,6 +683,14 @@ GUARDS = [
      "sqrt-concavity grid needs at least 2 points, got 1"),
     (lambda: check_sqrt_concavity(make_power(2.0), []),
      "sqrt-concavity grid needs at least 2 points, got 0"),
+    (lambda: check_multiplicativity_transfer(make_power(2.0), 2.0, []),
+     "transfer pairs must be nonempty and finite"),
+    (lambda: check_multiplicativity_transfer(make_power(2.0), 2.0,
+                                             [(0.5, INF)]),
+     "transfer pairs must be nonempty and finite"),
+    (lambda: check_multiplicativity_transfer(make_power(2.0), 2.0,
+                                             [(0.5, 2.0), (NAN, 2.0)]),
+     "transfer pairs must be nonempty and finite"),
 ]
 
 
