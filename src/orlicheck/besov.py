@@ -19,7 +19,7 @@ import numpy as np
 
 from .luxemburg import poly_norm, poly_norms
 from .reports import VerificationReport
-from .trig import (TrigPoly, _integer, _radius, band_kernel,
+from .trig import (TrigPoly, _integer, _radius, _times, band_kernel,
                    coefficient_boxes, convolve, poly_from_box)
 from .young import YoungFunction
 
@@ -87,9 +87,11 @@ def _shift_norms(f: TrigPoly, hs: np.ndarray,
     no zero mode) in real arithmetic, as 2 sqrt(sin^2(hs K^T / 2) @ w): one
     sine matrix, worked in place, and one matrix-vector product for all
     rows.  Otherwise the differences are normed by quadrature in one batch
-    (luxemburg.poly_norms) on the grids of f: the coefficient box of f is
-    subtracted from the stacked boxes of its translates, so no polynomial
-    is built per difference.
+    (luxemburg.poly_norms) on the grids of f, and no polynomial is built per
+    difference: as e^{ik.h} - 1 = 2i sin(k.h/2) e^{ik.h/2}, its coefficients
+    are those of f.translate(h/2) times 2i sin(k.h/2), with k.h/2 formed as
+    translate forms its phase, so each is as exact as its sine, where
+    c_k e^{ik.h} - c_k is off by about eps/|k.h| relative.
     """
     if phi.is_square:
         pts, w = f._folded
@@ -98,9 +100,12 @@ def _shift_norms(f: TrigPoly, hs: np.ndarray,
         np.sin(s, out=s)
         s *= s
         return 2.0 * np.sqrt(s @ w)
-    boxes = coefficient_boxes([f.translate(h) for h in hs], f.degree)
-    boxes -= f.box
-    return poly_norms(phi, boxes)
+    half = hs / 2.0
+    boxes = coefficient_boxes([f.translate(h) for h in half], f.degree)
+    axis = np.arange(-f.degree, f.degree + 1)
+    kh = [np.multiply.outer(half[:, i], axis) for i in range(f.dim)]
+    kh = kh[0] if f.dim == 1 else kh[0][:, :, None] + kh[1][:, None, :]
+    return poly_norms(phi, _times(boxes, 2j * np.sin(kh)))
 
 
 def _shift_grid(dim: int, rs: np.ndarray, thetas: np.ndarray) -> np.ndarray:

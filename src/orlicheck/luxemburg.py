@@ -122,8 +122,7 @@ def _lux_root(phi: YoungFunction, a: np.ndarray, average: bool) -> np.ndarray:
     hi = np.minimum(jensen, float(phi.inverse(1.0 / weight)))
     f_lo = guard(lo, lambda v: v > unit, 0.5)
     f_hi = guard(hi, lambda v: v < -unit, 2.0)
-    norms[rows] = top / chandrupatla(excess, lo, hi, f_lo, f_hi, rel=1e-13,
-                                     ftol=unit)
+    norms[rows] = top / chandrupatla(excess, lo, hi, f_lo, f_hi, ftol=unit)
     return norms
 
 

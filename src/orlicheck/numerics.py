@@ -14,8 +14,8 @@ pad, so the heap is not trimmed and regrown on every block.
 
 Everything here is deterministic and pure.  The arguments that callers or
 refinement tests set are the Gauss nodes per panel, the breakpoints, the
-decade budget ``max_decades``, and Chandrupatla's ``rel`` and ``ftol``; the
-other tolerances are constants stated in each docstring.
+decade budget ``max_decades``, and Chandrupatla's ``ftol``; the other
+tolerances are constants stated in each docstring.
 """
 
 from __future__ import annotations
@@ -213,8 +213,7 @@ def integrate_log_improper(logF: Callable[[np.ndarray], np.ndarray],
 
 def chandrupatla(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
                  x1: np.ndarray, x2: np.ndarray, f1: np.ndarray,
-                 f2: np.ndarray, *, rel: float = 1e-13,
-                 ftol: float = 0.0) -> np.ndarray:
+                 f2: np.ndarray, *, ftol: float = 0.0) -> np.ndarray:
     """Vectorised bracketed root finding (Chandrupatla, Adv. Eng. Softw. 28
     (1997) 145-149): inverse quadratic interpolation where the last three
     points allow it, bisection otherwise.
@@ -222,7 +221,7 @@ def chandrupatla(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
     ``fn(x, idx)`` evaluates the entries ``idx`` (an index array) at the
     points x; f1 and f2 are its values at the bracket ends x1 and x2, of
     opposite signs or zero, so a caller that has them already pays nothing
-    for the ends.  Each entry stops once its bracket is at most ``rel``
+    for the ends.  Each entry stops once its bracket is at most 1e-13
     times its best point wide, or |fn| <= ``ftol`` there, and only the
     entries still running are evaluated; an entry still running after 100
     steps raises RuntimeError, which names how many there are.  Returns the
@@ -237,7 +236,7 @@ def chandrupatla(fn: Callable[[np.ndarray, np.ndarray], np.ndarray],
     for step in range(101):
         near = np.abs(f1) < np.abs(f2)
         best = np.where(near, x1, x2)
-        tol, dx = rel * np.abs(best), np.abs(x2 - x1)
+        tol, dx = 1e-13 * np.abs(best), np.abs(x2 - x1)
         stop = (dx <= tol) | (np.abs(np.where(near, f1, f2)) <= ftol)
         out[live[stop]] = best[stop]
         if stop.all():
@@ -278,8 +277,9 @@ def newton_monotone(g: Callable[[np.ndarray], np.ndarray],
     Each entry freezes once its step is at most 1e-15 of its iterate, and
     only the entries still running are stepped (as chandrupatla does), so an
     entry's result does not depend on the rest of its batch; an entry still
-    running after 40 steps keeps its last iterate.  ``lower`` clamps
-    iterates away from a domain boundary (e.g. log arguments).
+    running after 40 steps raises RuntimeError, which names how many there
+    are.  ``lower`` clamps iterates away from a domain boundary (e.g. log
+    arguments).
     """
     x = np.asarray(x0, dtype=float)
     out = np.empty(x.shape)
@@ -296,5 +296,5 @@ def newton_monotone(g: Callable[[np.ndarray], np.ndarray],
             out[live[done]] = x_new[done]
             live, x_new, target = (v[~done] for v in (live, x_new, target))
         x = x_new
-    out[live] = x
-    return out
+    raise RuntimeError(f"Newton: {live.size} of {out.size} entries "
+                       "unconverged after 40 steps")

@@ -289,8 +289,11 @@ def poly_from_box(box: np.ndarray) -> TrigPoly:
 def coefficient_boxes(fs: Sequence[TrigPoly], degree: int) -> np.ndarray:
     """Stack the coefficients of fs, all of one dimension and of degree at
     most ``degree``, as rows of centred (2 degree + 1)^dim boxes: entry
-    [r, k + degree] is the coefficient of e^{ik.x} in fs[r].  A polynomial
-    of another dimension or of a larger degree raises ValueError."""
+    [r, k + degree] is the coefficient of e^{ik.x} in fs[r].  An empty
+    stack, or a polynomial of another dimension or of a larger degree,
+    raises ValueError."""
+    if not fs:
+        raise ValueError("a stack needs at least one polynomial")
     dim = fs[0].dim
     boxes = np.zeros((len(fs),) + (2 * degree + 1,) * dim, dtype=complex)
     for r, f in enumerate(fs):

@@ -5,14 +5,15 @@ Phi: [0, oo) -> [0, oo) with Phi(0) = 0, Phi(t)/t -> 0 at 0 and
 t/Phi(t) -> 0 at infinity.  Its three maps, forward, inverse and an
 overflow-safe log-domain inverse y -> ln Phi^{-1}(e^y) for the
 improper-integral machinery, are each reached through one front, a
-YoungFunction method that checks and shapes the argument (see there).
+YoungFunction method: the front shapes, the kernel checks (see there).
 
 Each kind is one table of pieces, declared once by its maker, which
 rejects a parameter that is NaN or infinite.  Adjacent pieces meet at a
 cut, the triple (t, Phi(t), ln Phi(t)), so a cut splits all three maps at
 the same place; a piece gives the three maps' formulas and says whether
-Phi is affine on it.  The three kernels, the kinks of the log inverse and
-the affine intervals all come from that table, so they cannot disagree.
+Phi is affine on it.  The three kernels, their domains, the kinks of the
+log inverse and the affine intervals all come from that table, so they
+cannot disagree, and no piece calls another or an assembled kernel.
 Every kernel, a one-piece table's too, fixes its ends without handing them
 to a formula: 0 -> 0 (forward, inverse), -oo -> -oo (log inverse) and
 +oo -> +oo (all three).
@@ -83,10 +84,11 @@ class YoungFunction:
     """Paired evaluator (Phi, Phi^{-1}) with construction metadata.
 
     ``forward`` (or ``phi(x)``), ``inverse`` and ``log_inverse`` front the
-    kernels ``_forward``, ``_inverse`` and ``_log_inverse``: each takes
-    ``np.asarray(x, dtype=float)``, raises YoungFunctionError on NaN (forward
-    and inverse also on a negative entry), hands the kernel x flat (x itself
-    if 1-D), and returns a float for a scalar x, else x's shape.
+    kernels ``_forward``, ``_inverse`` and ``_log_inverse``.  A front only
+    shapes: it takes ``np.asarray(x, dtype=float)``, hands the kernel x flat
+    (x itself if 1-D), and returns a float for a scalar x, else x's shape.
+    The kernel checks: it raises YoungFunctionError on NaN (forward and
+    inverse also on a negative entry).
     ``log_inverse(y)`` = ln Phi^{-1}(e^y) accepts negative and infinite y and
     stays finite for |y| far beyond float range of e^y, which the
     integral-condition checks require.  The kernels and the two tuples come
@@ -106,17 +108,15 @@ class YoungFunction:
     affine_pieces: tuple[tuple[float, float], ...] = ()
 
     def forward(self, t):
-        return _front(self._forward, t, 0.0, "Phi must be >= 0 and not NaN")
+        return _front(self._forward, t)
 
     __call__ = forward
 
     def inverse(self, u):
-        return _front(self._inverse, u, 0.0,
-                      "Phi^{-1} must be >= 0 and not NaN")
+        return _front(self._inverse, u)
 
     def log_inverse(self, y):
-        return _front(self._log_inverse, y, -math.inf,
-                      "Phi^{-1} must not be NaN")
+        return _front(self._log_inverse, y)
 
     @property
     def is_square(self) -> bool:
@@ -129,14 +129,10 @@ class YoungFunction:
         return f"YoungFunction({self.kind}, {inner})"
 
 
-def _front(kernel: Callable[[np.ndarray], np.ndarray], x, least: float,
-           what: str):
-    """kernel(x) for x of any shape, once no entry is NaN or below least."""
+def _front(kernel: Callable[[np.ndarray], np.ndarray], x):
+    """kernel(x) for x of any shape: the kernel takes x flat."""
     arr = np.asarray(x, dtype=float)
     flat = arr if arr.ndim == 1 else arr.reshape(-1)
-    # min propagates NaN, so one reduction screens both
-    if flat.size and not flat.min() >= least:
-        raise YoungFunctionError(f"argument of {what}")
     out = kernel(flat)
     return float(out[0]) if arr.ndim == 0 else out.reshape(arr.shape)
 
@@ -145,26 +141,26 @@ def _front(kernel: Callable[[np.ndarray], np.ndarray], x, least: float,
 # piece tables, and one for each kind
 # ---------------------------------------------------------------------------
 
-def _piecewise(low: float, cuts: Sequence[float],
-               fns: Sequence[Callable]) -> Callable:
+def _piecewise(low: float, cuts: Sequence[float], fns: Sequence[Callable],
+               what: str) -> Callable:
     """The kernel that applies fns[i] on [cuts[i-1], cuts[i]), the cuts
     increasing from low to inf, and fixes the ends low and inf.
 
-    An array that lies on one piece, ends excluded, goes to that piece's
-    formula whole, with no masks and no copy.  Otherwise each distinct
-    formula runs once on all of its entries, in their order, so pieces that
-    share one (an iterative solve) see the batch they would see as one
-    piece; the ends are copied through, and no formula sees one.  No
-    formula may write to its argument.
+    An entry that is NaN or below low raises YoungFunctionError ("argument
+    of " + what), from the reduction that also picks the route.  An array
+    that lies on one piece, ends excluded, goes to that piece's formula
+    whole, with no masks and no copy.  Otherwise each piece's formula runs
+    once on that piece's entries, in their order; the ends are copied
+    through, and no formula sees one.  No formula may write to its argument.
     """
     edges = [*cuts, math.inf]
     bounds = np.array(edges)
-    maps = {}
-    group = np.array([maps.setdefault(fn, len(maps)) for fn in fns] + [-1])
 
     def kernel(x):
         if x.size:
             lo, hi = x.min(), x.max()
+            if not lo >= low:   # min propagates NaN
+                raise YoungFunctionError(f"argument of {what}")
             if lo > low and hi < math.inf:
                 i = bisect.bisect_right(edges, lo)
                 if hi < edges[i]:
@@ -172,9 +168,8 @@ def _piecewise(low: float, cuts: Sequence[float],
         out = x.copy()
         piece = np.searchsorted(bounds, x, side="right")  # len(fns) at inf
         piece[x == low] = len(fns)
-        which = group[piece]
-        for g, fn in enumerate(maps):
-            on = which == g
+        for i, fn in enumerate(fns):
+            on = piece == i
             if on.any():
                 out[on] = fn(x[on])
         return out
@@ -191,8 +186,11 @@ def _young(kind: str, params: dict, cuts: Sequence[tuple[float, float, float]],
     fwds, invs, logs, affine = zip(*pieces)
     ends = [0.0, *ts, math.inf]
     return YoungFunction(
-        kind, params, _piecewise(0.0, ts, fwds), _piecewise(0.0, us, invs),
-        _piecewise(-math.inf, ys, logs), log_inverse_breaks=tuple(ys),
+        kind, params,
+        _piecewise(0.0, ts, fwds, "Phi must be >= 0 and not NaN"),
+        _piecewise(0.0, us, invs, "Phi^{-1} must be >= 0 and not NaN"),
+        _piecewise(-math.inf, ys, logs, "Phi^{-1} must not be NaN"),
+        log_inverse_breaks=tuple(ys),
         affine_pieces=tuple((lo, hi) for lo, hi, flat
                             in zip(ends, ends[1:], affine) if flat))
 
@@ -257,7 +255,7 @@ def make_section7(alpha: float) -> YoungFunction:
 
     The alpha bound keeps alpha * ln(r)/lnln(r) <= 1 for r = exp(2 e^2), which
     the multiplicativity estimates need.  The inverse is closed form on all
-    three pieces, and on the outer two it goes through the log inverse.  The
+    three pieces, on each outer one the exponential of its log inverse.  The
     forward map is affine on the middle piece; on both outer pieces it
     inverts the closed form by one safeguarded Newton iteration in the log
     domain.  The high piece's log inverse, which the embedding conditions'
@@ -285,9 +283,6 @@ def make_section7(alpha: float) -> YoungFunction:
         v /= lv
         return np.subtract(y, v, out=v)
 
-    def inv_outer(u):       # phi is bound below, before any call
-        return np.exp(phi._log_inverse(np.log(u)))
-
     def fwd_outer(t):
         # both outer pieces solve 2v - alpha*v/ln(v) = |ln t| for
         # v = |ln sqrt(u)|, and u = exp(+-2v) with the sign of ln t
@@ -298,13 +293,14 @@ def make_section7(alpha: float) -> YoungFunction:
         v = newton_monotone(g, gp, a, np.maximum(0.5 * a, E2), lower=1.05)
         return np.exp(np.copysign(2.0 * v, z))
 
+    low = (fwd_outer, lambda u: np.exp(log_low(np.log(u))), log_low, False)
     mid = (lambda t: (t - q) / p, lambda u: p * u + q,
            lambda y: np.log(p * np.exp(y) + q), True)
-    phi = _young("section7", {"alpha": alpha, "r": r, "p": p, "q": q},
-                 [(p / r + q, 1.0 / r, -log_r), (p * r + q, r, log_r)],
-                 [(fwd_outer, inv_outer, log_low, False), mid,
-                  (fwd_outer, inv_outer, log_high, False)])
-    return phi
+    high = (fwd_outer, lambda u: np.exp(log_high(np.log(u))), log_high,
+            False)
+    return _young("section7", {"alpha": alpha, "r": r, "p": p, "q": q},
+                  [(p / r + q, 1.0 / r, -log_r), (p * r + q, r, log_r)],
+                  [low, mid, high])
 
 
 def make_tabulated(points: Iterable[Sequence[float]]) -> YoungFunction:
@@ -341,28 +337,25 @@ def make_tabulated(points: Iterable[Sequence[float]]) -> YoungFunction:
         raise YoungFunctionError(
             f"tabulated Phi is not convex: slope falls from {slopes[i]:g} to "
             f"{slopes[i + 1]:g} at breakpoint {pts[i + 1]}")
-    end_slope = slopes[-1]
     # the last segment's line is -offset <= 0 at t = 0, by convexity
-    offset = end_slope * ts[-1] - us[-1]
+    offset = slopes[-1] * ts[-1] - us[-1]
 
-    def lines(xs, ys, ss):
-        # one map for all segments, so that a call spanning many of them is
-        # one batch: each entry on its segment's line, the last running on
-        def line(x):
-            i = np.searchsorted(xs[1:-1], x, side="right")
-            return ss[i] * (x - xs[i]) + ys[i]
-        return line
+    def segment(j):
+        # the line through (ts[j], us[j]) with slope s, and its inverse
+        s, ds, t0, u0 = slopes[j], dt[j] / du[j], ts[j], us[j]
+        inv = lambda u: ds * (u - u0) + t0
+        if j == 0:              # through the origin
+            log_inv = lambda y: y - math.log(s)
+        elif j == slopes.size - 1:  # (u + offset) / s, in the log of u
+            log_inv = lambda y: y - math.log(s) + np.log1p(
+                offset * np.exp(-y))
+        else:
+            log_inv = lambda y: np.log(inv(np.exp(y)))
+        return lambda t: s * (t - t0) + u0, inv, log_inv, True
 
-    fwd, inv = lines(ts, us, slopes), lines(us, ts, dt / du)
-    # closed form on the first segment, through the origin, and on the
-    # last: Phi^{-1}(u) = (u + offset) / end_slope, in the log of u
-    logs = [lambda y: np.log(inv(np.exp(y)))] * len(slopes)
-    logs[-1] = lambda y: y - math.log(end_slope) + np.log1p(
-        offset * np.exp(-y))
-    logs[0] = lambda y: y - math.log(slopes[0])
     cuts = np.column_stack([ts[1:-1], us[1:-1], np.log(us[1:-1])])
     return _young("tabulated", {"points": tuple(map(tuple, pts))}, cuts,
-                  [(fwd, inv, log_inv, True) for log_inv in logs])
+                  [segment(j) for j in range(slopes.size)])
 
 
 # ---------------------------------------------------------------------------

@@ -211,6 +211,26 @@ def test_parseval_shift_norm_at_tiny_shift_matches_mpmath():
     assert got == pytest.approx(float(want), rel=1e-13)
 
 
+def test_shift_norms_at_tiny_shifts_match_mpmath_on_the_grid():
+    # the difference f(. + h) - f of a degree-3 polynomial, normed on the
+    # 512-point grid where its quadrature ends; c_k e^{ik h} - c_k would be
+    # off by about eps/|k h| relative (3.5e-9 at |h| = 1e-9)
+    f = random_poly_1d(3, 0)
+    hs = np.array([[1e-9], [-1e-6], [2.0 ** -16]])
+    got = _shift_norms(f, hs, make_power(1.5))
+    m = 512
+    with mpmath.workdps(40):
+        cs = [(k, mpmath.mpc(c)) for (k,), c in f.coeffs.items()]
+        xs = [2 * mpmath.pi * j / m for j in range(m)]
+        for (h,), value in zip(hs.tolist(), got.tolist()):
+            mean = mpmath.fsum(
+                abs(mpmath.fsum(c * (mpmath.expj(k * (x + h))
+                                     - mpmath.expj(k * x)) for k, c in cs))
+                ** 1.5 for x in xs) / m
+            assert value == pytest.approx(float(mean ** (1 / 1.5)),
+                                          rel=1e-13, abs=0.0), h
+
+
 # ---------------------------------------------------------------------------
 # classical norm
 # ---------------------------------------------------------------------------

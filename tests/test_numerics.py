@@ -11,7 +11,7 @@ from orlicheck.conditions import (embedding_condition_eval, embedding_weight,
 from orlicheck.numerics import (LN10, ImproperIntegral, Status,
                                 _decade_ends, _decade_sums, chandrupatla,
                                 gauss_panel, integrate_finite_log,
-                                integrate_log_improper)
+                                integrate_log_improper, newton_monotone)
 from orlicheck.young import make_power, make_section7
 
 
@@ -24,29 +24,35 @@ def test_chandrupatla_solves_each_entry_and_stops_at_ftol():
         return x ** 3 - c[idx]
 
     lo, hi = np.ones(4), np.full(4, 4.0)
-    x = chandrupatla(fn, lo, hi, lo ** 3 - c, hi ** 3 - c, rel=1e-13)
+    x = chandrupatla(fn, lo, hi, lo ** 3 - c, hi ** 3 - c)
     np.testing.assert_allclose(x, np.cbrt(c), rtol=1e-13)
     # an end within ftol of a root is returned as it is, unevaluated
     seen.clear()
-    x = chandrupatla(fn, lo, hi, lo ** 3 - c, hi ** 3 - c, rel=1e-13,
-                     ftol=1e-8)
+    x = chandrupatla(fn, lo, hi, lo ** 3 - c, hi ** 3 - c, ftol=1e-8)
     assert x[3] == 1.0 and all(3 not in idx for idx in seen)
     # the first step is the secant: a linear map is solved by it
     x = chandrupatla(lambda x, idx: 3.0 * x - 1.0, [0.0], [1e3], [-1.0],
-                     [2999.0], rel=1e-13, ftol=1e-15)
+                     [2999.0], ftol=1e-15)
     assert x[0] == pytest.approx(1.0 / 3.0, rel=1e-15)
 
 
 def test_chandrupatla_raises_on_entries_still_running_after_100_steps():
     # a jump at 2e-200 on the bracket [1e-200, 1] has values +-1 only, so it
-    # is bisected, some 700 times before the bracket is rel = 1e-13 wide;
+    # is bisected, some 700 times before the bracket is 1e-13 wide relative;
     # the linear entry stops at its exact root on the first secant
     def fn(x, idx):
         return np.where(idx == 0, x - 0.5, np.sign(x - 2e-200))
 
     with pytest.raises(RuntimeError, match="1 of 2 entries"):
-        chandrupatla(fn, [0.0, 1e-200], [1.0, 1.0], [-0.5, -1.0], [0.5, 1.0],
-                     rel=1e-13)
+        chandrupatla(fn, [0.0, 1e-200], [1.0, 1.0], [-0.5, -1.0], [0.5, 1.0])
+
+
+def test_newton_raises_on_entries_still_running_after_40_steps():
+    # Newton on the cube root from 1 moves x to -2x each step, so it never
+    # freezes at the root 0; it once returned the last iterate, about 1.1e12
+    with pytest.raises(RuntimeError, match="1 of 1 entries"):
+        newton_monotone(np.cbrt, lambda x: 1.0 / (3.0 * np.cbrt(x) ** 2),
+                        np.zeros(1), np.ones(1))
 
 
 # ---------------------------------------------------------------------------

@@ -844,6 +844,8 @@ GUARDS = [
      "a 1-D polynomial of degree 3 does not fit a 1-D box of degree 1"),
     (lambda: trig.coefficient_boxes([_F2, _F1], 1),
      "a 1-D polynomial of degree 1 does not fit a 2-D box of degree 1"),
+    (lambda: trig.coefficient_boxes([], 1),
+     "a stack needs at least one polynomial"),
 ]
 
 

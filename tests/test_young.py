@@ -340,7 +340,7 @@ def test_one_piece_maps_take_arrays_with_ends_whole(phi):
         calls.append(x.size)
         return 2.0 * x
 
-    kernel = _piecewise(0.0, [], [formula])
+    kernel = _piecewise(0.0, [], [formula], "Phi must be >= 0 and not NaN")
     assert kernel(np.array([0.0, 1.0, math.inf])).tolist() == [
         0.0, 2.0, math.inf]
     assert calls == [1]
@@ -388,6 +388,25 @@ def test_nan_argument_is_rejected(phi):
     for fn in (phi, phi.inverse, phi.log_inverse):
         with pytest.raises(YoungFunctionError, match="NaN"):
             fn(np.array([1.0, math.nan]))
+
+
+@pytest.mark.parametrize("phi", all_kinds(), ids=lambda p: p.kind)
+def test_kernels_reject_arguments_outside_their_domain(phi):
+    # the table's kernels check their own domain, so one called without its
+    # front hands no formula a NaN or a negative, with the front's message
+    for kernel, what, starts_at_zero in (
+            (phi._forward, "Phi must be >= 0 and not NaN", True),
+            (phi._inverse, "Phi^{-1} must be >= 0 and not NaN", True),
+            (phi._log_inverse, "Phi^{-1} must not be NaN", False)):
+        bad = [np.array([1.0, math.nan]), np.array([math.nan])]
+        if starts_at_zero:
+            bad += [np.array([2.0, -1e-300]), np.array([-1.0, 0.0, 3.0])]
+        for x in bad:
+            with pytest.raises(YoungFunctionError,
+                               match=f"^argument of {re.escape(what)}$"):
+                kernel(x)
+        if not starts_at_zero:
+            assert np.isfinite(kernel(np.array([-1.0, 0.0, 3.0]))).all()
 
 
 # arguments of every shape the front takes; the entries straddle every
