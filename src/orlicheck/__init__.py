@@ -7,8 +7,7 @@ bounds, and Yano-style extrapolation of summing norms.
 from .young import (YoungFunction, YoungFunctionError, make_power,
                     make_logpower, make_section7, make_tabulated, validate,
                     check_sqrt_concavity, check_supermultiplicativity,
-                    check_inverse_product, check_multiplicativity_transfer,
-                    SECTION7_R)
+                    check_inverse_product, SECTION7_R)
 from .luxemburg import norm_seq, norm_fun, poly_norm, embed_l2_check
 from .trig import (TrigPoly, fejer, plateau_kernel, band_kernel, Frame,
                    frame, convolve, sample_on_grid, poly_l1)

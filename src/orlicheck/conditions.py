@@ -32,7 +32,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .numerics import Status, integrate_finite_log, integrate_log_improper
-from .reports import VerificationReport
+from .reports import VerificationReport, worst_of
 from .young import YoungFunction
 
 __all__ = [
@@ -235,17 +235,11 @@ def weight_domination_check(phi: YoungFunction, psi: Weight,
         raise ValueError("t grid must be positive")
     x = np.log(t)
     margins = np.expm1(psi.log_value(x) - phi.log_inverse(2.0 * x) + x)
-    i = int(np.argmin(margins))
-    raw = margins / t
-    return VerificationReport(
-        check_id="weight-domination",
-        passed=bool(margins[i] >= -1e-9),
-        margin=float(margins[i]),
-        witness=float(t[i]),
-        quantities={"min_raw_margin": float(np.min(raw))},
+    return worst_of(
+        "weight-domination", margins, t, 1e-9,
+        quantities={"min_raw_margin": float(np.min(margins / t))},
         inputs={"phi": repr(phi), "psi": psi.name, "grid_size": int(t.size)},
-        tolerance="t Psi(t)/Phi^{-1}(t^2) - 1 >= -1e-9",
-    )
+        tolerance="t Psi(t)/Phi^{-1}(t^2) - 1 >= -1e-9")
 
 
 def lorentz_embedding_probe(phi: YoungFunction, d: int,
@@ -260,14 +254,8 @@ def lorentz_embedding_probe(phi: YoungFunction, d: int,
     t = np.asarray(t_grid, dtype=float)
     if t.size == 0 or not np.all((0 <= t) & (t < np.inf)):
         raise ValueError("t grid must be nonempty, finite and >= 0")
-    margins = t ** (d / (d - 1.0)) + 1.0 - phi(t)
-    i = int(np.argmin(margins))
-    return VerificationReport(
-        check_id="lorentz-embedding-probe",
-        passed=bool(margins[i] >= 0.0),
-        margin=float(margins[i]),
-        witness=float(t[i]),
+    return worst_of(
+        "lorentz-embedding-probe", t ** (d / (d - 1.0)) + 1.0 - phi(t), t, 0.0,
         quantities={"informative_only": True},
         inputs={"phi": repr(phi), "d": d, "grid_size": int(t.size)},
-        tolerance="t^{d/(d-1)} + 1 - Phi(t) >= 0",
-    )
+        tolerance="t^{d/(d-1)} + 1 - Phi(t) >= 0")

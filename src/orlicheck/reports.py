@@ -2,7 +2,9 @@
 
 Checkers report worst-case margins instead of asserting, so deliberately
 failing inputs (negative controls) are first-class citizens of the test
-matrix.  ``to_dict`` writes a report as plain JSON values: ``Status`` as its
+matrix.  A check that scans a grid or a list of sample points reports
+through ``worst_of``, the one place that picks its margin, witness and
+verdict.  ``to_dict`` writes a report as plain JSON values: ``Status`` as its
 string, non-finite floats as their ``repr``, and nested dataclasses as dicts.
 """
 
@@ -69,3 +71,26 @@ class VerificationReport:
 
     def to_dict(self) -> dict:
         return _plain(asdict(self))
+
+
+def worst_of(check_id: str, margins, points, slack, *, inputs: dict,
+             tolerance: str, quantities: dict | None = None
+             ) -> VerificationReport:
+    """The report of a scanned check, from its margin at every point.
+
+    The margin is the least entry of ``margins`` (the first one on ties,
+    NaN before any number), and the witness that entry's point: a tuple of
+    floats where ``points`` holds rows, a float otherwise.  The check passes
+    iff that margin is at least -slack, where ``slack`` is one float or one
+    value per point.
+    """
+    i = int(np.argmin(margins))
+    margin = float(margins[i])
+    point = np.asarray(points)[i]
+    return VerificationReport(
+        check_id=check_id,
+        passed=bool(margin >= -(slack[i] if np.ndim(slack) else slack)),
+        margin=margin,
+        witness=tuple(map(float, point)) if np.ndim(point) else float(point),
+        quantities={} if quantities is None else quantities,
+        inputs=inputs, tolerance=tolerance)

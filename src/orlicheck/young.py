@@ -38,7 +38,13 @@ tabulated    convex piecewise-linear interpolation of breakpoints, one affine
              piece per segment.
 
 Checkers return a VerificationReport with the worst-case margin rather than
-raising, so negative controls can be exercised on the same code path.
+raising, so negative controls can be exercised on the same code path:
+``validate`` for the contract, and, through ``reports.worst_of``, the
+sampled hypotheses sqrt-concavity, supermultiplicativity and the inverse
+product.  The lemma that turns the inverse's submultiplicativity into
+supermultiplicativity has no check: for increasing Phi its hypothesis and
+conclusion are one statement, so a check of it could fail only by the
+rounding of Phi(Phi^{-1}(u)), which ``validate`` bounds.
 """
 
 from __future__ import annotations
@@ -51,7 +57,7 @@ from typing import Callable, Iterable, Sequence
 import numpy as np
 
 from .numerics import newton_monotone
-from .reports import VerificationReport
+from .reports import VerificationReport, worst_of
 
 __all__ = [
     "YoungFunction",
@@ -64,9 +70,7 @@ __all__ = [
     "check_sqrt_concavity",
     "check_supermultiplicativity",
     "check_inverse_product",
-    "check_multiplicativity_transfer",
     "supermultiplicativity_pairs",
-    "transfer_pairs",
     "SECTION7_R",
 ]
 
@@ -412,18 +416,11 @@ def check_sqrt_concavity(phi: YoungFunction,
     a, b = g[:-1], g[1:]
     mid = phi(np.sqrt(0.5 * (a + b)))
     avg = 0.5 * (phi(np.sqrt(a)) + phi(np.sqrt(b)))
-    rel = (mid - avg) / np.maximum(avg, 1e-300)
-    i = int(np.argmin(rel))
-    margin = float(rel[i])
-    return VerificationReport(
-        check_id="sqrt-concavity",
-        passed=margin >= -1e-12,
-        margin=margin,
-        witness=(float(a[i]), float(b[i])),
-        quantities={},
+    return worst_of(
+        "sqrt-concavity", (mid - avg) / np.maximum(avg, 1e-300),
+        np.column_stack([a, b]), 1e-12,
         inputs={"phi": repr(phi), "grid_size": len(g)},
-        tolerance="relative midpoint defect >= -1e-12",
-    )
+        tolerance="relative midpoint defect >= -1e-12")
 
 
 def check_supermultiplicativity(phi: YoungFunction, C: float,
@@ -444,21 +441,14 @@ def check_supermultiplicativity(phi: YoungFunction, C: float,
     if np.any(~((0 < pa) & (pa < 1) & (1 <= pa * pb) & (pa * pb < pb))):
         raise YoungFunctionError("pairs must satisfy 0 < a < 1 <= ab < b")
     rhs = phi(C * pa * pb)
-    lhs = phi(pa) * phi(pb)
-    margins = rhs - lhs
-    i = int(np.argmin(margins))
-    margin = float(margins[i])
-    scale = float(max(abs(rhs[i]), 1.0))
-    return VerificationReport(
-        check_id="supermultiplicativity",
-        passed=margin >= -1e-9 * scale,
-        margin=margin,
-        witness=(float(pa[i]), float(pb[i])),
+    margins = rhs - phi(pa) * phi(pb)
+    return worst_of(
+        "supermultiplicativity", margins, np.column_stack([pa, pb]),
+        1e-9 * np.maximum(np.abs(rhs), 1.0),
         quantities={"min_relative_margin":
                     float(np.min(margins / np.maximum(rhs, 1e-300)))},
         inputs={"phi": repr(phi), "C": float(C), "grid_size": len(pairs)},
-        tolerance="Phi(Cab) - Phi(a)Phi(b) >= -1e-9 max(Phi(Cab), 1)",
-    )
+        tolerance="Phi(Cab) - Phi(a)Phi(b) >= -1e-9 max(Phi(Cab), 1)")
 
 
 def check_inverse_product(phi: YoungFunction, C: float,
@@ -472,67 +462,14 @@ def check_inverse_product(phi: YoungFunction, C: float,
     if not np.all((0 < x) & (x < np.inf)):
         raise YoungFunctionError("inverse-product grid must be positive")
     prod = C * phi.inverse(x) * phi.inverse(1.0 / x)
-    margins = prod - 1.0
-    i = int(np.argmin(margins))
-    margin = float(margins[i])
-    return VerificationReport(
-        check_id="inverse-product",
-        passed=margin >= -1e-12,
-        margin=margin,
-        witness=float(x[i]),
-        quantities={},
+    return worst_of(
+        "inverse-product", prod - 1.0, x, 1e-12,
         inputs={"phi": repr(phi), "C": float(C), "grid_size": len(x)},
-        tolerance="C Phi^{-1}(x) Phi^{-1}(1/x) - 1 >= -1e-12",
-    )
-
-
-def check_multiplicativity_transfer(phi: YoungFunction, C: float,
-                                    pairs: Sequence[tuple[float, float]]
-                                    ) -> VerificationReport:
-    """Submultiplicativity of the inverse transfers to the forward map.
-
-    For each admissible (x, y) with 0 < x < Phi(1) < y and
-    Phi^{-1}(x) * Phi^{-1}(y) >= 1: whenever
-    Phi^{-1}(x*y) <= C * Phi^{-1}(x) * Phi^{-1}(y) holds, then
-    Phi(a) * Phi(b) <= Phi(C*a*b) must hold for a = Phi^{-1}(x),
-    b = Phi^{-1}(y).  Violations of the implication are counted (none are
-    expected for a valid Young function); pairs must be nonempty and finite.
-    """
-    if not 1.0 <= C < math.inf:
-        raise YoungFunctionError("transfer constant C must be >= 1")
-    phi1 = float(phi(1.0))
-    xs = np.array([x for x, _ in pairs], dtype=float)
-    ys = np.array([y for _, y in pairs], dtype=float)
-    if xs.size == 0 or not np.isfinite([xs, ys]).all():
-        raise YoungFunctionError("transfer pairs must be nonempty and finite")
-    a = phi.inverse(xs)
-    b = phi.inverse(ys)
-    ok = (0 < xs) & (xs < phi1) & (phi1 < ys) & (a * b >= 1.0)
-    if not ok.all():
-        bad = int(np.argmin(ok))
-        raise YoungFunctionError(
-            f"pair (x={xs[bad]:.6g}, y={ys[bad]:.6g}) violates the "
-            "precondition 0 < x < Phi(1) < y, Phi^{-1}(x)Phi^{-1}(y) >= 1")
-    hyp = phi.inverse(xs * ys) <= C * a * b * (1.0 + 1e-12)
-    concl_margin = phi(C * a * b) - phi(a) * phi(b)
-    scale = np.maximum(np.abs(phi(C * a * b)), 1.0)
-    violated = hyp & (concl_margin < -1e-9 * scale)
-    n_hyp = int(np.count_nonzero(hyp))
-    worst = float(np.min((concl_margin / scale)[hyp])) if n_hyp else math.inf
-    return VerificationReport(
-        check_id="multiplicativity-transfer",
-        passed=not violated.any(),
-        margin=worst,
-        quantities={"n_hypothesis_true": n_hyp,
-                    "n_violations": int(np.count_nonzero(violated)),
-                    "worst_conclusion_margin_rel": worst},
-        inputs={"phi": repr(phi), "C": float(C), "n_pairs": len(pairs)},
-        tolerance="relative conclusion margin >= -1e-9 when hypothesis holds",
-    )
+        tolerance="C Phi^{-1}(x) Phi^{-1}(1/x) - 1 >= -1e-12")
 
 
 # ---------------------------------------------------------------------------
-# deterministic sample-pair generators
+# deterministic sample pairs
 # ---------------------------------------------------------------------------
 
 def supermultiplicativity_pairs(seed: int, n: int) -> list[tuple[float, float]]:
@@ -543,18 +480,3 @@ def supermultiplicativity_pairs(seed: int, n: int) -> list[tuple[float, float]]:
     ab = np.exp(rng.uniform(0.0, math.log(1e6), n))
     b = ab / a
     return list(zip(a.tolist(), b.tolist()))
-
-
-def transfer_pairs(phi: YoungFunction, seed: int,
-                   n: int) -> list[tuple[float, float]]:
-    """Pairs (x, y) with 0 < x < Phi(1) < y and Phi^{-1}(x)Phi^{-1}(y) >= 1,
-    log-uniform within a factor 1e6 of Phi(1) on either side."""
-    rng = np.random.default_rng(seed)
-    phi1 = float(phi(1.0))
-    out: list[tuple[float, float]] = []
-    while len(out) < n:
-        x = phi1 * np.exp(rng.uniform(math.log(1e-6), -1e-9))
-        y = phi1 * np.exp(rng.uniform(1e-9, math.log(1e6)))
-        if float(phi.inverse(x)) * float(phi.inverse(y)) >= 1.0:
-            out.append((float(x), float(y)))
-    return out

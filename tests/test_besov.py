@@ -48,7 +48,7 @@ def test_modulus_single_harmonic_closed_form_1d():
     phi = make_power(2.0)
     for t in (0.1, 0.5, 1.0, math.pi):
         assert modulus(f, t, phi) == pytest.approx(2.0 * math.sin(t / 2.0),
-                                                   rel=1e-9)
+                                                   rel=1e-9, abs=0.0)
 
 
 def test_modulus_diagonal_harmonic_closed_form_2d():
@@ -57,7 +57,7 @@ def test_modulus_diagonal_harmonic_closed_form_2d():
     phi = make_power(2.0)
     for t in (0.2, 0.7, 1.5):
         expect = 2.0 * math.sin(min(math.sqrt(2.0) * t, math.pi) / 2.0)
-        assert modulus(f, t, phi) == pytest.approx(expect, rel=1e-6)
+        assert modulus(f, t, phi) == pytest.approx(expect, rel=1e-6, abs=0.0)
 
 
 def test_modulus_monotone_in_t():
@@ -94,7 +94,7 @@ def test_modulus_generic_phi_matches_power2_route(dim):
     phi = make_power(2.0)
     a = modulus(f, 0.3, phi, angles=16, radii=4, refine=False)
     b = [poly_norm(phi, f.translate(h) - f, exact_l2=False) for h in hs]
-    assert max(b) == pytest.approx(a, rel=1e-10)
+    assert max(b) == pytest.approx(a, rel=1e-10, abs=0.0)
 
 
 SHIFT_PHIS = {
@@ -208,7 +208,7 @@ def test_parseval_shift_norm_at_tiny_shift_matches_mpmath():
         want = mpmath.sqrt(mpmath.fsum(
             abs(mpmath.mpc(c)) ** 2 * 4 * mpmath.sin((k * h1 + l * h2) / 2) ** 2
             for (k, l), c in f.coeffs.items()))
-    assert got == pytest.approx(float(want), rel=1e-13)
+    assert got == pytest.approx(float(want), rel=1e-13, abs=0.0)
 
 
 def test_shift_norms_at_tiny_shifts_match_mpmath_on_the_grid():
@@ -238,7 +238,7 @@ def test_shift_norms_at_tiny_shifts_match_mpmath_on_the_grid():
 def test_classical_norm_constant():
     f = TrigPoly(2, {(0, 0): 2.0})
     res = besov_norm_classical(f, params_power2())
-    assert res.value == pytest.approx(2.0, rel=1e-12)
+    assert res.value == pytest.approx(2.0, rel=1e-12, abs=0.0)
     assert all(t == 0.0 for t in res.terms)
 
 
@@ -250,7 +250,7 @@ def test_classical_norm_single_harmonic_series():
     expect = 1.0 + sum(
         2.0 * math.sin(min(math.sqrt(2.0) * 2.0 ** (-n), math.pi) / 2.0)
         for n in range(n_max + 1))
-    assert res.value == pytest.approx(expect, rel=1e-5)
+    assert res.value == pytest.approx(expect, rel=1e-5, abs=0.0)
     assert res.tail == pytest.approx(res.terms[-1])
 
 
@@ -260,7 +260,7 @@ def test_classical_norm_truncation_stable():
     psi = lambda t: t ** 0.5
     a = besov_norm_classical(f, params_power2(psi=psi, n_max=40)).value
     b = besov_norm_classical(f, params_power2(psi=psi, n_max=80)).value
-    assert b == pytest.approx(a, rel=1e-6)
+    assert b == pytest.approx(a, rel=1e-6, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -274,7 +274,7 @@ def test_tilde_norm_constant_prefactor():
     res = besov_norm_tilde(f, BesovParams(phi, psi))
     lux = poly_norm(phi, f)
     assert res.value == pytest.approx(lux * (1.0 + psi(1.0) + psi(2.0)),
-                                      rel=1e-12)
+                                      rel=1e-12, abs=0.0)
 
 
 def test_tilde_norm_origin_poly_levels():
@@ -291,7 +291,7 @@ def test_tilde_norm_exact_finite_sum():
     res = besov_norm_tilde(f, params_power2())
     # terms vanish once the hole covers the degree; recompute one level
     g3 = convolve(band_kernel(3), f)
-    assert res.terms[3] == pytest.approx(g3.l2_norm(), rel=1e-12)
+    assert res.terms[3] == pytest.approx(g3.l2_norm(), rel=1e-12, abs=0.0)
     assert len(res.terms) >= 4
 
 
@@ -322,7 +322,7 @@ def test_band_norm_axioms():
     assert nsum <= nf + ng + 1e-9
     c = -2.5
     assert besov_norm_tilde(c * f, params).value == pytest.approx(
-        abs(c) * nf, rel=1e-9)
+        abs(c) * nf, rel=1e-9, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -343,13 +343,13 @@ def test_best_approx_upper_dominates_exact():
         assert res.upper >= res.exact_l2 - 1e-12
         outside = math.sqrt(sum(abs(v) ** 2 for (k, l), v in f.coeffs.items()
                                 if max(abs(k), abs(l)) > m))
-        assert res.exact_l2 == pytest.approx(outside, rel=1e-14)
+        assert res.exact_l2 == pytest.approx(outside, rel=1e-14, abs=0.0)
 
 
 def test_best_approx_surviving_coefficient():
     f = TrigPoly(2, {(3, 0): 1.0, (0, 5): 1.0})
     res = best_approximation(f, 4, make_power(2.0))
-    assert res.exact_l2 == pytest.approx(1.0, rel=1e-12)
+    assert res.exact_l2 == pytest.approx(1.0, rel=1e-12, abs=0.0)
 
 
 def test_best_approx_mean_competitor_at_zero():
@@ -357,8 +357,8 @@ def test_best_approx_mean_competitor_at_zero():
     res = best_approximation(f, 0, make_power(2.0))
     outside = math.sqrt(sum(abs(v) ** 2 for k, v in f.coeffs.items()
                             if k != (0, 0)))
-    assert res.exact_l2 == pytest.approx(outside, rel=1e-12)
-    assert res.upper == pytest.approx(outside, rel=1e-12)
+    assert res.exact_l2 == pytest.approx(outside, rel=1e-12, abs=0.0)
+    assert res.upper == pytest.approx(outside, rel=1e-12, abs=0.0)
 
 
 def test_multiplier_family_invariants():
@@ -451,7 +451,7 @@ def test_comparison_constant_ratio_is_prefactor():
     rep = check_norm_comparison(f, BesovParams(make_power(2.0), psi))
     assert rep.passed
     assert rep.quantities["ratio"] == pytest.approx(
-        rep.quantities["bar_norm_prefactor"], rel=1e-10)
+        rep.quantities["bar_norm_prefactor"], rel=1e-10, abs=0.0)
 
 
 def test_comparison_per_level_random_degree32():

@@ -25,7 +25,7 @@ def test_first_term_closed_form_at_e():
     # d=2, Phi(t)=t^2, Psi=1, s=e: prefactor e/Phi^{-1}(e^2)=1, integral ln e=1
     ev = embedding_condition_eval(make_power(2.0), constant_weight(), 2,
                                   math.e)
-    assert ev.first_term == pytest.approx(1.0, rel=1e-10)
+    assert ev.first_term == pytest.approx(1.0, rel=1e-10, abs=0.0)
     assert ev.total == ev.first_term + ev.second_term
 
 
@@ -76,7 +76,7 @@ def test_single_point_grid_equals_eval():
     psi = constant_weight()
     scan = embedding_condition_sup(phi, psi, 2, [1.0])
     ev = embedding_condition_eval(phi, psi, 2, 1.0)
-    assert scan.sup_value == pytest.approx(ev.total, rel=1e-12)
+    assert scan.sup_value == pytest.approx(ev.total, rel=1e-12, abs=0.0)
     assert scan.witness_s == 1.0
 
 
@@ -87,7 +87,7 @@ def test_two_routes_agree():
     emb = embedding_condition_sup(phi, embedding_weight(phi), 2, grid)
     for a, b in zip(fact.evaluations, emb.evaluations):
         assert a.total == pytest.approx(b.total, abs=1e-9, rel=1e-9)
-    assert fact.sup_value == pytest.approx(emb.sup_value, rel=1e-9)
+    assert fact.sup_value == pytest.approx(emb.sup_value, rel=1e-9, abs=0.0)
 
 
 def test_two_routes_agree_power_kind():
@@ -121,7 +121,7 @@ def test_power_factorization_total_matches_closed_form(p, s):
     # (1 - s^{1-2/p})/(2/p - 1) and the second p/(p - 1) at every s
     want = (1.0 - s ** (1.0 - 2.0 / p)) / (2.0 / p - 1.0) + p / (p - 1.0)
     rep = factorization_integral_condition(make_power(p), [s])
-    assert rep.evaluations[0].total == pytest.approx(want, rel=1e-8)
+    assert rep.evaluations[0].total == pytest.approx(want, rel=1e-8, abs=0.0)
 
 
 def _mp_section7_inverse(alpha):
@@ -175,7 +175,8 @@ def test_section7_factorization_totals_match_mpmath(alpha):
                 sorted({sigma, max(e2, sigma), max(2 * e2 - sigma, sigma),
                         *(sigma + 10 ** k for k in range(-1, 6))}))
             assert ev.status == "converged"
-            assert ev.total == pytest.approx(float(first + second), rel=2e-6)
+            assert ev.total == pytest.approx(float(first + second), rel=2e-6,
+                                             abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -218,11 +219,11 @@ def test_doubling_nodes_changes_totals_below_1e6():
     for s in (1.0, 1e3):
         a = embedding_condition_eval(phi, psi, 2, s, nodes=64)
         b = embedding_condition_eval(phi, psi, 2, s, nodes=128)
-        assert a.total == pytest.approx(b.total, rel=1e-6)
+        assert a.total == pytest.approx(b.total, rel=1e-6, abs=0.0)
     p2, w = make_power(1.5), power_weight(0.4)
     a = embedding_condition_eval(p2, w, 2, 100.0, nodes=64)
     b = embedding_condition_eval(p2, w, 2, 100.0, nodes=128)
-    assert a.total == pytest.approx(b.total, rel=1e-6)
+    assert a.total == pytest.approx(b.total, rel=1e-6, abs=0.0)
 
 
 def test_tabulated_terms_match_fine_nodes():
@@ -234,8 +235,10 @@ def test_tabulated_terms_match_fine_nodes():
         for s in (1.2, 1.5, 2.0, 3.0, 10.0, 30.0, 300.0):
             a = embedding_condition_eval(phi, psi, 2, s)
             b = embedding_condition_eval(phi, psi, 2, s, nodes=2048)
-            assert a.first_term == pytest.approx(b.first_term, rel=1e-8)
-            assert a.second_term == pytest.approx(b.second_term, rel=1e-8)
+            assert a.first_term == pytest.approx(b.first_term, rel=1e-8,
+                                                 abs=0.0)
+            assert a.second_term == pytest.approx(b.second_term, rel=1e-8,
+                                                  abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -258,7 +261,7 @@ def test_weight_domination_doubled_weight_positive_margin():
                      base.log_breaks)
     rep = weight_domination_check(phi, doubled, np.geomspace(0.1, 1e4, 100))
     assert rep.passed
-    assert rep.margin == pytest.approx(1.0, rel=1e-9)  # ratio 2 - 1
+    assert rep.margin == pytest.approx(1.0, rel=1e-9, abs=0.0)  # ratio 2 - 1
 
 
 def test_weight_domination_zero_weight_fails():
@@ -279,8 +282,8 @@ def test_weight_domination_power_weight_matches_closed_form(theta):
     rep = weight_domination_check(make_power(2.0), power_weight(theta), t)
     want = float(mpmath.expm1(theta * mpmath.log(t[0])))
     assert rep.witness == t[0]
-    assert rep.margin == pytest.approx(want, rel=1e-14)
-    assert rep.min_raw_margin == pytest.approx(want / t[0], rel=1e-14)
+    assert rep.margin == pytest.approx(want, rel=1e-14, abs=0.0)
+    assert rep.min_raw_margin == pytest.approx(want / t[0], rel=1e-14, abs=0.0)
 
 
 def test_weight_domination_holds_far_beyond_float_range():

@@ -48,7 +48,7 @@ def test_summing_criterion_classifies_and_matches_oracle(d, k, p, delta):
     else:
         assert res.status == "converged"
         assert res.value == pytest.approx(_summing_oracle(d, k, p, alpha),
-                                          rel=1e-12)
+                                          rel=1e-12, abs=0.0)
     assert res.target.params["gamma"] == pytest.approx(alpha + 1.0)
 
 
@@ -74,7 +74,7 @@ def test_summing_deep_march_value():
     # about 640 decades, x near 1470, where e^{-x} is 0 in double precision
     res = summing_criterion(sobolev_profile(2, 1, 1.0), 0.01)
     assert res.status == "converged"
-    assert res.value == pytest.approx(101.1166534708, rel=1e-12)
+    assert res.value == pytest.approx(101.1166534708, rel=1e-12, abs=0.0)
 
 
 @pytest.mark.parametrize("d,k,p,alpha", [
@@ -86,7 +86,8 @@ def test_weighted_integral_closed_form(d, k, p, alpha):
     res = weighted_integral(profile, alpha)
     if e > 0:
         assert res.status == "converged"
-        assert res.value == pytest.approx(profile.eps ** e / e, rel=1e-12)
+        assert res.value == pytest.approx(profile.eps ** e / e, rel=1e-12,
+                                          abs=0.0)
     else:
         assert res.status == "divergent"
         assert res.value == math.inf
@@ -107,7 +108,8 @@ def test_chain_gamma_factor_matches_mpmath(a, z):
     rep = verify_extrapolation_chain([0.3, 0.1], profile, a - 1.0)
     with mpmath.workdps(30):
         ref = float(mpmath.gammainc(a, 0, z))
-    assert rep.quantities["gamma_factor"] == pytest.approx(ref, rel=1e-13)
+    assert rep.quantities["gamma_factor"] == pytest.approx(ref, rel=1e-13,
+                                                           abs=0.0)
 
 
 def test_chain_passes_on_a_valid_bound():
@@ -120,8 +122,8 @@ def test_chain_passes_on_a_valid_bound():
     assert rep.quantities["integral_status"] == "converged"
     # int_1^2 5 (0.3)^p dp
     expect = 5 * (0.3 - 0.09) / math.log(1 / 0.3)
-    assert rep.quantities["weighted_integral"] == pytest.approx(expect,
-                                                                rel=1e-12)
+    assert rep.quantities["weighted_integral"] == pytest.approx(
+        expect, rel=1e-12, abs=0.0)
 
 
 def test_chain_rejects_a_violated_bound_with_witness():
@@ -155,7 +157,8 @@ def test_chain_integrates_a_bound_that_blows_up_at_q():
     rep = verify_extrapolation_chain(
         [0.3, 0.2], BoundProfile(1.0, 1.0, lambda x: 0.5 * x), 0.0)
     assert rep.quantities["integral_status"] == "converged"
-    assert rep.quantities["weighted_integral"] == pytest.approx(2.0, rel=1e-12)
+    assert rep.quantities["weighted_integral"] == pytest.approx(2.0, rel=1e-12,
+                                                                abs=0.0)
     assert rep.passed and 0.0 < rep.margin < 2.0
 
 
@@ -167,6 +170,13 @@ def test_bucket_counts_reciprocal_intervals():
     assert all(type(n) is int and type(c) is int
                for n, c in dec.counts.items())
     assert dec.entries.size == 7
+
+
+@pytest.mark.parametrize("x", [[], [0.0, 0.0]])
+def test_bucket_of_no_positive_entry_is_empty(x):
+    dec = bucket(x)
+    assert dec.counts == {} and dec.scale == 1.0
+    assert dec.entries.shape == (0,)
 
 
 def test_import_leaves_scipy_out():

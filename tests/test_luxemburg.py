@@ -26,7 +26,7 @@ from orlicheck.young import (YoungFunctionError, make_logpower, make_power,
 
 def test_power2_is_euclidean():
     phi = make_power(2.0)
-    assert norm_seq(phi, [3.0, 4.0]) == pytest.approx(5.0, rel=1e-12)
+    assert norm_seq(phi, [3.0, 4.0]) == pytest.approx(5.0, rel=1e-12, abs=0.0)
 
 
 def test_zero_sequence_is_zero():
@@ -73,14 +73,16 @@ def test_constant_function_norm():
     for phi in (make_power(2.0), make_section7(0.05), make_logpower(1.0, 1.0)):
         samples = np.full(64, c)
         expect = c / float(phi.inverse(1.0))
-        assert norm_fun(phi, samples) == pytest.approx(expect, rel=1e-11)
+        assert norm_fun(phi, samples) == pytest.approx(expect, rel=1e-11,
+                                                       abs=0.0)
 
 
 def test_indicator_of_half_torus():
     phi = make_power(2.0)
     samples = np.zeros(256)
     samples[:128] = 1.0
-    assert norm_fun(phi, samples) == pytest.approx(math.sqrt(0.5), rel=1e-12)
+    assert norm_fun(phi, samples) == pytest.approx(math.sqrt(0.5), rel=1e-12,
+                                                   abs=0.0)
 
 
 def test_cosine_power4_closed_form():
@@ -88,7 +90,7 @@ def test_cosine_power4_closed_form():
     phi = make_power(4.0)
     f = TrigPoly(1, {(1,): 0.5, (-1,): 0.5})
     value = poly_norm(phi, f, exact_l2=False)
-    assert value == pytest.approx((3.0 / 8.0) ** 0.25, rel=1e-9)
+    assert value == pytest.approx((3.0 / 8.0) ** 0.25, rel=1e-9, abs=0.0)
 
 
 def test_empty_grid_rejected():
@@ -103,7 +105,7 @@ def test_poly_norm_power2_shortcut_matches_quadrature():
     phi = make_power(2.0)
     fast = poly_norm(phi, f)
     slow = poly_norm(phi, f, exact_l2=False)
-    assert fast == pytest.approx(slow, rel=1e-9)
+    assert fast == pytest.approx(slow, rel=1e-9, abs=0.0)
 
 
 def random_poly2(degree, seed):
@@ -241,10 +243,11 @@ def test_power_family_matches_p_norm():
         phi = make_power(p)
         x = rng.standard_normal(40)
         expect = float(np.sum(np.abs(x) ** p) ** (1.0 / p))
-        assert norm_seq(phi, x) == pytest.approx(expect, rel=1e-11)
+        assert norm_seq(phi, x) == pytest.approx(expect, rel=1e-11, abs=0.0)
         s = rng.standard_normal(128)
         expect_fun = float(np.mean(np.abs(s) ** p) ** (1.0 / p))
-        assert norm_fun(phi, s) == pytest.approx(expect_fun, rel=1e-11)
+        assert norm_fun(phi, s) == pytest.approx(expect_fun, rel=1e-11,
+                                                 abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +264,7 @@ def test_embed_l2_unit_vector_normalised():
     phi = make_power(2.0)  # Phi^{-1}(1) = 1
     rep = embed_l2_check(phi, [1.0, 0.0, 0.0])
     assert rep.quantities["l2"] == pytest.approx(1.0)
-    assert rep.quantities["lux"] == pytest.approx(1.0, rel=1e-12)
+    assert rep.quantities["lux"] == pytest.approx(1.0, rel=1e-12, abs=0.0)
 
 
 def test_embed_l2_section7_random_batch():
@@ -302,7 +305,7 @@ def test_norms_leave_the_callers_samples_unwritten(phi):
 def test_complex_sequences_use_modulus():
     phi = make_power(2.0)
     z = np.array([3.0 + 4.0j, 0.0])
-    assert norm_seq(phi, z) == pytest.approx(5.0, rel=1e-12)
+    assert norm_seq(phi, z) == pytest.approx(5.0, rel=1e-12, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +423,8 @@ def test_norm_matches_50_digit_oracle(phi_name, data):
     x = _oracle_data(data)
     for fn, average in ((norm_seq, False), (norm_fun, True)):
         expect = _mp_norm(phi, phi_mp, x, average)
-        assert fn(phi, x) == pytest.approx(expect, rel=1e-12), fn.__name__
+        assert fn(phi, x) == pytest.approx(expect, rel=1e-12,
+                                           abs=0.0), fn.__name__
     # the same data as one row of a stack solved at once; padding changes
     # the average, so the oracle sees the padded row
     rows = _oracle_rows()
@@ -430,7 +434,7 @@ def test_norm_matches_50_digit_oracle(phi_name, data):
         norms = _lux_root(phi, rows.copy(), average)
         assert norms[-1] == 0.0
         expect = _mp_norm(phi, phi_mp, rows[r], average)
-        assert norms[r] == pytest.approx(expect, rel=1e-12), average
+        assert norms[r] == pytest.approx(expect, rel=1e-12, abs=0.0), average
         # a row does not change when its neighbours do, or are gone
         moved = rows.copy()
         moved[:-1][others] *= 3.0
@@ -564,7 +568,7 @@ def test_affine_shortcut_matches_oracle_and_solve(phi_name, data, average,
     got = _lux_root(counted, x[None].copy(), average)[0]
     # a row on a piece is taken at Jensen's end without a Phi call
     assert (calls["forward"] == 0) == (where == "on")
-    assert got == pytest.approx(expect, rel=1e-12)
+    assert got == pytest.approx(expect, rel=1e-12, abs=0.0)
     solved = _lux_root(dataclasses.replace(phi, affine_pieces=()),
                        x[None].copy(), average)[0]
     assert abs(got - solved) <= 4.0 * np.spacing(solved)
@@ -596,7 +600,8 @@ def test_declared_pieces_are_affine(phi):
         for frac in (0.25, 0.5, 0.75):
             t = lo + frac * (hi - lo)
             line = ends[0] + frac * (ends[1] - ends[0])
-            assert float(phi(t)) == pytest.approx(line, rel=1e-14), (lo, t)
+            assert float(phi(t)) == pytest.approx(line, rel=1e-14,
+                                                  abs=0.0), (lo, t)
 
 
 def test_section7_jensen_end_misses_off_the_affine_branch():
@@ -609,7 +614,7 @@ def test_section7_jensen_end_misses_off_the_affine_branch():
     assert _place(phi, x / expect) == "straddle"
     counted, calls = _counting(phi)
     assert _lux_root(counted, x[None].copy(), False)[0] == pytest.approx(
-        expect, rel=1e-12)
+        expect, rel=1e-12, abs=0.0)
     assert calls["forward"] > 0
     jensen = float(np.mean(x)) / float(phi.inverse(1.0 / x.size))
     assert abs(jensen / expect - 1.0) > 1e-6

@@ -33,7 +33,7 @@ def test_chandrupatla_solves_each_entry_and_stops_at_ftol():
     # the first step is the secant: a linear map is solved by it
     x = chandrupatla(lambda x, idx: 3.0 * x - 1.0, [0.0], [1e3], [-1.0],
                      [2999.0], ftol=1e-15)
-    assert x[0] == pytest.approx(1.0 / 3.0, rel=1e-15)
+    assert x[0] == pytest.approx(1.0 / 3.0, rel=1e-15, abs=0.0)
 
 
 def test_chandrupatla_raises_on_entries_still_running_after_100_steps():
@@ -179,7 +179,7 @@ def test_finite_log_closed_form_with_breakpoints():
     # ln 10 falls exactly on a decade end and must not split a panel twice
     val = integrate_finite_log(lambda x: -x, 0.0, 7.0,
                                breakpoints=(1.0, math.log(10.0), 5.5))
-    assert val == pytest.approx(1.0 - math.exp(-7.0), rel=1e-13)
+    assert val == pytest.approx(1.0 - math.exp(-7.0), rel=1e-13, abs=0.0)
 
 
 def test_vector_gauss_panel_matches_scalar_panels():
@@ -207,7 +207,7 @@ def test_improper_nan_past_the_stop_is_discarded():
     logF = lambda x: np.where(x > 16.0, np.nan, -2.0 * x)
     res = integrate_log_improper(logF, 0.0)
     assert res.status is Status.CONVERGED and res.x_end < 16.0
-    assert res.value + res.tail_bound == pytest.approx(0.5, rel=1e-12)
+    assert res.value + res.tail_bound == pytest.approx(0.5, rel=1e-12, abs=0.0)
 
 
 def test_finite_log_nan_raises():
@@ -242,7 +242,7 @@ def test_block_march_matches_scalar_march(phi, psi, s):
     ref = _scalar_march(logF, x0, breaks)
     assert (res.n_decades, res.x_end, res.status) == (
         ref.n_decades, ref.x_end, ref.status)
-    assert res.value == pytest.approx(ref.value, rel=1e-13)
+    assert res.value == pytest.approx(ref.value, rel=1e-13, abs=0.0)
 
 
 def _slow_pair_then_flat(x):

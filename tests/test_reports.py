@@ -32,8 +32,6 @@ BUILDERS = {
         POWER2, 1.0, young.supermultiplicativity_pairs(0, 8)),
     "inverse-product": lambda: young.check_inverse_product(
         POWER2, 1.0, np.geomspace(0.1, 10.0, 5)),
-    "multiplicativity-transfer": lambda: young.check_multiplicativity_transfer(
-        POWER2, 1.0, young.transfer_pairs(POWER2, 0, 8)),
     "l2-embedding": lambda: luxemburg.embed_l2_check(POWER2, [0.3, 0.4]),
     "weight-domination": lambda: conditions.weight_domination_check(
         POWER2, conditions.embedding_weight(POWER2), [0.5, 1.0, 4.0]),
@@ -123,6 +121,43 @@ def test_quantities_read_as_attributes_and_survive_copy_and_pickle():
                  pickle.loads(pickle.dumps(rep))):
         assert twin.to_dict() == rep.to_dict()
         assert twin.sup_value == rep.sup_value
+
+
+# margins, points, slack, the index of the worst entry, and the verdict
+WORST_OF = {
+    # the worst margin passes under its own slack, 1.0, although it fails
+    # under the array's smallest, 0.0
+    "per-point slack": ([-0.5, 0.1, -0.2], [[1.0, 2.0], [3.0, 4.0],
+                                            [5.0, 6.0]], [1.0, 0.0, 0.25],
+                        0, True),
+    "scalar points": ([0.3, -1e-10, 0.0], [0.5, 1.5, 2.5], 1e-9, 1, True),
+    "first of ties": ([0.0, -2.0, 1.0, -2.0], [[1, 2], [3, 4], [5, 6], [7, 8]],
+                      1.0, 1, False),
+    "NaN first": ([1.0, math.nan, -3.0], [1.0, 2.0, 3.0], math.inf, 1, False),
+}
+
+
+@pytest.mark.parametrize("margins, points, slack, i, passed",
+                         WORST_OF.values(), ids=list(WORST_OF))
+def test_worst_of_reports_the_first_least_margin_under_its_own_slack(
+        margins, points, slack, i, passed):
+    def worst(slack):
+        return reports.worst_of("w", np.array(margins), np.array(points),
+                                np.array(slack), inputs={"n": len(margins)},
+                                tolerance="margin >= -slack")
+
+    rep = worst(slack)
+    assert repr(rep.margin) == repr(margins[i])
+    want = (tuple(map(float, points[i])) if isinstance(points[i], list)
+            else points[i])
+    assert rep.witness == want and type(rep.witness) is type(want)
+    entries = rep.witness if type(want) is tuple else [rep.witness]
+    assert {type(v) for v in entries} == {float}
+    assert rep.passed is passed
+    assert (rep.check_id, rep.quantities, rep.inputs, rep.tolerance) == (
+        "w", {}, {"n": len(margins)}, "margin >= -slack")
+    if np.ndim(slack):
+        assert worst(min(slack)).passed is False
 
 
 def test_status_has_three_members_ordered_best_to_worst():

@@ -23,8 +23,8 @@ def test_classical_constant_polynomial():
     g = TrigPoly(1, {(0,): 2.0})
     chk = classical_check_1d(g, make_power(2.0))
     assert chk.passed
-    assert chk.lhs == pytest.approx((2.0 / 3.0) ** 2, rel=1e-12)
-    assert chk.rhs == pytest.approx(4.0, rel=1e-12)
+    assert chk.lhs == pytest.approx((2.0 / 3.0) ** 2, rel=1e-12, abs=0.0)
+    assert chk.rhs == pytest.approx(4.0, rel=1e-12, abs=0.0)
 
 
 def test_classical_fejer4():
@@ -41,7 +41,7 @@ def test_classical_direct_summation_oracle():
     n = 5
     pts = 2.0 * np.pi * (np.arange(-n, n + 1) + n) / (2 * n + 1)
     direct = np.mean(phi(np.abs(g.eval_at(pts)) / 3.0))
-    assert chk.lhs == pytest.approx(float(direct), rel=1e-10)
+    assert chk.lhs == pytest.approx(float(direct), rel=1e-10, abs=0.0)
 
 
 def test_classical_batch_never_fails():
@@ -67,9 +67,9 @@ def test_orlicz_single_coefficient_closed_form():
     # |f| = 1 everywhere: lhs = 1/Phi^{-1}(1/omega) = sqrt(omega), and
     # constant_ratio = lhs / (Phi^{-1}(omega) ||f||_{L_2}) = sqrt(omega) /
     # (sqrt(omega) * 1) = 1; the t^2 function norm is exact (Parseval)
-    assert chk.lhs == pytest.approx(math.sqrt(fr.omega), rel=1e-9)
+    assert chk.lhs == pytest.approx(math.sqrt(fr.omega), rel=1e-9, abs=0.0)
     assert chk.passed
-    assert chk.constant_ratio == pytest.approx(1.0, rel=1e-9)
+    assert chk.constant_ratio == pytest.approx(1.0, rel=1e-9, abs=0.0)
 
 
 def test_orlicz_rejects_support_violation():
@@ -154,13 +154,13 @@ def test_orlicz_extremal_candidate_has_higher_ratio():
                                  check_preconditions=False)
     other = orlicz_sampling_check(rnd, n, phi, SECTION7_R,
                                   check_preconditions=False)
-    assert nu(base, single) == pytest.approx(1.0, rel=1e-9)
+    assert nu(base, single) == pytest.approx(1.0, rel=1e-9, abs=0.0)
     assert nu(other, rnd) <= 1.0
     # |single| = 1: constant_ratio = Phi^{-1}(1) / (Phi^{-1}(1/omega)
     # Phi^{-1}(omega)) (1.202845 here), from the inverse alone
     closed = float(phi.inverse(1.0)) / (
         inv_small * float(phi.inverse(float(fr.omega))))
-    assert base.constant_ratio == pytest.approx(closed, rel=1e-9)
+    assert base.constant_ratio == pytest.approx(closed, rel=1e-9, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -191,8 +191,8 @@ def test_l2_lower_single_harmonic_closed_form():
     # |band samples| are constant (single harmonic), so the sample l2 norm is
     # sqrt(omega) times the coefficient modulus
     c = abs(band.coeff(key))
-    assert chk.lhs == pytest.approx(c, rel=1e-12)
-    assert chk.rhs == pytest.approx(2.0 * c, rel=1e-9)
+    assert chk.lhs == pytest.approx(c, rel=1e-12, abs=0.0)
+    assert chk.rhs == pytest.approx(2.0 * c, rel=1e-9, abs=0.0)
     assert chk.passed
 
 
@@ -222,13 +222,13 @@ def test_random_poly_deterministic():
 def test_random_poly_parseval_law_of_large_numbers():
     fr = frame(3)
     vals = [random_poly_on_frame(3, seed=s).l2_norm() ** 2 for s in range(100)]
-    assert np.mean(vals) == pytest.approx(fr.omega, rel=0.1)
+    assert np.mean(vals) == pytest.approx(fr.omega, rel=0.1, abs=0.0)
 
 
 def test_unimodular_law_exact_energy():
     fr = frame(3)
     f = random_poly_on_frame(3, seed=0, law="unimodular")
-    assert f.l2_norm() ** 2 == pytest.approx(fr.omega, rel=1e-12)
+    assert f.l2_norm() ** 2 == pytest.approx(fr.omega, rel=1e-12, abs=0.0)
 
 
 def test_unknown_law_rejected():

@@ -28,7 +28,7 @@ from orlicheck.young import make_section7
 def test_fejer_value_at_zero_is_order_plus_one():
     for n in (0, 1, 2, 5, 16):
         f = fejer(n)
-        assert f.eval_at(0.0) == pytest.approx(n + 1, rel=1e-12)
+        assert f.eval_at(0.0) == pytest.approx(n + 1, rel=1e-12, abs=0.0)
 
 
 def test_fejer_mean_coefficient():
@@ -44,7 +44,7 @@ def test_fejer_pointwise_nonnegative():
 
 
 def test_fejer_l1_norm_is_one():
-    assert poly_l1(fejer(6)) == pytest.approx(1.0, rel=1e-8)
+    assert poly_l1(fejer(6)) == pytest.approx(1.0, rel=1e-8, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +223,7 @@ def test_convolve_parseval():
     conv = convolve(g, f)
     expect = math.sqrt(sum(abs(g.coeff(key) * f.coeff(key)) ** 2
                            for key in f.coeffs))
-    assert conv.l2_norm() == pytest.approx(expect, rel=1e-12)
+    assert conv.l2_norm() == pytest.approx(expect, rel=1e-12, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -425,7 +425,7 @@ def test_factor_route_matches_full_grid_route(case, extra):
               2 * first, 4 * first, 8 * first):
         full = float(np.mean(np.abs(f.sample_uniform(m))))
         assert trig._factor_mean_abs(rows, cols, sym, m, m ** (f.dim - 1)) \
-            == pytest.approx(full, rel=1e-13)
+            == pytest.approx(full, rel=1e-13, abs=0.0)
 
 
 def test_one_ulp_off_symmetry_takes_the_full_route():
@@ -442,7 +442,7 @@ def test_one_ulp_off_symmetry_takes_the_full_route():
     for m in (8 * (g.degree + 1), 8 * (g.degree + 1) + 1):
         full = float(np.mean(np.abs(g.sample_uniform(m))))
         assert trig._factor_mean_abs(rows, cols, sym, m, m) \
-            == pytest.approx(full, rel=1e-13)
+            == pytest.approx(full, rel=1e-13, abs=0.0)
 
 
 @pytest.mark.parametrize("m", [1, 2, 3, 4, 7, 8, 9, 64, 4095, 4096])
@@ -496,7 +496,7 @@ KERNEL_L1 = {
                          ids=lambda v: getattr(v, "__name__", v))
 def test_poly_l1_of_kernels_keeps_its_values(kernel, k):
     assert poly_l1(kernel(k)) == pytest.approx(KERNEL_L1[kernel, k],
-                                               rel=1e-14)
+                                               rel=1e-14, abs=0.0)
 
 
 def test_kernels_factor_at_rank_one_and_two():
@@ -514,7 +514,8 @@ def test_plateau_grid_l1_is_the_square_of_its_factor(k):
     first = 8 * (f.degree + 1)
     for m in (first * 2 ** j for j in range(4) if first * 2 ** j <= 4096):
         assert trig._factor_mean_abs(rows, cols, sym, m, m) == pytest.approx(
-            float(np.mean(np.abs(p.sample_uniform(m)))) ** 2, rel=1e-14)
+            float(np.mean(np.abs(p.sample_uniform(m)))) ** 2, rel=1e-14,
+            abs=0.0)
 
 
 @pytest.mark.parametrize("dim", [1, 2])
@@ -537,7 +538,7 @@ def test_band_kernel_grid_l1_is_level_free(k):
     for ratio in (8, 16, 32, 64):
         m = ratio * 2 ** k
         assert _mean_abs(band_kernel(k + 1), 2 * m) == pytest.approx(
-            _mean_abs(band_kernel(k), m), rel=1e-13)
+            _mean_abs(band_kernel(k), m), rel=1e-13, abs=0.0)
 
 
 def test_poly_l1_streams_its_grids():
@@ -614,7 +615,7 @@ def test_refine_on_grid_converges_for_fejer_l1():
         rel_tol=1e-6, max_doublings=3, max_grid=4096)
     assert converged
     assert grid == 112
-    assert value == pytest.approx(1.0, rel=1e-8)
+    assert value == pytest.approx(1.0, rel=1e-8, abs=0.0)
     # entries of a vector freeze one by one: 1 + m^-4 settles on the same
     # grid, while 1/m keeps moving and takes the loop on to its last grid
     values, grid, converged = refine_on_grid(
@@ -635,7 +636,7 @@ def test_refine_on_grid_reports_unconverged_section7_norm():
         max_doublings=1, max_grid=1024)
     assert not converged
     assert grid == 128
-    assert value == pytest.approx(14.89687, rel=1e-6)
+    assert value == pytest.approx(14.89687, rel=1e-6, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -734,6 +735,14 @@ def test_array_algebra_matches_dict_formulas(case, scalar, h):
     assert set(f.coeffs) == set(da)
     for key in list(da)[:3] + [(7,) * dim]:
         assert f.coeff(key) == da.get(key, 0j)
+
+
+def test_a_trig_poly_equals_only_a_trig_poly():
+    # any other operand gets NotImplemented, so == falls back to identity
+    one = TrigPoly(1, {0: 1.0})
+    assert one == TrigPoly(1, {(0,): 1.0}) != TrigPoly(2, {(0, 0): 1.0})
+    assert TrigPoly(1) != 0 and one != 1.0 and one != "TrigPoly(1, {0: 1})"
+    assert one.__eq__(1.0) is NotImplemented
 
 
 def test_poly_from_box_copies_validates_and_trims():

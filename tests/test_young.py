@@ -15,11 +15,9 @@ from hypothesis import strategies as st
 from orlicheck.young import (SECTION7_LOG_R, SECTION7_R, YoungFunctionError,
                              _piecewise,
                              check_inverse_product, check_sqrt_concavity,
-                             check_supermultiplicativity,
-                             check_multiplicativity_transfer, make_logpower,
+                             check_supermultiplicativity, make_logpower,
                              make_power, make_section7, make_tabulated,
-                             supermultiplicativity_pairs, transfer_pairs,
-                             validate)
+                             supermultiplicativity_pairs, validate)
 
 E2 = math.e ** 2
 
@@ -64,7 +62,8 @@ def test_power_rejects_p_at_most_one(p):
 def test_logpower_closed_form_point():
     # p0=1, gamma=1: Phi(1/e) = (1/e) / |ln(1/e)| = 1/e
     phi = make_logpower(1.0, 1.0)
-    assert phi(math.exp(-1.0)) == pytest.approx(math.exp(-1.0), rel=1e-14)
+    assert phi(math.exp(-1.0)) == pytest.approx(math.exp(-1.0), rel=1e-14,
+                                                abs=0.0)
     assert phi(0.0) == 0.0
 
 
@@ -85,7 +84,8 @@ def test_logpower_inverse_vs_grid_scan_oracle():
 def test_logpower_inverts_its_switch_value(p0, gamma, switch):
     # the rounded ln Phi(switch) can land one ulp above r(ln switch)
     phi = make_logpower(p0, gamma, switch)
-    assert float(phi.inverse(phi(switch))) == pytest.approx(switch, rel=1e-14)
+    assert float(phi.inverse(phi(switch))) == pytest.approx(switch, rel=1e-14,
+                                                            abs=0.0)
 
 
 @pytest.mark.parametrize("p0, gamma, switch",
@@ -154,7 +154,7 @@ def test_logpower_rejects_bad_params():
 def test_logpower_extension_is_convex_and_continuous():
     phi = make_logpower(1.0, 1.0)
     eps = 1e-9
-    assert phi(0.5 - eps) == pytest.approx(phi(0.5 + eps), rel=1e-6)
+    assert phi(0.5 - eps) == pytest.approx(phi(0.5 + eps), rel=1e-6, abs=0.0)
     v = validate(phi)
     assert v.passed
 
@@ -164,7 +164,7 @@ def test_logpower_extension_is_convex_and_continuous():
 # ---------------------------------------------------------------------------
 
 def test_section7_r_constant():
-    assert SECTION7_R == pytest.approx(math.exp(2.0 * E2), rel=1e-15)
+    assert SECTION7_R == pytest.approx(math.exp(2.0 * E2), rel=1e-15, abs=0.0)
     phi = make_section7(0.05)
     assert phi.params["r"] == SECTION7_R
 
@@ -186,7 +186,7 @@ def test_section7_inverse_product_identity_outer_branches():
     phi = make_section7(0.05)
     x = SECTION7_R ** 2
     assert float(phi.inverse(x)) * float(phi.inverse(1.0 / x)) == pytest.approx(
-        1.0, rel=1e-12)
+        1.0, rel=1e-12, abs=0.0)
 
 
 def test_section7_continuity_at_knots():
@@ -195,7 +195,7 @@ def test_section7_continuity_at_knots():
     for knot in (1.0 / r, r):
         left = float(phi.inverse(knot * (1.0 - 1e-13)))
         right = float(phi.inverse(knot * (1.0 + 1e-13)))
-        assert left == pytest.approx(right, rel=1e-12)
+        assert left == pytest.approx(right, rel=1e-12, abs=0.0)
 
 
 def _section7_log_inv_masked(phi, y):
@@ -269,7 +269,7 @@ def test_tabulated_accepts_collinear_breakpoints():
     # equal slopes that differ only by the rounding of their differences
     t = np.linspace(0.1, 100.0, 1000)
     phi = make_tabulated(list(zip(t, 7.0 * t)))
-    assert float(phi(50.0)) == pytest.approx(350.0, rel=1e-12)
+    assert float(phi(50.0)) == pytest.approx(350.0, rel=1e-12, abs=0.0)
 
 
 def test_tabulated_matches_interpolation_across_many_segments():
@@ -535,7 +535,7 @@ def test_second_derivative_formula_matches_finite_differences():
         f = lambda x: phi.inverse(np.asarray(x)) ** 2
         fd = (f(x0 + h) - 2.0 * f(x0) + f(x0 - h)) / h ** 2
         formula = _second_derivative_formula(0.05, np.array([x0]))[0]
-        assert fd == pytest.approx(formula, rel=1e-4)
+        assert fd == pytest.approx(formula, rel=1e-4, abs=0.0)
 
 
 def test_sqrt_concavity_section7_with_formula_oracle():
@@ -568,7 +568,7 @@ def test_supermultiplicativity_logpower_recorded():
     phi = make_logpower(1.0, 1.0)
     rep = check_supermultiplicativity(phi, 1.0, [(0.1, 100.0)])
     direct = float(phi(1.0 * 0.1 * 100.0)) - float(phi(0.1)) * float(phi(100.0))
-    assert rep.margin == pytest.approx(direct, rel=1e-12)
+    assert rep.margin == pytest.approx(direct, rel=1e-12, abs=0.0)
     assert rep.passed == (direct >= -1e-9 * max(abs(float(phi(10.0))), 1.0))
 
 
@@ -599,33 +599,6 @@ def test_inverse_product_logpower_reported():
 
 
 # ---------------------------------------------------------------------------
-# multiplicativity transfer
-# ---------------------------------------------------------------------------
-
-def test_transfer_power_equalities():
-    phi = make_power(2.0)
-    pairs = transfer_pairs(phi, seed=3, n=50)
-    rep = check_multiplicativity_transfer(phi, 1.0, pairs)
-    assert rep.passed
-    assert rep.quantities["n_violations"] == 0
-
-
-def test_transfer_section7_no_violations():
-    phi = make_section7(0.05)
-    pairs = transfer_pairs(phi, seed=4, n=100)
-    rep = check_multiplicativity_transfer(phi, SECTION7_R, pairs)
-    assert rep.passed
-    assert rep.quantities["n_violations"] == 0
-
-
-def test_transfer_rejects_pair_violating_precondition():
-    phi = make_power(2.0)
-    # product of inverses far below 1
-    with pytest.raises(YoungFunctionError):
-        check_multiplicativity_transfer(phi, 1.0, [(1e-8, 1.5)])
-
-
-# ---------------------------------------------------------------------------
 # property-based invariants
 # ---------------------------------------------------------------------------
 
@@ -634,7 +607,7 @@ def test_transfer_rejects_pair_violating_precondition():
        st.floats(min_value=1e-4, max_value=1e4))
 def test_power_inverse_identity_property(p, u):
     phi = make_power(p)
-    assert float(phi(phi.inverse(u))) == pytest.approx(u, rel=1e-11)
+    assert float(phi(phi.inverse(u))) == pytest.approx(u, rel=1e-11, abs=0.0)
 
 
 @settings(max_examples=20, deadline=None)
@@ -642,7 +615,7 @@ def test_power_inverse_identity_property(p, u):
        st.floats(min_value=1e-6, max_value=1e6))
 def test_section7_inverse_identity_property(alpha, u):
     phi = make_section7(alpha)
-    assert float(phi(phi.inverse(u))) == pytest.approx(u, rel=1e-10)
+    assert float(phi(phi.inverse(u))) == pytest.approx(u, rel=1e-10, abs=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -680,16 +653,10 @@ GUARDS = [
      "inverse-product constant C must be >= 1"),
     (lambda: check_inverse_product(make_power(2.0), 1.0, [0.0, 1.0]),
      "inverse-product grid must be positive"),
-    (lambda: check_multiplicativity_transfer(make_power(2.0), 0.5, _PAIRS),
-     "transfer constant C must be >= 1"),
-    (lambda: check_multiplicativity_transfer(make_power(2.0), NAN, _PAIRS),
-     "transfer constant C must be >= 1"),
     (lambda: check_supermultiplicativity(make_power(2.0), INF, _PAIRS),
      "supermultiplicativity constant C must be >= 1"),
     (lambda: check_inverse_product(make_power(2.0), INF, [1.0]),
      "inverse-product constant C must be >= 1"),
-    (lambda: check_multiplicativity_transfer(make_power(2.0), INF, _PAIRS),
-     "transfer constant C must be >= 1"),
     (lambda: check_inverse_product(make_power(2.0), 2.0, [INF]),
      "inverse-product grid must be positive"),
     (lambda: check_inverse_product(make_power(2.0), 2.0, [1.0, NAN]),
@@ -702,14 +669,6 @@ GUARDS = [
      "sqrt-concavity grid needs at least 2 points, got 1"),
     (lambda: check_sqrt_concavity(make_power(2.0), []),
      "sqrt-concavity grid needs at least 2 points, got 0"),
-    (lambda: check_multiplicativity_transfer(make_power(2.0), 2.0, []),
-     "transfer pairs must be nonempty and finite"),
-    (lambda: check_multiplicativity_transfer(make_power(2.0), 2.0,
-                                             [(0.5, INF)]),
-     "transfer pairs must be nonempty and finite"),
-    (lambda: check_multiplicativity_transfer(make_power(2.0), 2.0,
-                                             [(0.5, 2.0), (NAN, 2.0)]),
-     "transfer pairs must be nonempty and finite"),
 ]
 
 
