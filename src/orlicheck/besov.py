@@ -7,6 +7,13 @@ polynomials (bands vanish once the hole swallows the spectrum).  A smooth
 multiplier family provides computable upper bounds for the best approximation
 by box-spectrum polynomials; in the Hilbert case the spectral projection is
 optimal and gives the exact value.
+
+The modulus takes one radius or a 1-D array of radii, and a sweep of radii
+(each integrand of the sum-integral sandwich, the dyadic sum of the
+classical norm) is one modulus call: its two stages, the polar grid and the
+refinement around each radius's argmax, are each one batched shift-norm
+call over a group of radii.  Under Phi = t^2 each radius gets the bits it
+gets alone.
 """
 
 from __future__ import annotations
@@ -77,6 +84,13 @@ class BesovNorm:
 # modulus of continuity
 # ---------------------------------------------------------------------------
 
+# A group of radii whose stage-1 polar grid holds at most about this many
+# shift candidates is one _shift_norms call per stage.
+_GRID_ROWS = 2048
+# Entries per row chunk of the Phi = t^2 sine matrix (64 KB of float64).
+_SINE_BLOCK = 8192
+
+
 def _shift_norms(f: TrigPoly, hs: np.ndarray,
                  phi: YoungFunction) -> np.ndarray:
     """||f(. + h) - f||_{L_Phi} for each row h of the (count, dim) array hs.
@@ -84,23 +98,37 @@ def _shift_norms(f: TrigPoly, hs: np.ndarray,
     For Phi = t^2 Parseval gives sum_k |c_k|^2 4 sin^2(k.h / 2), whose terms
     are even in k.  It is summed over the mirror-folded spectrum
     (TrigPoly._folded: one k per pair {k, -k}, weight |c_k|^2 + |c_{-k}|^2,
-    no zero mode) in real arithmetic, as 2 sqrt(sin^2(hs K^T / 2) @ w): one
-    sine matrix, worked in place, and one matrix-vector product for all
-    rows.  Otherwise the differences are normed by quadrature in one batch
-    (luxemburg.poly_norms) on the grids of f, and no polynomial is built per
-    difference: as e^{ik.h} - 1 = 2i sin(k.h/2) e^{ik.h/2}, its coefficients
-    are those of f.translate(h/2) times 2i sin(k.h/2), with k.h/2 formed as
-    translate forms its phase, so each is as exact as its sine, where
-    c_k e^{ik.h} - c_k is off by about eps/|k.h| relative.
+    no zero mode) in real arithmetic, as 2 sqrt(sin^2(hs K^T / 2) @ w), in
+    row chunks of about _SINE_BLOCK entries of one reused sine matrix.  A
+    row's value has the same bits whatever other rows share its call, which
+    a BLAS product alone does not promise: each h/2 is first rounded to
+    53 - b bits by Veltkamp's split (a change of at most 2^(b-53) relative),
+    b the bit length of the largest |k|, so that every product of a
+    coordinate and an integer k_i is exact and each entry of hs K^T / 2 is
+    rounded once in any order of evaluation, and each row is summed on its
+    own (np.vecdot).  Otherwise the differences are normed by quadrature in
+    one batch (luxemburg.poly_norms) on the grids of f, and no polynomial
+    is built per difference: as e^{ik.h} - 1 = 2i sin(k.h/2) e^{ik.h/2},
+    its coefficients are those of f.translate(h/2) times 2i sin(k.h/2),
+    with k.h/2 formed as translate forms its phase, so each is as exact as
+    its sine, where c_k e^{ik.h} - c_k is off by about eps/|k.h| relative.
     """
+    half = hs / 2.0
     if phi.is_square:
         pts, w = f._folded
-        s = hs @ pts.T
-        s *= 0.5
-        np.sin(s, out=s)
-        s *= s
-        return 2.0 * np.sqrt(s @ w)
-    half = hs / 2.0
+        b = int(np.abs(pts).max(initial=0)).bit_length()
+        hi = half * (2.0 ** b + 1.0)
+        hi -= hi - half
+        out = np.empty(len(hs))
+        step = max(1, _SINE_BLOCK // max(len(w), 1))
+        s = np.empty((min(step, len(hs)), len(w)))
+        for r in range(0, len(hs), step):
+            h = hi[r:r + step]
+            blk = np.matmul(h, pts.T, out=s[:len(h)])
+            np.sin(blk, out=blk)
+            blk *= blk
+            np.vecdot(blk, w, out=out[r:r + step])
+        return 2.0 * np.sqrt(out)
     boxes = coefficient_boxes([f.translate(h) for h in half], f.degree)
     axis = np.arange(-f.degree, f.degree + 1)
     kh = [np.multiply.outer(half[:, i], axis) for i in range(f.dim)]
@@ -108,51 +136,81 @@ def _shift_norms(f: TrigPoly, hs: np.ndarray,
     return poly_norms(phi, _times(boxes, 2j * np.sin(kh)))
 
 
-def _shift_grid(dim: int, rs: np.ndarray, thetas: np.ndarray) -> np.ndarray:
-    """Shift candidates, radius-major: the radii themselves in 1-D, the polar
-    grid rs x thetas in 2-D."""
+def _polar(dim: int, rs: np.ndarray, thetas: np.ndarray) -> np.ndarray:
+    """Shift candidates of each radius t, t by t and radius-major within
+    one t: the radii rs (one row per t) themselves in 1-D, their polar grid
+    with the angles thetas (one row per t, or one row for all) in 2-D."""
     if dim == 1:
-        return rs[:, None]
-    return np.stack([np.multiply.outer(rs, np.cos(thetas)).ravel(),
-                     np.multiply.outer(rs, np.sin(thetas)).ravel()], axis=1)
+        return rs.reshape(-1, 1)
+    rs, thetas = rs[:, :, None], thetas[:, None, :]
+    return np.stack([(rs * np.cos(thetas)).ravel(),
+                     (rs * np.sin(thetas)).ravel()], axis=1)
 
 
-def modulus(f: TrigPoly, t: float, phi: YoungFunction, *, angles: int = 64,
-            radii: int = 8, refine: bool = True) -> float:
-    """sup over |h| <= t of ||f(. + h) - f||_{L_Phi}, by polar grid search.
+def _sup_shift_norms(f: TrigPoly, ts: np.ndarray, phi: YoungFunction,
+                     n_r: int, thetas: np.ndarray,
+                     refine: bool) -> np.ndarray:
+    """modulus of f at each radius of ts, from the polar grid of n_r radii
+    and the angles thetas and, when refine is set, one pass around each
+    argmax: two _shift_norms calls for all of ts."""
+    rows = np.arange(len(ts))
+    n_th = len(thetas)
+    rs = ts[:, None] * np.arange(1, n_r + 1) / n_r
+    vals = _shift_norms(f, _polar(f.dim, rs, thetas[None]), phi)
+    vals = vals.reshape(len(ts), -1)
+    best = np.argmax(vals, axis=1)
+    best_v = vals[rows, best]
+    if not refine:
+        return best_v
+    r0, th0 = rs[rows, best // n_th], thetas[best % n_th]
+    dr, dth = ts / n_r, 2.0 * np.pi / n_th
+    rr = np.linspace(np.maximum(r0 - dr, 1e-12 * ts), np.minimum(r0 + dr, ts),
+                     9 if f.dim == 1 else 5, axis=1)
+    tt = np.linspace(th0 - dth, th0 + dth, 9, axis=1)
+    fine = _shift_norms(f, _polar(f.dim, rr, tt), phi)
+    return np.maximum(best_v, fine.reshape(len(ts), -1).max(axis=1))
+
+
+def modulus(f: TrigPoly, t: float | np.ndarray, phi: YoungFunction, *,
+            angles: int = 64, radii: int = 8,
+            refine: bool = True) -> float | np.ndarray:
+    """sup over |h| <= t of ||f(. + h) - f||_{L_Phi}, by polar grid search,
+    for a radius t (a float back) or a 1-D array of radii (an array back).
 
     Translation is exact in coefficients (phase factors); the supremum is
     approximated on ``angles`` x ``radii`` polar candidates including the
     circle |h| = t (4 * ``radii`` radii in 1-D), with one local refinement
     pass around the argmax (5 radii x 9 angles in 2-D, 9 radii in 1-D).
-    Each stage, the grid and the refinement, is one batched _shift_norms
-    call: for Phi = t^2 one real sine matrix over the mirror-folded
-    spectrum, otherwise one batched quadrature of the differences.  For
-    low-degree polynomials the objective is smooth and the grid is
+    A scalar t is a one-element array.  The radii go in groups whose grid
+    holds at most about _GRID_ROWS (2048) candidates, one radius at least,
+    and each stage, the grid and then the refinement around every argmax
+    of the group, is one batched _shift_norms call: for Phi = t^2 a real
+    sine matrix over the mirror-folded spectrum, worked in chunks of about
+    _SINE_BLOCK (8192) entries, otherwise one batched quadrature of the
+    differences.  So a sweep of radii costs a few calls; for Phi = t^2
+    each radius gets the bits it gets alone (see _shift_norms), and the
+    quadrature route shares only the sampling products between radii.
+    For low-degree polynomials the objective is smooth and the grid is
     observed-converged (double ``angles``/``radii`` to check).  A radius
-    that is not a finite number > 0 raises ValueError.
+    that is not a finite number > 0 raises ValueError, and so does an
+    array of more than one axis.
     """
-    if not 0.0 < t < math.inf:
+    ts = np.asarray(t, dtype=float)
+    if ts.ndim > 1:
+        raise ValueError("shift radii must be a scalar or a 1-D array")
+    flat = ts.reshape(-1)
+    if not np.all((flat > 0.0) & (flat < math.inf)):
         raise ValueError("shift radius t must be positive")
-    if not f.box.any():
-        return 0.0
-    one_d = f.dim == 1
-    n_r = 4 * radii if one_d else radii
-    n_th = 1 if one_d else angles
-    rs = t * np.arange(1, n_r + 1) / n_r
-    thetas = 2.0 * np.pi * np.arange(n_th) / n_th
-    vals = _shift_norms(f, _shift_grid(f.dim, rs, thetas), phi)
-    best = int(np.argmax(vals))
-    best_v = float(vals[best])
-    if refine:
-        r0, th0 = rs[best // n_th], thetas[best % n_th]
-        dr, dth = t / n_r, 2.0 * np.pi / n_th
-        rr = np.linspace(max(r0 - dr, 1e-12 * t), min(r0 + dr, t),
-                         9 if one_d else 5)
-        tt = np.linspace(th0 - dth, th0 + dth, 9)
-        best_v = max(best_v, float(np.max(
-            _shift_norms(f, _shift_grid(f.dim, rr, tt), phi))))
-    return best_v
+    out = np.zeros(flat.shape)
+    if f.box.any():
+        n_r = 4 * radii if f.dim == 1 else radii
+        n_th = 1 if f.dim == 1 else angles
+        thetas = 2.0 * np.pi * np.arange(n_th) / n_th
+        step = max(1, _GRID_ROWS // (n_r * n_th))
+        for g in range(0, flat.size, step):
+            out[g:g + step] = _sup_shift_norms(f, flat[g:g + step], phi, n_r,
+                                               thetas, refine)
+    return float(out[0]) if ts.ndim == 0 else out
 
 
 # ---------------------------------------------------------------------------
@@ -160,11 +218,11 @@ def modulus(f: TrigPoly, t: float, phi: YoungFunction, *, angles: int = 64,
 # ---------------------------------------------------------------------------
 
 def _dyadic_terms(f: TrigPoly, params: BesovParams) -> list[float]:
-    """psi(2^n) * modulus(f, 2^{-n}) for n = 0, ..., n_max."""
-    return [float(params.psi(2.0 ** n))
-            * modulus(f, 2.0 ** (-n), params.phi, angles=params.h_angles,
-                      radii=params.h_radii)
-            for n in range(params.n_max + 1)]
+    """psi(2^n) * modulus(f, 2^{-n}) for n = 0, ..., n_max, the moduli
+    from one modulus call."""
+    om = modulus(f, np.ldexp(1.0, -np.arange(params.n_max + 1)), params.phi,
+                 angles=params.h_angles, radii=params.h_radii)
+    return [float(params.psi(2.0 ** n)) * float(v) for n, v in enumerate(om)]
 
 
 def _band_norms(f: TrigPoly, phi: YoungFunction) -> list[float]:
@@ -285,7 +343,8 @@ def check_sum_integral_sandwich(f: TrigPoly, params: BesovParams,
         0.5 * int_1^T psi(t)/t * modulus(f, 1/(2t)) dt
             <= sum_{n <= n_max} psi(2^n) * modulus(f, 2^{-n})
             <= 2 * int_1^T psi(t)/t * modulus(f, 2/t) dt.
-    Both integrals use trapezoid quadrature on the supplied t grid.
+    Both integrals use trapezoid quadrature on the supplied t grid; each
+    integrand, and the dyadic sum, takes its moduli from one modulus call.
     """
     t = np.asarray(sorted(t_grid), dtype=float)
     if t.size < 2:
@@ -293,13 +352,13 @@ def check_sum_integral_sandwich(f: TrigPoly, params: BesovParams,
     if t[0] < 1.0:
         raise ValueError("t grid must start at or above 1")
 
-    def om(tt: float) -> float:
+    def om(tt: np.ndarray) -> np.ndarray:
         return modulus(f, tt, params.phi, angles=params.h_angles,
                        radii=params.h_radii)
 
     psi_t = np.array([params.psi(float(v)) for v in t])
-    low_vals = psi_t / t * np.array([om(1.0 / (2.0 * v)) for v in t])
-    up_vals = psi_t / t * np.array([om(2.0 / v) for v in t])
+    low_vals = psi_t / t * om(1.0 / (2.0 * t))
+    up_vals = psi_t / t * om(2.0 / t)
     i_low = float(np.trapezoid(low_vals, t))
     i_up = float(np.trapezoid(up_vals, t))
 

@@ -229,6 +229,8 @@ def weight_domination_check(phi: YoungFunction, psi: Weight,
     in the quantities.
     """
     t = np.asarray(t_grid, dtype=float)
+    if t.ndim != 1:
+        raise ValueError("t grid must be 1-D")
     if t.size == 0:
         raise ValueError("t grid must be nonempty")
     if not np.all((0 < t) & (t < np.inf)):
@@ -252,6 +254,8 @@ def lorentz_embedding_probe(phi: YoungFunction, d: int,
     if d < 2:
         raise ValueError("the probe needs dimension >= 2")
     t = np.asarray(t_grid, dtype=float)
+    if t.ndim != 1:
+        raise ValueError("t grid must be 1-D")
     if t.size == 0 or not np.all((0 <= t) & (t < np.inf)):
         raise ValueError("t grid must be nonempty, finite and >= 0")
     return worst_of(

@@ -457,6 +457,8 @@ def check_inverse_product(phi: YoungFunction, C: float,
     if not 1.0 <= C < math.inf:
         raise YoungFunctionError("inverse-product constant C must be >= 1")
     x = np.asarray(x_grid, dtype=float)
+    if x.ndim != 1:
+        raise YoungFunctionError("inverse-product grid must be 1-D")
     if x.size == 0:
         raise YoungFunctionError("inverse-product grid must be nonempty")
     if not np.all((0 < x) & (x < np.inf)):

@@ -3,6 +3,7 @@
 import collections
 import math
 import re
+import tracemalloc
 from unittest import mock
 
 import mpmath
@@ -229,6 +230,120 @@ def test_shift_norms_at_tiny_shifts_match_mpmath_on_the_grid():
                 ** 1.5 for x in xs) / m
             assert value == pytest.approx(float(mean ** (1 / 1.5)),
                                           rel=1e-13, abs=0.0), h
+
+
+# Radii unsorted, repeated, and spread over several decades.
+_RADII = np.array([0.5, 1e-3, 2.0, 0.5, 0.03, 3.0, 1e-5, 0.3])
+# Grids per case: the default grid for Phi = t^2; for section7 in 2-D a
+# coarse one, which keeps each quadrature batch small.
+_VECTOR_CASES = {
+    "power2-1d": (make_power(2.0), random_poly_1d(4, 5), {}),
+    "power2-2d": (make_power(2.0), random_poly2(3, seed=5), {}),
+    "section7-1d": (make_section7(0.05), random_poly_1d(3, 5), {}),
+    "section7-2d": (make_section7(0.05), random_poly2(2, seed=5),
+                    {"angles": 8, "radii": 2}),
+}
+
+
+def _scalar_loop(f, t, phi, **kw):
+    """modulus radius by radius: the oracle of the batched call."""
+    return np.array([modulus(f, float(v), phi, **kw) for v in t])
+
+
+@pytest.mark.parametrize("refine", [True, False], ids=["refine", "grid"])
+@pytest.mark.parametrize("case", sorted(_VECTOR_CASES))
+def test_vector_modulus_equals_scalar_calls(case, refine):
+    phi, f, kw = _VECTOR_CASES[case]
+    got = modulus(f, _RADII, phi, refine=refine, **kw)
+    assert got.shape == _RADII.shape and got.dtype == float
+    assert np.array_equal(got, _scalar_loop(f, _RADII, phi, refine=refine,
+                                            **kw))
+    assert got[0] == got[3]
+
+
+@pytest.mark.parametrize("dim", [1, 2], ids=["1d", "2d"])
+def test_vector_modulus_spans_several_groups(dim):
+    # more radii than one group holds (64 in 1-D, 4 in 2-D on the default
+    # grid), shuffled, so that radii meet in different groups and chunks
+    f = random_poly_1d(5, 6) if dim == 1 else random_poly2(3, seed=6)
+    ts = np.random.default_rng(6).permutation(np.geomspace(1e-4, 3.0, 70))
+    phi = make_power(2.0)
+    assert np.array_equal(modulus(f, ts, phi), _scalar_loop(f, ts, phi))
+
+
+def test_one_element_array_gives_an_array_and_a_scalar_a_float():
+    f, phi = random_poly2(3, seed=7), make_power(2.0)
+    one = modulus(f, np.array([0.4]), phi)
+    alone = modulus(f, 0.4, phi)
+    assert isinstance(one, np.ndarray) and one.shape == (1,)
+    assert type(alone) is float and one[0] == alone
+    assert modulus(f, np.array([]), phi).shape == (0,)
+
+
+@pytest.mark.parametrize("phi", [make_power(2.0), make_section7(0.05)],
+                         ids=["power2", "section7"])
+def test_zero_polynomial_gives_zeros_of_the_same_shape(phi):
+    for f in (TrigPoly(1, {}), TrigPoly(2, {(0, 0): 3.0})):
+        assert modulus(f, 0.5, phi) == 0.0
+        got = modulus(f, _RADII, phi)
+        assert got.shape == _RADII.shape and not got.any()
+
+
+def test_modulus_stages_are_two_shift_norm_calls_per_group():
+    # 2-D, 8 x 4 candidates per radius: 64 radii per group of 2048 rows,
+    # so 100 radii take two groups, each a grid call and a refinement call
+    f, phi = random_poly2(2, seed=8), make_power(2.0)
+    rows = []
+    real = besov._shift_norms
+
+    def counted(f, hs, phi):
+        rows.append(len(hs))
+        return real(f, hs, phi)
+
+    with mock.patch.object(besov, "_shift_norms", counted):
+        modulus(f, np.geomspace(1e-3, 1.0, 100), phi, angles=8, radii=4)
+    assert rows == [64 * 32, 64 * 45, 36 * 32, 36 * 45]
+
+
+def test_parseval_shift_norms_hold_one_sine_chunk():
+    # a degree-8 2-D polynomial has 144 folded frequencies: 3000 shifts are
+    # worked 56 rows (8064 entries) at a time in one reused matrix
+    f = random_poly2(8, seed=9)
+    hs = np.random.default_rng(9).uniform(-1.0, 1.0, (3000, 2))
+    _shift_norms(f, hs, make_power(2.0))   # warm f._folded
+    tracemalloc.start()
+    try:
+        _shift_norms(f, hs, make_power(2.0))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the halves, their split and its temporary (48 KB each), the values
+    # (24 KB) and one sine chunk (64 KB); the whole matrix takes 3.5 MB
+    assert peak < 3 * 3000 * 16 + 8 * besov._SINE_BLOCK + 2 ** 16
+
+
+@pytest.mark.parametrize("case", ["power2-2d", "section7-1d"])
+def test_sweeps_report_what_scalar_calls_report(case):
+    # the sandwich and the classical norm take each sweep in one modulus
+    # call; with modulus replaced by its scalar loop the reports are the same
+    phi, f, kw = _VECTOR_CASES[case]
+    params = BesovParams(phi, lambda t: t ** 0.5, n_max=8, h_angles=16,
+                         h_radii=4)
+    grid = np.geomspace(1.0, 2.0 ** 9, 24)
+    real = besov.modulus
+
+    def scalar_loop(f, t, phi, **kw):
+        t = np.asarray(t)
+        if t.ndim == 0:
+            return real(f, float(t), phi, **kw)
+        return np.array([real(f, float(v), phi, **kw) for v in t])
+
+    want = [check_sum_integral_sandwich(f, params, grid),
+            besov_norm_classical(f, params)]
+    with mock.patch.object(besov, "modulus", scalar_loop):
+        got = [check_sum_integral_sandwich(f, params, grid),
+               besov_norm_classical(f, params)]
+    assert repr(got) == repr(want)
 
 
 # ---------------------------------------------------------------------------
@@ -527,6 +642,17 @@ GUARDS = [
      "box size must be an integer, not 1.5"),
     (lambda: best_approximation(_F2, 0.0, make_power(2.0)),
      "box size must be an integer, not 0.0"),
+    (lambda: modulus(_F2, np.array([0.5, 0.0]), make_power(2.0)),
+     "shift radius t must be positive"),
+    (lambda: modulus(_F2, np.array([0.5, math.nan]), make_power(2.0)),
+     "shift radius t must be positive"),
+    (lambda: modulus(random_poly_1d(3, 0), np.array([math.inf, 0.5]),
+                     make_section7(0.05)),
+     "shift radius t must be positive"),
+    (lambda: modulus(TrigPoly(2, {}), np.array([-1.0]), make_power(2.0)),
+     "shift radius t must be positive"),
+    (lambda: modulus(_F2, np.full((2, 2), 0.5), make_power(2.0)),
+     "shift radii must be a scalar or a 1-D array"),
 ]
 
 

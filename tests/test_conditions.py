@@ -372,6 +372,10 @@ GUARDS = [
      "t grid must be nonempty, finite and >= 0"),
     (lambda: lorentz_embedding_probe(_POWER2, 2, [-1.0, 1.0]),
      "t grid must be nonempty, finite and >= 0"),
+    (lambda: weight_domination_check(_POWER2, _ONE, 2.0),
+     "t grid must be 1-D"),
+    (lambda: lorentz_embedding_probe(_POWER2, 2, 2.0),
+     "t grid must be 1-D"),
 ]
 
 

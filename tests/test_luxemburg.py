@@ -12,7 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from orlicheck.besov import BesovParams, _shift_grid, besov_norm_classical
+from orlicheck.besov import BesovParams, _polar, besov_norm_classical
 from orlicheck.luxemburg import (_lux_root, _magnitudes, embed_l2_check,
                                  modular_seq,
                                  norm_fun, norm_seq, poly_norm, poly_norms)
@@ -157,8 +157,8 @@ def test_poly_norms_holds_one_chunk_of_samples():
     # at m = 128, 230 KB); the peak is 6.7 MB, 8.5 MB when every chunk was
     # sampled into fresh arrays
     f = random_poly2(3, 0)
-    hs = _shift_grid(2, np.array([0.25, 0.5]),
-                     2.0 * np.pi * np.arange(8) / 8)
+    hs = _polar(2, np.array([[0.25, 0.5]]),
+                2.0 * np.pi * np.arange(8)[None] / 8)
     boxes = coefficient_boxes([f.translate(h) for h in hs], 3)
     boxes -= coefficient_boxes([f], 3)
     phi = make_section7(0.05)

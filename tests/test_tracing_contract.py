@@ -94,3 +94,19 @@ def test_patched_trigpoly_methods_are_the_ones_called(attr, route):
     with mock.patch.object(trig.TrigPoly, attr, counted):
         route()
     assert calls
+
+
+def test_sweeps_reach_modulus_through_the_module_with_all_their_radii():
+    # tracing wraps besov.modulus on the module; the sandwich takes each
+    # integrand and the dyadic sum, and the classical norm its dyadic sum,
+    # in one call with an array of radii
+    f = random_poly_1d(3, 0)
+    params = besov.BesovParams(make_section7(0.05), lambda t: t ** 0.5,
+                               n_max=5, h_radii=2)
+    grid = np.geomspace(1.0, 64.0, 7)
+    with mock.patch.object(besov, "modulus", wraps=besov.modulus) as om:
+        besov.check_sum_integral_sandwich(f, params, grid)
+        besov.besov_norm_classical(f, params)
+    radii = [c.args[1] for c in om.call_args_list]
+    assert all(isinstance(t, np.ndarray) and t.ndim == 1 for t in radii)
+    assert [len(t) for t in radii] == [7, 7, 6, 6]

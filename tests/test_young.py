@@ -669,6 +669,10 @@ GUARDS = [
      "sqrt-concavity grid needs at least 2 points, got 1"),
     (lambda: check_sqrt_concavity(make_power(2.0), []),
      "sqrt-concavity grid needs at least 2 points, got 0"),
+    (lambda: check_inverse_product(make_power(2.0), 2.0, 1.0),
+     "inverse-product grid must be 1-D"),
+    (lambda: check_inverse_product(make_power(2.0), 2.0, [[1.0, 2.0]]),
+     "inverse-product grid must be 1-D"),
 ]
 
 
