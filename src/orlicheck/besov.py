@@ -44,6 +44,13 @@ __all__ = [
 ]
 
 
+def _count(n, name: str) -> int:
+    """n as an int; a ValueError naming it unless it is an integer >= 1."""
+    if _integer(n, name) < 1:
+        raise ValueError(f"{name} must be >= 1")
+    return int(n)
+
+
 @dataclass(frozen=True)
 class BesovParams:
     """Ingredients of a Besov-Orlicz norm computation.
@@ -52,7 +59,8 @@ class BesovParams:
     (dyadic arguments 2^n and the continuous comparison integrals).
     ``n_max`` truncates the classical dyadic sum; the band sum needs no
     truncation.  ``h_angles`` x ``h_radii`` is the polar search grid of the
-    modulus of continuity, which always takes its local refinement pass.
+    modulus of continuity, which always takes its local refinement pass;
+    each is an integer >= 1, and ``n_max`` one >= 2, or ValueError.
     """
 
     phi: YoungFunction
@@ -62,8 +70,10 @@ class BesovParams:
     h_radii: int = 8
 
     def __post_init__(self):
-        if self.n_max < 2:
+        if _integer(self.n_max, "n_max") < 2:
             raise ValueError("n_max must be >= 2")
+        _count(self.h_angles, "h_angles")
+        _count(self.h_radii, "h_radii")
 
 
 @dataclass(frozen=True)
@@ -192,9 +202,10 @@ def modulus(f: TrigPoly, t: float | np.ndarray, phi: YoungFunction, *,
     quadrature route shares only the sampling products between radii.
     For low-degree polynomials the objective is smooth and the grid is
     observed-converged (double ``angles``/``radii`` to check).  A radius
-    that is not a finite number > 0 raises ValueError, and so does an
-    array of more than one axis.
+    that is not a finite number > 0 raises ValueError, and so do an array
+    of more than one axis and ``angles`` or ``radii`` not an integer >= 1.
     """
+    angles, radii = _count(angles, "angles"), _count(radii, "radii")
     ts = np.asarray(t, dtype=float)
     if ts.ndim > 1:
         raise ValueError("shift radii must be a scalar or a 1-D array")
@@ -287,9 +298,7 @@ def multiplier(m: int) -> TrigPoly:
     eta(0, 0) = 1, so supp(phi_m) lies in [-m, m]^2 and the mean is
     preserved exactly.
     """
-    m = _integer(m, "multiplier order")
-    if m < 1:
-        raise ValueError("multiplier order must be >= 1")
+    m = _count(m, "multiplier order")
     axis = np.arange(-m, m + 1)
     wk = _bump1(axis / m)
     gauss = np.exp(-(axis ** 2) / m ** 2)

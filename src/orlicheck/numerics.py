@@ -7,10 +7,11 @@ value can be trusted.
 
 The log-domain integrals evaluate blocks of decades, one vectorised integrand
 call per block; the decade stopping rule consumes a block in order and the
-decades past the stop are discarded.  Blocks stop growing at 4096 Gauss
-nodes, 64 decades of 64: each float64 temporary of a block is then 32 KB,
-and the few alive at once stay under glibc's 128 KB trim threshold and top
-pad, so the heap is not trimmed and regrown on every block.
+decades past the stop are discarded.  Every block holds 4096 Gauss nodes,
+64 decades of 64: each float64 temporary of a block is then 32 KB, and the
+few alive at once stay under glibc's 128 KB trim threshold and top pad, so
+the heap is not trimmed and regrown on every block.  As each Gauss panel is
+summed on its own, no value depends on how decades are grouped in blocks.
 
 Everything here is deterministic and pure.  The arguments that callers or
 refinement tests set are the Gauss nodes per panel, the breakpoints, the
@@ -37,12 +38,21 @@ def _gl_nodes(n: int) -> tuple[np.ndarray, np.ndarray]:
     return x, w
 
 
+def _count(n, name: str) -> int:
+    """n as an int; a ValueError naming it unless it is an integer >= 1."""
+    if not isinstance(n, (int, np.integer)) or n < 1:
+        raise ValueError(f"{name} must be an integer >= 1, not {n!r}")
+    return int(n)
+
+
 def gauss_panel(fn: Callable[[np.ndarray], np.ndarray], a: float | np.ndarray,
                 b: float | np.ndarray, nodes: int = 64) -> float | np.ndarray:
     """Gauss-Legendre panel of ``fn`` over [a, b]; fn is vectorised.
 
     Scalar ends give a float; equal-shape 1-D arrays give one value per panel
     from one ``fn`` call on the (panels, nodes) node matrix, 0 where b <= a.
+    Each row is summed on its own (np.vecdot; BLAS ``@ w`` rounds the last
+    rows mod 4 apart), so a panel has its scalar bits whatever shares a call.
     """
     x, w = _gl_nodes(nodes)
     if np.ndim(a) == 0:
@@ -51,7 +61,7 @@ def gauss_panel(fn: Callable[[np.ndarray], np.ndarray], a: float | np.ndarray,
         mid, half = 0.5 * (a + b), 0.5 * (b - a)
         return float(half * np.dot(w, fn(mid + half * x)))
     mid, half = 0.5 * (a + b), 0.5 * (b - a)
-    vals = half * (fn(mid[:, None] + half[:, None] * x) @ w)
+    vals = half * np.vecdot(fn(mid[:, None] + half[:, None] * x), w)
     return np.where(b > a, vals, 0.0)
 
 
@@ -63,8 +73,9 @@ def _decade_ends(x0: float, n: int) -> np.ndarray:
 def _decade_sums(logF: Callable[[np.ndarray], np.ndarray], ends: np.ndarray,
                  breakpoints: np.ndarray, nodes: int) -> np.ndarray:
     """Integral of exp(logF) over each [ends[i], ends[i+1]], split into panels
-    at the breakpoints inside it; one ``gauss_panel`` call, panels summed in
-    order.  The exponential overwrites logF's output unless it is read-only."""
+    at the breakpoints inside it; one ``gauss_panel`` call, each decade's
+    panels summed in order, so no decade's sum depends on the others.  The
+    exponential overwrites logF's output unless it is read-only."""
     def fn(x):
         v = np.asarray(logF(x), dtype=float)
         return np.exp(v, out=v if v.flags.writeable else None)
@@ -86,10 +97,12 @@ def integrate_finite_log(logF: Callable[[np.ndarray], np.ndarray],
     ``logF`` must return the logarithm of the (positive) integrand, which is
     how integrands built from Young-function inverses stay representable for
     arguments far outside float range.  All decades are evaluated as one
-    block; a NaN decade or a non-finite end raises ValueError.
+    block; a NaN decade, a non-finite end or a node count that is not an
+    integer >= 1 raises ValueError.
     """
     if not (math.isfinite(x0) and math.isfinite(x1)):
         raise ValueError(f"ends must be finite, got [{x0!r}, {x1!r}]")
+    nodes = _count(nodes, "nodes")
     if x1 <= x0:
         return 0.0
     ends = _decade_ends(x0, int((x1 - x0) / LN10) + 2)
@@ -131,9 +144,7 @@ class ImproperIntegral:
         return self.status is Status.TRUNCATED
 
 
-# Each block adds 8 decades to all before it (8, 16, 32, 64), up to
-# _BLOCK_NODES Gauss nodes (see the module docstring for why).
-_FIRST_BLOCK, _BLOCK_NODES = 8, 4096
+_BLOCK_NODES = 4096     # Gauss nodes per block (see the module docstring)
 
 
 def integrate_log_improper(logF: Callable[[np.ndarray], np.ndarray],
@@ -146,43 +157,28 @@ def integrate_log_improper(logF: Callable[[np.ndarray], np.ndarray],
     running total and the geometric tail estimate is below 1e-6 of it.
     Its status is divergent when the decade contributions fail the decay
     test (ratio >= 0.999 over three decades, from the sixth on), and
-    truncated when the decade budget runs out first.  A non-finite x0 or a
-    budget below one decade raises ValueError.
+    truncated when the decade budget runs out first.  A non-finite x0, or
+    a budget or node count that is not an integer >= 1, raises ValueError.
 
-    Blocks of 8, 16, 32, 64, then ``4096 // nodes`` decades (at least one)
-    take one ``logF`` call each, with overflow silenced, and ``logF``'s
-    output is overwritten by its exponential.  A block's leading quiet
-    decades, each finite, positive, at least 1e-8 of the running total and
-    below 0.999 of the positive one before, reset both streaks and cannot
-    stop the march, so one ``cumsum`` (the rule's order of addition) takes
-    them; the rule consumes the rest of the block and discards the decades
-    past the stop.  A consumed NaN decade raises ValueError; a consumed
-    decade that overflows to ``inf`` returns divergent at once.
+    Each block of ``4096 // nodes`` decades (at least one) takes one
+    ``logF`` call, with overflow silenced, whose output is overwritten by its
+    exponential; the rule consumes the block decade by decade and discards
+    the decades past the stop.  A consumed NaN decade raises ValueError; a
+    consumed decade that overflows to ``inf`` returns divergent at once.
     """
-    if not (math.isfinite(x0) and max_decades >= 1):
-        raise ValueError("need a finite start and max_decades >= 1, got "
-                         f"{x0!r} and {max_decades!r}")
+    if not math.isfinite(x0):
+        raise ValueError(f"the start must be finite, got {x0!r}")
+    nodes = _count(nodes, "nodes")
+    max_decades = _count(max_decades, "max_decades")
+    block = max(_BLOCK_NODES // nodes, 1)
     breakpoints = np.asarray(breakpoints, dtype=float)
-    cap = max(_BLOCK_NODES // nodes, 1)
     total, prev, ratio, lo = 0.0, None, 0.0, x0
     small_streak = slow_streak = j = 0
     while j < max_decades:
-        ends = _decade_ends(lo, min(j + _FIRST_BLOCK, cap, max_decades - j))
+        ends = _decade_ends(lo, min(block, max_decades - j))
         with np.errstate(over="ignore"):
             contribs = _decade_sums(logF, ends, breakpoints, nodes)
-        k = 0
-        if prev:    # a positive decade before; NaN, inf, 0 are not quiet
-            with np.errstate(all="ignore"):
-                run = np.cumsum(np.concatenate(([total], contribs)))
-                ratios = contribs / np.concatenate(([prev], contribs[:-1]))
-                quiet = ((contribs > 0.0) & (contribs >= 1e-8 * run[1:])
-                         & (ratios < 0.999))
-            k = quiet.size if quiet.all() else int(quiet.argmin())
-        if k:
-            total, lo, j = float(run[k]), float(ends[k]), j + k
-            prev, ratio = float(contribs[k - 1]), float(ratios[k - 1])
-            slow_streak = small_streak = 0
-        for c, hi in zip(contribs[k:].tolist(), ends[k + 1:].tolist()):
+        for c, hi in zip(contribs.tolist(), ends[1:].tolist()):
             if math.isnan(c):
                 raise ValueError(f"integrand is NaN on [{lo!r}, {hi!r}]")
             if math.isinf(c):

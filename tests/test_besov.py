@@ -653,6 +653,24 @@ GUARDS = [
      "shift radius t must be positive"),
     (lambda: modulus(_F2, np.full((2, 2), 0.5), make_power(2.0)),
      "shift radii must be a scalar or a 1-D array"),
+    # angles=0 and radii=0 once raised ZeroDivisionError, angles=-3 a
+    # failure to stack no polynomials, and h_angles=0 was accepted
+    (lambda: modulus(_F2, 0.5, make_power(2.0), angles=0),
+     "angles must be >= 1"),
+    (lambda: modulus(_F2, 0.5, make_power(2.0), angles=-3),
+     "angles must be >= 1"),
+    (lambda: modulus(_F2, 0.5, make_section7(0.05), radii=0),
+     "radii must be >= 1"),
+    (lambda: modulus(_F2, 0.5, make_power(2.0), angles=8.0),
+     "angles must be an integer, not 8.0"),
+    (lambda: modulus(random_poly_1d(3, 0), 0.5, make_power(2.0), radii=1.5),
+     "radii must be an integer, not 1.5"),
+    (lambda: params_power2(h_angles=0), "h_angles must be >= 1"),
+    (lambda: params_power2(h_radii=-1), "h_radii must be >= 1"),
+    (lambda: params_power2(h_radii=None),
+     "h_radii must be an integer, not None"),
+    # a float n_max once failed later, in np.ldexp, with a bare TypeError
+    (lambda: params_power2(n_max=4.0), "n_max must be an integer, not 4.0"),
 ]
 
 

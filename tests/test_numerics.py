@@ -1,15 +1,17 @@
 """Safeguards of the shared numerical kernels."""
 
 import math
+import re
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from orlicheck import numerics
 from orlicheck.conditions import (embedding_condition_eval, embedding_weight,
                                   power_weight)
 from orlicheck.numerics import (LN10, ImproperIntegral, Status,
-                                _decade_ends, _decade_sums, chandrupatla,
+                                _decade_ends, chandrupatla,
                                 gauss_panel, integrate_finite_log,
                                 integrate_log_improper, newton_monotone)
 from orlicheck.young import make_power, make_section7
@@ -75,41 +77,15 @@ def _scalar_decades(logF, x0, breakpoints, nodes, max_decades):
         lo = hi
 
 
-def _block_sizes(nodes=64):
-    """The march's schedule: 8, 16, 32, 64 decades, then 4096 nodes each."""
-    j = 0
-    while True:
-        n = min(j + 8, max(4096 // nodes, 1))
-        yield n
-        j += n
-
-
-def _block_decades(logF, x0, breakpoints, nodes, max_decades):
-    """The same decades evaluated as the march does, one vector panel call
-    per block of its schedule, so that BLAS rounds each panel alike."""
-    lo, j = x0, 0
-    breakpoints = np.asarray(breakpoints, dtype=float)
-    for n in _block_sizes(nodes):
-        if j >= max_decades:
-            return
-        ends = _decade_ends(lo, min(n, max_decades - j))
-        yield from zip(_decade_sums(logF, ends, breakpoints, nodes).tolist(),
-                       ends[1:].tolist())
-        lo, j = float(ends[-1]), j + ends.size - 1
-
-
-def _scalar_march(logF, x0, breakpoints=(), *, nodes=64, max_decades=2600,
-                  blocked=False, rel_decade_tol=1e-8, tail_rel=1e-6,
-                  divergence_ratio=0.999):
+def _scalar_march(logF, x0, breakpoints=(), *, nodes=64, max_decades=2600):
     """Reference: the improper-integral march's rule applied one decade at a
-    time, on scalar panels or (``blocked``) on the march's own block sums."""
-    decades = _block_decades if blocked else _scalar_decades
+    time on scalar Gauss panels."""
     total, prev, ratio = 0.0, None, 0.0
     small_streak = slow_streak = 0
     lo = x0
     with np.errstate(over="ignore"):
-        for j, (c, hi) in enumerate(decades(logF, x0, breakpoints, nodes,
-                                            max_decades)):
+        for j, (c, hi) in enumerate(_scalar_decades(logF, x0, breakpoints,
+                                                    nodes, max_decades)):
             if math.isnan(c):
                 raise ValueError(f"integrand is NaN on [{lo!r}, {hi!r}]")
             if math.isinf(c):
@@ -118,19 +94,18 @@ def _scalar_march(logF, x0, breakpoints=(), *, nodes=64, max_decades=2600,
             total += c
             if prev is not None and prev > 0.0:
                 ratio = c / prev
-                slow_streak = (slow_streak + 1 if ratio >= divergence_ratio
-                               else 0)
+                slow_streak = slow_streak + 1 if ratio >= 0.999 else 0
                 if slow_streak >= 3 and j >= 5:
                     return ImproperIntegral(total, math.inf, hi, j + 1,
                                             Status.DIVERGENT)
             prev = c
             lo = hi
-            if total > 0.0 and c < rel_decade_tol * total:
+            if total > 0.0 and c < 1e-8 * total:
                 small_streak += 1
                 if small_streak >= 2:
                     tail = (c * ratio / (1.0 - ratio) if 0.0 < ratio < 1.0
                             else c)
-                    if tail < tail_rel * total:
+                    if tail < 1e-6 * total:
                         return ImproperIntegral(total, tail, hi, j + 1,
                                                 Status.CONVERGED)
             else:
@@ -183,15 +158,18 @@ def test_finite_log_closed_form_with_breakpoints():
 
 
 def test_vector_gauss_panel_matches_scalar_panels():
+    # panel counts that are not multiples of 4, where BLAS's ``@ w`` rounds
+    # the last rows apart; every panel has its scalar bits
     fn = lambda x: np.exp(-x) * np.cos(3.0 * x)
-    a = np.array([0.0, 0.5, 2.0, 3.0, 4.0])
-    b = np.array([0.5, 2.0, 2.0, 7.5, 3.5])       # two panels with b <= a
-    vec = gauss_panel(fn, a, b)
-    assert vec.shape == a.shape
-    for i in range(a.size):
-        ref = gauss_panel(fn, float(a[i]), float(b[i]))
-        assert abs(vec[i] - ref) <= 1e-15 * max(abs(ref), 1.0)
-    assert vec[2] == 0.0 and vec[4] == 0.0
+    for panels in (7, 13):
+        a = np.linspace(0.0, 6.0, panels)
+        b = a + np.linspace(0.5, 4.5, panels)
+        b[[2, 4]] = a[2], a[4] - 0.5              # two panels with b <= a
+        vec = gauss_panel(fn, a, b)
+        assert vec.shape == a.shape
+        for i in range(a.size):
+            assert vec[i] == gauss_panel(fn, float(a[i]), float(b[i]))
+        assert vec[2] == 0.0 and vec[4] == 0.0
 
 
 def test_improper_nan_in_consumed_decade_raises():
@@ -203,7 +181,7 @@ def test_improper_nan_in_consumed_decade_raises():
 
 
 def test_improper_nan_past_the_stop_is_discarded():
-    # stops after 6 decades (x = 13.8); the first block of 8 reaches 18.4
+    # stops after 6 decades (x = 13.8); the first block of 64 reaches 147
     logF = lambda x: np.where(x > 16.0, np.nan, -2.0 * x)
     res = integrate_log_improper(logF, 0.0)
     assert res.status is Status.CONVERGED and res.x_end < 16.0
@@ -236,20 +214,14 @@ def test_block_march_matches_scalar_march(phi, psi, s):
     psi = psi or embedding_weight(phi)
     logF, x0, breaks = _second_term(phi, psi, s)
     res = integrate_log_improper(logF, x0, breakpoints=breaks)
-    # the same decade sums under the per-decade rule: every field exact
-    assert res == _scalar_march(logF, x0, breaks, blocked=True)
-    # scalar Gauss panels: BLAS sums a block's last rows in another order
-    ref = _scalar_march(logF, x0, breaks)
-    assert (res.n_decades, res.x_end, res.status) == (
-        ref.n_decades, ref.x_end, ref.status)
-    assert res.value == pytest.approx(ref.value, rel=1e-13, abs=0.0)
+    assert res == _scalar_march(logF, x0, breaks)
 
 
 def _slow_pair_then_flat(x):
-    # decades 54 and 55 end a block with two ratios >= 0.999, the next block
-    # opens quiet, and the third slow decade comes only at 101
-    return -1e-3 * (np.minimum(x, 53.0 * LN10)
-                    + np.clip(x, 56.0 * LN10, 100.0 * LN10) - 56.0 * LN10)
+    # decades 62 and 63 end the first block with two ratios >= 0.999, the
+    # next block opens decaying, and the third slow decade comes only at 101
+    return -1e-3 * (np.minimum(x, 61.0 * LN10)
+                    + np.clip(x, 64.0 * LN10, 100.0 * LN10) - 64.0 * LN10)
 
 
 def _nan_from_decade_150(x):
@@ -259,7 +231,7 @@ def _nan_from_decade_150(x):
 
 @pytest.mark.parametrize("logF,max_decades", [
     (lambda x: -1e-3 * x, 50),
-    (lambda x: -1e-3 * x, 130),                 # crosses the block at 120
+    (lambda x: -1e-3 * x, 130),                 # cuts the third block short
     (lambda x: np.where(x < 30.0, -np.inf, -0.05 * x), 2600),
     (lambda x: np.where((x > 200.0) & (x < 300.0), -np.inf, -1e-3 * x),
      2600),
@@ -272,15 +244,14 @@ def _nan_from_decade_150(x):
         "constant", "flat-tail", "slow-pair", "exponential"])
 def test_block_march_matches_per_decade_rule(logF, max_decades):
     res = integrate_log_improper(logF, 0.0, max_decades=max_decades)
-    assert res == _scalar_march(logF, 0.0, max_decades=max_decades,
-                                blocked=True)
+    assert res == _scalar_march(logF, 0.0, max_decades=max_decades)
 
 
 def test_block_march_nan_inside_a_block_matches_per_decade_rule():
     with pytest.raises(ValueError) as got:
         integrate_log_improper(_nan_from_decade_150, 0.0)
     with pytest.raises(ValueError) as want:
-        _scalar_march(_nan_from_decade_150, 0.0, blocked=True)
+        _scalar_march(_nan_from_decade_150, 0.0)
     lo, hi = _decade_ends(0.0, 150)[-2:].tolist()
     assert str(got.value) == str(want.value) == (
         f"integrand is NaN on [{lo!r}, {hi!r}]")
@@ -297,17 +268,40 @@ def test_block_march_calls_integrand_once_per_block():
 
     res = integrate_log_improper(counted, x0, breakpoints=breaks)
     assert res.status is Status.CONVERGED and res.n_decades == 2327
-    # 8 + 16 + 32 + 64 decades, then blocks of 64 until one holds the stop
-    sizes, reached = [], 0
-    for n in _block_sizes():
-        if reached >= res.n_decades:
-            break
-        sizes.append(n)
-        reached += n
-    assert sizes[:5] == [8, 16, 32, 64, 64] and len(sizes) == 39
-    assert len(calls) == len(sizes)
+    # blocks of 64 decades until one holds the stop
+    assert len(calls) == -(-res.n_decades // 64) == 37
     # the breakpoints all split the first block; later ones hold 4096 nodes
-    assert calls[1:] == [64 * n for n in sizes[1:]]
+    assert calls[0] > 64 * 64 and calls[1:] == [64 * 64] * 36
+
+
+@pytest.mark.parametrize("phi,psi,s", [
+    (make_section7(0.05), None, 10.0),
+    (make_section7(0.13), None, 1.0),
+    (make_section7(0.13), None, 1e6),
+    (make_power(3.0), power_weight(0.3), 10.0),
+], ids=["section7-0.05-s10", "section7-0.13-s1", "section7-0.13-s1e6",
+        "power3-pw0.3-s10"])
+def test_march_values_do_not_depend_on_block_layout(phi, psi, s, monkeypatch):
+    logF, x0, breaks = _second_term(phi, psi or embedding_weight(phi), s)
+    ends = _decade_ends(x0, 40)
+
+    def run():
+        # a budget of 100 decades cuts a block of 3, 64 or 128 short
+        return (integrate_log_improper(logF, x0, breakpoints=breaks),
+                integrate_log_improper(logF, x0, breakpoints=breaks,
+                                       max_decades=100),
+                integrate_finite_log(logF, x0, float(ends[-1]),
+                                     breakpoints=breaks))
+
+    want = run()
+    for block_nodes in (64, 192, 8192):     # 1, 3 and 128 decades of 64
+        monkeypatch.setattr(numerics, "_BLOCK_NODES", block_nodes)
+        assert run() == want
+    # the finite integral's one block is the sum of its decades taken alone
+    assert want[2] == sum(integrate_finite_log(logF, lo, hi,
+                                               breakpoints=breaks)
+                          for lo, hi in zip(ends[:-1].tolist(),
+                                            ends[1:].tolist()))
 
 
 def test_march_working_set_stays_below_trim_threshold():
@@ -329,9 +323,11 @@ def test_improper_rejects_non_finite_start(x0):
         integrate_log_improper(lambda x: -x, x0)
 
 
-@pytest.mark.parametrize("max_decades", [0, -3])
+@pytest.mark.parametrize("max_decades", [0, -3, 100.0, 2.5])
 def test_improper_rejects_empty_budget(max_decades):
-    with pytest.raises(ValueError, match="max_decades"):
+    # a float budget once failed in np.full with a bare TypeError
+    message = f"max_decades must be an integer >= 1, not {max_decades!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         integrate_log_improper(lambda x: -x, 0.0, max_decades=max_decades)
 
 
@@ -341,3 +337,15 @@ def test_improper_rejects_empty_budget(max_decades):
 def test_finite_log_rejects_non_finite_ends(x0, x1):
     with pytest.raises(ValueError, match="finite"):
         integrate_finite_log(lambda x: -x, x0, x1)
+
+
+@pytest.mark.parametrize("nodes", [0, -3, 1.5, 64.0, None])
+@pytest.mark.parametrize("integrate", [
+    lambda nodes: integrate_log_improper(lambda x: -x, 0.0, nodes=nodes),
+    lambda nodes: integrate_finite_log(lambda x: -x, 0.0, 7.0, nodes=nodes),
+], ids=["improper", "finite"])
+def test_integrals_reject_bad_node_counts(integrate, nodes):
+    # nodes=0 once raised a bare ZeroDivisionError from the block size
+    message = f"nodes must be an integer >= 1, not {nodes!r}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        integrate(nodes)
