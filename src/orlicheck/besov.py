@@ -25,7 +25,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .luxemburg import poly_norm, poly_norms
-from .reports import VerificationReport
+from .reports import VerificationReport, worst_of
 from .trig import (TrigPoly, _integer, _radius, _times, band_kernel,
                    coefficient_boxes, convolve, poly_from_box)
 from .young import YoungFunction
@@ -381,21 +381,18 @@ def check_sum_integral_sandwich(f: TrigPoly, params: BesovParams,
         if beta > 1.0:
             tail_up = float(up_vals[-1] * t[-1] / (beta - 1.0))
 
-    scale = max(s, 1e-300)
+    slack = 1e-9 * max(s, 1e-300)
     margin_low = s - 0.5 * i_low
     margin_up = 2.0 * i_up - s
-    passed = (margin_low >= -1e-9 * scale
-              and margin_up >= -(2.0 * tail_up + 1e-9 * scale))
-    return VerificationReport(
-        check_id="sum-integral-sandwich",
+    return worst_of(
+        "sum-integral-sandwich", [margin_low, margin_up], None,
+        [slack, 2.0 * tail_up + slack],
         inputs={"phi": repr(params.phi), "n_max": params.n_max,
                 "t_max": float(t[-1]), "n_nodes": int(t.size)},
         quantities={"sum": s, "sum_tail": terms[-1],
                     "lower_integral": i_low, "upper_integral": i_up,
                     "upper_integral_tail_estimate": tail_up,
                     "margin_lower": margin_low, "margin_upper": margin_up},
-        margin=min(margin_low, margin_up),
-        passed=passed,
         tolerance="margins >= -1e-9 relative, upper side allows 2x integral tail",
     )
 
@@ -417,26 +414,20 @@ def check_norm_comparison(f: TrigPoly,
     ratio = tilde.value / classical if classical > 0 else 1.0
 
     levels = []
-    worst = math.inf
     for n, lhs in enumerate(band_norms[2:], start=2):
         m = 2 ** (n - 3) if n >= 3 else 0
         rhs = 36.0 * best_approximation(f, m, params.phi).upper
-        margin = rhs - lhs
-        worst = min(worst, margin)
         levels.append({"n": n, "m": m, "band_norm": lhs, "bound": rhs,
-                       "margin": margin})
+                       "margin": rhs - lhs})
 
-    scale = max(classical, 1e-300)
-    passed = worst >= -1e-9 * scale
     prefactor = 1.0 + float(params.psi(1.0)) + float(params.psi(2.0))
-    return VerificationReport(
-        check_id="besov-norm-comparison",
+    return worst_of(
+        "besov-norm-comparison", [lv["margin"] for lv in levels], None,
+        1e-9 * max(classical, 1e-300),
         inputs={"phi": repr(params.phi), "degree": f.degree},
         quantities={"band_norm": tilde.value, "classical_norm": classical,
                     "ratio": ratio, "bar_norm_prefactor": prefactor,
                     "levels": levels},
-        margin=worst,
-        passed=passed,
         tolerance="per-level 36*E bound with 1e-9 relative slack",
     )
 

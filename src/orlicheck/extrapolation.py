@@ -35,7 +35,7 @@ from typing import Callable
 import numpy as np
 
 from .numerics import ImproperIntegral, Status, integrate_log_improper
-from .reports import VerificationReport
+from .reports import VerificationReport, worst_of
 from .young import YoungFunction, make_logpower
 
 __all__ = [
@@ -71,8 +71,8 @@ class BucketDecomposition:
 
     Entries are scaled (never up) so the maximum sits strictly below 1/2,
     keeping every nonzero entry in a bucket with n >= 3; zero entries are
-    dropped.  The boundary is resolved as half-open with the left edge
-    included: exact reciprocals 1/n land in bucket n.
+    dropped.  An entry e goes to bucket ceil(1/e), 1/e rounded to a float:
+    1/3 lands in bucket 3, but 1/49 in 50, as 1/(1/49) = 49.00000000000001.
     """
 
     counts: dict[int, int]
@@ -114,8 +114,9 @@ def _endpoint_integral(profile: BoundProfile, alpha: float,
                        ) -> ImproperIntegral:
     """int_{x0}^oo exp(power(x) log_fn(x) - (alpha+1) x) dx, x0 = -ln eps,
     valued as in ``weighted_integral``."""
-    if alpha <= -1.0:
-        raise ValueError("weight exponent alpha must be > -1")
+    if not -1.0 < alpha < math.inf:
+        raise ValueError(
+            f"weight exponent alpha must be finite and > -1, not {alpha}")
     a1 = alpha + 1.0
     r = integrate_log_improper(
         lambda x: power(x) * profile.log_fn(x) - a1 * x, -math.log(profile.eps))
@@ -134,8 +135,9 @@ def weighted_integral(profile: BoundProfile, alpha: float) -> ImproperIntegral:
     returned with its value set by its status: converged is valued with the
     geometric tail added; divergent (decades stop decaying) is valued inf;
     truncated (decade budget spent) keeps the partial sum, a lower bound.
-    A NaN integrand raises ValueError.  A bound f ~ (p-q)^{-beta} has its
-    borderline at alpha = beta - 1, where the march says divergent.
+    An alpha that is not a finite number > -1, or a NaN integrand, raises
+    ValueError.  A bound f ~ (p-q)^{-beta} has its borderline at
+    alpha = beta - 1, where the march says divergent.
     """
     return _endpoint_integral(profile, alpha, lambda x: 1.0)
 
@@ -165,7 +167,8 @@ def verify_extrapolation_chain(x, profile: BoundProfile,
 
     on the bucket decomposition of the normalised sequence, and reports the
     resulting Orlicz modular sum Phi(x_k) for Phi(x) = x^q/|ln x|^{alpha+1}.
-    A divergent right-hand side is reported as such (margin infinite).
+    The margin is the integral less the chain lhs, with slack 1e-9
+    max(integral, 1); a divergent integral is inf, and so is its margin.
 
     The bound enters only in log form, so one that blows up at q is
     integrated as it is, and no offset p - q rounds away.  The gamma factor
@@ -201,16 +204,9 @@ def verify_extrapolation_chain(x, profile: BoundProfile,
     phi = make_logpower(max(q, 1.0), a1) if q >= 1.0 else None
     modular = float(np.sum(phi(dec.entries))) if phi is not None else math.nan
 
-    if rhs_chain.status is Status.DIVERGENT:
-        margin = math.inf
-        passed = True
-    else:
-        margin = rhs_chain.value - lhs_chain
-        passed = margin >= -1e-9 * max(rhs_chain.value, 1.0)
-    return VerificationReport(
-        check_id="extrapolation-chain",
-        passed=passed,
-        margin=margin,
+    return worst_of(
+        "extrapolation-chain", [rhs_chain.value - lhs_chain], None,
+        1e-9 * max(rhs_chain.value, 1.0),
         quantities={"gamma_factor": gamma_factor, "bucket_sum": bucket_sum,
                     "chain_lhs": lhs_chain,
                     "weighted_integral": rhs_chain.value,
@@ -268,9 +264,10 @@ def summing_criterion(profile: BoundProfile, alpha: float) -> SummingResult:
 
     A finite value certifies membership in the (Phi, 1)-summing class for
     Phi(x) = x^q / |ln x|^{alpha+1}; the returned handle is the matching
-    logpower Young function (constructible when q >= 1).  alpha <= -1 is
-    rejected.  The integral is taken in x = -ln(v-q) as in
-    ``weighted_integral``, with f^v = exp((q + e^{-x}) ln f): converged
+    logpower Young function (constructible when q >= 1).  An alpha that
+    is not a finite number > -1 raises ValueError.  The integral is taken
+    in x = -ln(v-q) as in ``weighted_integral``, with
+    f^v = exp((q + e^{-x}) ln f): converged
     gives the value, divergent and truncated (decade budget spent) give
     None.  For ``sobolev_profile`` the borderline is alpha = gamma_min - 1,
     where the integrand tends to 1 and the march reports divergent.

@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .reports import VerificationReport
+from .reports import VerificationReport, worst_of
 
 __all__ = [
     "BallPair",
@@ -67,12 +67,10 @@ def check_symmdiff_lower_bound(bp: BallPair) -> VerificationReport:
     """
     value = symmdiff_measure(bp)
     bound = unit_ball_volume(bp.dim) * bp.radius ** (bp.dim - 1) * bp.offset
-    margin = value - bound
-    return VerificationReport(
-        check_id="ball-symmdiff-lower-bound",
+    return worst_of(
+        "ball-symmdiff-lower-bound", [value - bound], None,
+        1e-12 * max(bound, 1.0),
         inputs={"dim": bp.dim, "radius": bp.radius, "offset": bp.offset},
         quantities={"measure": value, "bound": bound},
-        margin=margin,
-        passed=margin >= -1e-12 * max(bound, 1.0),
         tolerance="margin >= -1e-12 relative",
     )

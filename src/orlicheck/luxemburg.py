@@ -28,7 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from .numerics import chandrupatla
-from .reports import VerificationReport
+from .reports import VerificationReport, worst_of
 from .trig import refine_on_grid, sample_abs_chunks
 from .young import YoungFunction, check_sqrt_concavity
 
@@ -214,14 +214,11 @@ def embed_l2_check(phi: YoungFunction, x) -> VerificationReport:
     a = _magnitudes(x)
     l2 = float(np.sqrt(np.sum(a ** 2)))
     lux = norm_seq(phi, a)
-    margin = lux - l2
-    return VerificationReport(
-        check_id="l2-embedding",
+    return worst_of(
+        "l2-embedding", [lux - l2], None, 1e-10 * max(lux, 1.0),
         inputs={"phi": repr(phi), "n": int(a.size),
                 "sqrt_concavity_passed": conc.passed},
         quantities={"l2": l2, "lux": lux,
                     "inverse_at_one": float(phi.inverse(1.0))},
-        margin=margin,
-        passed=margin >= -1e-10 * max(lux, 1.0),
         tolerance="lux - l2 >= -1e-10 relative",
     )

@@ -2,10 +2,12 @@
 
 Checkers report worst-case margins instead of asserting, so deliberately
 failing inputs (negative controls) are first-class citizens of the test
-matrix.  A check that scans a grid or a list of sample points reports
-through ``worst_of``, the one place that picks its margin, witness and
-verdict.  ``to_dict`` writes a report as plain JSON values: ``Status`` as its
-string, non-finite floats as their ``repr``, and nested dataclasses as dicts.
+matrix.  Every check hands ``worst_of`` its margins, the points they were
+taken at (if it has a witness) and the slack of each, and ``worst_of`` is
+the one place that decides a verdict, by one rule: the check passes iff
+every margin is at least minus its own slack, and a NaN margin fails.
+``to_dict`` writes a report as plain JSON values: ``Status`` as its string,
+non-finite floats as their ``repr``, and nested dataclasses as dicts.
 """
 
 from __future__ import annotations
@@ -41,7 +43,8 @@ def _plain(obj: Any) -> Any:
 
 @dataclass(kw_only=True)
 class VerificationReport:
-    """Outcome of one check: verdict, worst-case margin and its witness.
+    """Outcome of one check, as ``worst_of`` decides it: verdict,
+    worst-case margin and its witness.
 
     The check holds iff ``passed``; ``margin`` is the worst slack over what
     was tested (how each check scales it is in ``tolerance``), and
@@ -76,21 +79,23 @@ class VerificationReport:
 def worst_of(check_id: str, margins, points, slack, *, inputs: dict,
              tolerance: str, quantities: dict | None = None
              ) -> VerificationReport:
-    """The report of a scanned check, from its margin at every point.
+    """The report of a check, from its margin at every point.
 
-    The margin is the least entry of ``margins`` (the first one on ties,
+    The check passes iff every entry of ``margins`` is at least minus its
+    own slack, where ``slack`` is one float or one value per entry; a NaN
+    margin fails.  The margin is the least entry (the first one on ties,
     NaN before any number), and the witness that entry's point: a tuple of
-    floats where ``points`` holds rows, a float otherwise.  The check passes
-    iff that margin is at least -slack, where ``slack`` is one float or one
-    value per point.
+    floats where ``points`` holds rows, a float where it holds numbers, and
+    None where ``points`` is None.
     """
-    i = int(np.argmin(margins))
-    margin = float(margins[i])
-    point = np.asarray(points)[i]
+    margins = np.asarray(margins, dtype=float)
+    i = int(margins.argmin())
+    point = None if points is None else np.asarray(points)[i]
     return VerificationReport(
         check_id=check_id,
-        passed=bool(margin >= -(slack[i] if np.ndim(slack) else slack)),
-        margin=margin,
-        witness=tuple(map(float, point)) if np.ndim(point) else float(point),
+        passed=bool((margins >= np.negative(slack)).all()),
+        margin=float(margins[i]),
+        witness=(None if point is None else tuple(map(float, point))
+                 if np.ndim(point) else float(point)),
         quantities={} if quantities is None else quantities,
         inputs=inputs, tolerance=tolerance)

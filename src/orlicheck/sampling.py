@@ -27,7 +27,7 @@ import numpy as np
 
 from . import luxemburg
 from .luxemburg import norm_seq, poly_norm
-from .reports import VerificationReport
+from .reports import VerificationReport, worst_of
 from .trig import (Frame, TrigPoly, _radius, band_kernel, convolve, frame,
                    poly_from_box, refine_on_grid, sample_on_grid)
 from .young import (YoungFunction, check_inverse_product,
@@ -46,8 +46,9 @@ __all__ = [
 
 def _trial(check_id: str, level: int, poly_id: str, lhs: float, rhs: float,
            bound: float, supported: bool, **extra) -> VerificationReport:
-    """One sampling-inequality trial: it passes iff lhs <= rhs (1 + 1e-9),
-    and its margin is rhs - lhs.
+    """One sampling-inequality trial: it passes iff rhs - lhs >= -1e-9 rhs,
+    and its margin is rhs - lhs.  That differs from lhs <= rhs (1 + 1e-9)
+    only within rounding of the boundary and at lhs = rhs = inf.
 
     ``bound`` echoes the constant through which rhs was built (1 for the
     modular check, 24 C^2 for the Orlicz norm version, K for the Hilbert
@@ -57,8 +58,8 @@ def _trial(check_id: str, level: int, poly_id: str, lhs: float, rhs: float,
     theorem held, so unsupported trials can be filtered rather than
     mistaken for counterexamples.
     """
-    return VerificationReport(
-        check_id=check_id, passed=lhs <= rhs * (1.0 + 1e-9), margin=rhs - lhs,
+    return worst_of(
+        check_id, [rhs - lhs], None, 1e-9 * rhs,
         quantities={"lhs": lhs, "rhs": rhs, "bound": bound,
                     "ratio": (lhs / rhs if rhs > 0
                               else math.inf if lhs > 0 else 0.0),

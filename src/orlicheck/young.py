@@ -39,12 +39,14 @@ tabulated    convex piecewise-linear interpolation of breakpoints, one affine
 
 Checkers return a VerificationReport with the worst-case margin rather than
 raising, so negative controls can be exercised on the same code path:
-``validate`` for the contract, and, through ``reports.worst_of``, the
-sampled hypotheses sqrt-concavity, supermultiplicativity and the inverse
-product.  The lemma that turns the inverse's submultiplicativity into
-supermultiplicativity has no check: for increasing Phi its hypothesis and
-conclusion are one statement, so a check of it could fail only by the
-rounding of Phi(Phi^{-1}(u)), which ``validate`` bounds.
+``validate`` for the contract, and the sampled hypotheses sqrt-concavity,
+supermultiplicativity and the inverse product.  Each hands its margins and
+their slacks to ``reports.worst_of``, which passes it iff every margin is
+at least minus its own slack.  The lemma that turns the inverse's
+submultiplicativity into supermultiplicativity has no check: for
+increasing Phi its hypothesis and conclusion are one statement, so a check
+of it could fail only by the rounding of Phi(Phi^{-1}(u)), which
+``validate`` bounds.
 """
 
 from __future__ import annotations
@@ -373,8 +375,10 @@ def validate(phi: YoungFunction) -> VerificationReport:
     [1e-6, 1e6] (relative error <= 1e-9), and the forward checks over 1000
     of t in the same interval.  Convexity is measured scale-free as the
     minimum relative increment of consecutive chord slopes on a geometric
-    grid (>= -1e-12 for convex).  The margin is the smaller slack of the
-    two thresholds, -inf if Phi is not strictly increasing on the grid.
+    grid (>= -1e-12 for convex).  The margins are 1e-9 less the round-trip
+    error, the minimum increment plus 1e-12, and +inf, or -inf if Phi is
+    not strictly increasing on the grid; the check passes iff each is >= 0,
+    and reports the least.
     """
     t = u = np.geomspace(1e-6, 1e6, 1000)
     back = phi(phi.inverse(u))
@@ -386,10 +390,10 @@ def validate(phi: YoungFunction) -> VerificationReport:
     min_inc = float(np.min(increments))
     increasing = bool(np.all(np.diff(vals) > 0))
 
-    passed = roundtrip <= 1e-9 and min_inc >= -1e-12 and increasing
-    margin = min(1e-9 - roundtrip, min_inc + 1e-12) if increasing else -math.inf
-    return VerificationReport(
-        check_id="young-validation", passed=passed, margin=margin,
+    return worst_of(
+        "young-validation", [1e-9 - roundtrip, min_inc + 1e-12,
+                             math.inf if increasing else -math.inf],
+        None, 0.0,
         quantities={"roundtrip_max_rel": roundtrip,
                     "min_slope_increment": min_inc,
                     "strictly_increasing": increasing},
@@ -429,7 +433,7 @@ def check_supermultiplicativity(phi: YoungFunction, C: float,
     """Phi(a) * Phi(b) <= Phi(C*a*b) over sample pairs with 0 < a < 1 <= ab < b.
 
     Margin is the worst absolute value of Phi(Cab) - Phi(a)Phi(b); the pass
-    flag allows 1e-9 relative rounding at the witness scale.
+    flag allows 1e-9 relative rounding at each pair's own scale.
     """
     if not 1.0 <= C < math.inf:
         raise YoungFunctionError("supermultiplicativity constant C must be >= 1")

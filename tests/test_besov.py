@@ -611,6 +611,24 @@ def test_comparison_norms_f_once():
     assert rep.passed
 
 
+def test_comparison_fails_on_a_nan_level_margin():
+    # a NaN bound at a later level fails the check, though the first level
+    # passes with room to spare
+    f = TrigPoly(2, {(1, 0): 1.0, (0, -1): 0.5j, (1, 1): -0.25})
+    exact = besov.best_approximation
+
+    def nan_at_m1(g, m, phi):
+        return besov.BestApprox(math.nan if m == 1 else exact(g, m, phi).upper,
+                                None)
+
+    with mock.patch.object(besov, "best_approximation", nan_at_m1):
+        rep = check_norm_comparison(f, params_power2(n_max=3, h_angles=4,
+                                                     h_radii=2))
+    margins = [lv["margin"] for lv in rep.quantities["levels"]]
+    assert margins[0] > 0.0 and math.isnan(margins[1])
+    assert rep.passed is False and math.isnan(rep.margin)
+
+
 # ---------------------------------------------------------------------------
 # input guards
 # ---------------------------------------------------------------------------

@@ -100,6 +100,20 @@ def test_alpha_at_or_below_minus_one_raises(fn, alpha):
         fn(sobolev_profile(2, 1, 1.0), alpha)
 
 
+def _chain(profile, alpha):
+    return verify_extrapolation_chain([0.3, 0.1], profile, alpha)
+
+
+@pytest.mark.parametrize("fn", [weighted_integral, summing_criterion, _chain],
+                         ids=["weighted_integral", "summing_criterion",
+                              "verify_extrapolation_chain"])
+@pytest.mark.parametrize("alpha", [math.nan, math.inf, -math.inf])
+def test_alpha_that_is_not_finite_raises(fn, alpha):
+    message = f"weight exponent alpha must be finite and > -1, not {alpha}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        fn(sobolev_profile(2, 1, 1.0), alpha)
+
+
 @pytest.mark.parametrize("a", [0.02, 0.3, 1.0, 2.5, 5.0])
 @pytest.mark.parametrize("z", [1e-3, 0.2, 1.0, 3.0])
 def test_chain_gamma_factor_matches_mpmath(a, z):

@@ -134,6 +134,10 @@ WORST_OF = {
     "first of ties": ([0.0, -2.0, 1.0, -2.0], [[1, 2], [3, 4], [5, 6], [7, 8]],
                       1.0, 1, False),
     "NaN first": ([1.0, math.nan, -3.0], [1.0, 2.0, 3.0], math.inf, 1, False),
+    # the worst margin passes under its own slack, 10.0, but the second
+    # misses its own, 0.5, so the check fails
+    "every point under its own slack": ([-5.0, -1.0], [1.0, 2.0],
+                                        [10.0, 0.5], 0, False),
 }
 
 
