@@ -13,7 +13,8 @@ The modulus takes one radius or a 1-D array of radii, and a sweep of radii
 classical norm) is one modulus call: its two stages, the polar grid and the
 refinement around each radius's argmax, are each one batched shift-norm
 call over a group of radii.  Under Phi = t^2 each radius gets the bits it
-gets alone.
+gets alone, and one with t |k| <= pi on the whole spectrum takes only the
+circle |h| = t, with the full grid's bits (the ring rule, see modulus).
 """
 
 from __future__ import annotations
@@ -157,15 +158,25 @@ def _polar(dim: int, rs: np.ndarray, thetas: np.ndarray) -> np.ndarray:
                      (rs * np.sin(thetas)).ravel()], axis=1)
 
 
+def _on_ring(f: TrigPoly, ts: np.ndarray, phi: YoungFunction) -> np.ndarray:
+    """The mask of the radii t that modulus takes on the circle |h| = t
+    alone: Phi = t^2 and t |k| <= pi for every k of f's folded spectrum."""
+    k = (np.sqrt((f._folded[0] ** 2).sum(axis=1)).max(initial=0.0)
+         if phi.is_square else math.inf)
+    return ts * k <= np.pi
+
+
 def _sup_shift_norms(f: TrigPoly, ts: np.ndarray, phi: YoungFunction,
-                     n_r: int, thetas: np.ndarray,
-                     refine: bool) -> np.ndarray:
+                     n_r: int, thetas: np.ndarray, refine: bool,
+                     ring: bool) -> np.ndarray:
     """modulus of f at each radius of ts, from the polar grid of n_r radii
     and the angles thetas and, when refine is set, one pass around each
-    argmax: two _shift_norms calls for all of ts."""
+    argmax: two _shift_norms calls for all of ts.  With ring set both
+    stages keep only their last radius column, |h| = t."""
     rows = np.arange(len(ts))
     n_th = len(thetas)
-    rs = ts[:, None] * np.arange(1, n_r + 1) / n_r
+    cols = slice(-1 if ring else 0, None)
+    rs = (ts[:, None] * np.arange(1, n_r + 1) / n_r)[:, cols]
     vals = _shift_norms(f, _polar(f.dim, rs, thetas[None]), phi)
     vals = vals.reshape(len(ts), -1)
     best = np.argmax(vals, axis=1)
@@ -175,7 +186,7 @@ def _sup_shift_norms(f: TrigPoly, ts: np.ndarray, phi: YoungFunction,
     r0, th0 = rs[rows, best // n_th], thetas[best % n_th]
     dr, dth = ts / n_r, 2.0 * np.pi / n_th
     rr = np.linspace(np.maximum(r0 - dr, 1e-12 * ts), np.minimum(r0 + dr, ts),
-                     9 if f.dim == 1 else 5, axis=1)
+                     9 if f.dim == 1 else 5, axis=1)[:, cols]
     tt = np.linspace(th0 - dth, th0 + dth, 9, axis=1)
     fine = _shift_norms(f, _polar(f.dim, rr, tt), phi)
     return np.maximum(best_v, fine.reshape(len(ts), -1).max(axis=1))
@@ -201,9 +212,19 @@ def modulus(f: TrigPoly, t: float | np.ndarray, phi: YoungFunction, *,
     each radius gets the bits it gets alone (see _shift_norms), and the
     quadrature route shares only the sampling products between radii.
     For low-degree polynomials the objective is smooth and the grid is
-    observed-converged (double ``angles``/``radii`` to check).  A radius
-    that is not a finite number > 0 raises ValueError, and so do an array
-    of more than one axis and ``angles`` or ``radii`` not an integer >= 1.
+    observed-converged (double ``angles``/``radii`` to check).  Ring rule:
+    under Phi = t^2 a radius t with t |k| <= pi on the folded spectrum
+    (_on_ring) takes both stages on the circle |h| = t alone, in groups of
+    its own whose circles hold at most about _GRID_ROWS candidates.  There each Parseval term 4 |c_k|^2 sin^2(k.h / 2) is
+    nondecreasing along each ray, so the sup over the disc is the sup over
+    its circle, and the full grid's bits are kept: with n grid radii its
+    inner rows lie at r <= (1 - 1/(8 n)) t, where a ray's value is zero or
+    at least a factor cos^2(pi / (16 n)) below the circle's, far beyond
+    rounding, so argmax picks the same circle angle.  Only an all-zero grid
+    (2-D, one angle, spectrum on the second axis) differs, to a larger
+    value.  A radius that is not a finite number > 0 raises
+    ValueError, and so do an array of more than one axis and ``angles`` or
+    ``radii`` not an integer >= 1.
     """
     angles, radii = _count(angles, "angles"), _count(radii, "radii")
     ts = np.asarray(t, dtype=float)
@@ -217,10 +238,14 @@ def modulus(f: TrigPoly, t: float | np.ndarray, phi: YoungFunction, *,
         n_r = 4 * radii if f.dim == 1 else radii
         n_th = 1 if f.dim == 1 else angles
         thetas = 2.0 * np.pi * np.arange(n_th) / n_th
-        step = max(1, _GRID_ROWS // (n_r * n_th))
-        for g in range(0, flat.size, step):
-            out[g:g + step] = _sup_shift_norms(f, flat[g:g + step], phi, n_r,
-                                               thetas, refine)
+        ring = _on_ring(f, flat, phi)
+        for on in (True, False):
+            idx = np.flatnonzero(ring == on)
+            step = max(1, _GRID_ROWS // ((1 if on else n_r) * n_th))
+            for g in range(0, idx.size, step):
+                i = idx[g:g + step]
+                out[i] = _sup_shift_norms(f, flat[i], phi, n_r, thetas,
+                                          refine, on)
     return float(out[0]) if ts.ndim == 0 else out
 
 
@@ -228,10 +253,15 @@ def modulus(f: TrigPoly, t: float | np.ndarray, phi: YoungFunction, *,
 # the two norms
 # ---------------------------------------------------------------------------
 
+def _dyadic_radii(params: BesovParams) -> np.ndarray:
+    """2^{-n} for n = 0, ..., n_max."""
+    return np.ldexp(1.0, -np.arange(params.n_max + 1))
+
+
 def _dyadic_terms(f: TrigPoly, params: BesovParams) -> list[float]:
     """psi(2^n) * modulus(f, 2^{-n}) for n = 0, ..., n_max, the moduli
     from one modulus call."""
-    om = modulus(f, np.ldexp(1.0, -np.arange(params.n_max + 1)), params.phi,
+    om = modulus(f, _dyadic_radii(params), params.phi,
                  angles=params.h_angles, radii=params.h_radii)
     return [float(params.psi(2.0 ** n)) * float(v) for n, v in enumerate(om)]
 
@@ -353,7 +383,8 @@ def check_sum_integral_sandwich(f: TrigPoly, params: BesovParams,
             <= sum_{n <= n_max} psi(2^n) * modulus(f, 2^{-n})
             <= 2 * int_1^T psi(t)/t * modulus(f, 2/t) dt.
     Both integrals use trapezoid quadrature on the supplied t grid; each
-    integrand, and the dyadic sum, takes its moduli from one modulus call.
+    integrand, and the dyadic sum, takes its moduli from one modulus call;
+    ``ring_radii`` counts their radii that the ring rule (see modulus) takes.
     """
     t = np.asarray(sorted(t_grid), dtype=float)
     if t.size < 2:
@@ -366,13 +397,14 @@ def check_sum_integral_sandwich(f: TrigPoly, params: BesovParams,
                        radii=params.h_radii)
 
     psi_t = np.array([params.psi(float(v)) for v in t])
-    low_vals = psi_t / t * om(1.0 / (2.0 * t))
-    up_vals = psi_t / t * om(2.0 / t)
+    radii = [1.0 / (2.0 * t), 2.0 / t, _dyadic_radii(params)]
+    low_vals, up_vals = (psi_t / t * om(r) for r in radii[:2])
     i_low = float(np.trapezoid(low_vals, t))
     i_up = float(np.trapezoid(up_vals, t))
 
     terms = _dyadic_terms(f, params)
     s = float(np.sum(terms))
+    ring = _on_ring(f, np.concatenate(radii), params.phi)
 
     # Empirical power-decay tail of the upper integrand past T.
     tail_up = 0.0
@@ -388,11 +420,14 @@ def check_sum_integral_sandwich(f: TrigPoly, params: BesovParams,
         "sum-integral-sandwich", [margin_low, margin_up], None,
         [slack, 2.0 * tail_up + slack],
         inputs={"phi": repr(params.phi), "n_max": params.n_max,
-                "t_max": float(t[-1]), "n_nodes": int(t.size)},
+                "t_max": float(t[-1]), "n_nodes": int(t.size),
+                "h_angles": int(params.h_angles),
+                "h_radii": int(params.h_radii)},
         quantities={"sum": s, "sum_tail": terms[-1],
                     "lower_integral": i_low, "upper_integral": i_up,
                     "upper_integral_tail_estimate": tail_up,
-                    "margin_lower": margin_low, "margin_upper": margin_up},
+                    "margin_lower": margin_low, "margin_upper": margin_up,
+                    "ring_radii": int(ring.sum())},
         tolerance="margins >= -1e-9 relative, upper side allows 2x integral tail",
     )
 

@@ -290,9 +290,15 @@ def test_zero_polynomial_gives_zeros_of_the_same_shape(phi):
 
 
 def test_modulus_stages_are_two_shift_norm_calls_per_group():
-    # 2-D, 8 x 4 candidates per radius: 64 radii per group of 2048 rows,
-    # so 100 radii take two groups, each a grid call and a refinement call
+    # 2-D, 8 x 4 candidates per radius.  A degree-2 polynomial has max |k|
+    # = sqrt(8): the 300 radii up to 1 take the ring route first, 8 circle
+    # rows and 9 refinement rows each, so 256 radii per group of 2048
+    # circle rows; then the 70 radii from 1.2 take the full grid, 32 and 45
+    # rows each, so 64 radii per group
     f, phi = random_poly2(2, seed=8), make_power(2.0)
+    ts = np.concatenate([np.geomspace(1e-3, 1.0, 300),
+                         np.geomspace(1.2, 3.0, 70)])
+    ts = np.random.default_rng(8).permutation(ts)
     rows = []
     real = besov._shift_norms
 
@@ -301,8 +307,128 @@ def test_modulus_stages_are_two_shift_norm_calls_per_group():
         return real(f, hs, phi)
 
     with mock.patch.object(besov, "_shift_norms", counted):
-        modulus(f, np.geomspace(1e-3, 1.0, 100), phi, angles=8, radii=4)
-    assert rows == [64 * 32, 64 * 45, 36 * 32, 36 * 45]
+        modulus(f, ts, phi, angles=8, radii=4)
+    assert rows == [256 * 8, 256 * 9, 44 * 8, 44 * 9,
+                    64 * 32, 64 * 45, 6 * 32, 6 * 45]
+
+
+def _full_grid_modulus(f, ts, phi, angles, radii, refine):
+    """modulus on the whole polar grid and the whole refinement of every
+    radius, one _shift_norms call per stage: the oracle of the ring rule."""
+    n_r = 4 * radii if f.dim == 1 else radii
+    n_th = 1 if f.dim == 1 else angles
+    thetas = 2.0 * np.pi * np.arange(n_th) / n_th
+    rows = np.arange(len(ts))
+    rs = ts[:, None] * np.arange(1, n_r + 1) / n_r
+    vals = _shift_norms(f, besov._polar(f.dim, rs, thetas[None]), phi)
+    vals = vals.reshape(len(ts), -1)
+    best = np.argmax(vals, axis=1)
+    if not refine:
+        return vals[rows, best]
+    r0, th0 = rs[rows, best // n_th], thetas[best % n_th]
+    dr, dth = ts / n_r, 2.0 * np.pi / n_th
+    rr = np.linspace(np.maximum(r0 - dr, 1e-12 * ts), np.minimum(r0 + dr, ts),
+                     9 if f.dim == 1 else 5, axis=1)
+    tt = np.linspace(th0 - dth, th0 + dth, 9, axis=1)
+    fine = _shift_norms(f, besov._polar(f.dim, rr, tt), phi)
+    return np.maximum(vals[rows, best], fine.reshape(len(ts), -1).max(axis=1))
+
+
+_RING_RADII = np.geomspace(1e-6, 4.0, 40)   # straddles pi / max |k|
+_GRIDS = [(64, 8), (32, 6), (7, 3)]
+
+
+@pytest.mark.parametrize("refine", [True, False], ids=["refine", "grid"])
+@pytest.mark.parametrize("grid", _GRIDS, ids=lambda g: f"{g[0]}x{g[1]}")
+@pytest.mark.parametrize("dim", [1, 2], ids=["1d", "2d"])
+def test_ring_route_has_the_bits_of_the_full_grid(dim, grid, refine):
+    phi, (angles, radii) = make_power(2.0), grid
+    polys = [random_poly_1d(d, d) if dim == 1 else random_poly2(d, seed=d)
+             for d in range(1, 9)]
+    polys.append(TrigPoly(dim, {(0,) * dim: 2.0}))   # no folded spectrum
+    for f in polys:
+        ring = besov._on_ring(f, _RING_RADII, phi)
+        assert ring.any() and (f.degree == 0 or not ring.all())
+        got = modulus(f, _RING_RADII, phi, angles=angles, radii=radii,
+                      refine=refine)
+        want = _full_grid_modulus(f, _RING_RADII, phi, angles, radii, refine)
+        assert np.array_equal(got, want), f.degree
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_ring_route_has_the_bits_of_the_full_grid_on_sandwich_polys(seed):
+    # the polynomials and radii of the Phi = t^2 sandwich benchmark
+    t = np.geomspace(1.0, 2.0 ** 15, 90)
+    radii = np.concatenate([1.0 / (2.0 * t), 2.0 / t,
+                            np.ldexp(1.0, -np.arange(14)), _RING_RADII])
+    phi = make_power(2.0)
+    for d, j in [(3, 0), (3, 1), (8, 0)]:
+        f = random_poly2(d, seed=(seed, d, j))
+        for angles, n_r in [(32, 6), *_GRIDS]:
+            assert np.array_equal(
+                modulus(f, radii, phi, angles=angles, radii=n_r),
+                _full_grid_modulus(f, radii, phi, angles, n_r, True))
+
+
+@pytest.mark.parametrize("angles", [1, 2, 3])
+def test_ring_route_differs_only_on_an_all_zero_grid(angles):
+    # f = e^{3iy} at t = 1/2: one angle gives a grid of zero rows, so the
+    # full grid refines around its first row, radius t/4, and peaks at
+    # 2 sin(3 (t/2) / 2), while the ring route refines around the circle
+    # and finds 2 sin(3 t / 2).  With two angles the rows at angle pi are
+    # not zero, as sin(pi) rounds to about 1.2e-16, and grow with r, so
+    # both routes pick the circle and agree to the bit, as from three on
+    f, phi, ts = TrigPoly(2, {(0, 3): 1.0}), make_power(2.0), np.array([0.5])
+    assert besov._on_ring(f, ts, phi).all()
+    for refine in (False, True):
+        got = modulus(f, ts, phi, angles=angles, radii=4, refine=refine)
+        want = _full_grid_modulus(f, ts, phi, angles, 4, refine)
+        if angles > 1 or not refine:
+            assert np.array_equal(got, want)
+        else:
+            assert got[0] == pytest.approx(2.0 * math.sin(0.75), rel=1e-12,
+                                           abs=0.0)
+            assert want[0] == pytest.approx(2.0 * math.sin(0.375),
+                                            rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("dim", [1, 2], ids=["1d", "2d"])
+def test_past_the_ring_threshold_the_sup_lies_inside_the_disc(dim):
+    # f = e^{3ix} at t = pi/2 (t |k| = 1.5 pi): ||f(. + h) - f||_2 =
+    # 2 |sin(3 h_1 / 2)| peaks at 2 at h_1 = pi/3 inside the disc, while on
+    # the ray along k the circle gives 2 sin(3 pi / 4) = sqrt 2
+    f, phi, t = TrigPoly(dim, {(3,) + (0,) * (dim - 1): 1.0}), \
+        make_power(2.0), math.pi / 2
+    assert not besov._on_ring(f, np.array([t]), phi).any()
+    assert modulus(f, t, phi) == pytest.approx(2.0, abs=1e-4)
+    on_ray = besov._sup_shift_norms(f, np.array([t]), phi, 8,
+                                    np.zeros(1), True, True)
+    assert on_ray[0] == pytest.approx(math.sqrt(2.0), rel=1e-15, abs=0.0)
+
+
+def test_parseval_terms_are_nondecreasing_along_rays_up_to_the_threshold():
+    # 30 digits: on a degree-3 polynomial at t max |k| = pi, N(r u)^2 =
+    # sum_k |c_k|^2 4 sin^2(r k.u / 2) increases in r on [0, t] along rays
+    # that include the direction of the largest k
+    f = random_poly2(3, seed=11)
+    t_float = math.pi / math.sqrt(18.0)
+    phi = make_power(2.0)
+    assert besov._on_ring(f, np.array([np.nextafter(t_float, 0.0)]),
+                          phi).all()
+    assert not besov._on_ring(f, np.array([t_float * (1.0 + 1e-12)]),
+                              phi).any()
+    with mpmath.workdps(30):
+        t = mpmath.pi / mpmath.sqrt(18)
+        terms = [(abs(mpmath.mpc(c)) ** 2, k) for k, c in f.coeffs.items()]
+        for theta in [mpmath.pi / 4, 0, mpmath.mpf("0.3"), 2, 5 * mpmath.pi / 4]:
+            u = (mpmath.cos(theta), mpmath.sin(theta))
+
+            def sq(r):
+                return sum(4 * w * mpmath.sin(r * (k[0] * u[0] + k[1] * u[1])
+                                              / 2) ** 2 for w, k in terms)
+
+            vals = [sq(t * i / 64) for i in range(65)]
+            assert all(b > a for a, b in zip(vals, vals[1:])), theta
 
 
 def test_parseval_shift_norms_hold_one_sine_chunk():
@@ -524,7 +650,9 @@ def test_sandwich_constant_trivial():
         rep = check_sum_integral_sandwich(f, params_power2(),
                                           np.geomspace(1.0, 100.0, 20))
         assert rep.passed
-        assert set(rep.quantities.values()) == {0.0}
+        q = dict(rep.quantities)
+        assert q.pop("ring_radii") == 20 + 20 + 17   # no spectrum: all
+        assert set(q.values()) == {0.0}
 
 
 def test_sandwich_random_batch():
@@ -535,6 +663,23 @@ def test_sandwich_random_batch():
         rep = check_sum_integral_sandwich(
             f, params_power2(psi=psi, n_max=13, h_angles=32, h_radii=6), grid)
         assert rep.passed, (seed, rep.quantities)
+
+
+def test_sandwich_reports_its_grid_and_ring_radii():
+    # degree 3, full box: max |k| = sqrt 18, so 1/(2t) <= 1/2 and 2^{-n}
+    # for n >= 1 are ring radii, and 2/t is one from t >= 2 sqrt 18 / pi
+    t = np.geomspace(1.0, 2.0 ** 15, 90)
+    params = params_power2(psi=lambda v: v ** 0.5, n_max=13, h_angles=32,
+                           h_radii=6)
+    rep = check_sum_integral_sandwich(random_poly2(3, seed=(0, 3, 0)),
+                                      params, t)
+    assert rep.inputs["h_angles"] == 32 and rep.inputs["h_radii"] == 6
+    up = int(np.sum(2.0 / t * math.sqrt(18.0) <= math.pi))
+    assert rep.quantities["ring_radii"] == 90 + up + 13 == 184
+    s7 = BesovParams(make_section7(0.05), lambda v: v ** 0.5, n_max=4,
+                     h_angles=4, h_radii=2)
+    rep = check_sum_integral_sandwich(random_poly_1d(2, 0), s7, t[:4])
+    assert rep.quantities["ring_radii"] == 0
 
 
 def test_sandwich_section7_1d():

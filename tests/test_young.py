@@ -332,8 +332,8 @@ def test_log_inverse_breaks_are_the_log_values_of_the_piece_ends(phi):
                          ids=lambda p: p.kind)
 def test_one_piece_maps_take_arrays_with_ends_whole(phi):
     # a one-piece table takes the general route: its formula sees only the
-    # entries that are not ends, every such entry gets the bits of a call
-    # without ends, and no end raises a warning
+    # entries that are not ends, every entry gets the bits of a call on
+    # that entry alone, and no end raises a warning
     calls = []
 
     def formula(x):
@@ -349,6 +349,7 @@ def test_one_piece_maps_take_arrays_with_ends_whole(phi):
     x[5] = math.inf
     y = np.full_like(x, -math.inf)
     y[x > 0] = np.log(x[x > 0])
+    y[7] = math.inf
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         for fn, arg, low in ((phi.forward, x, 0.0), (phi.inverse, x, 0.0),
@@ -357,6 +358,7 @@ def test_one_piece_maps_take_arrays_with_ends_whole(phi):
             ends = (arg == low) | (arg == math.inf)
             assert got[ends].tolist() == arg[ends].tolist()
             assert got[~ends].tolist() == fn(arg[~ends]).tolist()
+            assert got.tolist() == [fn(float(v)) for v in arg]
 
 
 @pytest.mark.parametrize("p", [2.0, 3.0])
