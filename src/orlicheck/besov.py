@@ -160,9 +160,10 @@ def _polar(dim: int, rs: np.ndarray, thetas: np.ndarray) -> np.ndarray:
 
 def _on_ring(f: TrigPoly, ts: np.ndarray, phi: YoungFunction) -> np.ndarray:
     """The mask of the radii t that modulus takes on the circle |h| = t
-    alone: Phi = t^2 and t |k| <= pi for every k of f's folded spectrum."""
+    alone: Phi = t^2 and t |k| <= pi for every k of f's folded spectrum.
+    None for the zero polynomial, whose modulus is 0 with no shift."""
     k = (np.sqrt((f._folded[0] ** 2).sum(axis=1)).max(initial=0.0)
-         if phi.is_square else math.inf)
+         if phi.is_square and f.box.any() else math.inf)
     return ts * k <= np.pi
 
 

@@ -15,12 +15,15 @@ There is one root solver, and it is row-wise: the data are the rows of a
 takes Jensen's end of its bracket, which is then the root; every other row
 gets its own bracket, and one vectorised Chandrupatla solve
 (numerics.chandrupatla) finishes them all, with one Phi call per step over
-the rows still running.  norm_seq and norm_fun are its one-row case;
-poly_norms takes a stack of coefficient boxes of one width (besov's shift
-differences) and norms it on one grid schedule, so a whole batch of shift
-norms costs a few Phi calls per grid, or none.  It roots the |samples| that
-trig.sample_abs_chunks hands it chunk by chunk; trig owns the chunk size,
-the sampling route and the buffers.
+the rows still running.  norm_seq and norm_fun are its one-row case.
+grid_norms is the one in-place root of sampled polynomials: it roots the
+|samples| of a stack of coefficient boxes that trig.sample_abs_chunks hands
+it chunk by chunk, in the buffer each chunk was written to, so |f| is never
+copied; trig owns the chunk size, the sampling route and the buffers.
+poly_norms runs it on one grid schedule for a stack of one width (besov's
+shift differences), so a whole batch of shift norms costs a few Phi calls
+per grid, or none; the Orlicz sampling check's function norm is its
+one-row case.
 """
 
 from __future__ import annotations
@@ -38,6 +41,7 @@ __all__ = [
     "norm_fun",
     "poly_norm",
     "poly_norms",
+    "grid_norms",
     "embed_l2_check",
 ]
 
@@ -186,21 +190,24 @@ def poly_norms(phi: YoungFunction, boxes: np.ndarray) -> np.ndarray:
     ``boxes`` (trig.coefficient_boxes), batched, on the grids of the degree d
     of the box width 2 d + 1: a row whose top coefficients cancel exactly
     visits these, not the grids of its own lower degree, and a zero row has
-    norm 0.  On every grid the rows are sampled chunk by chunk
-    (trig.sample_abs_chunks, which picks the chunk size and leaves the
-    route to trig.sample_boxes) and each chunk is normed by one row-wise root, in place in the
-    chunk's buffer; each row freezes at its own first settled grid.
+    norm 0.  Every grid is normed by grid_norms, chunk by chunk in place;
+    each row freezes at its own first settled grid.
     """
     if not len(boxes):
         return np.zeros(0)
     grids = dict(poly_norm.__kwdefaults__)   # poly_norm's grid options
     del grids["exact_l2"]
+    return refine_on_grid((boxes.shape[-1] - 1) // 2,
+                          lambda m: grid_norms(phi, boxes, m), **grids)[0]
 
-    def rows_norm(m: int) -> np.ndarray:
-        return np.concatenate([_lux_root(phi, a, True)
-                               for a in sample_abs_chunks(boxes, m)])
 
-    return refine_on_grid((boxes.shape[-1] - 1) // 2, rows_norm, **grids)[0]
+def grid_norms(phi: YoungFunction, boxes: np.ndarray, m: int) -> np.ndarray:
+    """The Luxemburg norms on the uniform m-grid of the polynomials stacked
+    in ``boxes`` (at least one): each chunk of |samples| that
+    trig.sample_abs_chunks hands out is rooted by one row-wise root, in
+    place in the buffer it was written to, so no copy of |f| is made."""
+    return np.concatenate([_lux_root(phi, a, True)
+                           for a in sample_abs_chunks(boxes, m)])
 
 
 def embed_l2_check(phi: YoungFunction, x) -> VerificationReport:

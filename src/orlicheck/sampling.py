@@ -25,8 +25,7 @@ import math
 
 import numpy as np
 
-from . import luxemburg
-from .luxemburg import norm_seq, poly_norm
+from .luxemburg import grid_norms, norm_seq, poly_norm
 from .reports import VerificationReport, worst_of
 from .trig import (Frame, TrigPoly, _radius, band_kernel, convolve, frame,
                    poly_from_box, refine_on_grid, sample_on_grid)
@@ -115,9 +114,14 @@ def orlicz_sampling_check(f: TrigPoly, n: int, phi: YoungFunction, C: float,
     The function norm is exact (Parseval) for Phi = t^2, else grid
     quadrature that asks 1e-5 of one doubling and need not get it:
     ``fun_norm_grid`` and ``fun_norm_converged`` say where it stopped (0 and
-    True when exact).  On random_poly_on_frame(3, seed=5) under section7 the
-    64- and 128-point grids differ by 9.8e-5 relatively, and the 128-point
-    value is 1.5e-5 below the 1024-point one, which the 24 C^2 margin dwarfs.
+    True when exact).  Each grid is rooted by luxemburg.grid_norms in the
+    float buffer its |f| is sampled into, and a grid above
+    trig.SAMPLE_BLOCK points is sampled by blocks: at level 6 the 1024^2
+    grid holds 8 MB of |f|, its 2 MB first-axis slab and two 0.5 MB
+    blocks, never the 16 MB complex grid.  On random_poly_on_frame(3,
+    seed=5) under section7 the 64- and 128-point grids differ by 9.8e-5
+    relatively, and the 128-point value is 1.5e-5 below the 1024-point
+    one, which the 24 C^2 margin dwarfs.
     A constant C that is not a finite number >= 1, or a frame ``fr`` of
     another level than n, raises ValueError.  Each mode must satisfy
     2^{n-3} < max_i |k_i| < 2^n; the ValueError says how many do not.
@@ -144,9 +148,9 @@ def orlicz_sampling_check(f: TrigPoly, n: int, phi: YoungFunction, C: float,
     bound = 24.0 * C * C
     if phi.is_square:
         fun_norm, grid, converged = poly_norm(phi, f), 0, True
-    else:   # luxemburg.norm_fun, where perfbench's tracer wraps it
+    else:
         fun_norm, grid, converged = refine_on_grid(
-            f.degree, lambda m: luxemburg.norm_fun(phi, f.sample_uniform(m)),
+            f.degree, lambda m: grid_norms(phi, f.box[None], m)[0],
             rel_tol=1e-5, max_doublings=1, max_grid=1024)
     inv_omega = float(phi.inverse(float(fr.omega)))
     rhs = bound * inv_omega * fun_norm

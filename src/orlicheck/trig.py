@@ -20,8 +20,13 @@ unit boxes through the FFT route.  TrigPoly.sample_uniform is the one-row
 case.  sample_abs_chunks hands out |values| of a stack chunk by chunk: each
 chunk goes through sample_boxes, which alone picks the route, into a
 complex buffer (filled on the matrix route only) and a float one, both
-reused from chunk to chunk.  It owns the chunking of stacks as poly_l1 owns
-its blocks, so SAMPLE_BLOCK is read in this module only.
+reused from chunk to chunk.  A 2-D row whose grid exceeds SAMPLE_BLOCK is
+split instead (_abs_by_blocks): its first axis is transformed once, and
+blocks of SPLIT_BLOCK points, whole grid rows, go through the last axis
+in reused cache-sized buffers, their |values| straight into the
+row's float chunk, so no complex grid is ever held; the bits are those of
+sample_boxes.  It owns the chunking of stacks as poly_l1 owns its blocks,
+so SAMPLE_BLOCK and SPLIT_BLOCK are read in this module only.
 
 Grid quadrature
 ---------------
@@ -30,9 +35,10 @@ refine_on_grid      the one oversample-and-double loop: from a degree, it
                     that double until its value settles to ``rel_tol``, and
                     returns (value, grid, converged).  The functional may
                     return a vector, whose entries settle one by one.
-                    luxemburg.poly_norm and the two sampling checks sample
-                    each grid whole; luxemburg.poly_norms norms a stack
-                    of coefficient boxes from sample_abs_chunks; poly_l1
+                    luxemburg.poly_norm and the classical sampling check
+                    sample each grid whole; luxemburg.poly_norms and the
+                    Orlicz check's function norm (luxemburg.grid_norms)
+                    root |f| chunk by chunk from sample_abs_chunks; poly_l1
                     samples only the 1-D factors of a rank factorisation of
                     f and sums |f| block by block from them, so its memory
                     does not grow with the grid and its 4096-point cap only
@@ -84,6 +90,12 @@ import numpy as np
 # when sample_abs_chunks samples a stack: the working set stays a few MB at
 # any grid size.
 SAMPLE_BLOCK = 2 ** 18
+# Points per complex block when sample_abs_chunks splits a 2-D row whose
+# grid exceeds SAMPLE_BLOCK, sized so that its two buffers stay in cache:
+# the section7 Luxemburg norm of a 1024^2 grid (level-6 frame polynomial,
+# one BLAS thread, 2-CPU Xeon) took a median 16.2-16.4 ms in blocks of 2^14
+# to 2^17 points, 17.5 ms in blocks of 2^18 and 18.6 ms unsplit.
+SPLIT_BLOCK = 2 ** 15
 
 __all__ = [
     "TrigPoly",
@@ -319,26 +331,41 @@ def _by_matrix(width: int, m: int) -> bool:
     return width <= 3 * operator.index(m).bit_length() and width * m <= 2 ** 15
 
 
+def _fold_index(width: int, m: int) -> np.ndarray:
+    """The indices k mod m, k = -d..d, of a box of width w = 2 d + 1 on
+    the m-grid; a grid smaller than the box width aliases and raises
+    ValueError."""
+    d = (width - 1) // 2
+    if m < width:
+        raise ValueError(f"grid size {m} aliases degree {d}")
+    return np.arange(-d, d + 1) % m
+
+
+def _pad_ifft(b: np.ndarray, m: int, ax: int,
+              folded: np.ndarray) -> np.ndarray:
+    """Axis ``ax`` of b zero-padded to m at the indices ``folded`` and
+    inverse-transformed in place, as a fresh array."""
+    slab = np.zeros(b.shape[:ax] + (m,) + b.shape[ax + 1:], dtype=complex)
+    slab[(slice(None),) * ax + (folded,)] = b
+    return np.fft.ifft(slab, axis=ax, norm="forward", out=slab)
+
+
 def _sample_fft(boxes: np.ndarray, m: int) -> np.ndarray:
     """The FFT route of sample_boxes, as a fresh array: each axis in turn
     is zero-padded to m at the indices k mod m and inverse-transformed in
-    place, so each transform runs only over the slab of lines that can be
-    nonzero.  Each slab is a fresh np.zeros, whose zero pages cost less
-    than zeroing a reused buffer (2.3 against 3.2 ms for 1024^2 points).
+    place (_pad_ifft), so each transform runs only over the slab of lines
+    that can be nonzero.  Each slab is a fresh np.zeros, whose zero pages
+    cost less than zeroing a reused buffer (2.3 against 3.2 ms for 1024^2
+    points); the split route of sample_abs_chunks (_abs_by_blocks) needs
+    no zeroing at all, as its pad columns are never written.
 
     A grid smaller than the box width aliases and raises ValueError; the
     exponential matrices are built through this route, so no matrix of
     such a grid exists either."""
-    dim, width = boxes.ndim - 1, boxes.shape[-1]
-    d = (width - 1) // 2
-    if m < width:
-        raise ValueError(f"grid size {m} aliases degree {d}")
-    folded = np.arange(-d, d + 1) % m
+    folded = _fold_index(boxes.shape[-1], m)
     b = boxes
-    for ax in range(1, dim + 1):
-        slab = np.zeros(b.shape[:ax] + (m,) + b.shape[ax + 1:], dtype=complex)
-        slab[(slice(None),) * ax + (folded,)] = b
-        b = np.fft.ifft(slab, axis=ax, norm="forward", out=slab)
+    for ax in range(1, boxes.ndim):
+        b = _pad_ifft(b, m, ax, folded)
     return b
 
 
@@ -389,20 +416,68 @@ def sample_boxes(boxes: np.ndarray, m: int,
     return _sample_matrix(boxes, m, out)
 
 
+def _abs_by_blocks(box: np.ndarray, m: int, out: np.ndarray) -> None:
+    """|values| of the 2-D polynomial of centred box ``box`` on the m-grid,
+    written into the float (m, m) array ``out`` block by block, bit for bit
+    as np.abs(sample_boxes(box[None], m)[0]) gives them.
+
+    The first axis is transformed once, on the route _by_matrix picks, into
+    the (m, w) slab sample_boxes builds: E^T box on the matrix route, a
+    pruned inverse FFT (_pad_ifft) on the FFT route.  Then each block of
+    about SPLIT_BLOCK points, whole grid rows, goes through the last axis
+    into one reused complex buffer: the matrix route multiplies the block's
+    rows of the slab by E; the FFT route scatters them into a second reused
+    buffer, zero-padded to m, whose pad columns are never written and so
+    stay zero, and inverse-transforms it out of place.  A block holds two
+    rows at least, and a last block of one row is taken with the row
+    before it, because numpy hands a one-row product to gemv, which rounds
+    otherwise than the gemm that sample_boxes runs over all rows."""
+    width = box.shape[-1]
+    rows = max(2, SPLIT_BLOCK // m)
+    block = np.empty((rows, m), dtype=complex)
+    matrix = _by_matrix(width, m)
+    if matrix:
+        e = _exp_matrix(width, m)
+        slab = np.matmul(e.T, box[None])[0]
+    else:
+        folded = _fold_index(width, m)
+        slab = _pad_ifft(box[None], m, 1, folded)[0]
+        padded = np.zeros((rows, m), dtype=complex)
+    for i in range(0, m, rows):
+        i = min(i, m - 2)
+        k = min(rows, m - i)
+        if matrix:
+            np.matmul(slab[i:i + k], e, out=block[:k])
+        else:
+            padded[:k, folded] = slab[i:i + k]
+            np.fft.ifft(padded[:k], norm="forward", out=block[:k])
+        np.abs(block[:k], out=out[i:i + k])
+
+
 def sample_abs_chunks(boxes: np.ndarray, m: int) -> Iterator[np.ndarray]:
     """|values| on the uniform m-grid of the polynomials stacked in
     ``boxes``, chunk by chunk: consecutive rows of at most SAMPLE_BLOCK grid
     points (at least one row), each chunk a (rows, m**dim) float array; an
     empty stack yields nothing.
 
-    Each chunk is sampled by sample_boxes into one complex buffer, and its
-    modulus is written into one float buffer, both allocated once per call.
-    The matrix route fills the complex buffer; the FFT route leaves it
-    untouched and pads fresh zero slabs per chunk.  So each chunk handed out
-    is a view that the next one overwrites: use it, or copy it, before
-    asking for the next.
+    Rows that fit are sampled by sample_boxes into one complex buffer, and
+    their modulus is written into one float buffer, both allocated once per
+    call.  The matrix route fills the complex buffer; the FFT route leaves
+    it untouched and pads fresh zero slabs per chunk.  A 2-D row whose grid
+    exceeds SAMPLE_BLOCK goes by the split route (_abs_by_blocks) into its
+    one-row float chunk: no complex array larger than its (m, w) first-axis
+    slab and two blocks of SPLIT_BLOCK points, and the same bits.  A 1-D
+    row has no split: its line is its first-axis slab.  So each chunk
+    handed out is a view that the next one overwrites: use it, or copy it,
+    before asking for the next.
     """
     dim = boxes.ndim - 1
+    if dim == 2 and m * m > SAMPLE_BLOCK:
+        mags = np.empty((1, m * m))
+        for box in boxes:
+            _abs_by_blocks(box, m, mags.reshape(m, m))
+            yield mags
+        return
     step = max(1, min(len(boxes), SAMPLE_BLOCK // m ** dim))
     values = np.empty((step,) + (m,) * dim, dtype=complex)
     mags = np.empty((step, m ** dim))

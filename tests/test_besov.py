@@ -646,12 +646,15 @@ def test_sandwich_single_harmonic():
 
 
 def test_sandwich_constant_trivial():
-    for f in (TrigPoly(2, {(0, 0): 1.0}), TrigPoly(2, {})):
+    # a constant has no folded spectrum, so modulus takes every radius on
+    # the ring; the zero polynomial takes none, as modulus shifts it nowhere
+    for f, ring in ((TrigPoly(2, {(0, 0): 1.0}), 20 + 20 + 17),
+                    (TrigPoly(2, {}), 0)):
         rep = check_sum_integral_sandwich(f, params_power2(),
                                           np.geomspace(1.0, 100.0, 20))
         assert rep.passed
         q = dict(rep.quantities)
-        assert q.pop("ring_radii") == 20 + 20 + 17   # no spectrum: all
+        assert q.pop("ring_radii") == ring
         assert set(q.values()) == {0.0}
 
 

@@ -3,15 +3,18 @@ lower route, and random polynomial generators."""
 
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from orlicheck.luxemburg import norm_seq, poly_norm
+from orlicheck import trig
+from orlicheck.luxemburg import norm_fun, norm_seq, poly_norm
 from orlicheck.sampling import (_trial, classical_check_1d,
                                 l2_sampling_lower, orlicz_sampling_check,
                                 random_poly_1d, random_poly_on_frame)
-from orlicheck.trig import TrigPoly, band_kernel, convolve, fejer, frame, sample_on_grid
+from orlicheck.trig import (TrigPoly, band_kernel, convolve, fejer, frame,
+                            refine_on_grid, sample_on_grid)
 from orlicheck.young import SECTION7_R, make_power, make_section7
 
 
@@ -110,6 +113,49 @@ def test_orlicz_reports_function_norm_grid_and_convergence():
     exact = orlicz_sampling_check(f, 3, make_power(2.0), 1.0,
                                   check_preconditions=False)
     assert exact.fun_norm_grid == 0 and exact.fun_norm_converged is True
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_orlicz_function_norm_matches_sampled_grid_route(n):
+    # the function norm, rooted in the buffer its |f| is sampled into (at
+    # level 6 by blocks on the 1024^2 grid), against the norm of the whole
+    # sampled grid: every quantity the two routes feed is the same float
+    phi = make_section7(0.05)
+    f = random_poly_on_frame(n, seed=60 + n)
+    chk = orlicz_sampling_check(f, n, phi, SECTION7_R,
+                                check_preconditions=False)
+    fun_norm, grid, converged = refine_on_grid(
+        f.degree, lambda m: norm_fun(phi, f.sample_uniform(m)),
+        rel_tol=1e-5, max_doublings=1, max_grid=1024)
+    fr = frame(n)
+    lhs = norm_seq(phi, sample_on_grid(f, fr))
+    inv_omega = float(phi.inverse(float(fr.omega)))
+    assert grid == min(1024, 16 * 2 ** n)
+    assert chk.lhs == lhs
+    assert chk.rhs == 24.0 * SECTION7_R ** 2 * inv_omega * fun_norm
+    assert chk.constant_ratio == lhs / (inv_omega * fun_norm)
+    assert (chk.fun_norm_grid, chk.fun_norm_converged) == (grid, converged)
+
+
+def test_orlicz_check_holds_one_row_of_magnitudes():
+    # level 6 (degree 63, box width 127) on grids 512 and 1024: the
+    # function norm holds |f| on the 1024^2 grid as one float row, the
+    # (1024, 127) complex first-axis slab and two complex blocks of
+    # SPLIT_BLOCK points, and never the 16 MB complex grid; the allowance
+    # holds the frame-grid samples, the precondition grids and the root's
+    # small arrays.  The 512^2 grid, unsplit, holds about as much (a 4 MB
+    # complex buffer, its 2 MB float modulus and the FFT's 1 and 4 MB
+    # slabs).  The peak is 12.0 MB; sampling the whole grid took 25.7 MB.
+    f = random_poly_on_frame(6, 60)
+    m, width = 1024, 127
+    buffers = 8 * m * m + 16 * m * width + 2 * 16 * trig.SPLIT_BLOCK
+    tracemalloc.start()
+    try:
+        orlicz_sampling_check(f, 6, make_section7(0.05), SECTION7_R)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < buffers + 2 ** 20
 
 
 def test_orlicz_section7_batch_small():

@@ -590,6 +590,74 @@ def test_sampling_takes_numpy_grid_sizes_and_empty_stacks():
         assert list(trig.sample_abs_chunks(boxes, m)) == []
 
 
+def _split_stack(dim: int, degree: int, seed: int) -> np.ndarray:
+    """Boxes of a full polynomial of the degree, the zero polynomial and
+    one of half the degree, stacked at the degree."""
+    rng = np.random.default_rng(seed)
+    fs = [_full_box_poly(dim, degree, rng), TrigPoly(dim, {}),
+          _full_box_poly(dim, degree // 2, rng)]
+    return trig.coefficient_boxes(fs, degree)
+
+
+def _chunked_abs(boxes: np.ndarray, m: int) -> np.ndarray:
+    return np.concatenate([a.copy() for a in trig.sample_abs_chunks(boxes, m)])
+
+
+@pytest.mark.parametrize("degree, m, split", [
+    (3, 511, False), (3, 512, False), (3, 513, True),
+    (15, 511, False), (15, 512, False), (15, 513, True),
+    (15, 1024, True), (63, 1024, True)])
+def test_split_sampler_is_bit_identical_at_the_block(degree, m, split):
+    # 2-D grids below, at and above SAMPLE_BLOCK = 512^2 points; only a row
+    # above it goes by blocks, of 2^15 // 513 = 63 grid rows (which do not
+    # divide 513) or of 32 rows at m = 1024.  Widths 7 and 31 go by the
+    # matrix on 511-1024 points, except width 31 on up to 513 points,
+    # which, like width 127 (the level-6 frame), goes by the FFT
+    boxes = _split_stack(2, degree, m)
+    with mock.patch.object(trig, "_abs_by_blocks",
+                           wraps=trig._abs_by_blocks) as spy:
+        got = _chunked_abs(boxes, m)
+    assert spy.call_count == (len(boxes) if split else 0)
+    for r in range(len(boxes)):   # a row at a time keeps 1024^2 grids small
+        want = np.abs(trig.sample_boxes(boxes[r:r + 1], m)).reshape(-1)
+        assert np.array_equal(got[r], want), r
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+@pytest.mark.parametrize("width", [7, 31])
+def test_split_sampler_is_bit_identical_on_small_blocks(dim, width):
+    # SAMPLE_BLOCK = 80 splits every 2-D grid above 8 points a side, and
+    # SPLIT_BLOCK = 80 leaves less than one grid row per block (blocks of
+    # two rows), 5 m + 3 five rows, which divide neither 96 nor 97 (on 96
+    # the last block would be one row alone), and m^2 the whole grid.
+    # Width 7 goes by the matrix on these grids, width 31 by the FFT.  A
+    # 1-D row is never split: one above the block is sampled alone, as
+    # before, so its one-row matrix product goes to gemv, which rounds
+    # otherwise than the gemm of the whole stack
+    boxes = _split_stack(dim, (width - 1) // 2, width)
+    for m in (width, 96, 97):
+        assert trig._by_matrix(width, m) == (width == 7)
+        alone = dim == 1 and m > 80
+        stacks = ([boxes[r:r + 1] for r in range(len(boxes))] if alone
+                  else [boxes])
+        want = np.concatenate([np.abs(trig.sample_boxes(b, m))
+                               .reshape(len(b), -1) for b in stacks])
+        for split in (trig.SPLIT_BLOCK, 80, 5 * m + 3, m * m):
+            with mock.patch.multiple(trig, SAMPLE_BLOCK=80,
+                                     SPLIT_BLOCK=split):
+                assert np.array_equal(_chunked_abs(boxes, m), want), (m, split)
+
+
+def test_split_sampler_rejects_aliasing_grid():
+    # a grid below the box width aliases on the split route too: width 11
+    # on 9 points by the matrix, width 31 on 29 points by the FFT
+    for width, m in ((11, 9), (31, 29)):
+        boxes = _split_stack(2, (width - 1) // 2, 0)
+        with mock.patch.object(trig, "SAMPLE_BLOCK", 80), \
+                pytest.raises(ValueError, match="aliases"):
+            list(trig.sample_abs_chunks(boxes, m))
+
+
 def test_sample_uniform_rejects_aliasing_grid():
     f = TrigPoly(1, {(4,): 1.0})
     with pytest.raises(ValueError):
